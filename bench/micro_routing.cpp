@@ -9,6 +9,7 @@
 #include "src/analysis/response_map.h"
 #include "src/core/hn_metric.h"
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -51,18 +52,27 @@ void BM_IncrementalSpfSkippedUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalSpfSkippedUpdate);
 
+/// Random cost changes on random links. Argument 0 is the 1987 ARPANET;
+/// any other value is a leo-grid torus of that many nodes, so the cost of
+/// one update can be read against N. It grows with the region an update
+/// changes (larger subtrees on a larger torus), not in step with N.
 void BM_IncrementalSpfCostChange(benchmark::State& state) {
-  const auto& net = fixture();
-  routing::IncrementalSpf inc{net.topo, 0,
-                              routing::LinkCosts(net.topo.link_count(), 30.0)};
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const net::Topology topo =
+      nodes == 0 ? fixture().topo
+                 : net::TopologyBuilder::registry().build(
+                       net::GraphSpec{"leo-grid"}.with_nodes(nodes));
+  state.SetLabel(nodes == 0 ? "arpanet87" : "leo-grid");
+  routing::IncrementalSpf inc{topo, 0,
+                              routing::LinkCosts(topo.link_count(), 30.0)};
   util::Rng rng{42};
   for (auto _ : state) {
-    const auto link = static_cast<net::LinkId>(
-        rng.uniform_index(net.topo.link_count()));
+    const auto link =
+        static_cast<net::LinkId>(rng.uniform_index(topo.link_count()));
     inc.set_cost(link, 30.0 + static_cast<double>(rng.uniform_index(60)));
   }
 }
-BENCHMARK(BM_IncrementalSpfCostChange);
+BENCHMARK(BM_IncrementalSpfCostChange)->Arg(0)->Arg(256)->Arg(1024);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -28,6 +28,7 @@ Topology::Topology(Topology&& other) noexcept
       csr_start_{std::move(other.csr_start_)},
       csr_links_{std::move(other.csr_links_)},
       csr_to_{std::move(other.csr_to_)},
+      csr_in_{std::move(other.csr_in_)},
       csr_pos_{std::move(other.csr_pos_)},
       csr_valid_{other.csr_valid_.load(std::memory_order_relaxed)} {
   other.csr_valid_.store(false, std::memory_order_relaxed);
@@ -41,6 +42,7 @@ Topology& Topology::operator=(Topology&& other) noexcept {
   csr_start_ = std::move(other.csr_start_);
   csr_links_ = std::move(other.csr_links_);
   csr_to_ = std::move(other.csr_to_);
+  csr_in_ = std::move(other.csr_in_);
   csr_pos_ = std::move(other.csr_pos_);
   csr_valid_.store(other.csr_valid_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
@@ -97,6 +99,7 @@ void Topology::rebuild_csr() const {
 
   csr_links_.resize(m);
   csr_to_.resize(m);
+  csr_in_.resize(m);
   csr_pos_.resize(m);
   // Stable counting fill: links are appended in id order, so walking them in
   // id order reproduces each node's add_duplex insertion order — the same
@@ -107,6 +110,7 @@ void Topology::rebuild_csr() const {
     const std::uint32_t slot = fill[l.from]++;
     csr_links_[slot] = l.id;
     csr_to_[slot] = l.to;
+    csr_in_[slot] = l.reverse;
     csr_pos_[l.id] = slot - csr_start_[l.from];
   }
 

@@ -9,7 +9,9 @@
 // Storage is CSR (compressed sparse row): every node's out-links live in one
 // contiguous slice of two parallel flat arrays — link ids and target nodes —
 // so SPF, flooding and forwarding walk cache-linear memory instead of chasing
-// per-node vectors. The CSR index is a cache over the link list, rebuilt
+// per-node vectors. A third parallel array holds each out-link's reverse,
+// which is the in-link from the same neighbor, so a node's in-links are a
+// CSR slice too. The CSR index is a cache over the link list, rebuilt
 // lazily (and thread-safely) after mutations; per-node out-link order is the
 // insertion order of add_duplex, exactly as the old per-node vectors kept it.
 
@@ -108,6 +110,16 @@ class Topology {
             csr_to_.data() + csr_start_[node + 1]};
   }
 
+  /// In-links of a node, parallel to out_targets(node): in_links(v)[i] is
+  /// the link out_targets(v)[i] -> v, the reverse of out_links(v)[i]. Every
+  /// link comes from add_duplex, so in-links and out-links pair up exactly.
+  [[nodiscard]] std::span<const LinkId> in_links(NodeId node) const {
+    ensure_csr();
+    check_node(node);
+    return {csr_in_.data() + csr_start_[node],
+            csr_in_.data() + csr_start_[node + 1]};
+  }
+
   /// Position of `link` inside its from-node's out_links slice. Per-out-link
   /// state held in out_links order (e.g. a PSN's output queues) is then an
   /// O(1) lookup instead of a linear scan.
@@ -153,13 +165,15 @@ class Topology {
       name_index_;
 
   // CSR cache over links_: node n's out-links are csr_links_[csr_start_[n]
-  // .. csr_start_[n+1]), csr_to_ holds the matching targets, csr_pos_[l] the
-  // slot of link l within its from-node's slice. Mutable because it is a
-  // lazily-(re)built view of the link list; guarded for concurrent first
-  // access from sweep workers sharing one const Topology.
+  // .. csr_start_[n+1]), csr_to_ holds the matching targets, csr_in_ their
+  // reverse links, csr_pos_[l] the slot of link l within its from-node's
+  // slice. Mutable because it is a lazily-(re)built view of the link list;
+  // guarded for concurrent first access from sweep workers sharing one
+  // const Topology.
   mutable std::vector<std::uint32_t> csr_start_;
   mutable std::vector<LinkId> csr_links_;
   mutable std::vector<NodeId> csr_to_;
+  mutable std::vector<LinkId> csr_in_;
   mutable std::vector<std::uint32_t> csr_pos_;
   mutable std::atomic<bool> csr_valid_{false};
   mutable std::mutex csr_mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -44,73 +43,56 @@ void check_costs(const net::Topology& topo, std::span<const double> costs) {
   }
 }
 
-/// Re-derives parent links, first hops and hop counts from final distances.
-///
-/// The canonical parent of v is the lowest-id in-link (u,v) with
-/// dist[u] + cost == dist[v]; because relaxations only ever propagate from
-/// settled nodes, the achieving sum is bit-exact and the equality test is
-/// safe. Deriving structure from distances (rather than keeping whatever
-/// parents Dijkstra's settle order happened to produce) is what makes every
-/// PSN compute the identical tree from identical costs.
+/// The canonical parent of v: the lowest-id in-link (u,v) with
+/// dist[u] + cost == dist[v], or kInvalidLink if none achieves it. Because
+/// relaxations only ever propagate from settled nodes, the achieving sum is
+/// bit-exact and the equality test is safe. Deriving structure from
+/// distances (rather than keeping whatever parents Dijkstra's settle order
+/// happened to produce) is what makes every PSN compute the identical tree
+/// from identical costs.
 // ARPALINT-HOTPATH-BEGIN
-void derive_structure(const net::Topology& topo, std::span<const double> costs,
-                      SpfTree& tree, std::vector<net::NodeId>& order) {
-  const std::size_t n = topo.node_count();
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.parent_link.assign(n, net::kInvalidLink);
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.first_hop.assign(n, net::kInvalidLink);
-  // ARPALINT-ALLOW(hot-path-alloc): same-size assigns reuse the tree's storage
-  tree.hops.assign(n, -1);
-  tree.hops[tree.root] = 0;
-
-  for (const net::Link& l : topo.links()) {
-    if (l.to == tree.root) continue;
-    const double du = tree.dist[l.from];
+net::LinkId canonical_parent(const net::Topology& topo,
+                             std::span<const double> costs,
+                             std::span<const double> dist, net::NodeId v) {
+  const std::span<const net::LinkId> ins = topo.in_links(v);
+  const std::span<const net::NodeId> froms = topo.out_targets(v);
+  net::LinkId best = net::kInvalidLink;
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    const double du = dist[froms[i]];
     if (du == kInf) continue;
-    if (du + costs[l.id] == tree.dist[l.to]) {
-      if (tree.parent_link[l.to] == net::kInvalidLink ||
-          l.id < tree.parent_link[l.to]) {
-        tree.parent_link[l.to] = l.id;
-      }
-    }
+    if (du + costs[ins[i]] == dist[v] && ins[i] < best) best = ins[i];
   }
-
-  // Positive costs mean dist strictly increases along tree edges, so any
-  // nondecreasing-distance order visits parents before children (tie order
-  // among equal distances is irrelevant: equal-dist nodes are never
-  // parent/child). The caller's buffer persists between updates and an
-  // incremental pass only perturbs the affected region's distances, so the
-  // buffer is almost sorted already — insertion sort runs in
-  // O(n + inversions), typically a single sweep, where a comparison sort
-  // would pay its full O(n log n) on every rederivation.
-  if (order.size() != n) {
-    // ARPALINT-ALLOW(hot-path-alloc): grows once; persistent across updates
-    order.resize(n);
-    std::iota(order.begin(), order.end(), net::NodeId{0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    const net::NodeId v = order[i];
-    const double dv = tree.dist[v];
-    std::size_t j = i;
-    for (; j > 0 && dv < tree.dist[order[j - 1]]; --j) order[j] = order[j - 1];
-    order[j] = v;
-  }
-  for (const net::NodeId v : order) {
-    if (v == tree.root || tree.parent_link[v] == net::kInvalidLink) continue;
-    const net::Link& pl = topo.link(tree.parent_link[v]);
-    // Parents settle before children in this order, so the parent's
-    // structure must already exist — a -1 here means the distance array is
-    // inconsistent with the parent derivation.
-    ARPA_DCHECK(pl.from == tree.root || tree.hops[pl.from] >= 0)
-        << "node " << v << " derived a parent (" << pl.from
-        << ") with no structure yet";
-    tree.hops[v] = tree.hops[pl.from] + 1;
-    tree.first_hop[v] =
-        (pl.from == tree.root) ? pl.id : tree.first_hop[pl.from];
-  }
+  return best;
 }
 // ARPALINT-HOTPATH-END
+
+/// Derives parent links, first hops and hop counts from final distances.
+/// `order` lists every node with parents before children: positive costs
+/// mean dist strictly increases along tree edges, so any nondecreasing-
+/// distance order qualifies (equal-dist nodes are never parent/child).
+void derive_structure(const net::Topology& topo, std::span<const double> costs,
+                      SpfTree& tree, std::span<const net::NodeId> order) {
+  const std::size_t n = topo.node_count();
+  tree.parent_link.assign(n, net::kInvalidLink);
+  tree.first_hop.assign(n, net::kInvalidLink);
+  tree.hops.assign(n, -1);
+  tree.hops[tree.root] = 0;
+  for (const net::NodeId v : order) {
+    if (v == tree.root) continue;
+    const net::LinkId pl = canonical_parent(topo, costs, tree.dist, v);
+    if (pl == net::kInvalidLink) continue;
+    tree.parent_link[v] = pl;
+    const net::NodeId u = topo.link(pl).from;
+    // Parents come before children in `order`, so the parent's structure
+    // must already exist — a -1 here means the distance array is
+    // inconsistent with the parent derivation.
+    ARPA_DCHECK(u == tree.root || tree.hops[u] >= 0)
+        << "node " << v << " derived a parent (" << u
+        << ") with no structure yet";
+    tree.hops[v] = tree.hops[u] + 1;
+    tree.first_hop[v] = (u == tree.root) ? pl : tree.first_hop[u];
+  }
+}
 
 }  // namespace
 
@@ -124,6 +106,10 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
   tree.dist.assign(topo.node_count(), kInf);
   tree.dist[root] = 0.0;
 
+  // Settle order is nondecreasing in distance, so it doubles as the
+  // parents-before-children order derive_structure needs.
+  std::vector<net::NodeId> order;
+  order.reserve(topo.node_count());
   HeapVec heap;
   heap_push(heap, 0.0, root);
   std::vector<bool> settled(topo.node_count(), false);
@@ -131,6 +117,7 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
     const auto [d, u] = heap_pop(heap);
     if (settled[u]) continue;
     settled[u] = true;
+    order.push_back(u);
     // Parallel CSR slices: the relaxation touches only the link id (cost
     // index) and the target node, never the 48-byte Link record.
     const std::span<const net::LinkId> lids = topo.out_links(u);
@@ -143,8 +130,10 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
       }
     }
   }
+  for (net::NodeId v = 0; v < topo.node_count(); ++v) {
+    if (!settled[v]) order.push_back(v);
+  }
 
-  std::vector<net::NodeId> order;
   derive_structure(topo, link_costs, tree, order);
   return tree;
 }
@@ -155,17 +144,16 @@ IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
   check_costs(topo, costs_);
   tree_ = Spf::compute(topo, root, costs_);
   ++full_;
-  // Size the scratch up front: the passes' assign/resize/push_back then
-  // never grow, even for a PSN whose first incremental update arrives long
-  // after construction (the AllocGuard window assumes exactly this).
+  build_children();
+  // Size the scratch up front: the passes' push_backs then never grow, even
+  // for a PSN whose first incremental update arrives long after
+  // construction (the AllocGuard window assumes exactly this). The heap
+  // holds at most one entry per link in a distance pass and at most two per
+  // node in repair_structure's push.
   const std::size_t n = topo.node_count();
-  scratch_.heap.reserve(topo.link_count());
-  scratch_.order.reserve(n);
-  scratch_.affected.reserve(n);
-  scratch_.stack.reserve(n);
-  scratch_.child_start.reserve(n + 1);
-  scratch_.child_list.reserve(n);
-  scratch_.prev_first_hop.reserve(n);
+  scratch_.heap.reserve(std::max(topo.link_count(), 2 * n));
+  scratch_.nodes.reserve(n);
+  scratch_.in_nodes.assign(n, 0);
 }
 
 void IncrementalSpf::reset(LinkCosts costs) {
@@ -173,6 +161,21 @@ void IncrementalSpf::reset(LinkCosts costs) {
   costs_ = std::move(costs);
   tree_ = Spf::compute(*topo_, tree_.root, costs_);
   ++full_;
+  build_children();
+}
+
+void IncrementalSpf::build_children() {
+  const std::size_t n = topo_->node_count();
+  first_child_.assign(n, net::kInvalidNode);
+  next_sibling_.assign(n, net::kInvalidNode);
+  prev_sibling_.assign(n, net::kInvalidNode);
+  // Hang every node from an empty forest: clear its parent, then reparent()
+  // it under the parent the full computation derived.
+  for (net::NodeId v = 0; v < n; ++v) {
+    const net::LinkId pl = tree_.parent_link[v];
+    tree_.parent_link[v] = net::kInvalidLink;
+    reparent(v, pl);
+  }
 }
 
 // ARPALINT-HOTPATH-BEGIN
@@ -196,11 +199,13 @@ void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
   } else {
     increase_pass(link);
   }
-  rederive_structure();
+  repair_structure(topo_->link(link).to);
 }
 
 void IncrementalSpf::decrease_pass(net::LinkId link) {
   const net::Link& l = topo_->link(link);
+  auto& nodes = scratch_.nodes;
+  nodes.clear();
   if (tree_.dist[l.from] == kInf) return;
   const double cand = tree_.dist[l.from] + costs_[link];
   if (cand >= tree_.dist[l.to]) return;
@@ -211,8 +216,14 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
   while (!heap.empty()) {
     const auto [d, w] = heap_pop(heap);
     if (d >= tree_.dist[w]) continue;
+    // Pops are nondecreasing, so each node is lowered at most once and the
+    // region list stays duplicate-free.
+    ARPA_DCHECK(!scratch_.in_nodes[w]) << "node " << w << " lowered twice";
     tree_.dist[w] = d;
     ++nodes_touched_;
+    scratch_.in_nodes[w] = 1;
+    // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+    nodes.push_back(w);
     const std::span<const net::LinkId> lids = topo_->out_links(w);
     const std::span<const net::NodeId> tos = topo_->out_targets(w);
     for (std::size_t i = 0; i < lids.size(); ++i) {
@@ -223,67 +234,42 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
 }
 
 void IncrementalSpf::increase_pass(net::LinkId link) {
-  const net::Link& l = topo_->link(link);
-  const std::size_t n = topo_->node_count();
-
   // Affected region: the subtree hanging below the head of the increased
-  // link. Everything else keeps its distance. The children adjacency is a
-  // two-pass counting build into a CSR index (child_start/child_list) so no
-  // per-node vectors are allocated.
-  auto& cs = scratch_.child_start;
-  auto& cl = scratch_.child_list;
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  cs.assign(n + 1, 0);
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::LinkId pl = tree_.parent_link[v];
-    if (pl != net::kInvalidLink) ++cs[topo_->link(pl).from + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) cs[u + 1] += cs[u];
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  cl.resize(cs[n]);
-  // The fill advances cs[u] from u's start offset to its end offset, so
-  // afterwards u's children live in cl[cs[u-1] .. cs[u]) (start of node 0
-  // is 0).
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::LinkId pl = tree_.parent_link[v];
-    if (pl != net::kInvalidLink) cl[cs[topo_->link(pl).from]++] = v;
-  }
-
-  auto& affected = scratch_.affected;
-  auto& stack = scratch_.stack;
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  affected.assign(n, 0);
-  stack.clear();
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  stack.push_back(l.to);
-  affected[l.to] = 1;
-  while (!stack.empty()) {
-    const net::NodeId v = stack.back();
-    stack.pop_back();
-    const std::uint32_t begin = (v == 0) ? 0 : cs[v - 1];
-    for (std::uint32_t i = begin; i < cs[v]; ++i) {
-      const net::NodeId c = cl[i];
-      if (!affected[c]) {
-        affected[c] = 1;
-        // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-        stack.push_back(c);
-      }
+  // link, walked breadth-first over the child lists with `nodes` as the
+  // queue. Everything else keeps its distance.
+  auto& nodes = scratch_.nodes;
+  auto& in_nodes = scratch_.in_nodes;
+  const net::NodeId head = topo_->link(link).to;
+  nodes.clear();
+  // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+  nodes.push_back(head);
+  in_nodes[head] = 1;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (net::NodeId c = first_child_[nodes[i]]; c != net::kInvalidNode;
+         c = next_sibling_[c]) {
+      in_nodes[c] = 1;
+      // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+      nodes.push_back(c);
     }
   }
+  for (const net::NodeId v : nodes) tree_.dist[v] = kInf;
+  nodes_touched_ += static_cast<long>(nodes.size());
 
-  // Re-run Dijkstra over the affected region, seeded with the best entry
-  // from the unaffected frontier (which includes the increased link itself).
+  // Re-run Dijkstra over the affected region, seeding each node with its
+  // best entry over the in-links from the unaffected frontier (the
+  // increased link among them).
   HeapVec& heap = scratch_.heap;
   heap.clear();
-  for (net::NodeId v = 0; v < n; ++v) {
-    if (!affected[v]) continue;
-    tree_.dist[v] = kInf;
-    ++nodes_touched_;
-  }
-  for (const net::Link& in : topo_->links()) {
-    if (!affected[in.to] || affected[in.from]) continue;
-    if (tree_.dist[in.from] == kInf) continue;
-    heap_push(heap, tree_.dist[in.from] + costs_[in.id], in.to);
+  for (const net::NodeId v : nodes) {
+    const std::span<const net::LinkId> ins = topo_->in_links(v);
+    const std::span<const net::NodeId> froms = topo_->out_targets(v);
+    double best = kInf;
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      const double du = tree_.dist[froms[i]];
+      if (in_nodes[froms[i]] || du == kInf) continue;
+      best = std::min(best, du + costs_[ins[i]]);
+    }
+    if (best < kInf) heap_push(heap, best, v);
   }
   while (!heap.empty()) {
     const auto [d, w] = heap_pop(heap);
@@ -292,19 +278,95 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
     const std::span<const net::LinkId> lids = topo_->out_links(w);
     const std::span<const net::NodeId> tos = topo_->out_targets(w);
     for (std::size_t i = 0; i < lids.size(); ++i) {
-      if (!affected[tos[i]]) continue;
+      if (!in_nodes[tos[i]]) continue;
       const double nd = d + costs_[lids[i]];
       if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
     }
   }
 }
 
-void IncrementalSpf::rederive_structure() {
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  scratch_.prev_first_hop.assign(tree_.first_hop.begin(), tree_.first_hop.end());
-  derive_structure(*topo_, costs_, tree_, scratch_.order);
-  for (std::size_t v = 0; v < tree_.first_hop.size(); ++v) {
-    if (tree_.first_hop[v] != scratch_.prev_first_hop[v]) ++first_hop_changes_;
+void IncrementalSpf::repair_structure(net::NodeId head) {
+  // Only three kinds of node can have changed their canonical parent: the
+  // head of the changed link (its in-link cost moved), the region whose
+  // distances the pass reset or lowered (scratch_.nodes), and the region's
+  // out-neighbours (an in-link's source distance moved). Every other node
+  // keeps its distance and all of its in-link sums.
+  auto& nodes = scratch_.nodes;
+  auto& in_nodes = scratch_.in_nodes;
+  const std::size_t region = nodes.size();
+  if (!in_nodes[head]) {
+    in_nodes[head] = 1;
+    // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+    nodes.push_back(head);
+  }
+  for (std::size_t i = 0; i < region; ++i) {
+    for (const net::NodeId w : topo_->out_targets(nodes[i])) {
+      if (in_nodes[w]) continue;
+      in_nodes[w] = 1;
+      // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+      nodes.push_back(w);
+    }
+  }
+
+  HeapVec& heap = scratch_.heap;
+  heap.clear();
+  for (const net::NodeId v : nodes) {
+    in_nodes[v] = 0;
+    if (v == tree_.root) continue;
+    const net::LinkId pl = canonical_parent(*topo_, costs_, tree_.dist, v);
+    if (pl == tree_.parent_link[v]) continue;
+    reparent(v, pl);
+    heap_push(heap, tree_.dist[v], v);
+  }
+
+  // Push hop counts and first hops down from the re-parented nodes. Popping
+  // in distance order settles every parent before its children, so each
+  // node is recomputed from final parent values; the push stops wherever a
+  // node's values come out unchanged. A node can be queued twice (as
+  // re-parented and as a child); the second pop finds nothing to change.
+  while (!heap.empty()) {
+    const net::NodeId v = heap_pop(heap).second;
+    const net::LinkId pl = tree_.parent_link[v];
+    int hops = -1;
+    net::LinkId first_hop = net::kInvalidLink;
+    if (pl != net::kInvalidLink) {
+      const net::NodeId u = topo_->link(pl).from;
+      ARPA_DCHECK(u == tree_.root || tree_.hops[u] >= 0)
+          << "node " << v << " re-parented under " << u << " with no structure";
+      hops = tree_.hops[u] + 1;
+      first_hop = (u == tree_.root) ? pl : tree_.first_hop[u];
+    }
+    if (hops == tree_.hops[v] && first_hop == tree_.first_hop[v]) continue;
+    if (first_hop != tree_.first_hop[v]) ++first_hop_changes_;
+    tree_.hops[v] = hops;
+    tree_.first_hop[v] = first_hop;
+    for (net::NodeId c = first_child_[v]; c != net::kInvalidNode;
+         c = next_sibling_[c]) {
+      heap_push(heap, tree_.dist[c], c);
+    }
+  }
+}
+
+void IncrementalSpf::reparent(net::NodeId v, net::LinkId new_parent) {
+  const net::LinkId old_parent = tree_.parent_link[v];
+  if (old_parent != net::kInvalidLink) {
+    const net::NodeId prev = prev_sibling_[v];
+    const net::NodeId next = next_sibling_[v];
+    if (prev != net::kInvalidNode) {
+      next_sibling_[prev] = next;
+    } else {
+      first_child_[topo_->link(old_parent).from] = next;
+    }
+    if (next != net::kInvalidNode) prev_sibling_[next] = prev;
+  }
+  tree_.parent_link[v] = new_parent;
+  if (new_parent != net::kInvalidLink) {
+    const net::NodeId u = topo_->link(new_parent).from;
+    const net::NodeId first = first_child_[u];
+    prev_sibling_[v] = net::kInvalidNode;
+    next_sibling_[v] = first;
+    if (first != net::kInvalidNode) prev_sibling_[first] = v;
+    first_child_[u] = v;
   }
 }
 // ARPALINT-HOTPATH-END

@@ -65,35 +65,29 @@ class Spf {
 
 /// Reusable workspace for the incremental passes. One instance lives inside
 /// each IncrementalSpf so a steady-state cost change allocates nothing: the
-/// Dijkstra heap, the subtree bitmap/stack, the CSR children index and the
-/// distance-ordered derivation buffer all keep their capacity across updates.
+/// heap, the region list and the mark bytes keep their capacity across
+/// updates.
 struct SpfScratch {
   /// Binary min-heap of (dist, node), driven via std::push_heap/pop_heap.
   std::vector<std::pair<double, net::NodeId>> heap;
-  /// Nodes in nondecreasing distance order, persisted between updates so the
-  /// usual case is a cheap is_sorted check over an almost-sorted buffer.
-  std::vector<net::NodeId> order;
-  /// Subtree membership for increase_pass (0/1; plain bytes, not
-  /// vector<bool>, so assign() is a memset).
-  std::vector<std::uint8_t> affected;
-  std::vector<net::NodeId> stack;
-  /// CSR children index: children of u are child_list[child_start[u-1] ..
-  /// child_start[u]) (start of node 0 is 0) — see increase_pass.
-  std::vector<std::uint32_t> child_start;
-  std::vector<net::NodeId> child_list;
-  /// first_hop snapshot taken before each re-derivation, for the
-  /// route-change counter.
-  std::vector<net::LinkId> prev_first_hop;
+  /// The pass's region (nodes whose distance it reset or lowered), then the
+  /// further candidates for parent re-derivation. Distinct nodes.
+  std::vector<net::NodeId> nodes;
+  /// 1 iff the node is in `nodes` (plain bytes, not vector<bool>). All
+  /// zero between passes: each pass clears exactly the bytes it set.
+  std::vector<std::uint8_t> in_nodes;
 };
 
 /// Resident incremental SPF, as run inside a PSN.
 ///
 /// Maintains the tree across a stream of single-link cost changes. Distances
-/// are updated with localized Dijkstra passes touching only affected nodes;
-/// parents/first-hops/hop-counts are then re-derived canonically, so the
-/// result is always bit-identical to a full Spf::compute with the same
-/// costs (verified by property tests). Counters expose how much work each
-/// class of update required.
+/// are updated with localized Dijkstra passes touching only affected nodes.
+/// Parents are then re-derived canonically, but only for the nodes whose
+/// parent can have changed, and hop counts and first hops are pushed down
+/// the subtrees of re-parented nodes, so every pass costs O(region x
+/// degree) rather than O(nodes + links). The result is always bit-identical
+/// to a full Spf::compute with the same costs (verified by property
+/// tests). Counters expose how much work each class of update required.
 class IncrementalSpf {
  public:
   IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs);
@@ -123,13 +117,21 @@ class IncrementalSpf {
   [[nodiscard]] long first_hop_changes() const { return first_hop_changes_; }
 
  private:
-  void rederive_structure();
   void decrease_pass(net::LinkId link);
   void increase_pass(net::LinkId link);
+  void repair_structure(net::NodeId head);
+  void build_children();
+  void reparent(net::NodeId v, net::LinkId new_parent);
 
   const net::Topology* topo_;
   LinkCosts costs_;
   SpfTree tree_;
+  /// Intrusive doubly linked child lists of tree_: the children of u are
+  /// first_child_[u], next_sibling_[first_child_[u]], ... (kInvalidNode
+  /// ends a list). A re-parented node moves between lists in O(1).
+  std::vector<net::NodeId> first_child_;
+  std::vector<net::NodeId> next_sibling_;
+  std::vector<net::NodeId> prev_sibling_;
   SpfScratch scratch_;
   long full_ = 0;
   long skipped_ = 0;

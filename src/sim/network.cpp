@@ -609,6 +609,7 @@ std::uint64_t Network::events_processed() const {
 void Network::reserve_event_headroom() {
   for (auto& sh : shards_) {
     sh->sim.reserve_events(4 * sh->sim.queue_peak_depth());
+    sh->updates.reserve(2 * sh->updates.slots());
   }
 }
 

@@ -194,8 +194,10 @@ class Network : public EventSink {
 
   /// Events processed across all shards over the network's lifetime.
   [[nodiscard]] std::uint64_t events_processed() const;
-  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth,
-  /// so a measurement window after warm-up schedules into existing storage.
+  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth
+  /// and its routing-update pool to 2x its peak of live updates, so a
+  /// measurement window after warm-up schedules and floods into existing
+  /// storage.
   void reserve_event_headroom();
 
   /// Number of simulation shards (== config().shards).

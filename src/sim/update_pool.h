@@ -46,6 +46,10 @@ class UpdatePool {
     const UpdateHandle h = static_cast<UpdateHandle>(slots_.size());
     // ARPALINT-ALLOW(hot-path-alloc): slab growth; freelist serves steady state
     slots_.emplace_back();
+    // The freelist never holds more entries than there are slots, so sizing
+    // it here keeps release() from growing it later, mid-window.
+    // ARPALINT-ALLOW(hot-path-alloc): grows with the slab, never in release()
+    free_.reserve(slots_.size());
     // ARPALINT-ALLOW(hot-path-alloc): one-time reserve at slot creation
     slots_[h].update.reports.reserve(report_capacity_);
     slots_[h].refs = 1;
@@ -75,7 +79,7 @@ class UpdatePool {
       slots_[h].update.origin = net::kInvalidNode;
       slots_[h].update.seq = 0;
       slots_[h].update.reports.clear();
-      // ARPALINT-ALLOW(hot-path-alloc): freelist retains capacity
+      // ARPALINT-ALLOW(hot-path-alloc): acquire() reserved a place per slot
       free_.push_back(h);
       --in_use_;
     }
@@ -89,6 +93,17 @@ class UpdatePool {
   void set_report_capacity(std::size_t n) {
     report_capacity_ = n;
     for (Slot& s : slots_) s.update.reports.reserve(n);
+  }
+
+  /// Grows the slab to at least `n` slots, parking the new ones on the
+  /// freelist, so up to `n` updates can be live at once without allocating.
+  void reserve(std::size_t n) {
+    free_.reserve(n);
+    while (slots_.size() < n) {
+      free_.push_back(static_cast<UpdateHandle>(slots_.size()));
+      slots_.emplace_back();
+      slots_.back().update.reports.reserve(report_capacity_);
+    }
   }
 
   /// Distinct slots ever created (the pool's footprint).

@@ -10,6 +10,7 @@
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
 #include "src/sim/ring_queue.h"
+#include "src/util/alloc_guard.h"
 
 namespace arpanet::sim {
 namespace {
@@ -83,6 +84,58 @@ TEST(UpdatePoolTest, AddRefKeepsSlotAliveUntilLastRelease) {
   EXPECT_EQ(updates.in_use(), 1u) << "one reference should still be live";
   updates.release(h);
   EXPECT_EQ(updates.in_use(), 0u);
+}
+
+TEST(UpdatePoolTest, CyclesAfterWarmUpAllocateNothing) {
+  UpdatePool updates;
+  updates.set_report_capacity(4);
+  // Warm-up: eight updates live at once, each acquired from an empty
+  // freelist, so the slab grows to eight slots.
+  std::vector<UpdateHandle> live;
+  live.reserve(8);
+  for (int i = 0; i < 8; ++i) live.push_back(updates.acquire());
+
+  const util::AllocGuard guard;
+  // Parking all eight at once fills the freelist to the slab's size.
+  for (const UpdateHandle h : live) updates.release(h);
+  for (int round = 0; round < 100; ++round) {
+    live.clear();
+    for (int i = 0; i <= round % 8; ++i) {
+      const UpdateHandle h = updates.acquire();
+      for (net::LinkId l = 0; l < 4; ++l) {
+        updates.at(h).reports.push_back({l, 1.0});
+      }
+      updates.add_ref(h);
+      live.push_back(h);
+    }
+    for (const UpdateHandle h : live) {
+      updates.release(h);
+      updates.release(h);
+    }
+  }
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(updates.slots(), 8u);
+  EXPECT_EQ(updates.in_use(), 0u);
+}
+
+TEST(UpdatePoolTest, ReserveParksSlotsForLaterAcquires) {
+  UpdatePool updates;
+  updates.set_report_capacity(2);
+  updates.reserve(4);
+  EXPECT_EQ(updates.slots(), 4u);
+  EXPECT_EQ(updates.in_use(), 0u);
+
+  const util::AllocGuard guard;
+  UpdateHandle live[4];
+  for (UpdateHandle& h : live) {
+    h = updates.acquire();
+    updates.at(h).reports.push_back({0, 1.0});
+    updates.at(h).reports.push_back({1, 1.0});
+  }
+  for (const UpdateHandle h : live) updates.release(h);
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(updates.slots(), 4u);
+  EXPECT_EQ(updates.recycled(), 4u);
 }
 
 TEST(PacketPoolTest, AcquireWithPacketMovesItIn) {

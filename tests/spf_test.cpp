@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/routing/routing_table.h"
 #include "src/util/rng.h"
 
@@ -163,6 +165,146 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeOnRandomGraphs) {
     }
     EXPECT_GT(inc.skipped_updates() + inc.incremental_updates(), 0);
   }
+}
+
+/// Nodes whose tree path from the root passes through `head` (head
+/// included): the subtree an increase on head's parent link resets.
+long subtree_size(const Topology& t, const SpfTree& tree, net::NodeId head) {
+  long size = 0;
+  for (net::NodeId v = 0; v < t.node_count(); ++v) {
+    for (net::NodeId u = v;;) {
+      if (u == head) {
+        ++size;
+        break;
+      }
+      const net::LinkId pl = tree.parent_link[u];
+      if (pl == net::kInvalidLink) break;
+      u = t.link(pl).from;
+    }
+  }
+  return size;
+}
+
+/// Drives a random cost stream with uniform starting costs and two cost
+/// levels, so equal-cost ties are everywhere, and checks every update
+/// against consecutive full recomputes: the tree field by field, the
+/// first-hop change count, and the work count (an increase resets exactly
+/// the old subtree below the link's head; a decrease lowers exactly the
+/// nodes whose distance fell).
+void check_against_full_recompute(const Topology& t, net::NodeId root,
+                                  int steps, std::uint64_t seed) {
+  util::Rng rng{seed};
+  LinkCosts costs(t.link_count(), 1.0);
+  IncrementalSpf inc{t, root, costs};
+  SpfTree prev = Spf::compute(t, root, costs);
+  for (int step = 0; step < steps; ++step) {
+    const auto link =
+        static_cast<net::LinkId>(rng.uniform_index(t.link_count()));
+    const double old_cost = costs[link];
+    const double new_cost = 1.0 + static_cast<double>(rng.uniform_index(2));
+    const long touched_before = inc.nodes_touched();
+    const long changes_before = inc.first_hop_changes();
+    const long skipped_before = inc.skipped_updates();
+    inc.set_cost(link, new_cost);
+    costs[link] = new_cost;
+
+    const SpfTree full = Spf::compute(t, root, costs);
+    SCOPED_TRACE("root " + std::to_string(root) + " step " +
+                 std::to_string(step) + " link " + std::to_string(link));
+    long expected_changes = 0;
+    long lowered = 0;
+    for (net::NodeId v = 0; v < t.node_count(); ++v) {
+      ASSERT_EQ(inc.tree().dist[v], full.dist[v]) << "node " << v;
+      ASSERT_EQ(inc.tree().parent_link[v], full.parent_link[v]) << "node " << v;
+      ASSERT_EQ(inc.tree().first_hop[v], full.first_hop[v]) << "node " << v;
+      ASSERT_EQ(inc.tree().hops[v], full.hops[v]) << "node " << v;
+      if (full.first_hop[v] != prev.first_hop[v]) ++expected_changes;
+      if (full.dist[v] < prev.dist[v]) ++lowered;
+    }
+    ASSERT_EQ(inc.first_hop_changes() - changes_before, expected_changes);
+    const long touched = inc.nodes_touched() - touched_before;
+    if (new_cost < old_cost) {
+      ASSERT_EQ(touched, lowered);
+    } else if (new_cost > old_cost && inc.skipped_updates() == skipped_before) {
+      ASSERT_EQ(touched, subtree_size(t, prev, t.link(link).to));
+    } else {
+      ASSERT_EQ(touched, 0);
+    }
+    prev = full;
+  }
+  EXPECT_GT(inc.incremental_updates(), 0);
+  EXPECT_GT(inc.first_hop_changes(), 0);
+}
+
+TEST(IncrementalSpfTest, MatchesFullRecomputeOnLeoGridWithTies) {
+  const Topology t = net::TopologyBuilder::registry().build(
+      net::GraphSpec::parse("leo-grid:nodes=64"));
+  for (const net::NodeId root : {0u, 21u, 63u}) {
+    check_against_full_recompute(t, root, 400, 100 + root);
+  }
+}
+
+TEST(IncrementalSpfTest, MatchesFullRecomputeOnArpanet87WithTies) {
+  const Topology t = net::builders::arpanet87().topo;
+  for (const net::NodeId root : {0u, 17u, 46u}) {
+    check_against_full_recompute(t, root, 400, 200 + root);
+  }
+}
+
+TEST(IncrementalSpfTest, MatchesFullRecomputeWithUnreachableNodes) {
+  // Two components: the root's diamond and a detached pair the tree never
+  // reaches. Updates on either side must leave the pair unrouted.
+  Topology t = diamond();
+  const auto x = t.add_node("x");
+  const auto y = t.add_node("y");
+  t.add_duplex(x, y, LineType::kTerrestrial56);
+  check_against_full_recompute(t, 0, 200, 300);
+}
+
+TEST(IncrementalSpfTest, DecreaseCreatingOnlyATieReparents) {
+  // d is reached at cost 2 via a->c->d (link 6); b->d (link 4) costs 2, so
+  // the path through b costs 3. Lowering link 4 to 1 ties the two paths:
+  // no distance moves, but the lower-id link 4 becomes d's parent and d's
+  // first hop swings from a->c (link 2) to a->b (link 0).
+  const Topology t = diamond();
+  LinkCosts costs(t.link_count(), 1.0);
+  costs[4] = 2.0;
+  IncrementalSpf inc{t, 0, costs};
+  ASSERT_EQ(inc.tree().parent_link[3], 6u);
+  ASSERT_EQ(inc.tree().first_hop[3], 2u);
+
+  inc.set_cost(4, 1.0);
+  EXPECT_EQ(inc.incremental_updates(), 1);
+  EXPECT_EQ(inc.nodes_touched(), 0);
+  EXPECT_DOUBLE_EQ(inc.tree().dist[3], 2.0);
+  EXPECT_EQ(inc.tree().parent_link[3], 4u);
+  EXPECT_EQ(inc.tree().first_hop[3], 0u);
+  EXPECT_EQ(inc.first_hop_changes(), 1);
+}
+
+TEST(IncrementalSpfTest, IncreaseOnTiedTreeLinkMovesTheSubtree) {
+  // Diamond plus a tail d-e. With unit costs d ties between b->d (link 4,
+  // the canonical parent) and c->d (link 6). Raising link 4 resets d's
+  // subtree {d, e}; both keep their distances but now hang below c, so both
+  // first hops change.
+  Topology t = diamond();
+  const auto e = t.add_node("e");
+  t.add_duplex(3, e, LineType::kTerrestrial56);  // links 8,9
+  IncrementalSpf inc{t, 0, LinkCosts(t.link_count(), 1.0)};
+  ASSERT_EQ(inc.tree().parent_link[3], 4u);
+  ASSERT_EQ(inc.tree().first_hop[e], 0u);
+
+  inc.set_cost(4, 5.0);
+  EXPECT_EQ(inc.incremental_updates(), 1);
+  EXPECT_EQ(inc.nodes_touched(), 2);
+  EXPECT_DOUBLE_EQ(inc.tree().dist[3], 2.0);
+  EXPECT_DOUBLE_EQ(inc.tree().dist[e], 3.0);
+  EXPECT_EQ(inc.tree().parent_link[3], 6u);
+  EXPECT_EQ(inc.tree().parent_link[e], 8u);
+  EXPECT_EQ(inc.tree().first_hop[3], 2u);
+  EXPECT_EQ(inc.tree().first_hop[e], 2u);
+  EXPECT_EQ(inc.tree().hops[e], 3);
+  EXPECT_EQ(inc.first_hop_changes(), 2);
 }
 
 TEST(IncrementalSpfTest, ResetReplacesAllCosts) {

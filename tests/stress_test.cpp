@@ -6,6 +6,7 @@
 
 #include "src/analysis/convergence.h"
 #include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
 
@@ -122,6 +123,35 @@ TEST(StressTest, Arpanet87BatteryWindowIsAllocationFree) {
   SUCCEED() << "bytes_peak=" << r.counters.alloc_guard_bytes_peak;
 #endif
   EXPECT_GT(r.stats.packets_delivered, 10'000);
+}
+
+TEST(StressTest, LeoGrid256HnSpfWindowIsAllocationFree) {
+  // Mirror the benchmark's SPF-bound workload (perfbench leo256-hnspf at
+  // seed 7): a 256-node LEO torus under HN-SPF at 900 kb/s, where many
+  // small incremental SPF passes and update floods run through the whole
+  // window. At this seed more update floods overlap in the window than in
+  // the 20 s warm-up, so this pins the update pool's headroom as well as
+  // the SPF scratch.
+  const net::Topology topo = net::TopologyBuilder::registry().build(
+      net::GraphSpec::parse("leo-grid:nodes=256"));
+  auto cfg = ScenarioConfig{}
+                 .with_metric(metrics::MetricKind::kHnSpf)
+                 .with_load_bps(900e3)
+                 .with_seed(7)
+                 .with_warmup(SimTime::from_sec(20))
+                 .with_window(SimTime::from_sec(40));
+  const ScenarioResult r = run_scenario(topo, cfg, "leo256-alloc-guard");
+
+  EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
+#if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
+  EXPECT_EQ(r.counters.alloc_guard_bytes_peak, 0u)
+      << "steady-state measurement window allocated on the heap; find the "
+         "site with util::AllocGuard and pre-reserve it (see "
+         "docs/static_analysis.md)";
+#else
+  SUCCEED() << "bytes_peak=" << r.counters.alloc_guard_bytes_peak;
+#endif
+  EXPECT_GT(r.counters.spf_incremental, 100'000u);
 }
 
 TEST(StressTest, FlapStormWindowIsAllocationFree) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/net/builders/builders.h"
 #include "src/routing/spf.h"
@@ -86,6 +87,27 @@ TEST(TopologyTest, OutLinks) {
   t.add_duplex(a, c, LineType::kTerrestrial56);
   EXPECT_EQ(t.out_links(a).size(), 2u);
   EXPECT_EQ(t.out_links(b).size(), 1u);
+}
+
+TEST(TopologyTest, InLinksPairWithOutTargets) {
+  // in_links(v)[i] is the link out_targets(v)[i] -> v, i.e. the reverse of
+  // out_links(v)[i], and every link is some node's in-link exactly once.
+  const Topology t = builders::arpanet87().topo;
+  std::vector<int> seen(t.link_count(), 0);
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    const auto ins = t.in_links(v);
+    const auto tos = t.out_targets(v);
+    const auto outs = t.out_links(v);
+    ASSERT_EQ(ins.size(), tos.size());
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      const Link& in = t.link(ins[i]);
+      EXPECT_EQ(in.from, tos[i]);
+      EXPECT_EQ(in.to, v);
+      EXPECT_EQ(in.reverse, outs[i]);
+      ++seen[ins[i]];
+    }
+  }
+  for (const int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST(TopologyTest, Connectivity) {
