@@ -6,11 +6,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "src/analysis/response_map.h"
 #include "src/core/hn_metric.h"
 #include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
@@ -87,6 +93,49 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/// The pending set every traffic workload builds, with the population of
+/// CalendarQueueTest.IdleFarFuturePopulationKeepsDaysSmall: 60k idle
+/// Poisson source ticks (mean gaps log-spread over 1-1000 s, one pair in
+/// 2000 at 10^4 s) under ~1k near-term events due every ~20 us. Each
+/// iteration pops the earliest event and reschedules its source. The
+/// bench_report hold cells have no idle far-future population, which is
+/// why none of them showed days sized by the farthest pending tick.
+void BM_EventQueueIdleFarPopulation(benchmark::State& state) {
+  constexpr std::uint32_t kPairs = 60'000;
+  constexpr std::uint32_t kChurn = 1'000;
+  constexpr std::uint64_t kChurnSpanUs = 40'000;  // mean 20 ms, ~20 us apart
+  class NullSink final : public sim::EventSink {
+   public:
+    void handle_event(sim::SimEvent& ev) override { (void)ev; }
+  } sink;
+  util::Rng rng{2024};
+  std::vector<double> mean_us(kPairs);
+  for (std::uint32_t p = 0; p < kPairs; ++p) {
+    mean_us[p] = p % 2000 == 0 ? 1e10 : 1e6 * std::pow(1000.0, rng.uniform());
+  }
+  const auto gap = [&](std::uint32_t id) {
+    return util::SimTime::from_us(
+        id < kPairs
+            ? 1 + static_cast<std::int64_t>(rng.exponential(mean_us[id]))
+            : static_cast<std::int64_t>(rng.uniform_index(kChurnSpanUs)));
+  };
+  sim::EventQueue q;
+  for (std::uint32_t id = 0; id < kPairs + kChurn; ++id) {
+    q.schedule(gap(id), sim::SimEvent::source_tick(sink, id));
+  }
+  for (auto _ : state) {
+    util::SimTime at;
+    const sim::SimEvent ev = q.pop(at);
+    q.schedule(at + gap(ev.index()),
+               sim::SimEvent::source_tick(sink, ev.index()));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["events_per_day"] =
+      static_cast<double>(state.iterations()) /
+      static_cast<double>(std::max<std::uint64_t>(q.days_drained(), 1));
+}
+BENCHMARK(BM_EventQueueIdleFarPopulation);
 
 void BM_HnmTransform(benchmark::State& state) {
   const auto params = core::LineParamsTable::arpanet_defaults();

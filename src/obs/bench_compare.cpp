@@ -208,9 +208,7 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 
 /// Fields derived from host wall time: excluded from the deterministic-work
-/// diff and handled by the noise-band rate check instead. alloc_guard
-/// bytes_peak rides along — it is zero in Release but tracks the build's
-/// allocator/instrumentation, not the simulation's work. Stability's
+/// diff and handled by the noise-band rate check instead. Stability's
 /// reconverge_sec is sim time (deterministic per config) but shifts with
 /// any change to fault/flood phasing, so the trend gate grants it the same
 /// band instead of exact equality (the golden smoke test still pins it
@@ -218,22 +216,28 @@ class JsonParser {
 bool is_wall_time_field(const std::string& path) {
   return path == "wall_sec" || path == "events_per_sec" ||
          path == "ops_per_sec" || path == "build_sec" || path == "spf_sec" ||
-         path == "spf_nodes_per_sec" || path == "alloc_guard.bytes_peak" ||
-         path == "stability.reconverge_sec" || path == "speedup";
+         path == "spf_nodes_per_sec" || path == "stability.reconverge_sec" ||
+         path == "speedup";
 }
 
 /// Flattens every numeric leaf of a cell into ("spf.full", value) pairs, in
 /// document order. Comparing the flattened forms keeps the checker correct
-/// as the report schema grows fields.
+/// as the report schema grows fields. alloc_guard.bytes_peak is kept only
+/// when `exact_bytes_peak` is set (see compare_parsed).
 void flatten_numbers(const JsonValue& v, const std::string& prefix,
+                     bool exact_bytes_peak,
                      std::vector<std::pair<std::string, double>>& out) {
   if (v.type == JsonValue::Type::kNumber) {
-    if (!is_wall_time_field(prefix)) out.emplace_back(prefix, v.number);
+    if (!is_wall_time_field(prefix) &&
+        (exact_bytes_peak || prefix != "alloc_guard.bytes_peak")) {
+      out.emplace_back(prefix, v.number);
+    }
     return;
   }
   if (v.type == JsonValue::Type::kObject) {
     for (const auto& [k, child] : v.object) {
-      flatten_numbers(child, prefix.empty() ? k : prefix + "." + k, out);
+      flatten_numbers(child, prefix.empty() ? k : prefix + "." + k,
+                      exact_bytes_peak, out);
     }
   }
 }
@@ -361,6 +365,17 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     }
   }
 
+  // A plain or LTO build's measurement window allocates nothing, so
+  // alloc_guard.bytes_peak is exact work there (0) and diffs like any other
+  // count. Any other flavor — a masked document carries 0 — lets the
+  // allocator and instrumentation of the build show through, so it is
+  // skipped.
+  const auto optimized = [](const JsonValue& doc) {
+    const std::string flavor = string_field(doc, "build_flavor");
+    return flavor == "plain" || flavor == "lto";
+  };
+  const bool exact_bytes_peak = optimized(base) && optimized(cur);
+
   const JsonValue* base_cells = base.find("scenarios");
   const JsonValue* cur_cells = cur.find("scenarios");
   if (base_cells == nullptr || cur_cells == nullptr ||
@@ -386,8 +401,8 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     // (exactly equal by default).
     std::vector<std::pair<std::string, double>> bw;
     std::vector<std::pair<std::string, double>> cw;
-    flatten_numbers(b, "", bw);
-    flatten_numbers(c, "", cw);
+    flatten_numbers(b, "", exact_bytes_peak, bw);
+    flatten_numbers(c, "", exact_bytes_peak, cw);
     if (bw.size() != cw.size()) {
       violate(name + ": field set changed (" + std::to_string(bw.size()) +
               " vs " + std::to_string(cw.size()) +
@@ -474,8 +489,8 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     }
     std::vector<std::pair<std::string, double>> bw;
     std::vector<std::pair<std::string, double>> cw;
-    flatten_numbers(b, "", bw);
-    flatten_numbers(c, "", cw);
+    flatten_numbers(b, "", exact_bytes_peak, bw);
+    flatten_numbers(c, "", exact_bytes_peak, cw);
     if (bw != cw) {
       violate(name + ": deterministic fields drifted (ops/checksum); the "
               "workload or pop order changed — regenerate the baseline if "
@@ -527,8 +542,8 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     }
     std::vector<std::pair<std::string, double>> bw;
     std::vector<std::pair<std::string, double>> cw;
-    flatten_numbers(b, "", bw);
-    flatten_numbers(c, "", cw);
+    flatten_numbers(b, "", exact_bytes_peak, bw);
+    flatten_numbers(c, "", exact_bytes_peak, cw);
     if (bw != cw) {
       violate(name + ": deterministic fields drifted (graph/SPF checksums or "
               "incremental counters); the generator or SPF changed — "
@@ -586,8 +601,8 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     }
     std::vector<std::pair<std::string, double>> bw;
     std::vector<std::pair<std::string, double>> cw;
-    flatten_numbers(b, "", bw);
-    flatten_numbers(c, "", cw);
+    flatten_numbers(b, "", exact_bytes_peak, bw);
+    flatten_numbers(c, "", exact_bytes_peak, cw);
     if (bw != cw) {
       violate(name + ": deterministic fields drifted (event totals); the "
               "simulation changed — regenerate the baseline if intentional");

@@ -45,7 +45,8 @@ struct Counters {
   std::uint64_t event_queue_peak_depth = 0;  ///< high-water mark (merged by max)
   std::uint64_t event_queue_slab_slots = 0;  ///< slab slots allocated (max)
   std::uint64_t event_queue_resizes = 0;     ///< calendar bucket rebuilds
-  /// Events scheduled beyond the calendar window (sorted-overflow inserts).
+  /// Events scheduled beyond the calendar's far rung (sorted-overflow
+  /// inserts).
   std::uint64_t event_queue_overflow_scheduled = 0;
 
   // ---- packet pool (sim/packet_pool.h) ----

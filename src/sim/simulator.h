@@ -59,7 +59,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t queue_resizes() const {
     return queue_.resizes();
   }
-  /// Events scheduled beyond the calendar window (telemetry).
+  /// Events scheduled beyond the calendar's far rung (telemetry).
   [[nodiscard]] std::uint64_t queue_overflow_scheduled() const {
     return queue_.overflow_scheduled();
   }

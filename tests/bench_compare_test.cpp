@@ -131,6 +131,42 @@ TEST(BenchCompareTest, MaskedBaselineSkipsTheRateCheck) {
   EXPECT_DOUBLE_EQ(r.cells[0].ratio, 0.0);
 }
 
+/// doc(1e6) stamped with a build flavor and an alloc_guard block on its
+/// first cell.
+std::string flavored_doc(const std::string& flavor, long bytes_peak) {
+  std::string d = doc(1e6);
+  d.insert(d.find(R"("elapsed_sec")"),
+           R"("build_flavor": ")" + flavor + "\",\n  ");
+  d.insert(d.find(R"("events": )"),
+           R"("alloc_guard": { "bytes_peak": )" + std::to_string(bytes_peak) +
+               " },\n      ");
+  return d;
+}
+
+TEST(BenchCompareTest, BytesPeakDiffsExactlyBetweenOptimizedBuilds) {
+  // The window of a plain or LTO build allocates nothing: a leak there is a
+  // work drift, whichever of the two flavors each side came from.
+  EXPECT_TRUE(compare_bench_reports(flavored_doc("plain", 0),
+                                    flavored_doc("lto", 0))
+                  .ok());
+  const CompareReport r = compare_bench_reports(flavored_doc("plain", 0),
+                                                flavored_doc("lto", 184));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.violations[0].find("alloc_guard.bytes_peak 0 -> 184"),
+            std::string::npos)
+      << r.violations[0];
+}
+
+TEST(BenchCompareTest, BytesPeakIsSkippedUnlessBothFlavorsAreOptimized) {
+  // A masked document's flavor is 0; its bytes_peak says nothing about the
+  // other side's build.
+  std::string masked = flavored_doc("plain", 0);
+  masked.replace(masked.find(R"("plain")"), 7, "0");
+  const CompareReport r =
+      compare_bench_reports(masked, flavored_doc("plain", 184));
+  EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations.front());
+}
+
 TEST(BenchCompareTest, BatteryMismatchIsAViolation) {
   std::string other = doc(1e6);
   other.replace(other.find("\"smoke\""), 7, "\"battery\"");
