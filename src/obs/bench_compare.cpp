@@ -320,20 +320,6 @@ const JsonValue* find_topo(const JsonValue& doc, const std::string& name) {
   return nullptr;
 }
 
-/// Finds a sharded-engine cell by (name, shard count) in a bench document.
-const JsonValue* find_shard(const JsonValue& doc, const std::string& name,
-                            int shards) {
-  const JsonValue* arr = doc.find("shards");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) return nullptr;
-  for (const JsonValue& c : arr->array) {
-    if (string_field(c, "name") == name &&
-        static_cast<int>(number_field(c, "shards")) == shards) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
-
 CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
                              const JsonValue* rates,
                              const CompareOptions& options) {
@@ -572,71 +558,6 @@ CompareReport compare_parsed(const JsonValue& base, const JsonValue& cur,
     }
     report.topo.push_back(std::move(delta));
   }
-
-  // Sharded-engine cells: event totals diff exactly (the same scenario
-  // replays the same event set at every shard count — and at every commit,
-  // unless the simulation changed); the rate goes through the noise band
-  // and the multi-shard speedup through the opt-in floor.
-  const JsonValue* base_shards = base.find("shards");
-  const JsonValue* cur_shards = cur.find("shards");
-  const std::size_t bsn = base_shards != nullptr ? base_shards->array.size() : 0;
-  const std::size_t csn = cur_shards != nullptr ? cur_shards->array.size() : 0;
-  if (bsn != csn) {
-    violate("shards cell count mismatch: baseline " + std::to_string(bsn) +
-            " vs current " + std::to_string(csn));
-    return report;
-  }
-  for (std::size_t i = 0; i < bsn; ++i) {
-    const JsonValue& b = base_shards->array[i];
-    const JsonValue& c = cur_shards->array[i];
-    const int k = static_cast<int>(number_field(b, "shards"));
-    const std::string name =
-        "shards " + string_field(b, "name") + "/K=" + std::to_string(k);
-    if (string_field(b, "name") != string_field(c, "name") ||
-        k != static_cast<int>(number_field(c, "shards"))) {
-      violate("shards cell " + std::to_string(i) + ": baseline is " + name +
-              " but current is shards " + string_field(c, "name") + "/K=" +
-              std::to_string(static_cast<int>(number_field(c, "shards"))));
-      continue;
-    }
-    std::vector<std::pair<std::string, double>> bw;
-    std::vector<std::pair<std::string, double>> cw;
-    flatten_numbers(b, "", exact_bytes_peak, bw);
-    flatten_numbers(c, "", exact_bytes_peak, cw);
-    if (bw != cw) {
-      violate(name + ": deterministic fields drifted (event totals); the "
-              "simulation changed — regenerate the baseline if intentional");
-    }
-    CellDelta delta;
-    delta.topology = string_field(b, "name");
-    delta.metric = "K=" + std::to_string(k);
-    delta.baseline_events_per_sec = number_field(b, "events_per_sec");
-    delta.current_events_per_sec = number_field(c, "events_per_sec");
-    if (rates != nullptr) {
-      const JsonValue* r = find_shard(*rates, delta.topology, k);
-      if (r != nullptr && number_field(*r, "events_per_sec") > 0.0) {
-        delta.baseline_events_per_sec = number_field(*r, "events_per_sec");
-        delta.rate_from_artifact = true;
-      }
-    }
-    if (delta.baseline_events_per_sec > 0.0) {
-      delta.ratio = delta.current_events_per_sec / delta.baseline_events_per_sec;
-      if (delta.ratio < 1.0 - options.rate_noise) {
-        violate(name + ": events_per_sec " +
-                fmt(delta.baseline_events_per_sec) + " -> " +
-                fmt(delta.current_events_per_sec) + " (" + fmt(delta.ratio) +
-                "x, below the " + fmt(1.0 - options.rate_noise) + " floor)");
-      }
-    }
-    if (options.min_shard_speedup > 0.0 && k > 1) {
-      const double speedup = number_field(c, "speedup");
-      if (speedup < options.min_shard_speedup) {
-        violate(name + ": speedup " + fmt(speedup) + " below the required " +
-                fmt(options.min_shard_speedup) + "x floor");
-      }
-    }
-    report.shards.push_back(std::move(delta));
-  }
   return report;
 }
 
@@ -682,17 +603,9 @@ void CompareReport::write_text(std::ostream& os) const {
     if (d.rate_from_artifact) os << " [rolling]";
     os << "\n";
   }
-  for (const CellDelta& d : shards) {
-    os << "shards " << d.topology << "/" << d.metric << ": "
-       << fmt(d.baseline_events_per_sec) << " -> "
-       << fmt(d.current_events_per_sec) << " ev/s";
-    if (d.ratio > 0.0) os << " (" << fmt(d.ratio) << "x)";
-    if (d.rate_from_artifact) os << " [rolling]";
-    os << "\n";
-  }
   if (violations.empty()) {
     os << "bench_compare: OK ("
-       << cells.size() + micro.size() + topo.size() + shards.size()
+       << cells.size() + micro.size() + topo.size()
        << " cells)\n";
   } else {
     for (const std::string& v : violations) os << "VIOLATION: " << v << "\n";

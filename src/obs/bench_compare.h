@@ -35,12 +35,6 @@ struct CompareOptions {
   /// demands exact equality; raise it only when comparing across code
   /// changes that intentionally alter the workload.
   double work_noise = 0.0;
-  /// Minimum required wall-time speedup for every multi-shard cell of the
-  /// current document's "shards" section (0 = gate off). Wall time is
-  /// machine-dependent — a single-core runner can never demonstrate a
-  /// speedup — so the gate is opt-in and CI sets a floor suited to its
-  /// runner class rather than the paper target.
-  double min_shard_speedup = 0.0;
 };
 
 /// One cell's throughput comparison.
@@ -60,7 +54,6 @@ struct CompareReport {
   std::vector<CellDelta> cells;
   std::vector<CellDelta> micro;  ///< microbenchmark cells (ops/sec rates)
   std::vector<CellDelta> topo;   ///< large-topology cells (SPF nodes/sec)
-  std::vector<CellDelta> shards; ///< sharded-engine cells (event rates)
   std::vector<std::string> violations;  ///< empty means the check passed
 
   [[nodiscard]] bool ok() const { return violations.empty(); }

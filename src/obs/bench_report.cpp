@@ -127,26 +127,6 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
 }
 
-/// Runs one scenario to a fixed sim-time horizon at the given shard count.
-/// The event total is shard-count invariant (the sharded engine replays
-/// the same event set); only the wall clock differs.
-ShardCell run_shard_cell(const std::string& name, const net::Topology& topo,
-                         double load_bps, double horizon_sec, int shards) {
-  ShardCell cell;
-  cell.name = name;
-  cell.shards = shards;
-  sim::NetworkConfig ncfg;
-  ncfg.shards = shards;
-  sim::Network net{topo, ncfg};
-  net.add_traffic(
-      traffic::TrafficMatrix::uniform(topo.node_count(), load_bps));
-  const Stopwatch watch;
-  net.run_for(util::SimTime::from_sec(horizon_sec));
-  cell.wall_sec = watch.seconds();
-  cell.events = net.events_processed();
-  return cell;
-}
-
 }  // namespace
 
 const char* bench_build_flavor() {
@@ -155,35 +135,6 @@ const char* bench_build_flavor() {
 #else
   return "plain";
 #endif
-}
-
-std::vector<ShardCell> run_shard_cells(const std::string& battery) {
-  std::size_t nodes = 0;
-  double load_bps = 0.0;
-  double horizon_sec = 0.0;
-  if (battery == "smoke") {
-    nodes = 64;
-    load_bps = 400e3;
-    horizon_sec = 60.0;
-  } else if (battery == "battery") {
-    nodes = 256;
-    load_bps = 900e3;
-    horizon_sec = 180.0;
-  } else {
-    throw std::invalid_argument("unknown bench battery: " + battery);
-  }
-  const net::Topology topo = net::TopologyBuilder::registry().build(
-      net::GraphSpec{}.with_family("leo-grid").with_nodes(nodes).with_seed(
-          1987));
-  const std::string name = "leo-grid" + std::to_string(nodes);
-  std::vector<ShardCell> cells;
-  cells.push_back(run_shard_cell(name, topo, load_bps, horizon_sec, 1));
-  cells.push_back(run_shard_cell(name, topo, load_bps, horizon_sec, 4));
-  const double base_wall = cells.front().wall_sec;
-  for (ShardCell& c : cells) {
-    c.speedup = c.wall_sec > 0.0 ? base_wall / c.wall_sec : 0.0;
-  }
-  return cells;
 }
 
 std::vector<MicroCell> run_micro_cells() {
@@ -364,9 +315,6 @@ BenchReport run_bench_battery(const std::string& battery, int threads) {
   for (const net::GraphSpec& spec : topo_battery(battery)) {
     report.topo.push_back(run_topo_cell(spec));
   }
-  // Shard-scaling cells run last and serially: each run owns every worker
-  // thread, so a concurrent sweep would corrupt its wall clock.
-  report.shards = run_shard_cells(battery);
   report.build_flavor = bench_build_flavor();
   report.elapsed_sec = stopwatch.seconds();
   return report;
@@ -478,18 +426,6 @@ void BenchReport::write_json(std::ostream& os) const {
     w.end_object();
   }
   w.end_array();
-  w.key("shards").begin_array();
-  for (const ShardCell& s : shards) {
-    w.begin_object();
-    w.member("name", s.name);
-    w.member("shards", static_cast<std::int64_t>(s.shards));
-    w.member("events", s.events);
-    w.member("wall_sec", s.wall_sec);
-    w.member("events_per_sec", s.events_per_sec());
-    w.member("speedup", s.speedup);
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
   os << '\n';
 }
@@ -544,24 +480,6 @@ std::vector<std::string> BenchReport::validate() const {
   if (build_flavor != "plain" && build_flavor != "lto") {
     errors.push_back("unknown build_flavor: " + build_flavor);
   }
-  for (const ShardCell& s : shards) {
-    const std::string where =
-        "shards " + s.name + "/K=" + std::to_string(s.shards) + ": ";
-    if (s.shards < 1) errors.push_back(where + "shard count below 1");
-    if (s.events == 0) errors.push_back(where + "no events processed");
-    if (s.events_per_sec() <= 0.0) {
-      errors.push_back(where + "events_per_sec is zero");
-    }
-    // The equivalence contract: the same scenario processes the same event
-    // set at every shard count. A mismatch means the engines diverged.
-    for (const ShardCell& other : shards) {
-      if (other.name == s.name && other.events != s.events) {
-        errors.push_back(where + "event total differs from K=" +
-                         std::to_string(other.shards) +
-                         " (sharded engine diverged)");
-      }
-    }
-  }
   return errors;
 }
 
@@ -569,11 +487,11 @@ std::string mask_wall_time_fields(const std::string& json) {
   // The writer's formatting is fixed ("key": value, one member per line),
   // so the value extent is everything up to the next comma or newline.
   // bytes_peak is build-dependent (sanitizer runtimes and debug containers
-  // allocate inside the window), so it masks with the timings; speedup is
-  // a wall-time ratio and build_flavor varies with the compile flags (the
-  // golden file must match from both the plain and the LTO build).
+  // allocate inside the window), so it masks with the timings;
+  // build_flavor varies with the compile flags (the golden file must match
+  // from both the plain and the LTO build).
   static const std::regex kWallTime{
-      R"re(("(?:wall_sec|events_per_sec|ops_per_sec|elapsed_sec|build_sec|spf_sec|spf_nodes_per_sec|bytes_peak|speedup|build_flavor)": )[^,\n]*)re"};
+      R"re(("(?:wall_sec|events_per_sec|ops_per_sec|elapsed_sec|build_sec|spf_sec|spf_nodes_per_sec|bytes_peak|build_flavor)": )[^,\n]*)re"};
   return std::regex_replace(json, kWallTime, "$010");
 }
 

@@ -40,12 +40,11 @@ namespace arpanet::obs {
 /// reconverge_sec is sim time, not wall time, so it is golden-pinned.
 /// v6: top-level "build_flavor" string ("plain" or "lto", from the
 /// ARPANET_LTO CMake option) so rolling baselines never mix optimization
-/// flavors, plus the top-level "shards" array of sharded-engine scaling
-/// cells (see ShardCell): one scenario run at shard counts 1 and 4, with
-/// the event totals golden-pinned (identical at every K — the sharded
-/// engine's equivalence contract) and the rates/speedup masked wall time.
+/// flavors, plus a top-level "shards" array of sharded-engine scaling cells.
+/// v7: the "shards" array is gone with the sharded engine (one thread per
+/// network).
 inline constexpr const char* kBenchSchemaName = "arpanet-bench-metrics";
-inline constexpr int kBenchSchemaVersion = 6;
+inline constexpr int kBenchSchemaVersion = 7;
 
 /// The optimization flavor this library was compiled with. Reports record
 /// it so bench_compare can refuse to trend LTO numbers against plain ones.
@@ -140,24 +139,6 @@ struct TopoCell {
   }
 };
 
-/// One sharded-engine scaling cell: the same network scenario run to the
-/// same sim-time horizon at a given shard count (sim::NetworkConfig::
-/// shards). `events` is the engine's lifetime event total — identical at
-/// every shard count by the equivalence contract, so it is golden-pinned;
-/// wall_sec and the derived rate/speedup are host time and masked.
-struct ShardCell {
-  std::string name;     ///< scenario label, e.g. "leo-grid64"
-  int shards = 1;
-  std::uint64_t events = 0;
-  double wall_sec = 0.0;  ///< host time (masked in golden comparisons)
-  /// wall_sec(shards=1) / wall_sec for the same scenario (1.0 for the
-  /// single-shard row itself); masked with the other wall-time fields.
-  double speedup = 1.0;
-  [[nodiscard]] double events_per_sec() const {
-    return wall_sec > 0.0 ? static_cast<double>(events) / wall_sec : 0.0;
-  }
-};
-
 /// The whole battery's results, in deterministic cell order.
 struct BenchReport {
   std::string battery;
@@ -165,7 +146,6 @@ struct BenchReport {
   std::vector<BenchCell> cells;
   std::vector<MicroCell> micro;  ///< event-queue microbenchmarks
   std::vector<TopoCell> topo;    ///< large-topology build + SPF cells
-  std::vector<ShardCell> shards; ///< sharded-engine scaling cells
   double elapsed_sec = 0.0;  ///< wall clock of the whole battery
 
   void write_json(std::ostream& os) const;
@@ -210,16 +190,9 @@ struct BenchReport {
 /// the sweep thread count.
 [[nodiscard]] TopoCell run_topo_cell(const net::GraphSpec& spec);
 
-/// The named battery's sharded-engine scaling cells: one LEO-grid scenario
-/// ("smoke" small, "battery" larger) run at shard counts 1 and 4, in that
-/// order. Always serial — each run owns all its worker threads. Throws
-/// std::invalid_argument for unknown names.
-[[nodiscard]] std::vector<ShardCell> run_shard_cells(
-    const std::string& battery);
-
 /// Replaces the values of wall-time-derived fields (wall_sec,
 /// events_per_sec, ops_per_sec, elapsed_sec, build_sec, spf_sec,
-/// spf_nodes_per_sec, speedup) with 0 so two reports of the same battery
+/// spf_nodes_per_sec) with 0 so two reports of the same battery
 /// can be compared byte-for-byte. build_flavor masks too: the golden file
 /// must match from both the plain and the LTO build.
 [[nodiscard]] std::string mask_wall_time_fields(const std::string& json);

@@ -1,10 +1,8 @@
 #include "src/sim/network.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/analysis/invariants.h"
@@ -14,66 +12,31 @@
 
 namespace arpanet::sim {
 
-thread_local Network::Tls Network::tls_;
-
 Network::Network(const net::Topology& topo, NetworkConfig cfg)
     : topo_{&topo},
       cfg_{cfg},
       factory_{cfg.metric_factory
                    ? cfg.metric_factory
                    : std::make_shared<metrics::KindMetricFactory>(cfg.metric)},
+      drops_{cfg.stats_bucket},
       rng_{cfg.seed},
       sizer_{cfg.mean_packet_bits},
-      min_hop_table_{routing::min_hop_lengths(topo)},
-      merged_drops_{cfg.stats_bucket} {
+      min_hop_table_{routing::min_hop_lengths(topo)} {
   if (!topo.is_connected()) {
     throw std::invalid_argument("topology must be connected");
   }
-  part_ = net::partition_topology(topo, cfg.shards, cfg.seed);
-  const auto shard_count = static_cast<std::size_t>(part_.shards);
-  shards_.reserve(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, shard_count, cfg.stats_bucket));
-  }
-  if (shard_count > 1) {
-    // Conservative lookahead: nothing sent across a shard boundary can
-    // arrive sooner than the cheapest cut trunk's propagation delay, so
-    // that delay is the sync window length.
-    bool any_cut = false;
-    util::SimTime min_prop = util::SimTime::zero();
-    for (const net::Link& l : topo.links()) {
-      if (part_.shard_of[l.from] == part_.shard_of[l.to]) continue;
-      if (!any_cut || l.prop_delay < min_prop) min_prop = l.prop_delay;
-      any_cut = true;
-    }
-    ARPA_CHECK(any_cut) << "multi-shard partition of a connected topology "
-                           "must cut at least one trunk";
-    ARPA_CHECK(min_prop > util::SimTime::zero())
-        << "sharded run requires nonzero propagation delay on every "
-           "cross-shard trunk (lookahead would be zero)";
-    lookahead_ = min_prop;
-  }
+  pool_.attach_update_pool(&updates_);
   std::size_t max_degree = 0;
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
     max_degree = std::max(max_degree, topo.out_links(v).size());
   }
-  // Queue-bound packet working set per shard: every owned output queue full
-  // (enqueue drops beyond queue_capacity) plus a transmitting/propagating
-  // packet per owned link, plus slack for flooded updates (not queue-capped,
-  // but short-lived).
-  std::vector<std::size_t> nodes_owned(shard_count, 0);
-  std::vector<std::size_t> links_owned(shard_count, 0);
-  for (net::NodeId v = 0; v < topo.node_count(); ++v) {
-    ++nodes_owned[part_.shard_of[v]];
-    links_owned[part_.shard_of[v]] += topo.out_links(v).size();
-  }
-  for (auto& sh : shards_) {
-    sh->updates.set_report_capacity(max_degree);
-    sh->pool.reserve(
-        links_owned[sh->index] *
-            (static_cast<std::size_t>(cfg.queue_capacity) + 2) +
-        nodes_owned[sh->index] * 8);
-  }
+  updates_.set_report_capacity(max_degree);
+  // Queue-bound packet working set: every output queue full (enqueue drops
+  // beyond queue_capacity) plus a transmitting/propagating packet per link,
+  // plus slack for flooded updates (not queue-capped, but short-lived).
+  pool_.reserve(topo.link_count() *
+                    (static_cast<std::size_t>(cfg.queue_capacity) + 2) +
+                topo.node_count() * 8);
   // Every PSN starts from the same cost map (each link at its metric's
   // initial cost), so the initial trees are consistent network-wide.
   routing::LinkCosts initial(topo.link_count());
@@ -101,12 +64,7 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
     link_busy_.emplace_back(cfg.stats_bucket);
   }
   cost_traces_.resize(topo.link_count());
-  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    // Each PSN's startup timers must land in the queue of the shard that
-    // will execute them.
-    const ShardScope scope{*this, shard_of_node(n)};
-    psns_[n]->start();
-  }
+  for (const auto& psn : psns_) psn->start();
 }
 
 Network::~Network() = default;
@@ -125,8 +83,6 @@ void Network::add_traffic(const traffic::TrafficMatrix& matrix) {
       sources_.push_back(std::make_unique<Source>(Source{
           s, d, traffic::PoissonProcess{pkts_per_sec, rng_.split(stream)},
           rng_.split(stream + 0x8000'0000ULL)}));
-      // Source ticks belong to the source node's shard.
-      const ShardScope scope{*this, shard_of_node(s)};
       schedule_arrival(sources_.size() - 1);
     }
   }
@@ -134,7 +90,7 @@ void Network::add_traffic(const traffic::TrafficMatrix& matrix) {
 
 void Network::schedule_arrival(std::size_t source_index) {
   Source& src = *sources_[source_index];
-  current_shard().sim.schedule_in(
+  sim_.schedule_in(
       src.process.next_gap(),
       SimEvent::source_tick(*this, static_cast<std::uint32_t>(source_index)));
 }
@@ -162,7 +118,7 @@ void Network::handle_event(SimEvent& ev) {
       psns_[ev.index()]->dv_tick();
       break;
     case SimEvent::Kind::kFaultAction:
-      apply_fault(current_shard(), ev.index());
+      apply_fault(ev.index());
       break;
     default:
       ARPA_CHECK(false) << "network dispatched unknown event kind "
@@ -172,131 +128,49 @@ void Network::handle_event(SimEvent& ev) {
 
 void Network::run_for(util::SimTime duration) { run_until(now() + duration); }
 
-void Network::run_until(util::SimTime end) {
-  if (shards_.size() == 1) {
-    shards_.front()->sim.run_until(end);
-    return;
-  }
-  ARPA_CHECK(tracer_ == nullptr && trace_sink_ == nullptr && !delivery_hook_)
-      << "packet tracing, trace sinks and delivery hooks require shards == 1";
-  std::barrier sync{static_cast<std::ptrdiff_t>(shards_.size())};
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size() - 1);
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    workers.emplace_back(
-        [this, end, &sync](Shard& sh) { run_window_loop(sh, end, sync); },
-        std::ref(*shards_[i]));
-  }
-  run_window_loop(*shards_.front(), end, sync);
-  for (std::thread& t : workers) t.join();
-}
-
-void Network::run_window_loop(Shard& sh, util::SimTime end,
-                              std::barrier<>& sync) {
-  const ShardScope scope{*this, sh};
-  // Every shard's clock follows the same trajectory (min(now + lookahead,
-  // end) from a common start), so all workers execute the same number of
-  // iterations and the barrier phases stay aligned.
-  while (sh.sim.now() < end) {
-    sync.arrive_and_wait();  // all outboxes from the previous window final
-    drain_mailboxes(sh);
-    sync.arrive_and_wait();  // all inboxes drained; outboxes reusable
-    sh.sim.run_until(std::min(sh.sim.now() + lookahead_, end));
-  }
-  // Final drain: messages sent during the last window arrive at or after
-  // `end`; deposit them into the destination queues now so in-flight
-  // accounting (updates_in_flight) never hides work inside a mailbox and a
-  // later run_until resumes exactly where a single-shard run would.
-  sync.arrive_and_wait();
-  drain_mailboxes(sh);
-}
-
-void Network::drain_mailboxes(Shard& sh) {
-  std::vector<Shard::MailRef>& scratch = sh.drain_scratch;
-  scratch.clear();
-  for (const auto& src : shards_) {
-    const std::vector<MailMsg>& box = src->outbox[sh.index];
-    for (std::size_t i = 0; i < box.size(); ++i) {
-      scratch.push_back(
-          {box[i].arrival_us, src->index, static_cast<std::uint32_t>(i)});
-    }
-  }
-  if (scratch.empty()) return;
-  // Deterministic admission order: arrival time, then source shard, then
-  // send order within the mailbox. Every run with the same partition
-  // schedules cross-shard arrivals in exactly this sequence.
-  std::sort(scratch.begin(), scratch.end(),
-            [](const Shard::MailRef& a, const Shard::MailRef& b) {
-              if (a.arrival_us != b.arrival_us) {
-                return a.arrival_us < b.arrival_us;
-              }
-              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-              return a.idx < b.idx;
-            });
-  for (const Shard::MailRef& r : scratch) {
-    MailMsg& m = shards_[r.src_shard]->outbox[sh.index][r.idx];
-    const PacketHandle h = sh.pool.acquire(std::move(m.pkt));
-    if (m.has_update) {
-      const UpdateHandle uh = sh.updates.acquire();
-      routing::RoutingUpdate& u = sh.updates.at(uh);
-      u.origin = m.update.origin;
-      u.seq = m.update.seq;
-      u.reports.assign(m.update.reports.begin(), m.update.reports.end());
-      sh.pool.at(h).update = uh;
-    }
-    sh.sim.schedule_at(util::SimTime::from_us(m.arrival_us),
-                       SimEvent::propagation_arrival(*this, m.link, h));
-  }
-  for (const auto& src : shards_) src->outbox[sh.index].clear();
-}
+void Network::run_until(util::SimTime end) { sim_.run_until(end); }
 
 void Network::reset_stats() {
-  window_start_ = shards_.front()->sim.now();
-  for (auto& sh : shards_) {
-    sh->stats = NetworkStats{};
-    sh->stability = StabilityStats{};
-    sh->last_fault_at = window_start_;
-    sh->last_route_change_at = window_start_;
-  }
+  window_start_ = sim_.now();
+  stats_ = NetworkStats{};
+  stability_ = StabilityStats{};
+  last_fault_at_ = window_start_;
+  last_route_change_at_ = window_start_;
 }
 
 void Network::reserve_stats_until(util::SimTime end) {
   for (stats::TimeSeries& series : link_busy_) series.reserve_until(end);
-  for (auto& sh : shards_) sh->drops.reserve_until(end);
+  drops_.reserve_until(end);
 }
 
 void Network::on_delivered(const Packet& pkt) {
-  Shard& sh = current_shard();
-  ++sh.stats.packets_delivered;
-  sh.stats.bits_delivered += pkt.bits;
-  sh.stats.one_way_delay_ms.add((sh.sim.now() - pkt.created).ms());
-  sh.stats.delay_histogram_ms.add((sh.sim.now() - pkt.created).ms());
-  sh.stats.path_hops.add(pkt.hops);
-  sh.stats.min_hops.add(min_hop_table_[pkt.src][pkt.dst]);
+  ++stats_.packets_delivered;
+  stats_.bits_delivered += pkt.bits;
+  stats_.one_way_delay_ms.add((now() - pkt.created).ms());
+  stats_.delay_histogram_ms.add((now() - pkt.created).ms());
+  stats_.path_hops.add(pkt.hops);
+  stats_.min_hops.add(min_hop_table_[pkt.src][pkt.dst]);
   if (delivery_hook_) delivery_hook_(pkt);
 }
 
 void Network::on_queue_drop(const Packet& pkt) {
   (void)pkt;
-  Shard& sh = current_shard();
-  ++sh.stats.packets_dropped_queue;
-  ++sh.counters.packets_dropped;
-  sh.drops.add(sh.sim.now(), 1.0);
+  ++stats_.packets_dropped_queue;
+  ++counters_.packets_dropped;
+  drops_.add(now(), 1.0);
 }
 
 void Network::on_unreachable_drop(const Packet& pkt) {
   (void)pkt;
-  Shard& sh = current_shard();
-  ++sh.stats.packets_dropped_unreachable;
-  ++sh.counters.packets_dropped;
+  ++stats_.packets_dropped_unreachable;
+  ++counters_.packets_dropped;
 }
 
 void Network::on_loop_drop(const Packet& pkt) {
   (void)pkt;
-  Shard& sh = current_shard();
-  ++sh.stats.packets_dropped_loop;
-  ++sh.counters.packets_dropped;
-  sh.drops.add(sh.sim.now(), 1.0);
+  ++stats_.packets_dropped_loop;
+  ++counters_.packets_dropped;
+  drops_.add(now(), 1.0);
 }
 
 void Network::on_transmission(net::LinkId link, util::SimTime busy) {
@@ -325,7 +199,6 @@ void Network::on_cost_reported(net::LinkId link, double cost) {
 void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
                                  analysis::Cost candidate,
                                  analysis::Utilization busy_fraction) {
-  Shard& sh = current_shard();
   if (cfg_.check_invariants) {
     analysis::check_utilization_in_range(busy_fraction);
     if (hnspf_invariants_ && previous.value() != Psn::kDownLinkCost &&
@@ -338,51 +211,25 @@ void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
       analysis::check_movement_limited(previous, candidate,
                                        cfg_.line_params.for_type(l.type),
                                        /*extra_slack=*/0.0);
-      ++sh.counters.invariant_period_checks;
+      ++counters_.invariant_period_checks;
     }
   }
   if (previous.value() != Psn::kDownLinkCost &&
       candidate.value() != Psn::kDownLinkCost) {
     const double movement = std::abs(candidate.value() - previous.value());
-    if (movement > sh.stability.max_movement) {
-      sh.stability.max_movement = movement;
+    if (movement > stability_.max_movement) {
+      stability_.max_movement = movement;
     }
     const core::LineTypeParams& params =
         cfg_.line_params.for_type(effective_links_[link].type);
     if (movement > analysis::kCostSlack &&
         busy_fraction.value() <= params.flat_threshold) {
-      ++sh.stability.flat_oscillations;
+      ++stability_.flat_oscillations;
     }
   }
   if (trace_sink_) {
     trace_sink_->on_utilization(link, now(), busy_fraction.value());
   }
-}
-
-void Network::deliver_to_peer(net::LinkId link, PacketHandle pkt) {
-  Shard& sh = current_shard();
-  Shard& dst = shard_of_node(topo_->link(link).to);
-  if (&dst == &sh) {
-    sh.sim.schedule_in(effective_links_[link].prop_delay,
-                       SimEvent::propagation_arrival(*this, link, pkt));
-    return;
-  }
-  // Cross-shard hop: copy the packet (and any pooled update payload) out of
-  // this shard's slabs into the destination's mailbox. The receiver copies
-  // it into its own slabs at the next window boundary — the two shards
-  // never share a pool slot.
-  Packet& p = sh.pool.at(pkt);
-  MailMsg msg;
-  msg.arrival_us = (sh.sim.now() + effective_links_[link].prop_delay).us();
-  msg.link = link;
-  if (p.update != kInvalidUpdateHandle) {
-    msg.has_update = true;
-    msg.update = sh.updates.at(p.update);
-  }
-  msg.pkt = p;
-  msg.pkt.update = kInvalidUpdateHandle;
-  sh.outbox[dst.index].push_back(std::move(msg));
-  sh.pool.release(pkt);  // drops this shard's update reference too
 }
 
 double Network::link_utilization(net::LinkId id, std::size_t bucket) const {
@@ -431,208 +278,83 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
   ARPA_CHECK(fault_actions_.empty())
       << "install_faults may be called at most once per network";
   fault_actions_ = plan.compile(*topo_, horizon);
-  // Expand each action into per-shard op lists: a trunk's two simplex
-  // halves apply on (possibly) two shards, each in its own kFaultAction
-  // event. The shard owning the action's nominal target is primary and
-  // alone counts the action in its stability stats.
-  struct PendingOp {
-    std::uint32_t shard;
-    ShardFaultOp op;
-  };
-  std::vector<PendingOp> ops;
+  prepared_upgrades_.resize(fault_actions_.size());
+  std::size_t upgrade_halves = 0;
   for (std::uint32_t i = 0; i < fault_actions_.size(); ++i) {
     const FaultAction& a = fault_actions_[i];
-    ops.clear();
-    std::uint32_t primary = 0;
-    const auto add_trunk = [&](net::LinkId link, bool up) {
-      const net::Link& l = topo_->link(link);
-      ops.push_back({part_.shard_of[l.from],
-                     {ShardFaultOp::Kind::kSetLink, up, l.from, l.id, 0}});
-      ops.push_back({part_.shard_of[l.to],
-                     {ShardFaultOp::Kind::kSetLink, up, l.to, l.reverse, 0}});
-    };
-    switch (a.op) {
-      case FaultAction::Op::kLinkDown:
-      case FaultAction::Op::kLinkUp: {
-        const bool up = a.op == FaultAction::Op::kLinkUp;
-        primary = part_.shard_of[topo_->link(a.link).from];
-        add_trunk(a.link, up);
-        break;
+    if (a.op == FaultAction::Op::kUpgrade) {
+      const net::LinkId halves[] = {a.link, effective_links_[a.link].reverse};
+      for (std::size_t h = 0; h < 2; ++h) {
+        PreparedUpgrade::Half& half = prepared_upgrades_[i].halves[h];
+        half.link = effective_links_[halves[h]];
+        half.link.type = a.new_type;
+        half.link.rate = net::info(a.new_type).rate;
+        half.metric = factory_->create(half.link, cfg_.line_params);
+        half.bounds = factory_->bounds(half.link, cfg_.line_params);
       }
-      case FaultAction::Op::kNodeDown:
-      case FaultAction::Op::kNodeUp: {
-        const bool up = a.op == FaultAction::Op::kNodeUp;
-        primary = part_.shard_of[a.node];
-        for (const net::LinkId lid : topo_->out_links(a.node)) {
-          add_trunk(lid, up);
-        }
-        break;
-      }
-      case FaultAction::Op::kUpgrade: {
-        PreparedUpgrade up;
-        up.action_index = i;
-        up.fwd = effective_links_[a.link];
-        up.fwd.type = a.new_type;
-        up.fwd.rate = net::info(a.new_type).rate;
-        up.rev = effective_links_[up.fwd.reverse];
-        up.rev.type = a.new_type;
-        up.rev.rate = up.fwd.rate;
-        up.fwd_metric = factory_->create(up.fwd, cfg_.line_params);
-        up.rev_metric = factory_->create(up.rev, cfg_.line_params);
-        up.fwd_bounds = factory_->bounds(up.fwd, cfg_.line_params);
-        up.rev_bounds = factory_->bounds(up.rev, cfg_.line_params);
-        const auto prepared =
-            static_cast<std::uint32_t>(prepared_upgrades_.size());
-        primary = part_.shard_of[up.fwd.from];
-        ops.push_back({part_.shard_of[up.fwd.from],
-                       {ShardFaultOp::Kind::kUpgradeFwd, false, up.fwd.from,
-                        up.fwd.id, prepared}});
-        ops.push_back({part_.shard_of[up.rev.from],
-                       {ShardFaultOp::Kind::kUpgradeRev, false, up.rev.from,
-                        up.rev.id, prepared}});
-        prepared_upgrades_.push_back(std::move(up));
-        break;
-      }
+      upgrade_halves += 2;
     }
-    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      Shard& sh = *shards_[k];
-      const auto begin = static_cast<std::uint32_t>(sh.fault_ops.size());
-      for (const PendingOp& po : ops) {
-        if (po.shard == k) sh.fault_ops.push_back(po.op);
-      }
-      const auto end = static_cast<std::uint32_t>(sh.fault_ops.size());
-      if (end == begin) continue;
-      sh.fault_actions.push_back({i, k == primary, begin, end});
-      sh.sim.schedule_at(
-          a.at, SimEvent::fault_action(
-                    *this,
-                    static_cast<std::uint32_t>(sh.fault_actions.size() - 1)));
-    }
+    sim_.schedule_at(a.at, SimEvent::fault_action(*this, i));
   }
-  // One AppliedUpgrade record per upgrade half a shard owns (bounded by its
-  // op count); sized here so the mid-window push_back never allocates.
-  for (auto& sh : shards_) {
-    sh->upgrades_applied.reserve(sh->fault_ops.size());
-  }
+  // Sized here so the mid-window push_back in apply_fault never allocates.
+  upgrades_applied_.reserve(upgrade_halves);
 }
 
-void Network::apply_fault(Shard& sh, std::uint32_t shard_action_index) {
-  const ShardFaultAction& act = sh.fault_actions[shard_action_index];
-  for (std::uint32_t i = act.begin; i < act.end; ++i) {
-    const ShardFaultOp& op = sh.fault_ops[i];
-    switch (op.kind) {
-      case ShardFaultOp::Kind::kSetLink:
-        psns_[op.node]->set_local_link_up(op.link, op.up);
-        break;
-      case ShardFaultOp::Kind::kUpgradeFwd:
-      case ShardFaultOp::Kind::kUpgradeRev:
-        apply_upgrade_half(sh, op);
-        break;
-    }
+void Network::apply_fault(std::uint32_t action_index) {
+  const FaultAction& a = fault_actions_[action_index];
+  switch (a.op) {
+    case FaultAction::Op::kLinkDown:
+    case FaultAction::Op::kLinkUp:
+      set_trunk_up(a.link, a.op == FaultAction::Op::kLinkUp);
+      break;
+    case FaultAction::Op::kNodeDown:
+    case FaultAction::Op::kNodeUp:
+      set_node_up(a.node, a.op == FaultAction::Op::kNodeUp);
+      break;
+    case FaultAction::Op::kUpgrade:
+      for (PreparedUpgrade::Half& half :
+           prepared_upgrades_[action_index].halves) {
+        const net::Link& rec = half.link;
+        effective_links_[rec.id] = rec;
+        link_bounds_[rec.id] = half.bounds;
+        psns_[rec.from]->upgrade_local_link(rec.id, std::move(half.metric));
+        upgrades_applied_.push_back({rec.id, now(), rec.type});
+      }
+      break;
   }
-  if (act.primary) {
-    ++sh.stability.faults_applied;
-    sh.last_fault_at = sh.sim.now();
-  }
-}
-
-void Network::apply_upgrade_half(Shard& sh, const ShardFaultOp& op) {
-  PreparedUpgrade& up = prepared_upgrades_[op.prepared];
-  const bool fwd = op.kind == ShardFaultOp::Kind::kUpgradeFwd;
-  const net::Link& rec = fwd ? up.fwd : up.rev;
-  effective_links_[rec.id] = rec;
-  link_bounds_[rec.id] = fwd ? up.fwd_bounds : up.rev_bounds;
-  psns_[rec.from]->upgrade_local_link(
-      rec.id, std::move(fwd ? up.fwd_metric : up.rev_metric));
-  sh.upgrades_applied.push_back({rec.id, sh.sim.now(), rec.type});
+  ++stability_.faults_applied;
+  last_fault_at_ = now();
 }
 
 StabilityStats Network::stability() const {
-  StabilityStats s;
-  util::SimTime last_fault = util::SimTime::zero();
-  util::SimTime last_change = util::SimTime::zero();
-  for (const auto& sh : shards_) {
-    s.route_changes += sh->stability.route_changes;
-    s.flat_oscillations += sh->stability.flat_oscillations;
-    s.max_movement = std::max(s.max_movement, sh->stability.max_movement);
-    s.faults_applied += sh->stability.faults_applied;
-    last_fault = std::max(last_fault, sh->last_fault_at);
-    last_change = std::max(last_change, sh->last_route_change_at);
-  }
-  if (s.faults_applied > 0 && last_change >= last_fault) {
-    s.reconverge_sec = (last_change - last_fault).sec();
+  StabilityStats s = stability_;
+  if (s.faults_applied > 0 && last_route_change_at_ >= last_fault_at_) {
+    s.reconverge_sec = (last_route_change_at_ - last_fault_at_).sec();
   }
   return s;
 }
 
-const NetworkStats& Network::stats() const {
-  if (shards_.size() == 1) return shards_.front()->stats;
-  merged_stats_ = NetworkStats{};
-  for (const auto& sh : shards_) merged_stats_.merge(sh->stats);
-  return merged_stats_;
-}
-
-const stats::TimeSeries& Network::drop_series() const {
-  if (shards_.size() == 1) return shards_.front()->drops;
-  merged_drops_ = stats::TimeSeries{cfg_.stats_bucket};
-  for (const auto& sh : shards_) merged_drops_.merge(sh->drops);
-  return merged_drops_;
-}
-
-std::span<const AppliedUpgrade> Network::upgrades_applied() const {
-  if (shards_.size() == 1) return shards_.front()->upgrades_applied;
-  merged_upgrades_.clear();
-  for (const auto& sh : shards_) {
-    merged_upgrades_.insert(merged_upgrades_.end(),
-                            sh->upgrades_applied.begin(),
-                            sh->upgrades_applied.end());
-  }
-  std::stable_sort(merged_upgrades_.begin(), merged_upgrades_.end(),
-                   [](const AppliedUpgrade& a, const AppliedUpgrade& b) {
-                     return a.at < b.at;
-                   });
-  return merged_upgrades_;
-}
-
-std::size_t Network::updates_in_flight() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) total += sh->updates.in_use();
-  return total;
-}
-
-std::uint64_t Network::events_processed() const {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->sim.events_processed();
-  return total;
-}
-
 void Network::reserve_event_headroom() {
-  for (auto& sh : shards_) {
-    sh->sim.reserve_events(4 * sh->sim.queue_peak_depth());
-    sh->updates.reserve(2 * sh->updates.slots());
-  }
+  sim_.reserve_events(4 * sim_.queue_peak_depth());
+  updates_.reserve(2 * updates_.slots());
 }
 
 obs::Counters Network::counters() const {
-  obs::Counters c;
+  obs::Counters c = counters_;
+  c.events_processed = sim_.events_processed();
+  c.event_queue_peak_depth = sim_.queue_peak_depth();
+  c.event_queue_slab_slots = sim_.queue_slab_slots();
+  c.event_queue_resizes = sim_.queue_resizes();
+  c.event_queue_overflow_scheduled = sim_.queue_overflow_scheduled();
+  c.packet_pool_slots = pool_.slots();
+  c.packet_pool_acquired = pool_.acquired();
+  c.packet_pool_recycled = pool_.recycled();
   for (const auto& psn : psns_) {
     const routing::IncrementalSpf& spf = psn->spf();
     c.spf_full += static_cast<std::uint64_t>(spf.full_recomputes());
     c.spf_incremental += static_cast<std::uint64_t>(spf.incremental_updates());
     c.spf_skipped += static_cast<std::uint64_t>(spf.skipped_updates());
     c.spf_nodes_touched += static_cast<std::uint64_t>(spf.nodes_touched());
-  }
-  for (const auto& sh : shards_) {
-    obs::Counters s = sh->counters;
-    s.events_processed = sh->sim.events_processed();
-    s.event_queue_peak_depth = sh->sim.queue_peak_depth();
-    s.event_queue_slab_slots = sh->sim.queue_slab_slots();
-    s.event_queue_resizes = sh->sim.queue_resizes();
-    s.event_queue_overflow_scheduled = sh->sim.queue_overflow_scheduled();
-    s.packet_pool_slots = sh->pool.slots();
-    s.packet_pool_acquired = sh->pool.acquired();
-    s.packet_pool_recycled = sh->pool.recycled();
-    c += s;
   }
   return c;
 }

@@ -13,21 +13,16 @@
 //   net.run_for(util::SimTime::from_sec(600));   // measurement window
 //   auto table1 = net.indicators("HN-SPF");
 //
-// Engine structure: the PSNs are partitioned into cfg.shards shards
-// (src/net/partition.h), each owning its own Simulator/EventQueue, packet
-// and update slabs, and statistics (src/sim/shard.h). run_until executes
-// shards in barrier-synchronized windows of length equal to the minimum
-// propagation delay of any cut trunk (the conservative lookahead): a packet
-// sent across a shard boundary inside one window cannot arrive before the
-// next, so each shard runs a window without ever looking at another
-// shard's queue. Cross-shard arrivals travel through per-shard-pair
-// mailboxes drained in deterministic (time, source shard, sequence) order
-// at window boundaries. With the default shards=1 the same code runs the
-// caller's thread straight through — no second engine, no divergence.
+// Engine structure: one Network is one single-threaded discrete-event run.
+// It owns a single Simulator (calendar event queue and clock), the pooled
+// packet and routing-update slabs, and every statistic the PSNs report into;
+// run_until drives that queue on the caller's thread. Parallelism lives one
+// level up, in the sweep runner (src/exp/sweep_runner.h), which executes
+// independent Networks on a thread pool.
 
 #pragma once
 
-#include <barrier>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,7 +35,6 @@
 #include "src/core/line_params.h"
 #include "src/metrics/link_metric.h"
 #include "src/metrics/metric_factory.h"
-#include "src/net/partition.h"
 #include "src/net/topology.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace_sink.h"
@@ -50,7 +44,6 @@
 #include "src/sim/network_stats.h"
 #include "src/sim/packet_pool.h"
 #include "src/sim/packet_trace.h"
-#include "src/sim/shard.h"
 #include "src/sim/update_pool.h"
 #include "src/sim/psn.h"
 #include "src/sim/simulator.h"
@@ -112,12 +105,6 @@ struct NetworkConfig {
   /// ARPA_CHECK. A few comparisons per update origination — leave it on
   /// unless profiling says otherwise.
   bool check_invariants = true;
-  /// Simulation shards (worker threads) for one network. 1 (the default)
-  /// runs single-threaded on the caller's thread. K>1 partitions the PSNs
-  /// into K BFS-grown regions and requires every cross-shard trunk to have
-  /// nonzero propagation delay (the conservative lookahead). Tracing and
-  /// delivery hooks require shards == 1.
-  int shards = 1;
 };
 
 class Network : public EventSink {
@@ -138,19 +125,18 @@ class Network : public EventSink {
   void stop_traffic() { traffic_enabled_ = false; }
 
   /// Called (after statistics) for every delivered data packet. Used by
-  /// host-level layers (sim/host_flow.h); one hook at a time. shards=1 only.
+  /// host-level layers (sim/host_flow.h); one hook at a time.
   void set_delivery_hook(std::function<void(const Packet&)> hook) {
     delivery_hook_ = std::move(hook);
   }
 
   /// Attaches a packet tracer (nullptr detaches). The tracer must outlive
   /// the run; recording costs one branch per event when detached.
-  /// shards=1 only.
   void attach_tracer(PacketTracer* tracer) { tracer_ = tracer; }
 
   /// Attaches a per-link observability sink receiving every reported cost
   /// and each link's per-period busy fraction (nullptr detaches). Same
-  /// lifetime/cost contract as attach_tracer. shards=1 only.
+  /// lifetime/cost contract as attach_tracer.
   void attach_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
 
   /// Psn-side tracing entry point.
@@ -166,19 +152,17 @@ class Network : public EventSink {
   /// warm-up).
   void reset_stats();
 
-  /// Network-wide window statistics; with shards>1 this is a merge of the
-  /// per-shard aggregates, rebuilt on each call (post-run reads only).
-  [[nodiscard]] const NetworkStats& stats() const;
+  /// Network-wide window statistics.
+  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] util::SimTime window_length() const {
-    return shards_.front()->sim.now() - window_start_;
+    return sim_.now() - window_start_;
   }
   [[nodiscard]] stats::NetworkIndicators indicators(std::string label) const;
 
   /// Whole-run telemetry snapshot: live counters merged with per-PSN SPF
-  /// work and every shard's event-engine totals. Unlike stats(), never
-  /// reset by reset_stats() — values cover the network's lifetime including
-  /// warm-up. Monotonic counts sum across shards; capacity/peak gauges take
-  /// the per-shard maximum.
+  /// work and the event-engine and pool totals. Unlike stats(), never reset
+  /// by reset_stats() — values cover the network's lifetime including
+  /// warm-up.
   [[nodiscard]] obs::Counters counters() const;
 
   [[nodiscard]] const net::Topology& topology() const { return *topo_; }
@@ -187,26 +171,17 @@ class Network : public EventSink {
   [[nodiscard]] const metrics::MetricFactory& metric_factory() const {
     return *factory_;
   }
-  /// The calling context's simulator: a shard worker gets its own shard's
-  /// engine; outside a run this is shard 0 (with shards=1, the only one).
-  [[nodiscard]] Simulator& simulator() { return current_shard().sim; }
-  [[nodiscard]] util::SimTime now() const { return current_shard().sim.now(); }
+  [[nodiscard]] Simulator& simulator() { return sim_; }
+  [[nodiscard]] util::SimTime now() const { return sim_.now(); }
 
-  /// Events processed across all shards over the network's lifetime.
-  [[nodiscard]] std::uint64_t events_processed() const;
-  /// Pre-sizes every shard's calendar queue to 4x its observed peak depth
-  /// and its routing-update pool to 2x its peak of live updates, so a
-  /// measurement window after warm-up schedules and floods into existing
-  /// storage.
+  /// Events processed over the network's lifetime.
+  [[nodiscard]] std::uint64_t events_processed() const {
+    return sim_.events_processed();
+  }
+  /// Pre-sizes the calendar queue to 4x its observed peak depth and the
+  /// routing-update pool to 2x its peak of live updates, so a measurement
+  /// window after warm-up schedules and floods into existing storage.
   void reserve_event_headroom();
-
-  /// Number of simulation shards (== config().shards).
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// The node-to-shard assignment in effect.
-  [[nodiscard]] const net::Partition& partition() const { return part_; }
-  /// The conservative sync window: minimum propagation delay over trunks
-  /// crossing a shard boundary. Zero when shards == 1 (never synced).
-  [[nodiscard]] util::SimTime lookahead() const { return lookahead_; }
 
   [[nodiscard]] const Psn& psn(net::NodeId id) const { return *psns_.at(id); }
   [[nodiscard]] Psn& psn(net::NodeId id) { return *psns_.at(id); }
@@ -224,16 +199,14 @@ class Network : public EventSink {
     return cost_traces_.at(id);
   }
 
-  /// Drops per stats bucket (fig. 13's quantity); merged across shards.
-  [[nodiscard]] const stats::TimeSeries& drop_series() const;
+  /// Drops per stats bucket (fig. 13's quantity).
+  [[nodiscard]] const stats::TimeSeries& drop_series() const { return drops_; }
 
   /// Takes a trunk (both simplex directions) down or up mid-run.
   void set_trunk_up(net::LinkId link, bool up);
 
   /// Compiles `plan` against the topology and schedules every resulting
-  /// fault action as a kFaultAction event through the owning shard's
-  /// calendar queue (an action touching links on two shards dispatches on
-  /// both, each applying only its own half). `horizon` is the scenario end
+  /// fault action as one kFaultAction event. `horizon` is the scenario end
   /// (warmup + window); the plan must not reach past it. Call once, before
   /// running: all scheduling (and all allocation — line-upgrade metrics are
   /// pre-built here) happens up front, so fault dispatch inside the
@@ -247,28 +220,29 @@ class Network : public EventSink {
 
   /// The link record in effect right now: the topology's, unless a
   /// mid-run line-type upgrade replaced the type and rate (propagation
-  /// delay never changes — trunk mileage is fixed, and the sharded
-  /// engine's lookahead depends on it). All rate/params lookups on hot
-  /// paths go through here.
+  /// delay never changes — trunk mileage is fixed). All rate/params lookups
+  /// on hot paths go through here.
   [[nodiscard]] const net::Link& effective_link(net::LinkId link) const {
     return effective_links_[link];
   }
 
   /// Routing updates currently in flight (origination slots plus flooded
-  /// copies not yet consumed), summed across shards. Zero means every
-  /// flooded report has been applied at every PSN — the quiescence gate for
-  /// map-agreement checks. Mailboxes are always drained by the time
-  /// run_until returns, so nothing hides between shards.
-  [[nodiscard]] std::size_t updates_in_flight() const;
+  /// copies not yet consumed). Zero means every flooded report has been
+  /// applied at every PSN — the quiescence gate for map-agreement checks.
+  [[nodiscard]] std::size_t updates_in_flight() const {
+    return updates_.in_use();
+  }
 
   /// Window stability telemetry; reconverge_sec is derived at call time
-  /// from the latest fault/route-change timestamps across shards.
+  /// from the latest fault and route-change timestamps.
   [[nodiscard]] StabilityStats stability() const;
 
   using AppliedUpgrade = ::arpanet::sim::AppliedUpgrade;
-  /// Applied line-type upgrades in time order (stable across equal times,
-  /// forward half before reverse), merged across shards.
-  [[nodiscard]] std::span<const AppliedUpgrade> upgrades_applied() const;
+  /// Applied line-type upgrades in time order (forward half before
+  /// reverse).
+  [[nodiscard]] std::span<const AppliedUpgrade> upgrades_applied() const {
+    return upgrades_applied_;
+  }
 
   /// Takes a whole PSN down or up: all its trunks at once (a node crash /
   /// restart). Down nodes still exist in every map; their links carry
@@ -290,33 +264,31 @@ class Network : public EventSink {
   }
 
   // ---- callbacks from Psn (not for external use) ----
-  void on_generated() { ++current_shard().stats.packets_generated; }
+  void on_generated() { ++stats_.packets_generated; }
   void on_delivered(const Packet& pkt);
   void on_queue_drop(const Packet& pkt);
   void on_unreachable_drop(const Packet& pkt);
   void on_loop_drop(const Packet& pkt);
   void on_update_originated() {
-    Shard& sh = current_shard();
-    ++sh.stats.updates_originated;
-    ++sh.counters.updates_originated;
+    ++stats_.updates_originated;
+    ++counters_.updates_originated;
   }
   void on_update_packet_sent() {
-    Shard& sh = current_shard();
-    ++sh.stats.update_packets_sent;
-    ++sh.counters.update_packets_sent;
+    ++stats_.update_packets_sent;
+    ++counters_.update_packets_sent;
   }
-  void on_data_packet_sent() { ++current_shard().counters.packets_forwarded; }
+  void on_data_packet_sent() { ++counters_.packets_forwarded; }
   void on_transmission(net::LinkId link, util::SimTime busy);
   void on_cost_reported(net::LinkId link, double cost);
   /// Typed-event dispatch (sim/event.h): source ticks, propagation
   /// arrivals, transmit completions and the per-node timers all route
   /// through here — one switch, no per-event allocation.
   void handle_event(SimEvent& ev) override;
-  /// The calling shard's pooled packet slab; hot paths pass PacketHandle
-  /// indices instead of moving Packet structs.
-  [[nodiscard]] PacketPool& packet_pool() { return current_shard().pool; }
-  /// The calling shard's refcounted routing-update slab.
-  [[nodiscard]] UpdatePool& update_pool() { return current_shard().updates; }
+  /// The pooled packet slab; hot paths pass PacketHandle indices instead of
+  /// moving Packet structs.
+  [[nodiscard]] PacketPool& packet_pool() { return pool_; }
+  /// The refcounted routing-update slab.
+  [[nodiscard]] UpdatePool& update_pool() { return updates_; }
   /// Pre-extends the bucketed statistics series (per-link utilization,
   /// drops) to cover sim time up to `end`, so recording during a
   /// measurement window that ends by then allocates nothing. Call before
@@ -333,23 +305,19 @@ class Network : public EventSink {
   void on_period_measured(net::LinkId link, analysis::Cost previous,
                           analysis::Cost candidate,
                           analysis::Utilization busy_fraction);
-  /// Hands a transmitted packet to the link's far end. Same-shard links
-  /// schedule the arrival directly; cross-shard links copy the packet into
-  /// the destination shard's mailbox, to be drained at the next window
-  /// boundary (the conservative lookahead guarantees that boundary is at or
-  /// before the arrival time).
-  void deliver_to_peer(net::LinkId link, PacketHandle pkt);
-  [[nodiscard]] std::uint64_t next_packet_id() {
-    Shard& sh = current_shard();
-    return (static_cast<std::uint64_t>(sh.index) << 48) | ++sh.packet_seq;
+  /// Hands a transmitted packet to the link's far end: schedules its
+  /// arrival one propagation delay from now.
+  void deliver_to_peer(net::LinkId link, PacketHandle pkt) {
+    sim_.schedule_in(effective_links_[link].prop_delay,
+                     SimEvent::propagation_arrival(*this, link, pkt));
   }
+  [[nodiscard]] std::uint64_t next_packet_id() { return ++packet_seq_; }
   /// A batch of spf cost changes moved `delta` destinations' first hops at
   /// some PSN (stability telemetry; called by Psn after each batch).
   void on_route_change(long delta) {
     if (delta > 0) {
-      Shard& sh = current_shard();
-      sh.stability.route_changes += delta;
-      sh.last_route_change_at = sh.sim.now();
+      stability_.route_changes += delta;
+      last_route_change_at_ = sim_.now();
     }
   }
 
@@ -361,65 +329,38 @@ class Network : public EventSink {
     util::Rng size_rng;
   };
   /// Resources a line-type upgrade needs, built at install_faults time so
-  /// applying the upgrade mid-window performs no allocation: the new link
-  /// records, the freshly-constructed metrics (moved into the PSNs on
-  /// apply) and the new cost bounds. The forward and reverse halves apply
-  /// independently (possibly on different shards), each touching only
-  /// state its own shard owns.
+  /// applying the upgrade mid-window performs no allocation: per simplex
+  /// half, the new link record, the freshly-constructed metric (moved into
+  /// the PSN on apply) and the new cost bounds.
   struct PreparedUpgrade {
-    std::uint32_t action_index = 0;
-    net::Link fwd;
-    net::Link rev;
-    std::unique_ptr<metrics::LinkMetric> fwd_metric;
-    std::unique_ptr<metrics::LinkMetric> rev_metric;
-    std::optional<metrics::CostBounds> fwd_bounds;
-    std::optional<metrics::CostBounds> rev_bounds;
+    struct Half {
+      net::Link link;
+      std::unique_ptr<metrics::LinkMetric> metric;
+      std::optional<metrics::CostBounds> bounds;
+    };
+    std::array<Half, 2> halves;  ///< forward, then reverse
   };
-
-  /// Which shard the calling thread is executing for: inside a run each
-  /// worker pins itself via ShardScope; any other context (setup, tests,
-  /// post-run reads) resolves to shard 0, which with shards=1 is exactly
-  /// the old single-engine behaviour.
-  struct Tls {
-    const Network* net = nullptr;
-    Shard* shard = nullptr;
-  };
-  class ShardScope {
-   public:
-    ShardScope(const Network& net, Shard& shard) : prev_{tls_} {
-      tls_ = Tls{&net, &shard};
-    }
-    ~ShardScope() { tls_ = prev_; }
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-
-   private:
-    Tls prev_;
-  };
-  [[nodiscard]] Shard& current_shard() const {
-    return tls_.net == this ? *tls_.shard : *shards_.front();
-  }
-  [[nodiscard]] Shard& shard_of_node(net::NodeId n) const {
-    return *shards_[part_.shard_of[n]];
-  }
 
   void schedule_arrival(std::size_t source_index);
-  void apply_fault(Shard& sh, std::uint32_t shard_action_index);
-  void apply_upgrade_half(Shard& sh, const ShardFaultOp& op);
-  /// Moves every message addressed to `sh` from the other shards' outboxes
-  /// into sh's queue, in (arrival time, source shard, send order) order.
-  void drain_mailboxes(Shard& sh);
-  void run_window_loop(Shard& sh, util::SimTime end, std::barrier<>& sync);
-
-  static thread_local Tls tls_;
+  void apply_fault(std::uint32_t action_index);
 
   const net::Topology* topo_;
   NetworkConfig cfg_;
   std::shared_ptr<const metrics::MetricFactory> factory_;
-  net::Partition part_;
-  /// Per-shard engines; shards_[0] doubles as the external-context default.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  util::SimTime lookahead_ = util::SimTime::zero();
+  Simulator sim_;
+  PacketPool pool_;
+  UpdatePool updates_;
+  // Window statistics (reset_stats zeroes these).
+  NetworkStats stats_;
+  StabilityStats stability_;
+  stats::TimeSeries drops_;
+  util::SimTime last_fault_at_ = util::SimTime::zero();
+  util::SimTime last_route_change_at_ = util::SimTime::zero();
+  /// Live whole-run counters (the engine/pool fields are read from sim_ and
+  /// pool_ directly in counters()).
+  obs::Counters counters_;
+  std::vector<AppliedUpgrade> upgrades_applied_;
+  std::uint64_t packet_seq_ = 0;
   util::Rng rng_;
   traffic::PacketSizer sizer_;
   std::vector<std::unique_ptr<Psn>> psns_;
@@ -429,8 +370,6 @@ class Network : public EventSink {
   PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;
   /// Per-link cost bounds promised by the factory (nullopt = unbounded).
-  /// Written only by the owning (from-node) shard, like every per-link
-  /// record below.
   std::vector<std::optional<metrics::CostBounds>> link_bounds_;
   bool traffic_enabled_ = true;
   util::SimTime window_start_ = util::SimTime::zero();
@@ -443,13 +382,8 @@ class Network : public EventSink {
   std::vector<net::Link> effective_links_;
   /// Compiled fault schedule (empty unless install_faults was called).
   std::vector<FaultAction> fault_actions_;
+  /// Indexed like fault_actions_; only upgrade actions' entries are filled.
   std::vector<PreparedUpgrade> prepared_upgrades_;
-  // Merge-on-demand caches for the cross-shard read accessors. Rebuilt on
-  // every call when shards > 1; with one shard the accessors return the
-  // shard's own aggregate and never touch these.
-  mutable NetworkStats merged_stats_;
-  mutable stats::TimeSeries merged_drops_;
-  mutable std::vector<AppliedUpgrade> merged_upgrades_;
 };
 
 }  // namespace arpanet::sim

@@ -1,11 +1,4 @@
 // Per-window measurement aggregates for one Network run.
-//
-// Split out of sim/network.h so the sharded engine's per-shard state
-// (sim/shard.h) can hold its own copy of each aggregate without pulling in
-// the whole Network interface. Every struct here merges associatively:
-// counts add, Welford summaries combine, histograms add bin-wise — which is
-// what lets K shards record independently and the coordinator present one
-// network-wide view on demand.
 
 #pragma once
 
@@ -32,22 +25,6 @@ struct NetworkStats {
   stats::Summary min_hops;  ///< min-hop length of each delivered packet's pair
   long updates_originated = 0;
   long update_packets_sent = 0;  ///< flooded transmissions (overhead)
-
-  /// Folds another shard's window into this one.
-  void merge(const NetworkStats& other) {
-    packets_generated += other.packets_generated;
-    packets_delivered += other.packets_delivered;
-    packets_dropped_queue += other.packets_dropped_queue;
-    packets_dropped_unreachable += other.packets_dropped_unreachable;
-    packets_dropped_loop += other.packets_dropped_loop;
-    bits_delivered += other.bits_delivered;
-    one_way_delay_ms.merge(other.one_way_delay_ms);
-    delay_histogram_ms.merge(other.delay_histogram_ms);
-    path_hops.merge(other.path_hops);
-    min_hops.merge(other.min_hops);
-    updates_originated += other.updates_originated;
-    update_packets_sent += other.update_packets_sent;
-  }
 };
 
 /// Routing-stability telemetry for the measurement window (reset with the

@@ -22,15 +22,6 @@ void Histogram::add(double x) {
 double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
 double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.lo_ != lo_ || other.hi_ != hi_ ||
-      other.bins_.size() != bins_.size()) {
-    throw std::invalid_argument("histogram merge shape mismatch");
-  }
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  count_ += other.count_;
-}
-
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   const double target = q * static_cast<double>(count_);

@@ -25,10 +25,6 @@ class Histogram {
   /// (0 if empty).
   [[nodiscard]] double quantile(double q) const;
 
-  /// Adds another histogram's mass bin-wise. Both histograms must have been
-  /// constructed with identical bounds and bin counts.
-  void merge(const Histogram& other);
-
  private:
   double lo_, hi_, width_;
   std::vector<std::int64_t> bins_;

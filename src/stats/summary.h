@@ -29,22 +29,6 @@ class Summary {
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
 
-  void merge(const Summary& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double total = static_cast<double>(n_ + other.n_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / total;
-    mean_ += delta * static_cast<double>(other.n_) / total;
-    n_ += other.n_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
  private:
   std::int64_t n_ = 0;
   double mean_ = 0.0;

@@ -34,17 +34,6 @@ class TimeSeries {
   }
   [[nodiscard]] const std::vector<double>& values() const { return buckets_; }
 
-  /// Adds another series' buckets element-wise, growing to cover the longer
-  /// of the two. Bucket widths must match.
-  void merge(const TimeSeries& other) {
-    if (other.buckets_.size() > buckets_.size()) {
-      buckets_.resize(other.buckets_.size(), 0.0);
-    }
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-  }
-
  private:
   util::SimTime width_;
   std::vector<double> buckets_;

@@ -197,9 +197,9 @@ TEST(BenchCompareTest, CellSetMismatchIsAViolation) {
 TEST(BenchCompareTest, RealSmokeBatteryComparesCleanAgainstItself) {
   const std::string json = run_bench_battery("smoke", /*threads=*/1).json();
   CompareOptions opt;
-  // Same machine, seconds apart — but ctest runs test binaries concurrently
-  // and the K=4 shard cell multiplies oversubscription jitter, so the band
-  // is wide. The deterministic work fields still compare exactly.
+  // Same machine, seconds apart — but ctest runs test binaries concurrently,
+  // so the band is wide. The deterministic work fields still compare
+  // exactly.
   opt.rate_noise = 0.9;
   const std::string again = run_bench_battery("smoke", /*threads=*/1).json();
   const CompareReport r = compare_bench_reports(json, again, opt);
@@ -210,8 +210,6 @@ TEST(BenchCompareTest, RealSmokeBatteryComparesCleanAgainstItself) {
   for (const CellDelta& d : r.micro) EXPECT_GT(d.ratio, 0.0);
   EXPECT_EQ(r.topo.size(), 5u);  // one per generated family
   for (const CellDelta& d : r.topo) EXPECT_GT(d.ratio, 0.0);
-  EXPECT_EQ(r.shards.size(), 2u);  // leo-grid64 at K=1 and K=4
-  for (const CellDelta& d : r.shards) EXPECT_GT(d.ratio, 0.0);
 }
 
 TEST(BenchCompareTest, TextReportNamesEveryCellAndViolation) {

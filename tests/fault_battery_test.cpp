@@ -14,6 +14,9 @@
 //   * Partition audit: a mid-partition network passes audit_network (the
 //     old full-reachability assumption was a false positive) and the
 //     component-aware route check sees both sides.
+//   * Dispatch: a flap, a node crash and a line upgrade each fire once per
+//     compiled action, move link state as scheduled, and record the
+//     upgrade's two simplex halves in order.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 #include "src/sim/fault_plan.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
+#include "src/traffic/traffic_matrix.h"
 #include "src/util/rng.h"
 
 namespace arpanet::sim {
@@ -186,6 +190,81 @@ TEST(FaultPartitionAuditTest, MidPartitionAuditDoesNotFalsePositive) {
   for (const net::Link& l : topo.links()) {
     EXPECT_TRUE(net.link_admin_up(l.id));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fault dispatch: every compiled action fires once as one kFaultAction
+// event, applies both trunk halves in place, and is counted once.
+
+TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
+  const net::Topology topo = net::builders::ring(6);
+  const auto trunk = [&](net::NodeId a, net::NodeId b) {
+    for (const net::LinkId l : topo.out_links(a)) {
+      if (topo.link(l).to == b) return l;
+    }
+    ADD_FAILURE() << "no trunk " << a << "-" << b;
+    return net::kInvalidLink;
+  };
+  // Three disjoint trunk sets: the flap on 0-1, the crash on node 3 (trunks
+  // 2-3 and 3-4), the upgrade on 4-5.
+  const net::LinkId flapped = trunk(0, 1);
+  const net::LinkId upgraded = trunk(4, 5);
+  const SimTime warmup = sec(20);
+  const SimTime horizon = warmup + sec(60);
+  const SimTime upgrade_at = warmup + sec(30);
+  FaultPlan plan;
+  plan.flap_link(flapped, warmup + sec(5), sec(8));
+  plan.crash_node(3, warmup + sec(15), sec(10));
+  plan.upgrade_line(upgraded, upgrade_at, net::LineType::kMultiTrunk112);
+
+  NetworkConfig cfg = hnspf_config();
+  cfg.track_reported_costs = true;  // arm the audit's trace checks
+  Network net{topo, cfg};
+  net.install_faults(plan, horizon);
+  net.add_traffic(traffic::TrafficMatrix::uniform(topo.node_count(), 60e3));
+  net.run_for(warmup);
+  net.reset_stats();
+  EXPECT_TRUE(net.link_admin_up(flapped));
+
+  net.run_until(warmup + sec(8));  // mid-flap
+  EXPECT_FALSE(net.link_admin_up(flapped));
+  EXPECT_FALSE(net.link_admin_up(topo.link(flapped).reverse));
+  net.run_until(warmup + sec(20));  // flap healed, node 3 down
+  EXPECT_TRUE(net.link_admin_up(flapped));
+  EXPECT_TRUE(net.link_admin_up(topo.link(flapped).reverse));
+  for (const net::LinkId l : topo.out_links(3)) {
+    EXPECT_FALSE(net.link_admin_up(l));
+    EXPECT_FALSE(net.link_admin_up(topo.link(l).reverse));
+  }
+  net.run_until(horizon);
+
+  long in_window = 0;
+  for (const FaultAction& a : plan.compile(topo, horizon)) {
+    if (a.at >= warmup && a.at <= horizon) ++in_window;
+  }
+  EXPECT_EQ(in_window, 5);  // flap down/up, crash down/up, upgrade
+  EXPECT_EQ(net.stability().faults_applied, in_window);
+
+  const auto upgrades = net.upgrades_applied();
+  ASSERT_EQ(upgrades.size(), 2u);
+  EXPECT_EQ(upgrades[0].link, upgraded);
+  EXPECT_EQ(upgrades[1].link, topo.link(upgraded).reverse);
+  for (const AppliedUpgrade& u : upgrades) {
+    EXPECT_EQ(u.at, upgrade_at);
+    EXPECT_EQ(u.type, net::LineType::kMultiTrunk112);
+    EXPECT_EQ(net.effective_link(u.link).type, net::LineType::kMultiTrunk112);
+  }
+  for (const net::Link& l : topo.links()) {
+    EXPECT_TRUE(net.link_admin_up(l.id));
+  }
+
+  // Settle, then audit: any violated invariant aborts.
+  net.stop_traffic();
+  for (int i = 0; i < 30 && net.updates_in_flight() > 0; ++i) {
+    net.run_for(sec(0.7));
+  }
+  ASSERT_EQ(net.updates_in_flight(), 0u);
+  EXPECT_GT(analysis::audit_network(net).trees_checked, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,23 +27,6 @@ TEST(SummaryTest, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(SummaryTest, MergeEqualsCombined) {
-  Summary a;
-  Summary b;
-  Summary all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(HistogramTest, BinningAndClamping) {
   Histogram h{0.0, 10.0, 10};
   h.add(0.5);

@@ -5,17 +5,13 @@
 //               [--metric=min-hop|dspf|hnspf] [--algorithm=spf|dv]
 //               [--multipath] [--load-kbps=400] [--shape=uniform|peak-hour]
 //               [--warmup-sec=120] [--window-sec=300] [--seed=N]
-//               [--queue-capacity=40] [--shards=K]
+//               [--queue-capacity=40]
 //               [--fail-trunk=A-B@T] [--recover-trunk=A-B@T]
 //               [--utilization] [--write-topology]
 //
-// --shards=K runs the sharded parallel engine (K worker threads over one
-// network; see docs/performance.md for the determinism contract: runs are
-// reproducible for a fixed K, and identical across K up to the ordering of
-// cross-shard packets arriving in the same microsecond tick). With K>1 the
-// trunk events compile into the fault engine: --fail-trunk takes the trunk
-// down at T and --recover-trunk supplies the heal time (required — a
-// standalone --recover-trunk is a usage error at K>1).
+// Each run is one single-threaded simulation; output is reproducible for a
+// fixed seed. --fail-trunk / --recover-trunk take the named trunk down / up
+// at T seconds of simulated time (counted from t=0, warm-up included).
 //
 // A <spec> is any TopologyBuilder registry family with key=value parameters,
 // e.g. ba:nodes=10000,seed=7,m=2 or leo-grid:planes=20,per_plane=20
@@ -34,7 +30,6 @@
 #include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/net/topology_io.h"
-#include "src/sim/fault_plan.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
 #include "src/util/flags.h"
@@ -118,7 +113,6 @@ int run(const util::Flags& flags) {
   cfg.multipath = flags.get_bool("multipath");
   cfg.queue_capacity = static_cast<int>(flags.get_long("queue-capacity", 40));
   cfg.seed = static_cast<std::uint64_t>(flags.get_long("seed", 0x1987));
-  cfg.shards = static_cast<int>(flags.get_long("shards", 1));
 
   const double load_bps = flags.get_double("load-kbps", 400.0) * 1e3;
   const std::string shape = flags.get_string("shape", "peak-hour");
@@ -151,34 +145,10 @@ int run(const util::Flags& flags) {
                                 util::Rng{cfg.seed ^ 0xfeedULL});
   net.add_traffic(matrix);
 
-  if (cfg.shards > 1 && !events.empty()) {
-    // A scheduled callback runs on shard 0 and may not touch links another
-    // shard owns, so under the sharded engine the trunk events compile into
-    // the fault engine, which dispatches each action on its owning shard.
-    const TrunkEvent* down = nullptr;
-    const TrunkEvent* up = nullptr;
-    for (const TrunkEvent& e : events) {
-      (e.up ? up : down) = &e;
-    }
-    if (down == nullptr) {
-      throw std::invalid_argument(
-          "--recover-trunk without --fail-trunk is not supported with "
-          "--shards > 1 (the fault engine needs the down transition)");
-    }
-    const util::SimTime heal = up != nullptr ? up->at : warmup + window;
-    if (heal <= down->at) {
-      throw std::invalid_argument(
-          "--recover-trunk must be after --fail-trunk");
-    }
-    sim::FaultPlan plan;
-    plan.flap_link(down->link, down->at, heal - down->at);
-    net.install_faults(plan, warmup + window);
-  } else {
-    for (const TrunkEvent& e : events) {
-      // Trunk events are wall-clock (from t=0), applied via the simulator.
-      net.simulator().schedule_at(
-          e.at, [&net, e] { net.set_trunk_up(e.link, e.up); });
-    }
+  for (const TrunkEvent& e : events) {
+    // Trunk events are wall-clock (from t=0), applied via the simulator.
+    net.simulator().schedule_at(
+        e.at, [&net, e] { net.set_trunk_up(e.link, e.up); });
   }
 
   net.run_for(warmup);

@@ -3,7 +3,7 @@
 //
 //   bench_compare --baseline=bench/baseline/BENCH_metrics.json
 //                 --current=BENCH_metrics.json [--noise=0.10] [--work-noise=0]
-//                 [--rates-from=PREV_ARTIFACT.json] [--min-shard-speedup=0]
+//                 [--rates-from=PREV_ARTIFACT.json]
 //
 // --rates-from enables the rolling artifact-to-artifact mode: deterministic
 // work fields still diff exactly against --baseline, but the throughput
@@ -11,10 +11,6 @@
 // which supports a much tighter --noise than the cross-machine committed
 // baseline. Rolling mode also requires the artifact's build_flavor to match
 // the current document's (plain vs LTO rates must never mix).
-//
-// --min-shard-speedup=N fails any multi-shard cell of the current document's
-// "shards" section whose wall-time speedup over the single-shard run is
-// below N (0 = off; set a floor matched to the runner's core count).
 //
 // Exit codes: 0 = within tolerance, 1 = regression or incomparable cells,
 // 2 = usage/IO/parse error. The CI bench-smoke job runs this against the
@@ -52,16 +48,13 @@ int main(int argc, char** argv) {
   obs::CompareOptions options;
   options.rate_noise = flags.get_double("noise", options.rate_noise);
   options.work_noise = flags.get_double("work-noise", options.work_noise);
-  options.min_shard_speedup =
-      flags.get_double("min-shard-speedup", options.min_shard_speedup);
   for (const std::string& f : flags.unknown()) {
     std::cerr << "bench_compare: unknown flag --" << f << "\n";
     return 2;
   }
   if (baseline_path.empty() || current_path.empty()) {
     std::cerr << "usage: bench_compare --baseline=FILE --current=FILE"
-                 " [--noise=0.10] [--work-noise=0] [--rates-from=FILE]"
-                 " [--min-shard-speedup=0]\n";
+                 " [--noise=0.10] [--work-noise=0] [--rates-from=FILE]\n";
     return 2;
   }
 
