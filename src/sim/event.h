@@ -1,38 +1,22 @@
 // Typed simulation events.
 //
-// The hot paths of a large queueing-network run schedule the same handful of
-// event shapes millions of times: a transmitter finishing a packet, a packet
-// arriving after the propagation delay, a Poisson source ticking, a
-// measurement-period timer, a host-flow RFNM timeout. Representing those as a
-// tagged struct (SimEvent) instead of a type-erased std::function means
-// scheduling a recurring event allocates nothing: the payload is a few plain
-// fields and dispatch is one virtual call into the owning subsystem plus a
-// switch on the kind.
-//
-// Rare events (test fixtures, one-off scenario drivers like a trunk failure
-// at t=15s) still take an arbitrary callable through SmallFn, a move-only
-// small-buffer function wrapper: callables up to SmallFn::kInlineBytes are
-// stored in place, larger ones fall back to the heap — acceptable precisely
-// because those events are not recurring.
-//
-// SimEvent stores the SmallFn in a union with the typed payload: a callback
-// event never carries link/packet fields and a typed event never carries a
-// callable, so overlapping them halves every event-queue slab slot to one
-// cache line (64 bytes, pinned below). The union is managed manually off the
-// kind tag; all payload access goes through the accessors, which check the
-// kind in debug builds.
+// The simulator schedules a handful of event shapes, millions of times each:
+// a Poisson source ticking, a transmitter finishing a packet, a packet
+// arriving after the propagation delay, a PSN's 10-second measurement
+// period, a distance-vector exchange, a host-flow message or RFNM timeout,
+// and a compiled fault action (a line going down or up). SimEvent is one
+// tagged record holding the kind, the sink that dispatches it and a few
+// plain payload fields; every event is built by the named factory for its
+// kind. The record is trivially copyable, so scheduling copies a few words
+// into the event queue's slab, nothing allocates, and dispatch is one
+// virtual call into the owning subsystem plus a switch on the kind.
 
 #pragma once
 
-#include <concepts>
-#include <cstddef>
 #include <cstdint>
-#include <new>
 #include <type_traits>
-#include <utility>
 
 #include "src/net/topology.h"
-#include "src/util/check.h"
 #include "src/util/units.h"
 
 namespace arpanet::sim {
@@ -42,114 +26,11 @@ using PacketHandle = std::uint32_t;
 inline constexpr PacketHandle kInvalidPacketHandle =
     static_cast<PacketHandle>(-1);
 
-/// Move-only callable wrapper with inline storage; the fallback event
-/// payload. Unlike std::function it accepts move-only callables (so packets
-/// or buffers can be moved into an event) and never allocates for callables
-/// of at most kInlineBytes.
-class SmallFn {
- public:
-  /// Inline capacity, sized for a captured `this` plus a few words — every
-  /// recurring closure in the simulator fits.
-  static constexpr std::size_t kInlineBytes = 48;
-
-  SmallFn() = default;
-
-  template <typename F>
-    requires(!std::same_as<std::remove_cvref_t<F>, SmallFn> &&
-             std::invocable<std::remove_cvref_t<F>&>)
-  // NOLINTNEXTLINE(bugprone-forwarding-reference-overload): constrained above
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(void*) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      static constexpr VTable kVt{
-          [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
-          [](void* from, void* to) noexcept {
-            Fn* src = std::launder(reinterpret_cast<Fn*>(from));
-            ::new (to) Fn(std::move(*src));
-            src->~Fn();
-          },
-          [](void* s) noexcept {
-            std::launder(reinterpret_cast<Fn*>(s))->~Fn();
-          }};
-      vt_ = &kVt;
-    } else {
-      // Oversized, overaligned or throwing-move callables go to the heap;
-      // fine for rare/test-only events, never used by the recurring kinds.
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      static constexpr VTable kVt{
-          [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); },
-          [](void* from, void* to) noexcept {
-            ::new (to) Fn*(*std::launder(reinterpret_cast<Fn**>(from)));
-          },
-          [](void* s) noexcept {
-            delete *std::launder(reinterpret_cast<Fn**>(s));
-          }};
-      vt_ = &kVt;
-    }
-  }
-
-  SmallFn(SmallFn&& other) noexcept : vt_{other.vt_} {
-    if (vt_ != nullptr) {
-      vt_->relocate(other.storage_, storage_);
-      other.vt_ = nullptr;
-    }
-  }
-
-  SmallFn& operator=(SmallFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      vt_ = other.vt_;
-      if (vt_ != nullptr) {
-        vt_->relocate(other.storage_, storage_);
-        other.vt_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
-
-  ~SmallFn() { reset(); }
-
-  void operator()() { vt_->invoke(storage_); }
-
-  [[nodiscard]] explicit operator bool() const { return vt_ != nullptr; }
-
- private:
-  struct VTable {
-    void (*invoke)(void*);
-    /// Move-constructs the callable at `to` from `from`, destroying `from`.
-    void (*relocate)(void* from, void* to) noexcept;
-    void (*destroy)(void*) noexcept;
-  };
-
-  void reset() noexcept {
-    if (vt_ != nullptr) {
-      vt_->destroy(storage_);
-      vt_ = nullptr;
-    }
-  }
-
-  // Pointer alignment suffices: inline eligibility above rejects callables
-  // with stricter alignment (they take the heap path). Keeping the buffer at
-  // alignof(void*) instead of max_align_t is what lets the whole wrapper
-  // share a 56-byte union member with SimEvent's typed payload.
-  alignas(void*) std::byte storage_[kInlineBytes];
-  const VTable* vt_ = nullptr;
-};
-
-static_assert(sizeof(SmallFn) == 56 && alignof(SmallFn) == alignof(void*),
-              "SmallFn layout drifted; SimEvent's union sizing relies on it");
-
 struct SimEvent;
 
 /// Receiver of typed events. sim::Network and sim::HostFlowLayer implement
-/// this; each typed SimEvent carries the sink that knows how to dispatch it,
-/// so the Simulator stays ignorant of the subsystems above it.
+/// this; each SimEvent carries the sink that knows how to dispatch it, so
+/// the Simulator stays ignorant of the subsystems above it.
 class EventSink {
  public:
   virtual void handle_event(SimEvent& ev) = 0;
@@ -158,11 +39,10 @@ class EventSink {
   ~EventSink() = default;  // sinks are never owned through this interface
 };
 
-/// One scheduled event: a tag plus a union of the trivially-copyable payload
-/// for the recurring kinds and the SmallFn fallback for everything else.
+/// One scheduled event: a kind tag, its sink and the payload fields the
+/// kind documents below. Fields a kind does not use keep their defaults.
 struct SimEvent {
   enum class Kind : std::uint8_t {
-    kCallback,           ///< fn()           — rare/test-only events
     kSourceTick,         ///< index = Poisson source index
     kPropagationArrival, ///< link, packet   — packet reaches the peer PSN
     kTransmitComplete,   ///< index = node, link, packet, t1 = queue delay,
@@ -174,70 +54,25 @@ struct SimEvent {
     kFaultAction,        ///< index = compiled fault-action index
   };
 
-  SimEvent() noexcept { ::new (static_cast<void*>(&fn_)) SmallFn{}; }
-
-  SimEvent(SimEvent&& other) noexcept : kind_{other.kind_} {
-    if (kind_ == Kind::kCallback) {
-      ::new (static_cast<void*>(&fn_)) SmallFn{std::move(other.fn_)};
-    } else {
-      ::new (static_cast<void*>(&typed_)) Typed(other.typed_);
-    }
-  }
-
-  SimEvent& operator=(SimEvent&& other) noexcept {
-    if (this != &other) {
-      if (kind_ == Kind::kCallback && other.kind_ == Kind::kCallback) {
-        fn_ = std::move(other.fn_);
-      } else {
-        destroy_payload();
-        kind_ = other.kind_;
-        if (kind_ == Kind::kCallback) {
-          ::new (static_cast<void*>(&fn_)) SmallFn{std::move(other.fn_)};
-        } else {
-          ::new (static_cast<void*>(&typed_)) Typed(other.typed_);
-        }
-      }
-    }
-    return *this;
-  }
-
-  SimEvent(const SimEvent&) = delete;
-  SimEvent& operator=(const SimEvent&) = delete;
-
-  ~SimEvent() { destroy_payload(); }
-
   [[nodiscard]] Kind kind() const { return kind_; }
 
-  // Typed-payload accessors; valid only for the kinds documented on Kind.
-  [[nodiscard]] std::uint32_t index() const { return typed().index; }
-  [[nodiscard]] net::LinkId link() const { return typed().link; }
-  [[nodiscard]] PacketHandle packet() const { return typed().packet; }
-  [[nodiscard]] std::int32_t generation() const { return typed().generation; }
-  [[nodiscard]] std::uint64_t id() const { return typed().id; }
-  [[nodiscard]] util::SimTime t1() const { return typed().t1; }
-  [[nodiscard]] util::SimTime t2() const { return typed().t2; }
-  [[nodiscard]] bool flag() const { return typed().flag; }
+  // Payload accessors; meaningful only for the kinds documented on Kind.
+  [[nodiscard]] std::uint32_t index() const { return index_; }
+  [[nodiscard]] net::LinkId link() const { return link_; }
+  [[nodiscard]] PacketHandle packet() const { return packet_; }
+  [[nodiscard]] std::int32_t generation() const { return generation_; }
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+  [[nodiscard]] util::SimTime t1() const { return t1_; }
+  [[nodiscard]] util::SimTime t2() const { return t2_; }
+  [[nodiscard]] bool flag() const { return flag_; }
 
-  /// Executes the event: typed kinds dispatch through their sink, callbacks
-  /// invoke the stored function.
-  void fire() {
-    if (kind_ == Kind::kCallback) {
-      fn_();
-    } else {
-      typed_.sink->handle_event(*this);
-    }
-  }
-
-  [[nodiscard]] static SimEvent callback(SmallFn f) {
-    SimEvent ev;
-    ev.fn_ = std::move(f);
-    return ev;
-  }
+  /// Executes the event by dispatching it through its sink.
+  void fire() { sink_->handle_event(*this); }
 
   [[nodiscard]] static SimEvent source_tick(EventSink& sink,
                                             std::uint32_t source_index) {
     SimEvent ev{Kind::kSourceTick, sink};
-    ev.typed_.index = source_index;
+    ev.index_ = source_index;
     return ev;
   }
 
@@ -245,8 +80,8 @@ struct SimEvent {
                                                     net::LinkId link,
                                                     PacketHandle packet) {
     SimEvent ev{Kind::kPropagationArrival, sink};
-    ev.typed_.link = link;
-    ev.typed_.packet = packet;
+    ev.link_ = link;
+    ev.packet_ = packet;
     return ev;
   }
 
@@ -254,32 +89,32 @@ struct SimEvent {
       EventSink& sink, net::NodeId node, net::LinkId link, PacketHandle packet,
       util::SimTime queue_delay, util::SimTime tx_time, bool is_update) {
     SimEvent ev{Kind::kTransmitComplete, sink};
-    ev.typed_.index = node;
-    ev.typed_.link = link;
-    ev.typed_.packet = packet;
-    ev.typed_.t1 = queue_delay;
-    ev.typed_.t2 = tx_time;
-    ev.typed_.flag = is_update;
+    ev.index_ = node;
+    ev.link_ = link;
+    ev.packet_ = packet;
+    ev.t1_ = queue_delay;
+    ev.t2_ = tx_time;
+    ev.flag_ = is_update;
     return ev;
   }
 
   [[nodiscard]] static SimEvent measurement_period(EventSink& sink,
                                                    net::NodeId node) {
     SimEvent ev{Kind::kMeasurementPeriod, sink};
-    ev.typed_.index = node;
+    ev.index_ = node;
     return ev;
   }
 
   [[nodiscard]] static SimEvent dv_tick(EventSink& sink, net::NodeId node) {
     SimEvent ev{Kind::kDvTick, sink};
-    ev.typed_.index = node;
+    ev.index_ = node;
     return ev;
   }
 
   [[nodiscard]] static SimEvent host_flow_message(EventSink& sink,
                                                   std::uint32_t pair_index) {
     SimEvent ev{Kind::kHostFlowMessage, sink};
-    ev.typed_.index = pair_index;
+    ev.index_ = pair_index;
     return ev;
   }
 
@@ -288,59 +123,39 @@ struct SimEvent {
                                                   std::uint64_t message_id,
                                                   std::int32_t generation) {
     SimEvent ev{Kind::kHostFlowTimeout, sink};
-    ev.typed_.index = pair_index;
-    ev.typed_.id = message_id;
-    ev.typed_.generation = generation;
+    ev.index_ = pair_index;
+    ev.id_ = message_id;
+    ev.generation_ = generation;
     return ev;
   }
 
   [[nodiscard]] static SimEvent fault_action(EventSink& sink,
                                              std::uint32_t action_index) {
     SimEvent ev{Kind::kFaultAction, sink};
-    ev.typed_.index = action_index;
+    ev.index_ = action_index;
     return ev;
   }
 
  private:
-  /// The payload of every recurring (non-callback) kind; trivially copyable
-  /// so moving a typed event is a plain 56-byte copy.
-  struct Typed {
-    EventSink* sink = nullptr;
-    std::uint32_t index = 0;
-    net::LinkId link = net::kInvalidLink;
-    PacketHandle packet = kInvalidPacketHandle;
-    std::int32_t generation = 0;
-    std::uint64_t id = 0;
-    util::SimTime t1;
-    util::SimTime t2;
-    bool flag = false;
-  };
-  static_assert(std::is_trivially_copyable_v<Typed>);
+  SimEvent(Kind kind, EventSink& sink) noexcept : sink_{&sink}, kind_{kind} {}
 
-  SimEvent(Kind kind, EventSink& sink) noexcept : kind_{kind} {
-    ::new (static_cast<void*>(&typed_)) Typed{};
-    typed_.sink = &sink;
-  }
-
-  [[nodiscard]] const Typed& typed() const {
-    ARPA_DCHECK(kind_ != Kind::kCallback)
-        << "typed payload read on a callback event";
-    return typed_;
-  }
-
-  void destroy_payload() noexcept {
-    if (kind_ == Kind::kCallback) fn_.~SmallFn();
-  }
-
-  Kind kind_ = Kind::kCallback;
-  union {
-    Typed typed_;  ///< every kind except kCallback
-    SmallFn fn_;   ///< kCallback only
-  };
+  // The tag sits last, beside flag_, so the 50 bytes of fields pad to 56;
+  // leading with it would pad the record to 64.
+  EventSink* sink_;
+  std::uint32_t index_ = 0;
+  net::LinkId link_ = net::kInvalidLink;
+  PacketHandle packet_ = kInvalidPacketHandle;
+  std::int32_t generation_ = 0;
+  std::uint64_t id_ = 0;
+  util::SimTime t1_;
+  util::SimTime t2_;
+  bool flag_ = false;
+  Kind kind_;
 };
 
-static_assert(sizeof(SimEvent) == 64,
-              "SimEvent must stay one cache line; the union of the typed "
-              "payload and SmallFn is sized to make the slab slot 64 bytes");
+static_assert(std::is_trivially_copyable_v<SimEvent>,
+              "SimEvent is copied into and out of the event-queue slab");
+static_assert(sizeof(SimEvent) <= 64,
+              "SimEvent grew past a cache line; every slab slot pays for it");
 
 }  // namespace arpanet::sim

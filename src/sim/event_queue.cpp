@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <utility>
 
 #include "src/util/check.h"
 
@@ -34,11 +33,11 @@ void EventQueue::schedule(util::SimTime at, SimEvent ev) {
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
-    slots_[slot] = std::move(ev);
+    slots_[slot] = ev;
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     // ARPALINT-ALLOW(hot-path-alloc): slab growth; freelist serves steady state
-    slots_.push_back(std::move(ev));
+    slots_.push_back(ev);
     // ARPALINT-ALLOW(hot-path-alloc): slab growth; freelist serves steady state
     meta_.emplace_back();
   }
@@ -209,7 +208,7 @@ SimEvent EventQueue::pop(util::SimTime& at) {
   // scatters consecutive pops across the slab, so they rarely share a line.
   if (!drain_.empty()) __builtin_prefetch(&slots_[drain_.back().slot]);
   at = util::SimTime::from_us(e.at_us);
-  SimEvent ev = std::move(slots_[e.slot]);
+  const SimEvent ev = slots_[e.slot];
   // ARPALINT-ALLOW(hot-path-alloc): freelist retains capacity
   free_.push_back(e.slot);
   --size_;

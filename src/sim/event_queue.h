@@ -50,13 +50,6 @@ class EventQueue {
 
   void schedule(util::SimTime at, SimEvent ev);
 
-  /// Convenience: wraps a callable into a SimEvent::callback event.
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
-  void schedule(util::SimTime at, F&& f) {
-    schedule(at, SimEvent::callback(SmallFn{std::forward<F>(f)}));
-  }
-
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   /// High-water mark of size() over the queue's lifetime (telemetry).
@@ -74,7 +67,7 @@ class EventQueue {
   /// reuses.
   [[nodiscard]] util::SimTime next_time();
 
-  /// Pops and moves out the earliest event. Precondition: !empty().
+  /// Pops and returns a copy of the earliest event. Precondition: !empty().
   [[nodiscard]] SimEvent pop(util::SimTime& at);
 
   // ---- telemetry (obs counters) ----

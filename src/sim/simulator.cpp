@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "src/util/check.h"
 
@@ -9,7 +8,7 @@ namespace arpanet::sim {
 
 void Simulator::schedule_at(util::SimTime at, SimEvent ev) {
   if (at < now_) throw std::logic_error("scheduling into the past");
-  queue_.schedule(at, std::move(ev));
+  queue_.schedule(at, ev);
 }
 
 void Simulator::run_until(util::SimTime end) {
@@ -24,7 +23,7 @@ bool Simulator::step() {
   util::SimTime at;
   SimEvent ev = queue_.pop(at);
   // The virtual clock never runs backwards: schedule_at rejects past times,
-  // and the heap pops in (time, seq) order.
+  // and the queue pops in (time, seq) order.
   ARPA_DCHECK(at >= now_) << "event queue popped " << at.us()
                           << "us behind the clock " << now_.us() << "us";
   now_ = at;

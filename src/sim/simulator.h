@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "src/sim/event.h"
 #include "src/sim/event_queue.h"
@@ -19,20 +18,7 @@ class Simulator {
   void schedule_at(util::SimTime at, SimEvent ev);
   /// Schedules a typed event `delay` from now.
   void schedule_in(util::SimTime delay, SimEvent ev) {
-    schedule_at(now_ + delay, std::move(ev));
-  }
-
-  /// Callable convenience overloads (rare/test-only events; recurring kinds
-  /// should use the allocation-free typed constructors in sim/event.h).
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
-  void schedule_at(util::SimTime at, F&& f) {
-    schedule_at(at, SimEvent::callback(SmallFn{std::forward<F>(f)}));
-  }
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
-  void schedule_in(util::SimTime delay, F&& f) {
-    schedule_at(now_ + delay, SimEvent::callback(SmallFn{std::forward<F>(f)}));
+    schedule_at(now_ + delay, ev);
   }
 
   /// Runs events until the queue is empty or the next event is later than

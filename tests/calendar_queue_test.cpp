@@ -1,7 +1,7 @@
 // The calendar queue (sim/event_queue.h): randomized order equivalence
 // against the binary-heap semantics it replaced — through resizes, year
 // spills, far-rung wrap-around, overflow and re-anchoring — the day-size
-// health of an idle far-future population, and the compact SimEvent union
+// health of an idle far-future population, and the plain SimEvent record
 // layout (sim/event.h).
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -461,17 +461,13 @@ TEST(CalendarQueueTest, OccupancyTriggersResizeBothWaysAndKeepFifoTies) {
 }
 
 // ---------------------------------------------------------------------------
-// The compact SimEvent slab slot
+// The SimEvent slab slot
 // ---------------------------------------------------------------------------
 
-TEST(SimEventLayoutTest, UnionKeepsTheSlabSlotToOneCacheLine) {
-  // Before the union, the SmallFn sat beside the typed payload and the slot
-  // was 128 bytes; overlapping them pins the event at a single cache line —
-  // a 50% cut, comfortably past the 40% the redesign promised.
-  EXPECT_EQ(sizeof(SimEvent), 64u);
-  constexpr std::size_t kPreUnionSize = 128;
-  EXPECT_LE(sizeof(SimEvent) * 10, kPreUnionSize * 6)
-      << "slab slot regressed above 60% of the pre-union layout";
+TEST(SimEventLayoutTest, RecordIsTriviallyCopyableAndFitsACacheLine) {
+  // The slab copies events in and out of its slots as plain bytes.
+  EXPECT_TRUE(std::is_trivially_copyable_v<SimEvent>);
+  EXPECT_LE(sizeof(SimEvent), 64u);
   EXPECT_EQ(alignof(SimEvent), alignof(void*));
 }
 
@@ -482,7 +478,7 @@ TEST(SimEventLayoutTest, TypedPayloadRoundTripsThroughMoves) {
       /*queue_delay=*/SimTime::from_us(70), /*tx_time=*/SimTime::from_us(800),
       /*is_update=*/true);
   SimEvent moved = std::move(ev);
-  SimEvent assigned;
+  SimEvent assigned = SimEvent::dv_tick(sink, 0);
   assigned = std::move(moved);
   EXPECT_EQ(assigned.kind(), SimEvent::Kind::kTransmitComplete);
   EXPECT_EQ(assigned.index(), 3u);
@@ -491,43 +487,6 @@ TEST(SimEventLayoutTest, TypedPayloadRoundTripsThroughMoves) {
   EXPECT_EQ(assigned.t1(), SimTime::from_us(70));
   EXPECT_EQ(assigned.t2(), SimTime::from_us(800));
   EXPECT_TRUE(assigned.flag());
-}
-
-TEST(SimEventLayoutTest, SmallFnMoveOutOfTheSlabRunsExactlyOnce) {
-  // pop() moves the callback event out of its slab slot and the slot is
-  // recycled for the next schedule; the callable must fire exactly once and
-  // a later occupant of the same slot must not resurrect it.
-  EventQueue q;
-  int first_runs = 0;
-  int second_runs = 0;
-  q.schedule(SimTime::from_us(5), [&first_runs] { ++first_runs; });
-  SimTime at;
-  {
-    SimEvent ev = q.pop(at);
-    EXPECT_TRUE(q.empty());
-    ev.fire();
-  }
-  EXPECT_EQ(first_runs, 1);
-  // The freed slot is reused (same slab, new occupant).
-  q.schedule(SimTime::from_us(9), [&second_runs] { ++second_runs; });
-  EXPECT_EQ(q.slab_slots(), 1u) << "slot was not recycled";
-  q.pop(at).fire();
-  EXPECT_EQ(first_runs, 1);
-  EXPECT_EQ(second_runs, 1);
-}
-
-TEST(SimEventLayoutTest, CallbackAndTypedEventsCrossAssignCleanly) {
-  // Move-assigning across the union's two alternatives must destroy the
-  // outgoing callable (union lifetime management, checked under ASan).
-  NullSink sink;
-  auto guard = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = guard;
-  SimEvent ev = SimEvent::callback(SmallFn{[keep = std::move(guard)] {}});
-  ev = SimEvent::dv_tick(sink, 4);
-  EXPECT_TRUE(watch.expired()) << "callable leaked when replaced by typed";
-  EXPECT_EQ(ev.kind(), SimEvent::Kind::kDvTick);
-  ev = SimEvent::callback(SmallFn{[] {}});
-  EXPECT_EQ(ev.kind(), SimEvent::Kind::kCallback);
 }
 
 }  // namespace

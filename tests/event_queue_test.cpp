@@ -1,12 +1,10 @@
 // The allocation-free event engine (sim/event.h, sim/event_queue.h): typed
-// SimEvent dispatch, the SmallFn fallback, deterministic (time, seq)
-// ordering, and the slab/freelist behind the compact heap.
+// SimEvent dispatch, deterministic (time, seq) ordering, and the
+// slab/freelist behind the calendar queue.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/event.h"
@@ -17,51 +15,31 @@ namespace {
 
 using util::SimTime;
 
-TEST(SmallFnTest, InvokesInlineCallable) {
-  int hits = 0;
-  SmallFn fn{[&hits] { ++hits; }};
-  EXPECT_TRUE(static_cast<bool>(fn));
-  fn();
-  fn();
-  EXPECT_EQ(hits, 2);
-}
+/// Records a copy of every event dispatched to it.
+class RecordingSink : public EventSink {
+ public:
+  void handle_event(SimEvent& ev) override { events.push_back(ev); }
 
-TEST(SmallFnTest, AcceptsMoveOnlyCallable) {
-  auto payload = std::make_unique<int>(41);
-  SmallFn fn{[p = std::move(payload)]() { ++*p; }};
-  SmallFn moved = std::move(fn);
-  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
-  moved();
-}
-
-TEST(SmallFnTest, OversizedCallableFallsBackToHeap) {
-  // 64 bytes of captured state exceeds kInlineBytes; the callable must
-  // still work (via the heap path) and destroy its capture exactly once.
-  auto guard = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = guard;
-  {
-    struct Big {
-      std::shared_ptr<int> keep;
-      double pad[7];
-    };
-    static_assert(sizeof(Big) > SmallFn::kInlineBytes);
-    SmallFn fn{[big = Big{std::move(guard), {}}]() { EXPECT_EQ(*big.keep, 7); }};
-    fn();
-    EXPECT_FALSE(watch.expired());
+  [[nodiscard]] std::vector<std::uint32_t> indices() const {
+    std::vector<std::uint32_t> out;
+    for (const SimEvent& ev : events) out.push_back(ev.index());
+    return out;
   }
-  EXPECT_TRUE(watch.expired()) << "heap-stored callable leaked its capture";
-}
+
+  std::vector<SimEvent> events;
+};
 
 TEST(EventQueueTest, SimultaneousEventsPopInSchedulingOrder) {
   EventQueue q;
-  std::vector<int> order;
+  RecordingSink sink;
   const SimTime t = SimTime::from_ms(5);
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(t, [&order, i] { order.push_back(i); });
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    q.schedule(t, SimEvent::source_tick(sink, i));
   }
   SimTime at;
   while (!q.empty()) q.pop(at).fire();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sink.indices(),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(at, t);
 }
 
@@ -69,53 +47,31 @@ TEST(EventQueueTest, FifoTieBreakSurvivesInterleavedPops) {
   // Popping between schedules recycles slab slots; recycled slots must not
   // perturb the (time, seq) order of events that are still pending.
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(SimTime::from_ms(1), [&] { order.push_back(1); });
-  q.schedule(SimTime::from_ms(3), [&] { order.push_back(3); });
+  RecordingSink sink;
+  q.schedule(SimTime::from_ms(1), SimEvent::source_tick(sink, 1));
+  q.schedule(SimTime::from_ms(3), SimEvent::source_tick(sink, 3));
   SimTime at;
   q.pop(at).fire();  // t=1ms; frees a slot
-  q.schedule(SimTime::from_ms(3), [&] { order.push_back(33); });
-  q.schedule(SimTime::from_ms(2), [&] { order.push_back(2); });
+  q.schedule(SimTime::from_ms(3), SimEvent::source_tick(sink, 33));
+  q.schedule(SimTime::from_ms(2), SimEvent::source_tick(sink, 2));
   while (!q.empty()) q.pop(at).fire();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 33}));
+  EXPECT_EQ(sink.indices(), (std::vector<std::uint32_t>{1, 2, 3, 33}));
 }
 
 TEST(EventQueueTest, PeakSizeIsAHighWaterMark) {
   EventQueue q;
+  RecordingSink sink;
   EXPECT_EQ(q.peak_size(), 0u);
-  for (int i = 0; i < 5; ++i) q.schedule(SimTime::from_ms(i), [] {});
+  for (int i = 0; i < 5; ++i) {
+    q.schedule(SimTime::from_ms(i), SimEvent::source_tick(sink, 0));
+  }
   EXPECT_EQ(q.peak_size(), 5u);
   SimTime at;
   while (!q.empty()) (void)q.pop(at);
   EXPECT_EQ(q.size(), 0u);
-  q.schedule(SimTime::from_ms(9), [] {});
+  q.schedule(SimTime::from_ms(9), SimEvent::source_tick(sink, 0));
   EXPECT_EQ(q.peak_size(), 5u) << "draining must not reset the peak";
 }
-
-TEST(EventQueueTest, PopMovesTheEventOut) {
-  // A move-only capture can only work if pop() moves rather than copies.
-  EventQueue q;
-  auto value = std::make_unique<int>(99);
-  int seen = 0;
-  q.schedule(SimTime::from_ms(1), [v = std::move(value), &seen] { seen = *v; });
-  SimTime at;
-  SimEvent ev = q.pop(at);
-  EXPECT_TRUE(q.empty());
-  ev.fire();
-  EXPECT_EQ(seen, 99);
-}
-
-/// Records which typed events were dispatched to it.
-class RecordingSink : public EventSink {
- public:
-  void handle_event(SimEvent& ev) override {
-    kinds.push_back(ev.kind());
-    indices.push_back(ev.index());
-  }
-
-  std::vector<SimEvent::Kind> kinds;
-  std::vector<std::uint32_t> indices;
-};
 
 TEST(EventQueueTest, TypedEventsDispatchThroughTheirSink) {
   EventQueue q;
@@ -126,21 +82,19 @@ TEST(EventQueueTest, TypedEventsDispatchThroughTheirSink) {
              SimEvent::propagation_arrival(sink, /*link=*/2, /*packet=*/5));
   SimTime at;
   while (!q.empty()) q.pop(at).fire();
-  ASSERT_EQ(sink.kinds.size(), 3u);
-  EXPECT_EQ(sink.kinds[0], SimEvent::Kind::kSourceTick);
-  EXPECT_EQ(sink.indices[0], 7u);
-  EXPECT_EQ(sink.kinds[1], SimEvent::Kind::kMeasurementPeriod);
-  EXPECT_EQ(sink.indices[1], 4u);
-  EXPECT_EQ(sink.kinds[2], SimEvent::Kind::kPropagationArrival);
+  ASSERT_EQ(sink.events.size(), 3u);
+  EXPECT_EQ(sink.events[0].kind(), SimEvent::Kind::kSourceTick);
+  EXPECT_EQ(sink.events[0].index(), 7u);
+  EXPECT_EQ(sink.events[1].kind(), SimEvent::Kind::kMeasurementPeriod);
+  EXPECT_EQ(sink.events[1].index(), 4u);
+  EXPECT_EQ(sink.events[2].kind(), SimEvent::Kind::kPropagationArrival);
+  EXPECT_EQ(sink.events[2].link(), 2u);
+  EXPECT_EQ(sink.events[2].packet(), 5u);
 }
 
 TEST(EventQueueTest, TransmitCompleteCarriesItsPayload) {
   EventQueue q;
-  class PayloadSink : public EventSink {
-   public:
-    void handle_event(SimEvent& ev) override { captured = std::move(ev); }
-    SimEvent captured;
-  } sink;
+  RecordingSink sink;
   q.schedule(SimTime::from_ms(1),
              SimEvent::transmit_complete(sink, /*node=*/3, /*link=*/9,
                                          /*packet=*/12,
@@ -149,20 +103,23 @@ TEST(EventQueueTest, TransmitCompleteCarriesItsPayload) {
                                          /*is_update=*/true));
   SimTime at;
   q.pop(at).fire();
-  EXPECT_EQ(sink.captured.kind(), SimEvent::Kind::kTransmitComplete);
-  EXPECT_EQ(sink.captured.index(), 3u);
-  EXPECT_EQ(sink.captured.link(), 9u);
-  EXPECT_EQ(sink.captured.packet(), 12u);
-  EXPECT_EQ(sink.captured.t1(), SimTime::from_us(70));
-  EXPECT_EQ(sink.captured.t2(), SimTime::from_us(800));
-  EXPECT_TRUE(sink.captured.flag());
+  ASSERT_EQ(sink.events.size(), 1u);
+  const SimEvent& ev = sink.events[0];
+  EXPECT_EQ(ev.kind(), SimEvent::Kind::kTransmitComplete);
+  EXPECT_EQ(ev.index(), 3u);
+  EXPECT_EQ(ev.link(), 9u);
+  EXPECT_EQ(ev.packet(), 12u);
+  EXPECT_EQ(ev.t1(), SimTime::from_us(70));
+  EXPECT_EQ(ev.t2(), SimTime::from_us(800));
+  EXPECT_TRUE(ev.flag());
 }
 
 TEST(EventQueueTest, MixedTimesPopInTimeOrderUnderChurn) {
   // Deterministic pseudo-random schedule/pop churn; the popped times must
   // come out nondecreasing and FIFO among ties no matter how the slab
-  // recycles slots.
+  // recycles slots. Each event's index is its scheduling order.
   EventQueue q;
+  RecordingSink sink;
   std::uint64_t state = 12345;
   auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -171,16 +128,23 @@ TEST(EventQueueTest, MixedTimesPopInTimeOrderUnderChurn) {
   // As in a real simulation, new events are scheduled at or after the
   // current time (the last popped timestamp).
   SimTime now = SimTime::zero();
-  int scheduled = 0;
+  std::uint32_t scheduled = 0;
+  bool popped = false;
+  std::uint32_t last_index = 0;
   for (int round = 0; round < 2000; ++round) {
     if (q.empty() || next() % 3 != 0) {
-      q.schedule(now + SimTime::from_us(next() % 50), [] {});
-      ++scheduled;
+      q.schedule(now + SimTime::from_us(next() % 50),
+                 SimEvent::source_tick(sink, scheduled++));
     } else {
       SimTime at;
-      (void)q.pop(at);
+      const SimEvent ev = q.pop(at);
       EXPECT_GE(at, now) << "time went backwards at round " << round;
+      if (popped && at == now) {
+        EXPECT_GT(ev.index(), last_index) << "tie popped out of order";
+      }
       now = at;
+      popped = true;
+      last_index = ev.index();
     }
   }
   EXPECT_LE(q.peak_size(), static_cast<std::size_t>(scheduled));

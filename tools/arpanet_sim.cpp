@@ -11,7 +11,8 @@
 //
 // Each run is one single-threaded simulation; output is reproducible for a
 // fixed seed. --fail-trunk / --recover-trunk take the named trunk down / up
-// at T seconds of simulated time (counted from t=0, warm-up included).
+// at T seconds of simulated time (counted from t=0, warm-up included); T
+// must lie within the run, [0, warm-up + window].
 //
 // A <spec> is any TopologyBuilder registry family with key=value parameters,
 // e.g. ba:nodes=10000,seed=7,m=2 or leo-grid:planes=20,per_plane=20
@@ -23,9 +24,11 @@
 //   arpanet_sim --topology=ring:8 --write-topology
 //   arpanet_sim --topology=waxman:nodes=256,seed=3 --metric=hnspf
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 
 #include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
@@ -77,17 +80,52 @@ struct TrunkEvent {
   bool up;
 };
 
-/// Parses "A-B@T" against the topology's node names.
-TrunkEvent parse_trunk_event(const net::Topology& topo, const std::string& spec,
-                             bool up) {
+/// Parses "A-B@T" against the topology's node names. Names may contain dashes
+/// (leo-p0-s1), so A and B are split at the one dash where both halves name
+/// nodes. T must lie within the run, [0, run_end].
+TrunkEvent parse_trunk_event(const net::Topology& topo, const std::string& flag,
+                             const std::string& spec, bool up,
+                             util::SimTime run_end) {
   const std::size_t at_pos = spec.rfind('@');
-  const std::size_t dash = spec.find('-');
-  if (at_pos == std::string::npos || dash == std::string::npos || dash > at_pos) {
-    throw std::invalid_argument("trunk event must look like A-B@seconds: " + spec);
+  if (at_pos == std::string::npos) {
+    throw std::invalid_argument("--" + flag + "=" + spec +
+                                ": must look like A-B@seconds");
   }
-  const net::NodeId a = topo.node_by_name(spec.substr(0, dash));
-  const net::NodeId b = topo.node_by_name(spec.substr(dash + 1, at_pos - dash - 1));
+  const std::string ends = spec.substr(0, at_pos);
+  const auto is_node = [&topo](std::string_view name) {
+    for (net::NodeId n = 0; n < topo.node_count(); ++n) {
+      if (topo.node_name(n) == name) return true;
+    }
+    return false;
+  };
+  std::size_t split = std::string::npos;
+  for (std::size_t dash = ends.find('-'); dash != std::string::npos;
+       dash = ends.find('-', dash + 1)) {
+    if (!is_node(ends.substr(0, dash)) || !is_node(ends.substr(dash + 1))) {
+      continue;
+    }
+    if (split != std::string::npos) {
+      throw std::invalid_argument("--" + flag + "=" + spec +
+                                  ": more than one dash splits '" + ends +
+                                  "' into two node names");
+    }
+    split = dash;
+  }
+  if (split == std::string::npos) {
+    throw std::invalid_argument("--" + flag + "=" + spec +
+                                ": no dash splits '" + ends +
+                                "' into two node names");
+  }
+  const net::NodeId a = topo.node_by_name(ends.substr(0, split));
+  const net::NodeId b = topo.node_by_name(ends.substr(split + 1));
   const double t = std::stod(spec.substr(at_pos + 1));
+  if (!(t >= 0.0 && t <= run_end.sec())) {
+    char run_s[32];
+    std::snprintf(run_s, sizeof run_s, "%g", run_end.sec());
+    throw std::invalid_argument("--" + flag + "=" + spec +
+                                ": the time must lie within the run, [0, " +
+                                run_s + "] s (warm-up plus window)");
+  }
   for (const net::LinkId lid : topo.out_links(a)) {
     if (topo.link(lid).to == b) {
       return TrunkEvent{lid, util::SimTime::from_sec(t), up};
@@ -121,13 +159,20 @@ int run(const util::Flags& flags) {
   const auto window =
       util::SimTime::from_sec(flags.get_double("window-sec", 300.0));
 
+  const util::SimTime run_end = warmup + window;
   std::vector<TrunkEvent> events;
   if (const auto f = flags.get("fail-trunk")) {
-    events.push_back(parse_trunk_event(topo, *f, /*up=*/false));
+    events.push_back(
+        parse_trunk_event(topo, "fail-trunk", *f, /*up=*/false, run_end));
   }
   if (const auto r = flags.get("recover-trunk")) {
-    events.push_back(parse_trunk_event(topo, *r, /*up=*/true));
+    events.push_back(
+        parse_trunk_event(topo, "recover-trunk", *r, /*up=*/true, run_end));
   }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TrunkEvent& x, const TrunkEvent& y) {
+                     return x.at < y.at;
+                   });
   const bool show_utilization = flags.get_bool("utilization");
 
   for (const std::string& u : flags.unknown()) {
@@ -145,15 +190,19 @@ int run(const util::Flags& flags) {
                                 util::Rng{cfg.seed ^ 0xfeedULL});
   net.add_traffic(matrix);
 
-  for (const TrunkEvent& e : events) {
-    // Trunk events are wall-clock (from t=0), applied via the simulator.
-    net.simulator().schedule_at(
-        e.at, [&net, e] { net.set_trunk_up(e.link, e.up); });
-  }
-
-  net.run_for(warmup);
+  // Trunk events are wall-clock (from t=0): run the network up to each one's
+  // time, after every event due by then, and switch the trunk directly.
+  auto next = events.begin();
+  const auto advance_to = [&](util::SimTime end) {
+    for (; next != events.end() && next->at <= end; ++next) {
+      net.run_until(next->at);
+      net.set_trunk_up(next->link, next->up);
+    }
+    net.run_until(end);
+  };
+  advance_to(warmup);
   net.reset_stats();
-  net.run_for(window);
+  advance_to(run_end);
 
   const auto ind = net.indicators(to_string(cfg.metric));
   std::printf("topology    %zu nodes, %zu trunks\n", topo.node_count(),
