@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/net/topology.h"
@@ -24,6 +25,10 @@ class TrafficMatrix {
 
   [[nodiscard]] double at(net::NodeId src, net::NodeId dst) const {
     return rates_[index(src, dst)];
+  }
+  /// Row `src`: its offered load to every destination, indexed by NodeId.
+  [[nodiscard]] std::span<const double> row(net::NodeId src) const {
+    return std::span<const double>{rates_}.subspan(index(src, 0), n_);
   }
   void set(net::NodeId src, net::NodeId dst, double bps);
   void add(net::NodeId src, net::NodeId dst, double bps);

@@ -234,6 +234,14 @@ TEST(NetworkTest, RejectsDisconnectedTopologyAndBadMatrix) {
                std::invalid_argument);
 }
 
+TEST(NetworkDeathTest, SecondAddTrafficDies) {
+  const net::Topology topo = two_nodes();
+  Network net{topo, NetworkConfig{}};
+  net.add_traffic(traffic::TrafficMatrix::uniform(2, 10e3));
+  EXPECT_DEATH(net.add_traffic(traffic::TrafficMatrix::uniform(2, 10e3)),
+               "add_traffic may be called at most once");
+}
+
 TEST(ScenarioTest, RunScenarioProducesIndicators) {
   const net::Topology topo = line3();
   ScenarioConfig cfg;

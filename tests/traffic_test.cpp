@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/traffic/poisson_source.h"
 #include "src/traffic/traffic_matrix.h"
 
@@ -83,6 +88,109 @@ TEST(PacketSizerTest, MeanAndFloor) {
 
 TEST(PacketSizerTest, RejectsMeanBelowFloor) {
   EXPECT_THROW(PacketSizer(10.0, 32.0), std::invalid_argument);
+}
+
+// ---- AliasTable: each outcome's probability, read off the columns, equals
+// its weight's share to within rounding.
+
+void expect_exact(const AliasTable& table, AliasTable::Range range,
+                  const std::vector<double>& weights) {
+  double sum = 0.0;
+  for (const double w : weights) sum += w;
+  for (std::uint32_t i = 0; i < weights.size(); ++i) {
+    EXPECT_NEAR(table.probability(range, i), weights[i] / sum, 1e-12)
+        << "outcome " << i;
+  }
+}
+
+TEST(AliasTableTest, SingleEntryAlwaysDrawsIt) {
+  AliasTable table;
+  const std::vector<double> weights = {0.0, 3.5, 0.0};
+  const AliasTable::Range r = table.add(weights);
+  EXPECT_EQ(r.count, 1u);
+  expect_exact(table, r, weights);
+  util::Rng rng{5};
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.sample(r, rng), 1u);
+}
+
+TEST(AliasTableTest, SkewedWeightsAreExact) {
+  AliasTable table;
+  const std::vector<double> weights = {1e-6, 1.0};
+  expect_exact(table, table.add(weights), weights);
+  const std::vector<double> reversed = {1.0, 1e-6, 1e-6, 1.0};
+  expect_exact(table, table.add(reversed), reversed);
+}
+
+TEST(AliasTableTest, ZeroEntriesGetNoColumnAndAreNeverDrawn) {
+  AliasTable table;
+  const std::vector<double> weights = {2.0, 0.0, 1.0, 0.0, 5.0};
+  const AliasTable::Range r = table.add(weights);
+  EXPECT_EQ(r.count, 3u);
+  expect_exact(table, r, weights);
+  EXPECT_EQ(table.probability(r, 1), 0.0);
+  EXPECT_EQ(table.probability(r, 3), 0.0);
+  util::Rng rng{9};
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint32_t d = table.sample(r, rng);
+    EXPECT_TRUE(d == 0 || d == 2 || d == 4) << d;
+  }
+}
+
+TEST(AliasTableTest, TablesShareOneColumnArray) {
+  AliasTable table;
+  util::Rng rng{13};
+  std::vector<std::vector<double>> rows;
+  std::vector<AliasTable::Range> ranges;
+  std::uint32_t expected_first = 0;
+  for (int k = 0; k < 4; ++k) {
+    // A peak-hour-like row: 255 log-normal weights, self entry zero.
+    std::vector<double> row(256);
+    for (std::size_t d = 0; d < row.size(); ++d) {
+      row[d] = d == static_cast<std::size_t>(k)
+                   ? 0.0
+                   : std::exp(3.0 * rng.uniform());
+    }
+    ranges.push_back(table.add(row));
+    EXPECT_EQ(ranges.back().first, expected_first);
+    EXPECT_EQ(ranges.back().count, 255u);
+    expected_first += ranges.back().count;
+    rows.push_back(std::move(row));
+  }
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    expect_exact(table, ranges[k], rows[k]);
+  }
+}
+
+TEST(AliasTableTest, DrawFrequenciesMatchWeights) {
+  AliasTable table;
+  const std::vector<double> weights = {1.0, 0.0, 2.0, 3.0, 10.0, 0.5};
+  const AliasTable::Range r = table.add(weights);
+  util::Rng rng{17};
+  const int draws = 200'000;
+  std::vector<int> hits(weights.size(), 0);
+  for (int i = 0; i < draws; ++i) ++hits[table.sample(r, rng)];
+  // Pearson chi-square over the five drawable outcomes (4 degrees of
+  // freedom): 25 is far past its 0.9999 quantile (23.5).
+  double chi2 = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] == 0.0) {
+      EXPECT_EQ(hits[i], 0);
+      continue;
+    }
+    const double expected = draws * weights[i] / 16.5;
+    chi2 += (hits[i] - expected) * (hits[i] - expected) / expected;
+  }
+  EXPECT_LT(chi2, 25.0);
+}
+
+TEST(AliasTableTest, RejectsNegativeAndAllZeroWeights) {
+  AliasTable table;
+  EXPECT_THROW((void)table.add(std::vector<double>{1.0, -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)table.add(std::vector<double>{0.0, 0.0}),
+               std::invalid_argument);
+  // Neither rejected table left columns behind.
+  EXPECT_EQ(table.add(std::vector<double>{1.0}).first, 0u);
 }
 
 }  // namespace
