@@ -10,9 +10,8 @@ MultipathSets MultipathSets::compute(const net::Topology& topo, net::NodeId root
                                      double tolerance) {
   if (tolerance < 0.0) throw std::invalid_argument("negative multipath tolerance");
   for (const double c : costs) {
-    if (tolerance >= c) {
-      throw std::invalid_argument(
-          "multipath tolerance must be below every link cost (loop freedom)");
+    if (!(c > 0.0)) {
+      throw std::invalid_argument("multipath needs positive link costs");
     }
   }
   MultipathSets mp;
@@ -43,12 +42,12 @@ MultipathSets MultipathSets::compute(const net::Topology& topo, net::NodeId root
   for (net::NodeId dst = 0; dst < topo.node_count(); ++dst) {
     if (dst == root || own.dist[dst] == kInf) continue;
     // Numerical slack absorbs the different summation orders of the two
-    // Dijkstra runs; the caller's tolerance admits nearly-equal paths (see
-    // header for why both keep forwarding loop-free).
+    // Dijkstra runs; the caller's tolerance admits nearly-equal paths, and
+    // the downstream test keeps forwarding loop-free (see header).
     const double tol = tolerance + 1e-9 * (1.0 + own.dist[dst]);
     for (const net::LinkId lid : topo.out_links(root)) {
-      const double via = costs[lid] + neighbor_tree_of_link[lid]->dist[dst];
-      if (via <= own.dist[dst] + tol) {
+      const double rest = neighbor_tree_of_link[lid]->dist[dst];
+      if (costs[lid] + rest <= own.dist[dst] + tol && rest < own.dist[dst]) {
         mp.sets_[dst].push_back(lid);
       }
     }
@@ -57,11 +56,12 @@ MultipathSets MultipathSets::compute(const net::Topology& topo, net::NodeId root
 }
 
 std::vector<MultipathSets> compute_all_multipath(const net::Topology& topo,
-                                                 std::span<const double> costs) {
+                                                 std::span<const double> costs,
+                                                 double tolerance) {
   std::vector<MultipathSets> all;
   all.reserve(topo.node_count());
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    all.push_back(MultipathSets::compute(topo, n, costs));
+    all.push_back(MultipathSets::compute(topo, n, costs, tolerance));
   }
   return all;
 }

@@ -7,15 +7,17 @@
 // over *every* outgoing link that lies on some shortest path, i.e. every
 // link l = (r, x) with cost(l) + dist(x, dst) == dist(r, dst).
 //
-// Measured metrics never make two parallel paths *exactly* equal — reported
-// costs carry noise up to the metric's own reporting granularity (about a
-// half-hop for HN-SPF). compute() therefore accepts a tolerance: links whose
-// via-cost is within `tolerance` of the optimum join the set. Loop freedom
-// survives as long as the tolerance is smaller than every link cost: each
-// admitted next hop still strictly decreases the remaining distance
-// (dist(x,dst) <= dist(r,dst) + tolerance - cost(l) < dist(r,dst)), so any
-// walk over consistent cost maps terminates — the same consistency argument
-// that protects single-path SPF.
+// Measured metrics never make two parallel paths *exactly* equal — each
+// reported cost lags the line's true cost by up to the metric's reporting
+// granularity (a little less than a half-hop for HN-SPF), so two paths that
+// differ in one link each can differ by a full hop on the map. compute()
+// therefore accepts a tolerance: links whose via-cost is within `tolerance`
+// of the optimum join the set. Loop freedom is kept by a second, separate
+// test: a link l = (r, x) joins only if x is downstream, i.e.
+// dist(x,dst) < dist(r,dst). Every admitted next hop then strictly
+// decreases the remaining distance, so any walk over consistent cost maps
+// terminates — the same consistency argument that protects single-path SPF
+// — whatever the tolerance.
 
 #pragma once
 
@@ -31,8 +33,9 @@ class MultipathSets {
  public:
   /// Computes the sets for `root` given global link costs. Runs one SPF per
   /// distinct neighbor plus one for the root. `tolerance` (routing units)
-  /// widens membership to nearly-equal paths; it must be smaller than the
-  /// cheapest link cost (checked) to preserve loop freedom.
+  /// widens membership to nearly-equal paths; only downstream neighbors are
+  /// admitted, so any tolerance keeps forwarding loop-free. Link costs must
+  /// be positive (checked).
   [[nodiscard]] static MultipathSets compute(const net::Topology& topo,
                                              net::NodeId root,
                                              std::span<const double> costs,
@@ -54,6 +57,7 @@ class MultipathSets {
 /// Analysis-side helper: per-node multipath sets for the whole network.
 /// Returned vector is indexed by root node.
 [[nodiscard]] std::vector<MultipathSets> compute_all_multipath(
-    const net::Topology& topo, std::span<const double> costs);
+    const net::Topology& topo, std::span<const double> costs,
+    double tolerance = 0.0);
 
 }  // namespace arpanet::routing

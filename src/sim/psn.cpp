@@ -1,7 +1,6 @@
 #include "src/sim/psn.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -174,16 +173,11 @@ void Psn::forward(PacketHandle h) {
     next = dv_next_[pkt.dst];
   } else if (net_.config().multipath) {
     if (mp_dirty_) {
-      // Cap the near-equality tolerance below the cheapest current cost so
-      // every admitted next hop still strictly shortens the path.
-      double min_cost = std::numeric_limits<double>::infinity();
-      for (const double c : spf_.costs()) min_cost = std::min(min_cost, c);
-      const double tolerance =
-          std::min(net_.config().multipath_tolerance, 0.49 * min_cost);
       // ARPALINT-ALLOW(hot-path-alloc): the lazy multipath rebuild runs per
       // cost change, not per packet, and only when multipath is enabled.
-      mp_sets_ = routing::MultipathSets::compute(net_.topology(), id_,
-                                                 spf_.costs(), tolerance);
+      mp_sets_ = routing::MultipathSets::compute(
+          net_.topology(), id_, spf_.costs(),
+          net_.config().multipath_tolerance);
       // ARPALINT-ALLOW(hot-path-alloc): cursor vector retains capacity.
       mp_cursor_.assign(net_.topology().node_count(), 0);
       mp_dirty_ = false;
