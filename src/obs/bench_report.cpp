@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <ostream>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -129,11 +128,15 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-const char* bench_build_flavor() {
-#ifdef ARPANET_LTO_BUILD
-  return "lto";
+std::string_view bench_build_flavor() {
+  // Rows of kBuildFlavors. A sanitizer outranks LTO: its runtime is what
+  // decides whether the measurement window allocates.
+#if defined(ARPANET_SANITIZE_BUILD)
+  return kBuildFlavors[2].name;
+#elif defined(ARPANET_LTO_BUILD)
+  return kBuildFlavors[1].name;
 #else
-  return "plain";
+  return kBuildFlavors[0].name;
 #endif
 }
 
@@ -442,11 +445,12 @@ std::vector<std::string> BenchReport::validate() const {
     errors.push_back("report has no cells");
     return errors;
   }
+  std::string where;
+  const auto require = [&](bool ok, const std::string& what) {
+    if (!ok) errors.push_back(where + what);
+  };
   for (const BenchCell& c : cells) {
-    const std::string where = c.topology + "/" + c.metric + ": ";
-    const auto require = [&](bool ok, const std::string& what) {
-      if (!ok) errors.push_back(where + what);
-    };
+    where = c.topology + "/" + c.metric + ": ";
     require(c.counters.spf_full > 0, "spf.full is zero");
     require(c.counters.spf_incremental > 0, "spf.incremental is zero");
     require(c.counters.spf_skipped > 0, "spf.skipped is zero");
@@ -460,15 +464,12 @@ std::vector<std::string> BenchReport::validate() const {
     }
   }
   for (const MicroCell& m : micro) {
-    const std::string where = "micro " + m.name + ": ";
-    if (m.ops == 0) errors.push_back(where + "no operations executed");
-    if (m.ops_per_sec() <= 0.0) errors.push_back(where + "ops_per_sec is zero");
+    where = "micro " + m.name + ": ";
+    require(m.ops > 0, "no operations executed");
+    require(m.ops_per_sec() > 0.0, "ops_per_sec is zero");
   }
   for (const TopoCell& t : topo) {
-    const std::string where = "topo " + t.name + ": ";
-    const auto require = [&](bool ok, const std::string& what) {
-      if (!ok) errors.push_back(where + what);
-    };
+    where = "topo " + t.name + ": ";
     require(t.nodes > 0, "topology has no nodes");
     require(t.links > 0, "topology has no links");
     require(t.spf_nodes_settled >= t.spf_roots * t.nodes,
@@ -477,22 +478,29 @@ std::vector<std::string> BenchReport::validate() const {
             "perturbation stream did no work");
     require(t.spf_nodes_per_sec() > 0.0, "spf_nodes_per_sec is zero");
   }
-  if (build_flavor != "plain" && build_flavor != "lto") {
-    errors.push_back("unknown build_flavor: " + build_flavor);
-  }
+  where.clear();
+  require(find_build_flavor(build_flavor) != nullptr,
+          "unknown build_flavor: " + build_flavor);
   return errors;
 }
 
 std::string mask_wall_time_fields(const std::string& json) {
   // The writer's formatting is fixed ("key": value, one member per line),
-  // so the value extent is everything up to the next comma or newline.
-  // bytes_peak is build-dependent (sanitizer runtimes and debug containers
-  // allocate inside the window), so it masks with the timings;
-  // build_flavor varies with the compile flags (the golden file must match
-  // from both the plain and the LTO build).
-  static const std::regex kWallTime{
-      R"re(("(?:wall_sec|events_per_sec|ops_per_sec|elapsed_sec|build_sec|spf_sec|spf_nodes_per_sec|bytes_peak|build_flavor)": )[^,\n]*)re"};
-  return std::regex_replace(json, kWallTime, "$010");
+  // so the value extent is everything up to the next comma or newline. A
+  // nested field masks by its last path segment.
+  std::string out = json;
+  for (const BenchField& f : kBenchFields) {
+    if (!is_masked(f.cls)) continue;
+    const std::string_view leaf =
+        f.path.substr(f.path.rfind('.') + 1);  // npos + 1 == 0: whole path
+    const std::string key = "\"" + std::string{leaf} + "\": ";
+    for (std::size_t at = out.find(key); at != std::string::npos;
+         at = out.find(key, at)) {
+      at += key.size();
+      out.replace(at, out.find_first_of(",\n", at) - at, "0");
+    }
+  }
+  return out;
 }
 
 }  // namespace arpanet::obs

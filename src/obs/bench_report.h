@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/net/graph_spec.h"
@@ -38,17 +39,87 @@ namespace arpanet::obs {
 /// flat_oscillations, max_movement, faults_applied, reconverge_sec) from
 /// the scenario fault engine (sim/fault_plan.h). All deterministic —
 /// reconverge_sec is sim time, not wall time, so it is golden-pinned.
-/// v6: top-level "build_flavor" string ("plain" or "lto", from the
-/// ARPANET_LTO CMake option) so rolling baselines never mix optimization
-/// flavors, plus a top-level "shards" array of sharded-engine scaling cells.
+/// v6: top-level "build_flavor" string (a kBuildFlavors name, from the
+/// ARPANET_LTO and SANITIZE CMake settings) so rolling baselines never mix
+/// build flavors, plus a top-level "shards" array of sharded-engine
+/// scaling cells.
 /// v7: the "shards" array is gone with the sharded engine (one thread per
 /// network).
 inline constexpr const char* kBenchSchemaName = "arpanet-bench-metrics";
 inline constexpr int kBenchSchemaVersion = 7;
 
-/// The optimization flavor this library was compiled with. Reports record
-/// it so bench_compare can refuse to trend LTO numbers against plain ones.
-[[nodiscard]] const char* bench_build_flavor();
+/// How bench_compare and mask_wall_time_fields() treat a numeric field
+/// (docs/tools.md §bench_compare). kExact, for every field kBenchFields
+/// does not list, is work: a count diffed within CompareOptions::work_noise.
+enum class FieldClass : std::uint8_t {
+  kExact,
+  kWallTime,        ///< masked; the work diff ignores it
+  kRate,            ///< a section's throughput: masked; noise band
+  kBuildDependent,  ///< masked; exact only between two optimized flavors
+  kBandedSimTime,   ///< sim time that re-phases with floods: noise band
+  kDigest,          ///< exact whatever work_noise says
+};
+
+/// A field's path inside a cell, or its key at the document's top level.
+struct BenchField {
+  std::string_view path;
+  FieldClass cls;
+};
+
+inline constexpr std::string_view kBuildFlavorKey = "build_flavor";
+
+inline constexpr BenchField kBenchFields[] = {
+    {"elapsed_sec", FieldClass::kWallTime},
+    {"wall_sec", FieldClass::kWallTime},
+    {"build_sec", FieldClass::kWallTime},
+    {"spf_sec", FieldClass::kWallTime},
+    {"events_per_sec", FieldClass::kRate},
+    {"ops_per_sec", FieldClass::kRate},
+    {"spf_nodes_per_sec", FieldClass::kRate},
+    {"alloc_guard.bytes_peak", FieldClass::kBuildDependent},
+    {kBuildFlavorKey, FieldClass::kBuildDependent},
+    {"stability.reconverge_sec", FieldClass::kBandedSimTime},
+    {"checksum", FieldClass::kDigest},
+    {"graph_checksum", FieldClass::kDigest},
+    {"spf_checksum", FieldClass::kDigest},
+};
+
+[[nodiscard]] constexpr FieldClass bench_field_class(std::string_view path) {
+  for (const BenchField& f : kBenchFields) {
+    if (f.path == path) return f.cls;
+  }
+  return FieldClass::kExact;
+}
+
+[[nodiscard]] constexpr bool is_masked(FieldClass cls) {
+  return cls == FieldClass::kWallTime || cls == FieldClass::kRate ||
+         cls == FieldClass::kBuildDependent;
+}
+
+/// A flavor's name in reports. An optimized flavor's measurement window
+/// allocates nothing, so bytes_peak is exact work between two of them; a
+/// sanitizer runtime allocates there.
+struct BuildFlavor {
+  std::string_view name;
+  bool optimized;
+};
+
+/// Plain, ARPANET_LTO and SANITIZE builds (bench_build_flavor() picks one).
+inline constexpr BuildFlavor kBuildFlavors[] = {
+    {"plain", true}, {"lto", true}, {"sanitizer", false}};
+
+/// The flavor named `name`, or nullptr (an unknown name, or a masked 0).
+[[nodiscard]] constexpr const BuildFlavor* find_build_flavor(
+    std::string_view name) {
+  for (const BuildFlavor& f : kBuildFlavors) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
+/// The flavor this library was compiled with. Reports record it so
+/// bench_compare can refuse to trend LTO numbers against plain ones.
+[[nodiscard]] std::string_view bench_build_flavor();
 
 /// One benchmark scenario: a topology driven at a fixed offered load. Each
 /// scenario runs once per metric in the battery's metric axis.
@@ -190,11 +261,9 @@ struct BenchReport {
 /// the sweep thread count.
 [[nodiscard]] TopoCell run_topo_cell(const net::GraphSpec& spec);
 
-/// Replaces the values of wall-time-derived fields (wall_sec,
-/// events_per_sec, ops_per_sec, elapsed_sec, build_sec, spf_sec,
-/// spf_nodes_per_sec) with 0 so two reports of the same battery
-/// can be compared byte-for-byte. build_flavor masks too: the golden file
-/// must match from both the plain and the LTO build.
+/// Replaces the value of every masked field of kBenchFields (is_masked:
+/// wall time, rates, bytes_peak and build_flavor) with 0, so two reports of
+/// the same battery compare byte-for-byte from any build.
 [[nodiscard]] std::string mask_wall_time_fields(const std::string& json);
 
 }  // namespace arpanet::obs

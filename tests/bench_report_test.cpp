@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -37,20 +38,30 @@ TEST(BenchBatteryTest, KnownBatteriesExpandAndUnknownThrows) {
 }
 
 TEST(MaskWallTimeTest, BlanksExactlyTheWallTimeFields) {
-  const std::string doc =
-      "{\n"
-      "  \"elapsed_sec\": 1.25,\n"
-      "  \"wall_sec\": 0.5,\n"
-      "  \"events_per_sec\": 123456.7,\n"
-      "  \"events\": 42\n"
-      "}";
-  EXPECT_EQ(mask_wall_time_fields(doc),
-            "{\n"
-            "  \"elapsed_sec\": 0,\n"
-            "  \"wall_sec\": 0,\n"
-            "  \"events_per_sec\": 0,\n"
-            "  \"events\": 42\n"
-            "}");
+  // Every kBenchFields entry, in the writer's layout: a masked one blanks
+  // (followed by a comma or by a newline), any other stays as it is.
+  std::set<std::string> masked;
+  for (const BenchField& f : kBenchFields) {
+    const std::string leaf{f.path.substr(f.path.rfind('.') + 1)};
+    const std::string doc = "{\n  \"" + leaf +
+                            "\": 1.25,\n  \"events\": 42,\n  \"" + leaf +
+                            "\": \"x\"\n}";
+    if (!is_masked(f.cls)) {
+      EXPECT_EQ(mask_wall_time_fields(doc), doc) << f.path;
+      continue;
+    }
+    masked.insert(leaf);
+    EXPECT_EQ(mask_wall_time_fields(doc),
+              "{\n  \"" + leaf + "\": 0,\n  \"events\": 42,\n  \"" + leaf +
+                  "\": 0\n}")
+        << f.path;
+  }
+  // The golden file's contract: exactly these fields depend on the host or
+  // the build.
+  EXPECT_EQ(masked, (std::set<std::string>{
+                        "elapsed_sec", "wall_sec", "build_sec", "spf_sec",
+                        "events_per_sec", "ops_per_sec", "spf_nodes_per_sec",
+                        "bytes_peak", "build_flavor"}));
 }
 
 TEST(BenchReportTest, SmokeBatteryValidatesAndMatchesGolden) {
@@ -104,6 +115,25 @@ TEST(BenchReportTest, ValidateFlagsDeadCells) {
   report.cells.push_back(cell);  // all counters zero
   const auto errors = report.validate();
   EXPECT_GE(errors.size(), 4u);
+}
+
+TEST(BenchReportTest, ValidateAcceptsExactlyTheTableFlavors) {
+  const auto flags_flavor = [](const std::string& flavor) {
+    BenchReport report;
+    report.cells.emplace_back();
+    report.build_flavor = flavor;
+    for (const std::string& e : report.validate()) {
+      if (e.find("unknown build_flavor") != std::string::npos) return true;
+    }
+    return false;
+  };
+  for (const BuildFlavor& f : kBuildFlavors) {
+    EXPECT_FALSE(flags_flavor(std::string{f.name})) << f.name;
+  }
+  EXPECT_FALSE(flags_flavor(std::string{bench_build_flavor()}));
+  EXPECT_TRUE(flags_flavor("debug"));
+  EXPECT_TRUE(flags_flavor(""));
+  EXPECT_FALSE(find_build_flavor("sanitizer")->optimized);
 }
 
 }  // namespace

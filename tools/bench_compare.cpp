@@ -20,6 +20,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -60,14 +61,11 @@ int main(int argc, char** argv) {
 
   obs::CompareReport report;
   try {
-    if (rates_path.empty()) {
-      report = obs::compare_bench_reports(read_file(baseline_path),
-                                          read_file(current_path), options);
-    } else {
-      report = obs::compare_bench_reports(read_file(baseline_path),
-                                          read_file(current_path),
-                                          read_file(rates_path), options);
-    }
+    std::optional<std::string> rates;
+    if (!rates_path.empty()) rates = read_file(rates_path);
+    report = obs::compare_bench_reports(read_file(baseline_path),
+                                        read_file(current_path), options,
+                                        rates);
   } catch (const std::exception& e) {
     std::cerr << "bench_compare: " << e.what() << "\n";
     return 2;
