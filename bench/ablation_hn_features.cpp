@@ -14,7 +14,7 @@
 
 #include "src/analysis/response_map.h"
 #include "src/core/line_params.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 using namespace arpanet;
 
@@ -77,10 +77,10 @@ Outcome iterate(const analysis::NetworkResponseMap& map, const Variant& v,
 }  // namespace
 
 int main() {
-  const auto net = net::builders::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
   const auto matrix = traffic::TrafficMatrix::peak_hour(
-      net.topo.node_count(), 400e3, util::Rng{1987});
-  const auto map = analysis::NetworkResponseMap::build(net.topo, matrix);
+      topo.node_count(), 400e3, util::Rng{1987});
+  const auto map = analysis::NetworkResponseMap::build(topo, matrix);
 
   const Variant variants[] = {
       {"full HNM", true, true, true, 90.0},

@@ -10,12 +10,12 @@
 
 #include <cstdio>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 int main() {
   using namespace arpanet;
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
 
   std::printf("# Significance-threshold ablation, HN-SPF, 420 kb/s peak-hour\n");
   std::printf("# threshold  upd/trunk/s  upd-period(s)  RTT(ms)  drops/s\n");
@@ -23,9 +23,9 @@ int main() {
     sim::NetworkConfig cfg;
     cfg.metric = metrics::MetricKind::kHnSpf;
     cfg.significance_threshold_override = threshold;
-    sim::Network net{net87.topo, cfg};
+    sim::Network net{net87, cfg};
     net.add_traffic(traffic::TrafficMatrix::peak_hour(
-        net87.topo.node_count(), 420e3, util::Rng{0x51}));
+        net87.node_count(), 420e3, util::Rng{0x51}));
     net.run_for(util::SimTime::from_sec(120));
     net.reset_stats();
     net.run_for(util::SimTime::from_sec(300));

@@ -11,11 +11,11 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 int main() {
   using namespace arpanet;
-  const exp::Experiment e{net::builders::milnet_like(), "milnet"};
+  const exp::Experiment e{net::build_topology("milnet"), "milnet"};
   std::printf("# MILNET-like network: %zu nodes, %zu trunks\n",
               e.topology().node_count(), e.topology().trunk_count());
 

@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "src/exp/experiment.h"
-#include "src/net/builders/builders.h"
 
 namespace {
 
@@ -49,15 +48,15 @@ void run(const Row& row, const exp::Experiment& e,
 }  // namespace
 
 int main() {
-  const auto two = net::builders::two_region(6);
-  const exp::Experiment e{two.topo, "two-region"};
+  const exp::Experiment e = exp::Experiment::two_region(6);
 
   // All region1<->region2 pairs share 95 kb/s across the two 56 kb/s trunks.
-  traffic::TrafficMatrix m{two.topo.node_count()};
-  const double per_pair =
-      95e3 / static_cast<double>(2 * two.region1.size() * two.region2.size());
-  for (const net::NodeId a : two.region1) {
-    for (const net::NodeId b : two.region2) {
+  // Region 1 is A0..A5 (ids 0..5), region 2 is B0..B5 (ids 6..11).
+  const net::NodeId k = 6;
+  traffic::TrafficMatrix m{2 * k};
+  const double per_pair = 95e3 / static_cast<double>(2 * k * k);
+  for (net::NodeId a = 0; a < k; ++a) {
+    for (net::NodeId b = k; b < 2 * k; ++b) {
       m.set(a, b, per_pair);
       m.set(b, a, per_pair);
     }

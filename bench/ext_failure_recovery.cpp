@@ -9,30 +9,24 @@
 #include <cstdio>
 
 #include "src/analysis/convergence.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace {
 
 using namespace arpanet;
 
 void run(metrics::MetricKind kind) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   sim::NetworkConfig cfg;
   cfg.metric = kind;
-  sim::Network net{net87.topo, cfg};
-  net.add_traffic(traffic::TrafficMatrix::peak_hour(net87.topo.node_count(),
+  sim::Network net{net87, cfg};
+  net.add_traffic(traffic::TrafficMatrix::peak_hour(net87.node_count(),
                                                     380e3, util::Rng{0xdead}));
   net.run_for(util::SimTime::from_sec(150));  // settle
 
   // Fail DENVER-ILLINOIS: a northern cross-country trunk carrying transit.
-  net::LinkId trunk = net::kInvalidLink;
-  const net::NodeId denver = net87.topo.node_by_name("DENVER");
-  for (const net::LinkId lid : net87.topo.out_links(denver)) {
-    if (net87.topo.link(lid).to == net87.topo.node_by_name("ILLINOIS")) {
-      trunk = lid;
-      break;
-    }
-  }
+  const net::LinkId trunk = net87.link_between(
+      net87.node_by_name("DENVER"), net87.node_by_name("ILLINOIS"));
 
   const auto fail = analysis::measure_convergence(
       net, [&] { net.set_trunk_up(trunk, false); });

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace {
@@ -31,12 +31,12 @@ traffic::TrafficMatrix elephant_matrix(const net::Topology& topo, double total,
 }
 
 void run(double elephant_share, bool multipath) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   sim::NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;
   cfg.multipath = multipath;
-  sim::Network net{net87.topo, cfg};
-  net.add_traffic(elephant_matrix(net87.topo, 420e3, elephant_share));
+  sim::Network net{net87, cfg};
+  net.add_traffic(elephant_matrix(net87, 420e3, elephant_share));
   net.run_for(util::SimTime::from_sec(120));
   net.reset_stats();
   net.run_for(util::SimTime::from_sec(240));

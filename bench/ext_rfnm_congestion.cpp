@@ -9,20 +9,21 @@
 
 #include <cstdio>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/host_flow.h"
 
 namespace {
 
 using namespace arpanet;
 
-traffic::TrafficMatrix corridor(const net::builders::TwoRegionNet& two,
-                                double bps) {
-  traffic::TrafficMatrix m{two.topo.node_count()};
-  const double per_pair =
-      bps / static_cast<double>(2 * two.region1.size() * two.region2.size());
-  for (const net::NodeId a : two.region1) {
-    for (const net::NodeId b : two.region2) {
+/// Every region1<->region2 pair of a two-region net: region 1 is
+/// A0..A{k-1} (ids 0..k-1), region 2 is B0..B{k-1} (ids k..2k-1).
+traffic::TrafficMatrix corridor(const net::Topology& two, double bps) {
+  const auto k = static_cast<net::NodeId>(two.node_count() / 2);
+  traffic::TrafficMatrix m{two.node_count()};
+  const double per_pair = bps / static_cast<double>(2 * k * k);
+  for (net::NodeId a = 0; a < k; ++a) {
+    for (net::NodeId b = k; b < 2 * k; ++b) {
       m.set(a, b, per_pair);
       m.set(b, a, per_pair);
     }
@@ -31,12 +32,12 @@ traffic::TrafficMatrix corridor(const net::builders::TwoRegionNet& two,
 }
 
 void run(double offered_bps) {
-  const auto two = net::builders::two_region(6);
+  const net::Topology two = net::build_topology("two-region:per_region=6");
 
   // Open loop.
   sim::NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;
-  sim::Network open_net{two.topo, cfg};
+  sim::Network open_net{two, cfg};
   open_net.add_traffic(corridor(two, offered_bps));
   open_net.run_for(util::SimTime::from_sec(300));
   const auto open_ind = open_net.indicators("open");
@@ -47,7 +48,7 @@ void run(double offered_bps) {
   long drops[2];
   const int windows[2] = {1, 8};
   for (int i = 0; i < 2; ++i) {
-    sim::Network closed_net{two.topo, cfg};
+    sim::Network closed_net{two, cfg};
     sim::HostFlowConfig hcfg;
     hcfg.window = windows[i];
     sim::HostFlowLayer host{closed_net, hcfg};

@@ -9,8 +9,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace {
@@ -27,20 +28,25 @@ struct RunResult {
   double delay_ms = 0.0;
 };
 
-RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
+RunResult run(metrics::MetricKind kind, const net::Topology& two,
               double inter_region_bps, int buckets) {
   sim::NetworkConfig cfg;
   cfg.metric = kind;
   cfg.track_reported_costs = true;
-  sim::Network net{two.topo, cfg};
+  sim::Network net{two, cfg};
 
   // Inter-region pairs only: the intra-region mesh is irrelevant here.
-  traffic::TrafficMatrix m{two.topo.node_count()};
-  const double per_pair =
-      inter_region_bps /
-      static_cast<double>(2 * two.region1.size() * two.region2.size());
-  for (const net::NodeId a : two.region1) {
-    for (const net::NodeId b : two.region2) {
+  // Region 1 is A0..A{k-1} (ids 0..k-1), region 2 is B0..B{k-1}.
+  const auto k = static_cast<net::NodeId>(two.node_count() / 2);
+  const net::LinkId link_a =
+      two.link_between(two.node_by_name("A0"), two.node_by_name("B0"));
+  const std::string half = std::to_string(k / 2);
+  const net::LinkId link_b = two.link_between(two.node_by_name("A" + half),
+                                              two.node_by_name("B" + half));
+  traffic::TrafficMatrix m{two.node_count()};
+  const double per_pair = inter_region_bps / static_cast<double>(2 * k * k);
+  for (net::NodeId a = 0; a < k; ++a) {
+    for (net::NodeId b = k; b < 2 * k; ++b) {
       m.set(a, b, per_pair);
       m.set(b, a, per_pair);
     }
@@ -56,8 +62,8 @@ RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
   const std::size_t first =
       static_cast<std::size_t>(warmup.us() / cfg.stats_bucket.us());
   for (int i = 0; i < buckets; ++i) {
-    const double ua = net.link_utilization(two.link_a, first + i);
-    const double ub = net.link_utilization(two.link_b, first + i);
+    const double ua = net.link_utilization(link_a, first + i);
+    const double ub = net.link_utilization(link_b, first + i);
     r.util_a.push_back(ua);
     r.util_b.push_back(ub);
     r.mean_imbalance += std::abs(ua - ub) / buckets;
@@ -69,7 +75,7 @@ RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
   const auto ind = net.indicators("x");
   r.drops_per_sec = ind.packets_dropped_per_sec;
   r.delay_ms = ind.round_trip_delay_ms;
-  for (const auto& [when, cost] : net.reported_cost_trace(two.link_a)) {
+  for (const auto& [when, cost] : net.reported_cost_trace(link_a)) {
     if (when >= warmup) r.cost_a.push_back(cost);
   }
   return r;
@@ -78,7 +84,7 @@ RunResult run(metrics::MetricKind kind, const net::builders::TwoRegionNet& two,
 }  // namespace
 
 int main() {
-  const auto two = net::builders::two_region(6);
+  const net::Topology two = net::build_topology("two-region:per_region=6");
   const double offered = 95e3;  // ~1.7x one 56 kb/s trunk: one trunk alone cannot carry it
   const int buckets = 30;
 

@@ -12,15 +12,15 @@
 #include <cstdio>
 
 #include "src/analysis/shed_cost.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 int main() {
   using namespace arpanet;
-  const auto net = net::builders::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
   const auto matrix = traffic::TrafficMatrix::peak_hour(
-      net.topo.node_count(), 400e3, util::Rng{1987});
+      topo.node_count(), 400e3, util::Rng{1987});
 
-  const analysis::ShedCostResult r = analysis::shed_cost_study(net.topo, matrix);
+  const analysis::ShedCostResult r = analysis::shed_cost_study(topo, matrix);
 
   std::printf("# Figure 7: reported cost (hops) needed to shed routes, by route length\n");
   std::printf("# len   routes     mean   stddev      min      max\n");

@@ -10,15 +10,15 @@
 #include <cstdio>
 
 #include "src/analysis/equilibrium.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 int main() {
   using namespace arpanet;
   using metrics::MetricKind;
-  const auto net = net::builders::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
   const auto matrix = traffic::TrafficMatrix::peak_hour(
-      net.topo.node_count(), 400e3, util::Rng{1987});
-  const auto map = analysis::NetworkResponseMap::build(net.topo, matrix);
+      topo.node_count(), 400e3, util::Rng{1987});
+  const auto map = analysis::NetworkResponseMap::build(topo, matrix);
   const auto params = core::LineParamsTable::arpanet_defaults();
   const auto zero = util::SimTime::zero();
 

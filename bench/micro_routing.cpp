@@ -13,7 +13,6 @@
 
 #include "src/analysis/response_map.h"
 #include "src/core/hn_metric.h"
-#include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 #include "src/sim/event_queue.h"
@@ -24,28 +23,28 @@ namespace {
 
 using namespace arpanet;
 
-const net::builders::Arpanet87& fixture() {
-  static const net::builders::Arpanet87 net = net::builders::arpanet87();
-  return net;
+const net::Topology& fixture() {
+  static const net::Topology topo = net::build_topology("arpanet87");
+  return topo;
 }
 
 void BM_FullSpf(benchmark::State& state) {
-  const auto& net = fixture();
-  routing::LinkCosts costs(net.topo.link_count(), 30.0);
+  const net::Topology& topo = fixture();
+  routing::LinkCosts costs(topo.link_count(), 30.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::Spf::compute(net.topo, 0, costs));
+    benchmark::DoNotOptimize(routing::Spf::compute(topo, 0, costs));
   }
 }
 BENCHMARK(BM_FullSpf);
 
 void BM_IncrementalSpfSkippedUpdate(benchmark::State& state) {
-  const auto& net = fixture();
-  routing::IncrementalSpf inc{net.topo, 0,
-                              routing::LinkCosts(net.topo.link_count(), 30.0)};
+  const net::Topology& topo = fixture();
+  routing::IncrementalSpf inc{topo, 0,
+                              routing::LinkCosts(topo.link_count(), 30.0)};
   // Find a non-tree link; raising its cost is the paper's no-work case.
   net::LinkId non_tree = net::kInvalidLink;
-  for (const net::Link& l : net.topo.links()) {
-    if (!inc.tree().uses_link(net.topo, l.id)) {
+  for (const net::Link& l : topo.links()) {
+    if (!inc.tree().uses_link(topo, l.id)) {
       non_tree = l.id;
       break;
     }
@@ -65,7 +64,7 @@ BENCHMARK(BM_IncrementalSpfSkippedUpdate);
 void BM_IncrementalSpfCostChange(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const net::Topology topo =
-      nodes == 0 ? fixture().topo
+      nodes == 0 ? fixture()
                  : net::TopologyBuilder::registry().build(
                        net::GraphSpec{"leo-grid"}.with_nodes(nodes));
   state.SetLabel(nodes == 0 ? "arpanet87" : "leo-grid");
@@ -155,12 +154,12 @@ void BM_HnmTransform(benchmark::State& state) {
 BENCHMARK(BM_HnmTransform);
 
 void BM_LinkTrafficAtCost(benchmark::State& state) {
-  const auto& net = fixture();
+  const net::Topology& topo = fixture();
   const auto matrix =
-      traffic::TrafficMatrix::uniform(net.topo.node_count(), 1e6);
+      traffic::TrafficMatrix::uniform(topo.node_count(), 1e6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::NetworkResponseMap::link_traffic_at_cost(
-        net.topo, matrix, 0, 2.5));
+        topo, matrix, 0, 2.5));
   }
 }
 BENCHMARK(BM_LinkTrafficAtCost);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/exp/experiment.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/stats/histogram.h"
 
@@ -21,11 +21,11 @@ namespace {
 using namespace arpanet;
 
 void utilization_histogram(metrics::MetricKind kind, double offered) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   sim::NetworkConfig cfg;
   cfg.metric = kind;
-  sim::Network net{net87.topo, cfg};
-  net.add_traffic(traffic::TrafficMatrix::peak_hour(net87.topo.node_count(),
+  sim::Network net{net87, cfg};
+  net.add_traffic(traffic::TrafficMatrix::peak_hour(net87.node_count(),
                                                     offered, util::Rng{0xfeed}));
   net.run_for(util::SimTime::from_sec(300));
 
@@ -33,7 +33,7 @@ void utilization_histogram(metrics::MetricKind kind, double offered) {
   stats::Histogram hist{0.0, 1.0, 10};
   const std::size_t bucket =
       static_cast<std::size_t>(net.now().us() / cfg.stats_bucket.us()) - 2;
-  for (const net::Link& l : net87.topo.links()) {
+  for (const net::Link& l : net87.links()) {
     hist.add(net.link_utilization(l.id, bucket));
   }
   std::printf("  %-7s |", to_string(kind));

@@ -8,29 +8,31 @@
 #include <cstdio>
 #include <string>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/net/dot_export.h"
 #include "src/sim/network.h"
 
 int main() {
   using namespace arpanet;
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
+  const net::NodeId mit = net87.node_by_name("MIT");
+  const net::NodeId ucla = net87.node_by_name("UCLA");
   sim::NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;
-  sim::Network net{net87.topo, cfg};
+  sim::Network net{net87, cfg};
 
   sim::PacketTracer tracer{1 << 20};
   net.attach_tracer(&tracer);
 
-  traffic::TrafficMatrix m{net87.topo.node_count()};
-  m.set(net87.mit, net87.ucla, 8e3);  // coast to coast
+  traffic::TrafficMatrix m{net87.node_count()};
+  m.set(mit, ucla, 8e3);  // coast to coast
   net.add_traffic(m);
   net.run_for(util::SimTime::from_sec(60));
 
   // Pick the last delivered packet and print its life.
   std::uint64_t packet = 0;
   for (const sim::TraceEvent& e : tracer.events()) {
-    if (e.kind == sim::TraceEventKind::kDelivered && e.node == net87.ucla) {
+    if (e.kind == sim::TraceEventKind::kDelivered && e.node == ucla) {
       packet = e.packet_id;
     }
   }
@@ -39,19 +41,19 @@ int main() {
   for (const sim::TraceEvent& e : tracer.events_for(packet)) {
     std::printf("  %10.3f ms  %-20s at %-12s", e.at.ms(),
                 to_string(e.kind),
-                std::string(net87.topo.node_name(e.node)).c_str());
+                std::string(net87.node_name(e.node)).c_str());
     if (e.link != net::kInvalidLink) {
-      const net::Link& l = net87.topo.link(e.link);
+      const net::Link& l = net87.link(e.link);
       std::printf(" link %s->%s",
-                  std::string(net87.topo.node_name(l.from)).c_str(),
-                  std::string(net87.topo.node_name(l.to)).c_str());
+                  std::string(net87.node_name(l.from)).c_str(),
+                  std::string(net87.node_name(l.to)).c_str());
     }
     std::printf("\n");
   }
 
   // Emit a cost-annotated Graphviz map of the network as MIT sees it.
-  const auto& mit_costs = net.psn(net87.mit).spf().costs();
-  const std::string dot = net::to_dot(net87.topo, [&](const net::Link& l) {
+  const auto& mit_costs = net.psn(mit).spf().costs();
+  const std::string dot = net::to_dot(net87, [&](const net::Link& l) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "%.0f", mit_costs[l.id]);
     return std::string(buf);

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace {
@@ -26,16 +26,22 @@ std::string bar(double utilization) {
 }
 
 void demo(metrics::MetricKind kind) {
-  const auto two = net::builders::two_region(6);
+  // Regions A0..A5 (ids 0..5) and B0..B5 (ids 6..11); trunk A is A0-B0,
+  // trunk B is A3-B3.
+  const net::Topology two = net::build_topology("two-region:per_region=6");
+  const net::LinkId link_a =
+      two.link_between(two.node_by_name("A0"), two.node_by_name("B0"));
+  const net::LinkId link_b =
+      two.link_between(two.node_by_name("A3"), two.node_by_name("B3"));
   sim::NetworkConfig cfg;
   cfg.metric = kind;
-  sim::Network net{two.topo, cfg};
+  sim::Network net{two, cfg};
 
-  traffic::TrafficMatrix m{two.topo.node_count()};
-  const double per_pair =
-      95e3 / static_cast<double>(2 * two.region1.size() * two.region2.size());
-  for (const net::NodeId a : two.region1) {
-    for (const net::NodeId b : two.region2) {
+  const net::NodeId k = 6;
+  traffic::TrafficMatrix m{2 * k};
+  const double per_pair = 95e3 / static_cast<double>(2 * k * k);
+  for (net::NodeId a = 0; a < k; ++a) {
+    for (net::NodeId b = k; b < 2 * k; ++b) {
       m.set(a, b, per_pair);
       m.set(b, a, per_pair);
     }
@@ -49,8 +55,8 @@ void demo(metrics::MetricKind kind) {
   const std::size_t first = 20;  // 200 s / 10 s buckets
   for (int i = 0; i < 20; ++i) {
     net.run_for(cfg.stats_bucket);
-    const double ua = net.link_utilization(two.link_a, first + i);
-    const double ub = net.link_utilization(two.link_b, first + i);
+    const double ua = net.link_utilization(link_a, first + i);
+    const double ub = net.link_utilization(link_b, first + i);
     std::printf("%5d  %s  %s\n", (i + 1) * 10, bar(ua).c_str(), bar(ub).c_str());
   }
   const auto ind = net.indicators(to_string(kind));

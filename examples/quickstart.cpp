@@ -14,24 +14,28 @@
 
 #include <cstdio>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 int main() {
   using namespace arpanet;
 
-  // A two-region network: the paper's figure-1 shape. Two 56 kb/s trunks
-  // (A and B) carry all inter-region traffic.
-  net::builders::TwoRegionNet two = net::builders::two_region(6);
+  // A two-region network: the paper's figure-1 shape. Two 56 kb/s trunks,
+  // A (A0-B0) and B (A3-B3), carry all inter-region traffic.
+  const net::Topology two = net::build_topology("two-region:per_region=6");
+  const net::LinkId link_a =
+      two.link_between(two.node_by_name("A0"), two.node_by_name("B0"));
+  const net::LinkId link_b =
+      two.link_between(two.node_by_name("A3"), two.node_by_name("B3"));
 
   sim::NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;  // the revised metric
-  sim::Network network{two.topo, cfg};
+  sim::Network network{two, cfg};
 
   // Offer 60 kb/s of uniform traffic — more than one trunk's capacity, so
   // the A/B split matters.
   network.add_traffic(
-      traffic::TrafficMatrix::uniform(two.topo.node_count(), 60e3));
+      traffic::TrafficMatrix::uniform(two.node_count(), 60e3));
 
   network.run_for(util::SimTime::from_sec(120));  // warm up
   network.reset_stats();
@@ -50,9 +54,9 @@ int main() {
 
   // Look at how the two inter-region trunks shared the load.
   const double ua = network.link_utilization(
-      two.link_a, network.now().us() / cfg.stats_bucket.us() - 2);
+      link_a, network.now().us() / cfg.stats_bucket.us() - 2);
   const double ub = network.link_utilization(
-      two.link_b, network.now().us() / cfg.stats_bucket.us() - 2);
+      link_b, network.now().us() / cfg.stats_bucket.us() - 2);
   std::printf("  trunk A utilization %8.1f %%\n", 100.0 * ua);
   std::printf("  trunk B utilization %8.1f %%\n", 100.0 * ub);
   return 0;

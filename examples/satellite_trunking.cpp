@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "src/net/builders/builders.h"
 #include "src/sim/network.h"
 
 namespace {

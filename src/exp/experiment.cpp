@@ -1,8 +1,9 @@
 #include "src/exp/experiment.h"
 
+#include <string>
 #include <utility>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::exp {
 
@@ -10,11 +11,13 @@ Experiment::Experiment(net::Topology topo, std::string name)
     : topo_{std::move(name), std::move(topo)} {}
 
 Experiment Experiment::arpanet87() {
-  return Experiment{net::builders::arpanet87().topo, "arpanet87"};
+  return Experiment{net::build_topology("arpanet87"), "arpanet87"};
 }
 
 Experiment Experiment::two_region(int per_region) {
-  return Experiment{net::builders::two_region(per_region).topo, "two-region"};
+  return Experiment{net::build_topology("two-region:per_region=" +
+                                        std::to_string(per_region)),
+                    "two-region"};
 }
 
 Experiment Experiment::from_spec(const net::GraphSpec& spec) {

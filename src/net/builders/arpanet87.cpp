@@ -10,14 +10,16 @@
 //
 // Construction: a 47-node "geographic" ring (guaranteeing 2-edge-
 // connectivity, so no trunk is a bridge) plus 28 chords that shorten
-// cross-country paths and thicken the core.
-
-#include "src/net/builders/builders.h"
+// cross-country paths and thicken the core. Experiments address the two
+// coasts by name: MIT (east) and UCLA (west).
 
 #include <array>
 #include <string>
+#include <utility>
 
-namespace arpanet::net::builders {
+#include "src/net/builders/registry.h"
+
+namespace arpanet::net::builders::families {
 
 namespace {
 
@@ -103,25 +105,21 @@ LineType ring_edge_type(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-Arpanet87 arpanet87() {
-  Arpanet87 net;
-  for (const char* site : kSites) net.topo.add_node(site);
+Topology arpanet87(const GraphSpec& /*spec*/) {
+  Topology topo;
+  for (const char* site : kSites) topo.add_node(site);
 
   // The geographic ring: 47 trunks.
   for (std::size_t i = 0; i < kSites.size(); ++i) {
     const std::size_t j = (i + 1) % kSites.size();
-    net.topo.add_duplex(static_cast<NodeId>(i), static_cast<NodeId>(j),
-                        ring_edge_type(kSites[i], kSites[j]));
+    topo.add_duplex(static_cast<NodeId>(i), static_cast<NodeId>(j),
+                    ring_edge_type(kSites[i], kSites[j]));
   }
   // The 28 chords.
   for (const Chord& c : kChords) {
-    net.topo.add_duplex(net.topo.node_by_name(c.a), net.topo.node_by_name(c.b),
-                        c.type);
+    topo.add_duplex(topo.node_by_name(c.a), topo.node_by_name(c.b), c.type);
   }
-
-  net.mit = net.topo.node_by_name("MIT");
-  net.ucla = net.topo.node_by_name("UCLA");
-  return net;
+  return topo;
 }
 
-}  // namespace arpanet::net::builders
+}  // namespace arpanet::net::builders::families

@@ -1,14 +1,18 @@
 // Synthetic topology generators: rings, grids, random connected graphs,
 // clustered networks, and the MILNET-like deployment target.
 
-#include "src/net/builders/builders.h"
-
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
-namespace arpanet::net::builders {
+#include "src/net/builders/registry.h"
+#include "src/util/rng.h"
+
+namespace arpanet::net::builders::families {
 
 namespace {
 
@@ -31,21 +35,35 @@ std::string pair_name(const char* p1, int a, const char* p2, int b) {
 
 }  // namespace
 
-Topology ring(int n, LineType type) {
+Topology ring(const GraphSpec& spec) {
+  const auto n = static_cast<int>(spec.nodes());
   if (n < 3) throw std::invalid_argument("ring: need at least 3 nodes");
   Topology topo;
   for (int i = 0; i < n; ++i) topo.add_node(num_name("r", i));
   for (int i = 0; i < n; ++i) {
     topo.add_duplex(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n),
-                    type);
+                    LineType::kTerrestrial56);
   }
   return topo;
 }
 
-Topology grid(int width, int height, LineType type) {
-  if (width < 2 || height < 2) {
-    throw std::invalid_argument("grid: need at least 2x2");
+Topology grid(const GraphSpec& spec) {
+  auto w = static_cast<std::size_t>(spec.param("width", 0));
+  auto h = static_cast<std::size_t>(spec.param("height", 0));
+  const std::size_t n = spec.nodes();
+  if (w == 0 && h == 0) {
+    w = std::max<std::size_t>(
+        2, static_cast<std::size_t>(std::llround(std::sqrt(
+               static_cast<double>(n)))));
+    h = std::max<std::size_t>(2, (n + w - 1) / w);
+  } else if (w == 0) {
+    w = std::max<std::size_t>(2, (n + h - 1) / h);
+  } else if (h == 0) {
+    h = std::max<std::size_t>(2, (n + w - 1) / w);
   }
+  if (w < 2 || h < 2) throw std::invalid_argument("grid: need at least 2x2");
+  const auto width = static_cast<int>(w);
+  const auto height = static_cast<int>(h);
   Topology topo;
   for (int r = 0; r < height; ++r) {
     for (int c = 0; c < width; ++c) {
@@ -57,16 +75,24 @@ Topology grid(int width, int height, LineType type) {
   };
   for (int r = 0; r < height; ++r) {
     for (int c = 0; c < width; ++c) {
-      if (c + 1 < width) topo.add_duplex(at(r, c), at(r, c + 1), type);
-      if (r + 1 < height) topo.add_duplex(at(r, c), at(r + 1, c), type);
+      if (c + 1 < width) {
+        topo.add_duplex(at(r, c), at(r, c + 1), LineType::kTerrestrial56);
+      }
+      if (r + 1 < height) {
+        topo.add_duplex(at(r, c), at(r + 1, c), LineType::kTerrestrial56);
+      }
     }
   }
   return topo;
 }
 
-Topology random_connected(int nodes, int extra_trunks, util::Rng& rng,
-                          LineType type) {
-  if (nodes < 2) throw std::invalid_argument("random_connected: need >= 2 nodes");
+Topology random_connected(const GraphSpec& spec) {
+  const auto nodes = static_cast<int>(spec.nodes());
+  const int extra_trunks = spec.has_param("extra")
+                               ? static_cast<int>(spec.param("extra", 0))
+                               : nodes / 4;
+  if (nodes < 2) throw std::invalid_argument("random: need >= 2 nodes");
+  util::Rng rng{spec.seed()};
   Topology topo;
   for (int i = 0; i < nodes; ++i) topo.add_node(num_name("x", i));
 
@@ -74,7 +100,7 @@ Topology random_connected(int nodes, int extra_trunks, util::Rng& rng,
   const auto add = [&](NodeId a, NodeId b) {
     const auto key = a < b ? std::make_pair(a, b) : std::make_pair(b, a);
     if (a == b || !trunks.insert(key).second) return false;
-    topo.add_duplex(a, b, type);
+    topo.add_duplex(a, b, LineType::kTerrestrial56);
     return true;
   };
 
@@ -96,54 +122,62 @@ Topology random_connected(int nodes, int extra_trunks, util::Rng& rng,
   return topo;
 }
 
-Topology clustered(const ClusterSpec& spec, util::Rng& rng) {
-  if (spec.clusters < 3) {
+Topology clustered(const GraphSpec& spec) {
+  const auto clusters = static_cast<int>(spec.param("clusters", 4));
+  const int per_cluster =
+      spec.has_param("per_cluster")
+          ? static_cast<int>(spec.param("per_cluster", 0))
+          : static_cast<int>(std::max<std::size_t>(
+                3, spec.nodes() / static_cast<std::size_t>(clusters)));
+  const auto intra_extra = static_cast<int>(spec.param("intra_extra", 2));
+  const auto inter_trunks = static_cast<int>(spec.param("inter_trunks", 2));
+  if (clusters < 3) {
     throw std::invalid_argument("clustered: need >= 3 clusters");
   }
-  if (spec.nodes_per_cluster < 3) {
+  if (per_cluster < 3) {
     throw std::invalid_argument("clustered: need >= 3 nodes per cluster");
   }
-  if (spec.inter_trunks < 1 || spec.intra_extra < 0) {
+  if (inter_trunks < 1 || intra_extra < 0) {
     throw std::invalid_argument("clustered: bad trunk counts");
   }
+  util::Rng rng{spec.seed()};
   Topology topo;
-  std::vector<std::vector<NodeId>> members(
-      static_cast<std::size_t>(spec.clusters));
-  for (int c = 0; c < spec.clusters; ++c) {
+  std::vector<std::vector<NodeId>> members(static_cast<std::size_t>(clusters));
+  for (int c = 0; c < clusters; ++c) {
     auto& m = members[static_cast<std::size_t>(c)];
-    for (int i = 0; i < spec.nodes_per_cluster; ++i) {
+    for (int i = 0; i < per_cluster; ++i) {
       m.push_back(topo.add_node(pair_name("c", c, "n", i)));
     }
     // Intra-cluster ring (every node gets >= 2 trunks) plus random chords.
-    for (int i = 0; i < spec.nodes_per_cluster; ++i) {
+    for (int i = 0; i < per_cluster; ++i) {
       topo.add_duplex(m[static_cast<std::size_t>(i)],
-                      m[static_cast<std::size_t>((i + 1) % spec.nodes_per_cluster)],
-                      spec.intra_type);
+                      m[static_cast<std::size_t>((i + 1) % per_cluster)],
+                      LineType::kTerrestrial56);
     }
-    for (int k = 0; k < spec.intra_extra; ++k) {
-      const auto n = static_cast<std::uint64_t>(spec.nodes_per_cluster);
+    for (int k = 0; k < intra_extra; ++k) {
+      const auto n = static_cast<std::uint64_t>(per_cluster);
       const NodeId a = m[rng.uniform_index(n)];
       const NodeId b = m[rng.uniform_index(n)];
-      if (a != b) topo.add_duplex(a, b, spec.intra_type);
+      if (a != b) topo.add_duplex(a, b, LineType::kTerrestrial56);
     }
   }
   // Cluster ring: adjacent clusters joined by inter_trunks trunks through
   // random gateways. With >= 3 clusters the ring keeps the network
   // 2-edge-connected at the cluster level.
-  for (int c = 0; c < spec.clusters; ++c) {
+  for (int c = 0; c < clusters; ++c) {
     const auto& from = members[static_cast<std::size_t>(c)];
-    const auto& to = members[static_cast<std::size_t>((c + 1) % spec.clusters)];
-    for (int k = 0; k < spec.inter_trunks; ++k) {
+    const auto& to = members[static_cast<std::size_t>((c + 1) % clusters)];
+    for (int k = 0; k < inter_trunks; ++k) {
       topo.add_duplex(
           from[rng.uniform_index(static_cast<std::uint64_t>(from.size()))],
           to[rng.uniform_index(static_cast<std::uint64_t>(to.size()))],
-          spec.inter_type);
+          LineType::kMultiTrunk112);
     }
   }
   return topo;
 }
 
-Topology milnet_like() {
+Topology milnet(const GraphSpec& /*spec*/) {
   // 7 regional clusters of 16 PSNs = 112 nodes. Clusters 5 and 6 are the
   // overseas regions: every trunk reaching them is a satellite link. A
   // quarter of each cluster's ring runs at 9.6 kb/s (the MILNET's slow-tail
@@ -185,4 +219,4 @@ Topology milnet_like() {
   return topo;
 }
 
-}  // namespace arpanet::net::builders
+}  // namespace arpanet::net::builders::families

@@ -1,87 +1,26 @@
 #include "src/net/builders/registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-
-#include "src/net/builders/builders.h"
-#include "src/util/rng.h"
 
 namespace arpanet::net {
 
 namespace {
 
+using builders::families::arpanet87;
 using builders::families::barabasi_albert;
+using builders::families::clustered;
 using builders::families::fat_tree;
+using builders::families::grid;
 using builders::families::hier_as;
 using builders::families::leo_grid;
+using builders::families::milnet;
+using builders::families::random_connected;
+using builders::families::ring;
+using builders::families::two_region;
 using builders::families::waxman;
-
-// ---- adapters wrapping the classic builders behind GraphSpec ----
-
-Topology build_arpanet87(const GraphSpec& /*spec*/) {
-  return builders::arpanet87().topo;
-}
-
-Topology build_two_region(const GraphSpec& spec) {
-  auto per = static_cast<std::size_t>(spec.param("per_region", 0));
-  if (per == 0) {
-    if (spec.nodes() % 2 != 0) {
-      throw std::invalid_argument("two-region: nodes must be even");
-    }
-    per = spec.nodes() / 2;
-  }
-  return builders::two_region(static_cast<int>(per)).topo;
-}
-
-Topology build_ring(const GraphSpec& spec) {
-  return builders::ring(static_cast<int>(spec.nodes()));
-}
-
-Topology build_grid(const GraphSpec& spec) {
-  auto w = static_cast<std::size_t>(spec.param("width", 0));
-  auto h = static_cast<std::size_t>(spec.param("height", 0));
-  const std::size_t n = spec.nodes();
-  if (w == 0 && h == 0) {
-    w = std::max<std::size_t>(
-        2, static_cast<std::size_t>(std::llround(std::sqrt(
-               static_cast<double>(n)))));
-    h = std::max<std::size_t>(2, (n + w - 1) / w);
-  } else if (w == 0) {
-    w = std::max<std::size_t>(2, (n + h - 1) / h);
-  } else if (h == 0) {
-    h = std::max<std::size_t>(2, (n + w - 1) / w);
-  }
-  return builders::grid(static_cast<int>(w), static_cast<int>(h));
-}
-
-Topology build_random(const GraphSpec& spec) {
-  util::Rng rng{spec.seed()};
-  const int extra = spec.has_param("extra")
-                        ? static_cast<int>(spec.param("extra", 0))
-                        : static_cast<int>(spec.nodes() / 4);
-  return builders::random_connected(static_cast<int>(spec.nodes()), extra, rng);
-}
-
-Topology build_clustered(const GraphSpec& spec) {
-  builders::ClusterSpec cs;
-  cs.clusters = static_cast<int>(spec.param("clusters", 4));
-  cs.nodes_per_cluster =
-      spec.has_param("per_cluster")
-          ? static_cast<int>(spec.param("per_cluster", 0))
-          : static_cast<int>(std::max<std::size_t>(
-                3, spec.nodes() / static_cast<std::size_t>(cs.clusters)));
-  cs.intra_extra = static_cast<int>(spec.param("intra_extra", 2));
-  cs.inter_trunks = static_cast<int>(spec.param("inter_trunks", 2));
-  util::Rng rng{spec.seed()};
-  return builders::clustered(cs, rng);
-}
-
-Topology build_milnet(const GraphSpec& /*spec*/) {
-  return builders::milnet_like();
-}
 
 // ---- the family table ----
 
@@ -127,17 +66,19 @@ constexpr ParamInfo kLeoGridParams[] = {
 };
 
 const FamilyInfo kFamilies[] = {
-    {"arpanet87", "the 47-PSN / 75-trunk July 1987 ARPANET", build_arpanet87,
-     {}, 47, 47, 47},
-    {"two-region", "figure 1's two regions joined by two parallel trunks",
-     build_two_region, kTwoRegionParams, 12, 6, 8192},
-    {"ring", "cycle of 56 kb/s terrestrial trunks", build_ring, {}, 8, 3, 0},
-    {"grid", "width x height mesh", build_grid, kGridParams, 16, 4, 0},
-    {"random", "random spanning tree plus chords", build_random, kRandomParams,
-     16, 2, 100000},
+    {"arpanet87", "the 47-PSN / 75-trunk July 1987 ARPANET (MIT, UCLA, ...)",
+     arpanet87, {}, 47, 47, 47},
+    {"two-region",
+     "figure 1's regions A0..A{k-1} and B0..B{k-1} joined by links A "
+     "(A0-B0) and B (A{k/2}-B{k/2})",
+     two_region, kTwoRegionParams, 12, 6, 8192},
+    {"ring", "cycle of 56 kb/s terrestrial trunks", ring, {}, 8, 3, 0},
+    {"grid", "width x height mesh", grid, kGridParams, 16, 4, 0},
+    {"random", "random spanning tree plus chords", random_connected,
+     kRandomParams, 16, 2, 100000},
     {"clustered", "rings of clusters joined by gateway trunks",
-     build_clustered, kClusteredParams, 24, 9, 100000},
-    {"milnet", "the MILNET-like 112-PSN deployment", build_milnet, {}, 112,
+     clustered, kClusteredParams, 24, 9, 100000},
+    {"milnet", "the MILNET-like 112-PSN deployment", milnet, {}, 112,
      112, 112},
     {"hier-as", "three-tier AS hierarchy: core / transit / stub", hier_as,
      kHierAsParams, 512, 8, 0},
@@ -233,6 +174,10 @@ Topology TopologyBuilder::build(const GraphSpec& spec) const {
   Topology topo = family(spec.family()).build(effective);
   topo.finalize();
   return topo;
+}
+
+Topology build_topology(std::string_view spec) {
+  return TopologyBuilder::registry().build(GraphSpec::parse(spec));
 }
 
 }  // namespace arpanet::net

@@ -15,8 +15,13 @@
 // reportable, not fatal. The returned topology is finalized (CSR index
 // built), connected, and byte-identical for the same spec on every run.
 //
-// The per-family free functions in builders.h remain as thin deprecated
-// shims over this registry for existing call sites.
+// build_topology() is the same front door for a spec string:
+//
+//   net::Topology topo = net::build_topology("two-region:per_region=6");
+//
+// The paper's networks carry no side handles: callers look nodes up by name
+// (arpanet87's MIT and UCLA) and trunks with Topology::link_between
+// (two-region's links A = A0-B0 and B = A{k/2}-B{k/2}).
 
 #pragma once
 
@@ -75,11 +80,23 @@ class TopologyBuilder {
   TopologyBuilder() = default;
 };
 
+/// Parses `spec` ("family[:key=value,...]", see GraphSpec::parse), validates
+/// it and builds the graph through the registry. Throws
+/// std::invalid_argument on a malformed or unknown spec.
+[[nodiscard]] Topology build_topology(std::string_view spec);
+
 namespace builders::families {
 
 // The per-family build entry points behind the registry. Each consumes a
 // spec whose nodes/params the registry has already validated and defaulted.
 // Direct use is for tests; everyone else goes through build().
+[[nodiscard]] Topology arpanet87(const GraphSpec& spec);
+[[nodiscard]] Topology two_region(const GraphSpec& spec);
+[[nodiscard]] Topology ring(const GraphSpec& spec);
+[[nodiscard]] Topology grid(const GraphSpec& spec);
+[[nodiscard]] Topology random_connected(const GraphSpec& spec);
+[[nodiscard]] Topology clustered(const GraphSpec& spec);
+[[nodiscard]] Topology milnet(const GraphSpec& spec);
 [[nodiscard]] Topology hier_as(const GraphSpec& spec);
 [[nodiscard]] Topology waxman(const GraphSpec& spec);
 [[nodiscard]] Topology barabasi_albert(const GraphSpec& spec);

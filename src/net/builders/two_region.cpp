@@ -5,13 +5,19 @@
 // inter-region traffic must choose between A and B each shortest-path
 // computation, and with D-SPF the whole load swings between them every
 // measurement period (fig. 1's square wave).
-
-#include "src/net/builders/builders.h"
+//
+// Layout, by name (callers look the handles up rather than receive them):
+// region 1 is A0..A{k-1} (node ids 0..k-1), region 2 is B0..B{k-1} (ids
+// k..2k-1), link A is A0-B0 and link B is A{k/2}-B{k/2}, each found with
+// Topology::link_between from the region-1 end.
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-namespace arpanet::net::builders {
+#include "src/net/builders/registry.h"
+
+namespace arpanet::net::builders::families {
 
 namespace {
 
@@ -38,24 +44,29 @@ std::vector<NodeId> add_region(Topology& topo, const std::string& prefix,
 
 }  // namespace
 
-TwoRegionNet two_region(int per_region) {
-  if (per_region < 3) {
-    throw std::invalid_argument("two_region: need at least 3 nodes per region");
+Topology two_region(const GraphSpec& spec) {
+  auto per = static_cast<std::size_t>(spec.param("per_region", 0));
+  if (per == 0) {
+    if (spec.nodes() % 2 != 0) {
+      throw std::invalid_argument("two-region: nodes must be even");
+    }
+    per = spec.nodes() / 2;
   }
-  TwoRegionNet net;
-  net.region1 = add_region(net.topo, "A", per_region);
-  net.region2 = add_region(net.topo, "B", per_region);
+  if (per < 3) {
+    throw std::invalid_argument("two-region: need at least 3 nodes per region");
+  }
+  const auto k = static_cast<int>(per);
+  Topology topo;
+  const std::vector<NodeId> region1 = add_region(topo, "A", k);
+  const std::vector<NodeId> region2 = add_region(topo, "B", k);
 
   // The two parallel inter-region trunks. Identical line type (hence rate
   // and propagation delay), different endpoints: figure 1 requires the
   // choice between them to be driven by reported cost alone.
-  const std::size_t half = static_cast<std::size_t>(per_region) / 2;
-  net.link_a =
-      net.topo.add_duplex(net.region1[0], net.region2[0], LineType::kTerrestrial56);
-  net.link_b =
-      net.topo.add_duplex(net.region1[half], net.region2[half],
-                          LineType::kTerrestrial56);
-  return net;
+  const std::size_t half = per / 2;
+  topo.add_duplex(region1[0], region2[0], LineType::kTerrestrial56);
+  topo.add_duplex(region1[half], region2[half], LineType::kTerrestrial56);
+  return topo;
 }
 
-}  // namespace arpanet::net::builders
+}  // namespace arpanet::net::builders::families

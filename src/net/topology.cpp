@@ -125,6 +125,15 @@ NodeId Topology::node_by_name(std::string_view name) const {
   return it->second;
 }
 
+LinkId Topology::link_between(NodeId a, NodeId b) const {
+  const std::span<const NodeId> targets = out_targets(a);
+  const std::span<const LinkId> links = out_links(a);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] == b) return links[i];
+  }
+  return kInvalidLink;
+}
+
 bool Topology::is_connected() const {
   if (node_count() == 0) return true;
   ensure_csr();

@@ -91,6 +91,10 @@ class Topology {
   /// Throws std::out_of_range if no node has this name.
   [[nodiscard]] NodeId node_by_name(std::string_view name) const;
 
+  /// The a->b simplex link of the first trunk joining a and b (in a's
+  /// out-link order), or kInvalidLink when they share no trunk.
+  [[nodiscard]] LinkId link_between(NodeId a, NodeId b) const;
+
   // ARPALINT-HOTPATH-BEGIN
   /// Outgoing simplex links of a node: one contiguous CSR slice, in
   /// add_duplex insertion order.

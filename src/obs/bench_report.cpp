@@ -3,6 +3,7 @@
 
 #include "src/obs/bench_report.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <ostream>
@@ -12,7 +13,6 @@
 
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
-#include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/obs/json_export.h"
 #include "src/obs/stopwatch.h"
@@ -160,28 +160,34 @@ std::vector<BenchScenario> bench_battery(const std::string& name) {
     // Small and fast, but loaded well past the 56 kb/s flat threshold so
     // HN-SPF actually floods updates and the SPF counters move.
     scenarios.push_back(
-        make_scenario("ring6", net::builders::ring(6), 260e3, 20.0, 40.0));
+        make_scenario("ring6", net::build_topology("ring:nodes=6"), 260e3,
+                      20.0, 40.0));
     scenarios.push_back(
-        make_scenario("grid3x3", net::builders::grid(3, 3), 550e3, 20.0, 40.0));
+        make_scenario("grid3x3",
+                      net::build_topology("grid:width=3,height=3"), 550e3,
+                      20.0, 40.0));
     // One fault cell: a single flap 4 s into the window, healed 6 s later,
     // so the stability section shows nonzero faults_applied and a
     // deterministic reconverge_sec for the golden test to pin.
-    scenarios.push_back(make_scenario("ring6_flap", net::builders::ring(6),
+    scenarios.push_back(make_scenario("ring6_flap",
+                                      net::build_topology("ring:nodes=6"),
                                       260e3, 20.0, 40.0,
                                       "flap:link=2,at_s=24,dwell_s=6"));
     return scenarios;
   }
   if (name == "battery") {
     scenarios.push_back(make_scenario("arpanet87",
-                                      net::builders::arpanet87().topo, 600e3,
+                                      net::build_topology("arpanet87"), 600e3,
                                       60.0, 120.0));
     scenarios.push_back(
-        make_scenario("grid5x5", net::builders::grid(5, 5), 900e3, 60.0, 120.0));
+        make_scenario("grid5x5",
+                      net::build_topology("grid:width=5,height=5"), 900e3,
+                      60.0, 120.0));
     scenarios.push_back(make_scenario("milnet_like",
-                                      net::builders::milnet_like(), 700e3,
+                                      net::build_topology("milnet"), 700e3,
                                       60.0, 120.0));
     scenarios.push_back(make_scenario("arpanet87_flap",
-                                      net::builders::arpanet87().topo, 600e3,
+                                      net::build_topology("arpanet87"), 600e3,
                                       60.0, 120.0,
                                       "flap:link=10,at_s=150,dwell_s=15"));
     return scenarios;
@@ -251,24 +257,37 @@ TopoCell run_topo_cell(const net::GraphSpec& spec) {
 
   // Full SPF from evenly spaced roots; the checksum covers every node's
   // distance bits and first hop, so any drift in generator or SPF order
-  // shows up as a byte difference in the report.
+  // shows up as a byte difference in the report. The loop is timed as the
+  // fastest of kSpfPasses identical passes: on the smoke cells it runs well
+  // under a millisecond, so one descheduling would otherwise read as a
+  // tenfold slowdown. Checksum and settled count come from the first pass.
   constexpr std::size_t kRoots = 4;
-  std::uint64_t spf_hash = kFnvOffset;
-  std::uint64_t settled = 0;
-  const Stopwatch spf_watch;
-  for (std::size_t r = 0; r < kRoots; ++r) {
-    const auto root = static_cast<net::NodeId>(r * topo.node_count() / kRoots);
-    const routing::SpfTree tree = routing::Spf::compute(topo, root, costs);
-    for (net::NodeId v = 0; v < topo.node_count(); ++v) {
-      if (std::isfinite(tree.dist[v])) ++settled;
-      spf_hash = fnv_mix(spf_hash, std::bit_cast<std::uint64_t>(tree.dist[v]));
-      spf_hash = fnv_mix(spf_hash, tree.first_hop[v]);
+  constexpr int kSpfPasses = 7;
+  for (int pass = 0; pass < kSpfPasses; ++pass) {
+    std::uint64_t spf_hash = kFnvOffset;
+    std::uint64_t settled = 0;
+    const Stopwatch spf_watch;
+    for (std::size_t r = 0; r < kRoots; ++r) {
+      const auto root =
+          static_cast<net::NodeId>(r * topo.node_count() / kRoots);
+      const routing::SpfTree tree = routing::Spf::compute(topo, root, costs);
+      for (net::NodeId v = 0; v < topo.node_count(); ++v) {
+        if (std::isfinite(tree.dist[v])) ++settled;
+        spf_hash =
+            fnv_mix(spf_hash, std::bit_cast<std::uint64_t>(tree.dist[v]));
+        spf_hash = fnv_mix(spf_hash, tree.first_hop[v]);
+      }
+    }
+    const double sec = spf_watch.seconds();
+    if (pass == 0) {
+      cell.spf_sec = sec;
+      cell.spf_nodes_settled = settled;
+      cell.spf_checksum = spf_hash;
+    } else {
+      cell.spf_sec = std::min(cell.spf_sec, sec);
     }
   }
-  cell.spf_sec = spf_watch.seconds();
   cell.spf_roots = kRoots;
-  cell.spf_nodes_settled = settled;
-  cell.spf_checksum = spf_hash;
 
   // Incremental perturbation stream, seeded from the spec so the resident
   // algorithm's work profile (localized vs skipped updates, nodes touched)

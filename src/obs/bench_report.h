@@ -203,7 +203,7 @@ struct TopoCell {
   long skipped_updates = 0;      ///< no-work updates (paper's example)
   long nodes_touched = 0;        ///< distance recomputations, summed
   double build_sec = 0.0;  ///< host time (masked in golden comparisons)
-  double spf_sec = 0.0;    ///< host time for the full-SPF root loop (masked)
+  double spf_sec = 0.0;    ///< fastest full-SPF root-loop pass (masked)
   [[nodiscard]] double spf_nodes_per_sec() const {
     return spf_sec > 0.0 ? static_cast<double>(spf_nodes_settled) / spf_sec
                          : 0.0;

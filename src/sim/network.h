@@ -2,12 +2,12 @@
 //
 // This is the library's main entry point for whole-network experiments:
 //
-//   net::Topology topo = net::builders::arpanet87();
+//   const net::Topology topo = net::build_topology("arpanet87");
 //   sim::NetworkConfig cfg;
 //   cfg.metric = metrics::MetricKind::kHnSpf;
 //   sim::Network net{topo, cfg};
-//   net.add_traffic(traffic::TrafficMatrix::peak_hour(topo.node_count(),
-//                                                     400e3, rng));
+//   net.add_traffic(traffic::TrafficMatrix::peak_hour(
+//       topo.node_count(), 400e3, util::Rng{cfg.seed}));
 //   net.run_for(util::SimTime::from_sec(300));   // warm-up
 //   net.reset_stats();
 //   net.run_for(util::SimTime::from_sec(600));   // measurement window

@@ -5,7 +5,7 @@
 #include "src/analysis/metric_map.h"
 #include "src/analysis/response_map.h"
 #include "src/analysis/shed_cost.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::analysis {
 namespace {
@@ -53,7 +53,7 @@ TEST(MetricMapTest, DspfSteeperThanHnAtHighUtilization) {
 // ---- response map ----
 
 struct ResponseFixture {
-  net::Topology topo = net::builders::grid(4, 4);
+  net::Topology topo = net::build_topology("grid:width=4,height=4");
   traffic::TrafficMatrix matrix =
       traffic::TrafficMatrix::uniform(topo.node_count(), 1e6);
   NetworkResponseMap map = NetworkResponseMap::build(topo, matrix);
@@ -125,10 +125,9 @@ TEST(ResponseMapTest, LinkTrafficAtCostMatchesManualCount) {
 // ---- shed cost ----
 
 TEST(ShedCostTest, LongRoutesShedEasierThanShortOnes) {
-  const net::builders::Arpanet87 net = net::builders::arpanet87();
-  const auto matrix =
-      traffic::TrafficMatrix::uniform(net.topo.node_count(), 1e6);
-  const ShedCostResult r = shed_cost_study(net.topo, matrix);
+  const net::Topology topo = net::build_topology("arpanet87");
+  const auto matrix = traffic::TrafficMatrix::uniform(topo.node_count(), 1e6);
+  const ShedCostResult r = shed_cost_study(topo, matrix);
 
   // Figure 7's shape: short routes need a high reported cost to shed; long
   // routes have only-slightly-longer alternates.

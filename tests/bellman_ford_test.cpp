@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
+#include "src/util/rng.h"
 
 namespace arpanet::routing {
 namespace {
@@ -12,7 +13,7 @@ using net::LineType;
 using net::Topology;
 
 TEST(BellmanFordTest, ConvergesOnRing) {
-  const Topology t = net::builders::ring(6);
+  const Topology t = net::build_topology("ring:nodes=6");
   DistributedBellmanFord bf{t};
   const std::vector<double> queues(t.link_count(), 0.0);
   const int rounds = bf.run_to_convergence(queues);
@@ -25,7 +26,7 @@ TEST(BellmanFordTest, ConvergesOnRing) {
 /// With static costs Bellman-Ford must agree with Dijkstra.
 TEST(BellmanFordTest, AgreesWithSpfOnStaticCosts) {
   util::Rng rng{77};
-  const Topology t = net::builders::random_connected(14, 10, rng);
+  const Topology t = net::build_topology("random:nodes=14,extra=10,seed=77");
   std::vector<double> queues(t.link_count());
   for (double& q : queues) q = static_cast<double>(rng.uniform_index(6));
 
@@ -43,8 +44,7 @@ TEST(BellmanFordTest, AgreesWithSpfOnStaticCosts) {
 }
 
 TEST(BellmanFordTest, NoLoopsAfterConvergence) {
-  util::Rng rng{78};
-  const Topology t = net::builders::random_connected(12, 8, rng);
+  const Topology t = net::build_topology("random:nodes=12,extra=8,seed=78");
   std::vector<double> queues(t.link_count(), 2.0);
   DistributedBellmanFord bf{t};
   bf.run_to_convergence(queues);
@@ -98,7 +98,7 @@ TEST(BellmanFordTest, VolatileMetricCausesTransientLoops) {
 }
 
 TEST(BellmanFordTest, RejectsBadInput) {
-  const Topology t = net::builders::ring(4);
+  const Topology t = net::build_topology("ring:nodes=4");
   EXPECT_THROW(DistributedBellmanFord(t, 0.0), std::invalid_argument);
   DistributedBellmanFord bf{t};
   const std::vector<double> wrong_size(3, 0.0);

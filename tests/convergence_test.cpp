@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::analysis {
 namespace {
@@ -10,17 +10,17 @@ namespace {
 using util::SimTime;
 
 TEST(ConvergenceTest, FreshNetworkIsConverged) {
-  const auto net87 = net::builders::arpanet87();
-  sim::Network net{net87.topo, sim::NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  sim::Network net{net87, sim::NetworkConfig{}};
   // Before any measurement period, all PSNs hold the identical initial map.
   EXPECT_TRUE(costs_converged(net));
 }
 
 TEST(ConvergenceTest, TrunkFailureSettlesQuickly) {
-  const auto net87 = net::builders::arpanet87();
-  sim::Network net{net87.topo, sim::NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  sim::Network net{net87, sim::NetworkConfig{}};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 200e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 200e3));
   net.run_for(SimTime::from_sec(120));
 
   const auto report = measure_convergence(
@@ -33,10 +33,10 @@ TEST(ConvergenceTest, TrunkFailureSettlesQuickly) {
 }
 
 TEST(ConvergenceTest, DivergedCostsDetected) {
-  const auto net87 = net::builders::arpanet87();
-  sim::Network net{net87.topo, sim::NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  sim::Network net{net87, sim::NetworkConfig{}};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 300e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 300e3));
   // Mid-flood there are instants of divergence; catch one by stepping the
   // simulator right after a disturbance without letting flooding finish.
   net.run_for(SimTime::from_sec(60));
@@ -45,10 +45,10 @@ TEST(ConvergenceTest, DivergedCostsDetected) {
 }
 
 TEST(ConvergenceTest, TimesOutWhenDisturbanceRepeats) {
-  const auto net87 = net::builders::arpanet87();
-  sim::Network net{net87.topo, sim::NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  sim::Network net{net87, sim::NetworkConfig{}};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 200e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 200e3));
   net.run_for(SimTime::from_sec(30));
   // A max_wait of ~0 cannot observe convergence.
   const auto report =
@@ -58,7 +58,7 @@ TEST(ConvergenceTest, TimesOutWhenDisturbanceRepeats) {
 }
 
 TEST(MilnetBuilderTest, ShapeAndConnectivity) {
-  const net::Topology topo = net::builders::milnet_like();
+  const net::Topology topo = net::build_topology("milnet");
   EXPECT_EQ(topo.node_count(), 112u);
   EXPECT_TRUE(topo.is_connected());
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
@@ -70,26 +70,21 @@ TEST(MilnetBuilderTest, ShapeAndConnectivity) {
     if (net::info(l.type).satellite) ++satellite;
     if (l.type == net::LineType::kTerrestrial9_6) ++slow;
   }
-  EXPECT_GE(satellite, 8);  // four satellite trunks, two simplex links each
+  EXPECT_EQ(satellite, 12);  // six satellite trunks, two simplex links each
   EXPECT_GT(slow, 20);      // the MILNET's slow-tail character
   // Deterministic: same builder call, same graph.
-  const net::Topology again = net::builders::milnet_like();
+  const net::Topology again = net::build_topology("milnet");
   EXPECT_EQ(topo.link_count(), again.link_count());
 }
 
 TEST(ClusteredBuilderTest, RespectsSpecAndValidates) {
-  util::Rng rng{5};
-  net::builders::ClusterSpec spec;
-  spec.clusters = 4;
-  spec.nodes_per_cluster = 8;
-  const net::Topology topo = net::builders::clustered(spec, rng);
+  const net::Topology topo =
+      net::build_topology("clustered:clusters=4,per_cluster=8,seed=5");
   EXPECT_EQ(topo.node_count(), 32u);
   EXPECT_TRUE(topo.is_connected());
 
-  net::builders::ClusterSpec bad;
-  bad.clusters = 2;
-  util::Rng rng2{5};
-  EXPECT_THROW((void)net::builders::clustered(bad, rng2), std::invalid_argument);
+  EXPECT_THROW((void)net::build_topology("clustered:clusters=2,seed=5"),
+               std::invalid_argument);
 }
 
 }  // namespace

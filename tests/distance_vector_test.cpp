@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace arpanet::sim {
@@ -52,12 +52,12 @@ TEST(DistanceVectorTest, DeliversTraffic) {
 }
 
 TEST(DistanceVectorTest, ConsumesMuchMoreControlBandwidthThanSpf) {
-  const auto two = net::builders::two_region(5);
+  const net::Topology two = net::build_topology("two-region:per_region=5");
   auto run = [&](RoutingAlgorithm algo) {
     NetworkConfig cfg;
     cfg.algorithm = algo;
-    Network net{two.topo, cfg};
-    net.add_traffic(traffic::TrafficMatrix::uniform(two.topo.node_count(), 20e3));
+    Network net{two, cfg};
+    net.add_traffic(traffic::TrafficMatrix::uniform(two.node_count(), 20e3));
     net.run_for(SimTime::from_sec(100));
     return net.stats().update_packets_sent;
   };
@@ -98,18 +98,19 @@ TEST(DistanceVectorTest, ReroutesAfterTrunkFailure) {
 /// metric forms transient loops (visible as loop drops and inflated paths),
 /// which the 1979 SPF scheme eliminated.
 TEST(DistanceVectorTest, LoopsUnderLoadVersusSpf) {
-  const auto two = net::builders::two_region(5);
+  const net::Topology two = net::build_topology("two-region:per_region=5");
   auto run = [&](RoutingAlgorithm algo) {
     NetworkConfig cfg;
     cfg.algorithm = algo;
     cfg.metric = metrics::MetricKind::kDspf;
     cfg.hop_limit = 40;
     cfg.seed = 99;
-    Network net{two.topo, cfg};
-    traffic::TrafficMatrix m{two.topo.node_count()};
+    Network net{two, cfg};
+    traffic::TrafficMatrix m{two.node_count()};
     const double per_pair = 90e3 / static_cast<double>(2 * 5 * 5);
-    for (const net::NodeId x : two.region1) {
-      for (const net::NodeId y : two.region2) {
+    // Region 1 is A0..A4 (ids 0..4), region 2 is B0..B4 (ids 5..9).
+    for (net::NodeId x = 0; x < 5; ++x) {
+      for (net::NodeId y = 5; y < 10; ++y) {
         m.set(x, y, per_pair);
         m.set(y, x, per_pair);
       }
@@ -129,13 +130,15 @@ TEST(DistanceVectorTest, LoopsUnderLoadVersusSpf) {
 TEST(DistanceVectorTest, NodeCrashHandledWithoutSpfUpdates) {
   // Taking trunks down in 1969 mode must not flood SPF-style updates; the
   // neighbors learn through the table exchanges.
-  const auto two = net::builders::two_region(4);
+  const net::Topology two = net::build_topology("two-region:per_region=4");
+  const net::LinkId link_a =
+      two.link_between(two.node_by_name("A0"), two.node_by_name("B0"));
   NetworkConfig cfg = dv_config();
-  Network net{two.topo, cfg};
-  net.add_traffic(traffic::TrafficMatrix::uniform(two.topo.node_count(), 30e3));
+  Network net{two, cfg};
+  net.add_traffic(traffic::TrafficMatrix::uniform(two.node_count(), 30e3));
   net.run_for(SimTime::from_sec(30));
   const long updates_before = net.stats().updates_originated;
-  net.set_trunk_up(two.link_a, false);
+  net.set_trunk_up(link_a, false);
   // Updates keep accruing only at the periodic exchange rate, not as an
   // immediate event-driven flood.
   const long updates_right_after = net.stats().updates_originated;
@@ -144,7 +147,7 @@ TEST(DistanceVectorTest, NodeCrashHandledWithoutSpfUpdates) {
   net.reset_stats();
   net.run_for(SimTime::from_sec(60));
   EXPECT_GT(net.stats().packets_delivered, 1000);  // rerouted via link B
-  net.set_trunk_up(two.link_a, true);
+  net.set_trunk_up(link_a, true);
   net.run_for(SimTime::from_sec(30));
   EXPECT_GT(net.stats().packets_delivered, 1000);
 }

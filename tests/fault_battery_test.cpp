@@ -27,7 +27,7 @@
 #include "src/analysis/invariants.h"
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
@@ -82,7 +82,7 @@ void expect_routing_state_identical(const Network& a, const Network& b) {
 // Differential test: identity fault plan == fault-free run.
 
 TEST(FaultDifferentialTest, HealedFlapReconvergesToFaultFreeBytes) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
 
   // No offered load: the runs differ only in the fault plan, and both end
   // on the idle steady state (every link at its metric minimum). 250 s
@@ -102,7 +102,7 @@ TEST(FaultDifferentialTest, HealedFlapReconvergesToFaultFreeBytes) {
 }
 
 TEST(FaultDifferentialTest, HealedCrashReconvergesToFaultFreeBytes) {
-  const net::Topology topo = net::builders::grid(3, 3);
+  const net::Topology topo = net::build_topology("grid:width=3,height=3");
 
   Network plain{topo, hnspf_config()};
   plain.run_for(sec(250));
@@ -130,7 +130,7 @@ TEST(FaultDeterminismTest, SweepWithFaultsIsThreadCountInvariant) {
                   .with_faults("flap:link=2,at_s=20,dwell_s=6");
   spec.over_metrics({metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf})
       .over_seeds({1, 2, 3});
-  const exp::NamedTopology topo{"ring6", net::builders::ring(6)};
+  const exp::NamedTopology topo{"ring6", net::build_topology("ring:nodes=6")};
 
   exp::SweepOptions serial;
   serial.threads = 1;
@@ -160,7 +160,7 @@ TEST(FaultDeterminismTest, SweepWithFaultsIsThreadCountInvariant) {
 // network passes audit_network; the old audit assumed full reachability.
 
 TEST(FaultPartitionAuditTest, MidPartitionAuditDoesNotFalsePositive) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   Network net{topo, hnspf_config()};
   FaultPlan plan;
   plan.partition({0}, {3}, sec(30), sec(40));  // heals at t=70
@@ -197,18 +197,13 @@ TEST(FaultPartitionAuditTest, MidPartitionAuditDoesNotFalsePositive) {
 // event, applies both trunk halves in place, and is counted once.
 
 TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
-  const net::Topology topo = net::builders::ring(6);
-  const auto trunk = [&](net::NodeId a, net::NodeId b) {
-    for (const net::LinkId l : topo.out_links(a)) {
-      if (topo.link(l).to == b) return l;
-    }
-    ADD_FAILURE() << "no trunk " << a << "-" << b;
-    return net::kInvalidLink;
-  };
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   // Three disjoint trunk sets: the flap on 0-1, the crash on node 3 (trunks
   // 2-3 and 3-4), the upgrade on 4-5.
-  const net::LinkId flapped = trunk(0, 1);
-  const net::LinkId upgraded = trunk(4, 5);
+  const net::LinkId flapped = topo.link_between(0, 1);
+  const net::LinkId upgraded = topo.link_between(4, 5);
+  ASSERT_NE(flapped, net::kInvalidLink);
+  ASSERT_NE(upgraded, net::kInvalidLink);
   const SimTime warmup = sec(20);
   const SimTime horizon = warmup + sec(60);
   const SimTime upgrade_at = warmup + sec(30);
@@ -337,11 +332,13 @@ void run_property_sweep(const net::Topology& topo, const std::string& name,
 }
 
 TEST(FaultPropertyTest, RandomPlansOnRingHoldAllInvariants) {
-  run_property_sweep(net::builders::ring(6), "ring6", 0x8a5fULL, 100);
+  run_property_sweep(net::build_topology("ring:nodes=6"), "ring6", 0x8a5fULL,
+                     100);
 }
 
 TEST(FaultPropertyTest, RandomPlansOnGridHoldAllInvariants) {
-  run_property_sweep(net::builders::grid(3, 3), "grid3x3", 0x1987ULL, 100);
+  run_property_sweep(net::build_topology("grid:width=3,height=3"), "grid3x3",
+                     0x1987ULL, 100);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/fault_plan.h"
 
 namespace arpanet::sim {
@@ -86,7 +86,7 @@ TEST(FaultPlanParse, MalformedSpecsThrow) {
 // Compilation
 
 TEST(FaultPlanCompile, SingleFlapEmitsDownUpPair) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(2, sec(24), sec(6));
   const std::vector<FaultAction> actions = plan.compile(topo, sec(60));
@@ -99,7 +99,7 @@ TEST(FaultPlanCompile, SingleFlapEmitsDownUpPair) {
 }
 
 TEST(FaultPlanCompile, RepeatingFlapRunsUntilHorizon) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(10), sec(2), sec(10), /*count=*/0);
   const std::vector<FaultAction> actions = plan.compile(topo, sec(45));
@@ -114,14 +114,14 @@ TEST(FaultPlanCompile, RepeatingFlapRunsUntilHorizon) {
 }
 
 TEST(FaultPlanCompile, CountedFlapEmitsExactly) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(5), sec(1), sec(4), /*count=*/3);
   EXPECT_EQ(plan.compile(topo, sec(60)).size(), 6u);
 }
 
 TEST(FaultPlanCompile, CrashEmitsNodeActions) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.crash_node(4, sec(10), sec(5));
   const std::vector<FaultAction> actions = plan.compile(topo, sec(30));
@@ -135,7 +135,7 @@ TEST(FaultPlanCompile, RegionalOutageDeduplicatesInteriorTrunks) {
   // Nodes 1 and 2 are ring neighbors: the trunk between them touches both,
   // but must be taken down exactly once. Ring degree 2 => trunks {0-1},
   // {1-2}, {2-3}: three down + three up actions.
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.regional_outage({1, 2}, sec(10), sec(5));
   const std::vector<FaultAction> actions = plan.compile(topo, sec(30));
@@ -152,7 +152,7 @@ TEST(FaultPlanCompile, RegionalOutageDeduplicatesInteriorTrunks) {
 
 TEST(FaultPlanCompile, PartitionCutsRingInTwoPlaces) {
   // Separating opposite ring nodes requires cutting exactly two trunks.
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.partition({0}, {3}, sec(10), sec(5));
   const std::vector<FaultAction> actions = plan.compile(topo, sec(30));
@@ -167,7 +167,7 @@ TEST(FaultPlanCompile, PartitionCutsRingInTwoPlaces) {
 TEST(FaultPlanCompile, PartitionGridMinCutMatchesCornerDegree) {
   // Cutting a 3x3 grid corner from the opposite corner severs exactly the
   // corner's two trunks — the min cut, not any larger separator.
-  const net::Topology topo = net::builders::grid(3, 3);
+  const net::Topology topo = net::build_topology("grid:width=3,height=3");
   FaultPlan plan;
   plan.partition({0}, {8}, sec(10), sec(5));
   const std::vector<FaultAction> actions = plan.compile(topo, sec(30));
@@ -175,7 +175,7 @@ TEST(FaultPlanCompile, PartitionGridMinCutMatchesCornerDegree) {
 }
 
 TEST(FaultPlanCompile, UpgradeEmitsOneAction) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.upgrade_line(1, sec(15), net::LineType::kMultiTrunk224);
   const std::vector<FaultAction> actions = plan.compile(topo, sec(30));
@@ -185,7 +185,7 @@ TEST(FaultPlanCompile, UpgradeEmitsOneAction) {
 }
 
 TEST(FaultPlanCompile, ActionsAreTimeSortedAcrossFaults) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.crash_node(4, sec(20), sec(5));
   plan.flap_link(0, sec(5), sec(2));
@@ -206,21 +206,22 @@ TEST(FaultPlanCompile, ActionsAreTimeSortedAcrossFaults) {
 using FaultPlanDeathTest = ::testing::Test;
 
 TEST(FaultPlanDeathTest, FaultOnNonexistentLinkDies) {
-  const net::Topology topo = net::builders::ring(6);  // 12 simplex links
+  // 12 simplex links.
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(99, sec(5), sec(2));
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "nonexistent link");
 }
 
 TEST(FaultPlanDeathTest, CrashOnNonexistentNodeDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.crash_node(42, sec(5), sec(2));
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "nonexistent node");
 }
 
 TEST(FaultPlanDeathTest, OverlappingDownIntervalsDie) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(5), sec(10));
   plan.flap_link(0, sec(8), sec(10));  // second down lands mid-first-dwell
@@ -232,7 +233,7 @@ TEST(FaultPlanDeathTest, CrossKindOverlapOnAdjacentTrunkDies) {
   // A crash of node 0 holds its adjacent trunks down; a flap of one of
   // those trunks over the same interval must be rejected even though the
   // two faults are of different kinds.
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   const net::LinkId adjacent = topo.out_links(0)[0];
   FaultPlan plan;
   plan.crash_node(0, sec(10), sec(10));
@@ -242,7 +243,7 @@ TEST(FaultPlanDeathTest, CrossKindOverlapOnAdjacentTrunkDies) {
 }
 
 TEST(FaultPlanDeathTest, RepeatingFlapWithPeriodNotExceedingDwellDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(5), sec(3), sec(3), /*count=*/0);
   EXPECT_DEATH((void)plan.compile(topo, sec(60)),
@@ -250,28 +251,28 @@ TEST(FaultPlanDeathTest, RepeatingFlapWithPeriodNotExceedingDwellDies) {
 }
 
 TEST(FaultPlanDeathTest, EventPastScenarioEndDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(25), sec(10));  // heals at 35 > horizon 30
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "past scenario end");
 }
 
 TEST(FaultPlanDeathTest, UpgradePastScenarioEndDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.upgrade_line(0, sec(35), net::LineType::kTerrestrial9_6);
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "past scenario end");
 }
 
 TEST(FaultPlanDeathTest, ZeroDwellDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.flap_link(0, sec(5), SimTime::zero());
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "dwell must be > 0");
 }
 
 TEST(FaultPlanDeathTest, PartitionWithOverlappingSidesDies) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   FaultPlan plan;
   plan.partition({0, 1}, {1, 3}, sec(5), sec(2));
   EXPECT_DEATH((void)plan.compile(topo, sec(30)), "sides overlap");

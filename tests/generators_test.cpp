@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -30,27 +31,60 @@ Topology build(const GraphSpec& spec) {
 // ---- determinism: the contract that makes a GraphSpec a sweep axis ----
 
 TEST(GeneratorsTest, EveryFamilyIsByteDeterministic) {
-  const GraphSpec specs[] = {
-      GraphSpec{"hier-as"}.with_nodes(300).with_seed(7),
-      GraphSpec{"waxman"}.with_nodes(120).with_seed(7),
-      GraphSpec{"ba"}.with_nodes(200).with_seed(7).with_param("m", 2),
-      GraphSpec{"fat-tree"}.with_nodes(80),
-      GraphSpec{"leo-grid"}.with_nodes(64),
-  };
-  for (const GraphSpec& spec : specs) {
+  for (const TopologyBuilder::FamilyInfo& family :
+       TopologyBuilder::registry().families()) {
+    const GraphSpec spec = GraphSpec{std::string(family.name)}.with_seed(7);
     const std::string once = topology_to_string(build(spec));
     const std::string twice = topology_to_string(build(spec));
     EXPECT_EQ(once, twice) << spec.label();
   }
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The paper's networks and the small synthetic shapes at the specs the
+// benches, tools and tests build: node names, ids, link ids, line types and
+// delays are pinned as an FNV-1a hash of the serialized graph.
+TEST(GeneratorsTest, ClassicFamiliesKeepTheirBytes) {
+  const struct {
+    const char* spec;
+    std::uint64_t hash;
+  } pinned[] = {
+      {"ring:nodes=6", 0x0b9776edc54206bcULL},
+      {"grid:width=3,height=3", 0x407a194e4536e0a3ULL},
+      {"grid:width=5,height=5", 0x7fd54aa2f1b6590fULL},
+      {"two-region:per_region=6", 0xd53708cbb5741881ULL},
+      {"arpanet87", 0x3a24d14e04605b13ULL},
+      {"milnet", 0xdb5161f12ae6f804ULL},
+      {"random:nodes=14,extra=10,seed=77", 0x7a0459a4a41a51b4ULL},
+      {"clustered:clusters=4,per_cluster=8,seed=5", 0x763a53d52358c210ULL},
+  };
+  for (const auto& [spec, hash] : pinned) {
+    EXPECT_EQ(fnv1a(topology_to_string(build_topology(spec))), hash) << spec;
+  }
+}
+
 TEST(GeneratorsTest, SeedChangesTheRandomFamilies) {
-  const GraphSpec base = GraphSpec{"ba"}.with_nodes(200).with_param("m", 2);
-  const std::string s1 =
-      topology_to_string(build(GraphSpec{base}.with_seed(1)));
-  const std::string s2 =
-      topology_to_string(build(GraphSpec{base}.with_seed(2)));
-  EXPECT_NE(s1, s2);
+  const GraphSpec bases[] = {
+      GraphSpec{"ba"}.with_nodes(200).with_param("m", 2),
+      GraphSpec{"random"}.with_nodes(20).with_param("extra", 10),
+      GraphSpec{"clustered"}.with_param("clusters", 4).with_param(
+          "per_cluster", 8),
+  };
+  for (const GraphSpec& base : bases) {
+    const std::string s1 =
+        topology_to_string(build(GraphSpec{base}.with_seed(1)));
+    const std::string s2 =
+        topology_to_string(build(GraphSpec{base}.with_seed(2)));
+    EXPECT_NE(s1, s2) << base.family();
+  }
 }
 
 // ---- structural sanity per family ----

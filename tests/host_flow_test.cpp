@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::sim {
 namespace {
@@ -109,11 +109,11 @@ TEST(HostFlowTest, RecoversFromPacketLossViaRetransmission) {
 }
 
 TEST(HostFlowTest, RunsOverTheFullNetwork) {
-  const auto net87 = net::builders::arpanet87();
-  Network net{net87.topo, NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  Network net{net87, NetworkConfig{}};
   HostFlowLayer host{net, HostFlowConfig{}};
   host.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 150e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 150e3));
   net.run_for(SimTime::from_sec(90));
   EXPECT_GT(host.messages_completed(), 1000);
   EXPECT_EQ(host.messages_abandoned(), 0);

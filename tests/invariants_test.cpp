@@ -11,7 +11,7 @@
 #include "src/analysis/invariants.h"
 #include "src/core/hn_metric.h"
 #include "src/core/line_params.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 #include "src/sim/network.h"
 #include "src/sim/psn.h"
@@ -24,7 +24,7 @@ using arpanet::core::HnMetric;
 using arpanet::core::LineTypeParams;
 using arpanet::util::SimTime;
 namespace analysis = arpanet::analysis;
-namespace builders = arpanet::net::builders;
+using arpanet::net::build_topology;
 
 HnMetric terrestrial56_metric() {
   return HnMetric{LineTypeParams{}, arpanet::util::DataRate::kbps(56),
@@ -155,7 +155,7 @@ TEST(MonotonicTimeTest, DeathOnBackwardsTimestamp) {
 }
 
 TEST(SpfTreeCheckTest, ComputedTreesPass) {
-  const arpanet::net::Topology topo = builders::ring(5);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   const std::vector<double> costs(topo.link_count(), 30.0);
   const auto tree = arpanet::routing::Spf::compute(topo, 0, costs);
   analysis::check_spf_tree(topo, tree, costs);
@@ -163,7 +163,7 @@ TEST(SpfTreeCheckTest, ComputedTreesPass) {
 }
 
 TEST(SpfTreeCheckTest, DeathOnCorruptedParent) {
-  const arpanet::net::Topology topo = builders::ring(5);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   const std::vector<double> costs(topo.link_count(), 30.0);
   auto tree = arpanet::routing::Spf::compute(topo, 0, costs);
   // Point node 2's parent at a link that does not end at node 2.
@@ -180,7 +180,7 @@ TEST(PeriodMovementHookTest, EveryMeasurementPeriodIsCheckedExactly) {
   // The per-update-period hook enforces the movement bound at the cadence
   // the paper states it (every measurement period, no threshold slack), so
   // a long loaded run racks up node_count x periods checks.
-  const arpanet::net::Topology topo = builders::ring(5);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   arpanet::sim::NetworkConfig cfg;
   arpanet::sim::Network net{topo, cfg};
   net.add_traffic(arpanet::traffic::TrafficMatrix::uniform(
@@ -197,7 +197,7 @@ TEST(PeriodMovementHookTest, DeathOnOverLimitPeriodMove) {
   // the process the moment the period closes — with no threshold widening:
   // one unit past the limit is enough.
   const LineTypeParams params;  // terrestrial56: up_limit 16
-  const arpanet::net::Topology topo = builders::ring(4);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
   arpanet::sim::NetworkConfig cfg;
   arpanet::sim::Network net{topo, cfg};
   EXPECT_DEATH(
@@ -210,7 +210,7 @@ TEST(PeriodMovementHookTest, DeathOnOverLimitPeriodMove) {
 TEST(PeriodMovementHookTest, DownSentinelPeriodsAreExempt) {
   // Link-down periods report the kDownLinkCost sentinel on either side of
   // the transition; neither direction is a metric movement.
-  const arpanet::net::Topology topo = builders::ring(4);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
   arpanet::sim::NetworkConfig cfg;
   arpanet::sim::Network net{topo, cfg};
   using analysis::Cost;
@@ -224,7 +224,7 @@ TEST(PeriodMovementHookTest, DownSentinelPeriodsAreExempt) {
 }
 
 TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
-  const arpanet::net::Topology topo = builders::ring(5);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   const auto cfg = arpanet::sim::ScenarioConfig{}
                        .with_load_bps(50e3)
                        .with_warmup(SimTime::from_sec(30))
@@ -238,7 +238,7 @@ TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
 }
 
 TEST(ScenarioAuditTest, TracesAreMovementCheckedWhenTracked) {
-  const arpanet::net::Topology topo = builders::ring(5);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   auto cfg = arpanet::sim::ScenarioConfig{}
                  .with_load_bps(150e3)
                  .with_warmup(SimTime::from_sec(30))
@@ -249,7 +249,7 @@ TEST(ScenarioAuditTest, TracesAreMovementCheckedWhenTracked) {
 }
 
 TEST(ScenarioAuditTest, AuditCanBeDisabled) {
-  const arpanet::net::Topology topo = builders::ring(4);
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
   const auto cfg = arpanet::sim::ScenarioConfig{}
                        .with_load_bps(20e3)
                        .with_warmup(SimTime::from_sec(10))

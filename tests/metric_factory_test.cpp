@@ -10,7 +10,7 @@
 #include "src/metrics/dspf_metric.h"
 #include "src/metrics/metric_factory.h"
 #include "src/metrics/minhop_metric.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::metrics {
@@ -21,7 +21,7 @@ using sim::TrafficShape;
 using util::SimTime;
 
 net::Link test_link() {
-  net::Topology topo = net::builders::ring(4);
+  net::Topology topo = net::build_topology("ring:nodes=4");
   return topo.links()[0];
 }
 
@@ -98,7 +98,7 @@ TEST(MetricFactoryInjectionTest, NetworkUsesInjectedFactory) {
   // A custom factory that reproduces min-hop exactly must yield a simulation
   // bit-identical to selecting MetricKind::kMinHop — same code path, same
   // RNG stream, only the construction seam differs.
-  const net::Topology topo = net::builders::two_region(4).topo;
+  const net::Topology topo = net::build_topology("two-region:per_region=4");
 
   ScenarioConfig by_kind = ScenarioConfig{}
                                .with_metric(MetricKind::kMinHop)
@@ -151,7 +151,7 @@ ScenarioConfig custom_factory_config(double declared_min, double declared_max) {
 }
 
 TEST(MetricFactoryBoundsTest, AuditValidatesCustomFactoryAgainstItsBounds) {
-  const net::Topology topo = net::builders::ring(4);
+  const net::Topology topo = net::build_topology("ring:nodes=4");
   // Honest declaration: the constant cost 5 lies inside [4, 6], so the
   // end-of-run audit bounds-checks every link and passes.
   const auto result =
@@ -160,7 +160,7 @@ TEST(MetricFactoryBoundsTest, AuditValidatesCustomFactoryAgainstItsBounds) {
 }
 
 TEST(MetricFactoryBoundsTest, DeathWhenCostsViolateDeclaredBounds) {
-  const net::Topology topo = net::builders::ring(4);
+  const net::Topology topo = net::build_topology("ring:nodes=4");
   // The factory promises [10, 20] but its metric reports the constant 5:
   // the audit must treat the factory's declaration as binding and abort.
   EXPECT_DEATH(

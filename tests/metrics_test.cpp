@@ -6,7 +6,6 @@
 #include "src/metrics/hnspf_metric.h"
 #include "src/metrics/metric_factory.h"
 #include "src/metrics/minhop_metric.h"
-#include "src/net/builders/builders.h"
 
 namespace arpanet::metrics {
 namespace {

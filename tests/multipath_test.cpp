@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/util/rng.h"
 
@@ -50,7 +51,8 @@ TEST(MultipathTest, UnequalCostsCollapseToOne) {
 TEST(MultipathTest, SinglePathFirstHopIsAlwaysMember) {
   util::Rng rng{404};
   for (int trial = 0; trial < 10; ++trial) {
-    const Topology t = net::builders::random_connected(14, 10, rng);
+    const Topology t = net::build_topology(
+        "random:nodes=14,extra=10,seed=" + std::to_string(404 + trial));
     LinkCosts costs(t.link_count());
     for (double& c : costs) c = 1.0 + static_cast<double>(rng.uniform_index(4));
     const SpfTree tree = Spf::compute(t, 0, costs);
@@ -69,7 +71,7 @@ TEST(MultipathTest, SinglePathFirstHopIsAlwaysMember) {
 /// the downstream test.
 TEST(MultipathTest, ArbitraryChoicesNeverLoop) {
   util::Rng rng{405};
-  const Topology t = net::builders::random_connected(16, 14, rng);
+  const Topology t = net::build_topology("random:nodes=16,extra=14,seed=405");
   LinkCosts costs(t.link_count());
   for (double& c : costs) c = 1.0 + static_cast<double>(rng.uniform_index(3));
   for (const double tolerance : {0.0, 100.0}) {
@@ -127,12 +129,12 @@ TEST(MultipathTest, LargeFlowNeedsMultipath) {
 }
 
 TEST(MultipathTest, MultipathStillDeliversEverythingUnderLightLoad) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   sim::NetworkConfig cfg;
   cfg.multipath = true;
-  sim::Network net{net87.topo, cfg};
+  sim::Network net{net87, cfg};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 100e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 100e3));
   net.run_for(util::SimTime::from_sec(60));
   EXPECT_GT(net.stats().packets_delivered, 1000);
   EXPECT_EQ(net.stats().packets_dropped_loop, 0);

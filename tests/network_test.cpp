@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::sim {

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/obs/counters.h"
 #include "src/obs/json_export.h"
 #include "src/obs/stopwatch.h"
@@ -163,7 +163,7 @@ class NetworkObservabilityTest : public ::testing::Test {
 };
 
 TEST_F(NetworkObservabilityTest, CountersReflectRealWork) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   sim::NetworkConfig cfg;
   sim::Network net{topo, cfg};
   run(net, nullptr);
@@ -186,7 +186,7 @@ TEST_F(NetworkObservabilityTest, CountersReflectRealWork) {
 }
 
 TEST_F(NetworkObservabilityTest, TraceSinkReceivesBothSeries) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
   RecordingTraceSink sink{topo.link_count()};
   sim::NetworkConfig cfg;
   sim::Network net{topo, cfg};
@@ -236,7 +236,7 @@ std::string csv_line(const char* series, net::LinkId link, SimTime at,
 }  // namespace
 
 TEST_F(NetworkObservabilityTest, StreamingSinkMatchesRecordingSink) {
-  const net::Topology topo = net::builders::ring(6);
+  const net::Topology topo = net::build_topology("ring:nodes=6");
 
   RecordingTraceSink recording{topo.link_count()};
   {
@@ -341,7 +341,7 @@ TEST(StreamingTraceSinkTest, FileConstructorWritesAndThrowsOnBadPath) {
 }
 
 TEST_F(NetworkObservabilityTest, ScenarioResultCarriesCounters) {
-  const net::Topology topo = net::builders::ring(5);
+  const net::Topology topo = net::build_topology("ring:nodes=5");
   const auto cfg = sim::ScenarioConfig{}
                        .with_load_bps(150e3)
                        .with_warmup(SimTime::from_sec(20))

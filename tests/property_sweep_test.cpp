@@ -5,7 +5,7 @@
 
 #include "src/analysis/metric_map.h"
 #include "src/analysis/response_map.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/host_flow.h"
 #include "src/sim/network.h"
 
@@ -65,9 +65,9 @@ class ResponseMapSweep : public ::testing::TestWithParam<int> {
  protected:
   net::Topology make_topo() const {
     switch (GetParam()) {
-      case 0: return net::builders::ring(8);
-      case 1: return net::builders::grid(4, 3);
-      default: return net::builders::arpanet87().topo;
+      case 0: return net::build_topology("ring:nodes=8");
+      case 1: return net::build_topology("grid:width=4,height=3");
+      default: return net::build_topology("arpanet87");
     }
   }
 };
@@ -92,7 +92,8 @@ TEST_P(ResponseMapSweep, BaseOneMonotoneNonNegative) {
 
 TEST(IncrementalSentinelTest, DownCostExtremesMatchFullRecompute) {
   util::Rng rng{321};
-  const net::Topology t = net::builders::random_connected(14, 10, rng);
+  const net::Topology t =
+      net::build_topology("random:nodes=14,extra=10,seed=321");
   routing::LinkCosts costs(t.link_count(), 30.0);
   routing::IncrementalSpf inc{t, 0, costs};
   for (int step = 0; step < 40; ++step) {
@@ -114,12 +115,12 @@ TEST(IncrementalSentinelTest, DownCostExtremesMatchFullRecompute) {
 
 TEST(DeterminismTest, Arpanet87RunIsBitReproducible) {
   auto run = [] {
-    const auto net87 = net::builders::arpanet87();
+    const net::Topology net87 = net::build_topology("arpanet87");
     sim::NetworkConfig cfg;
     cfg.seed = 0xabcdef;
-    sim::Network net{net87.topo, cfg};
+    sim::Network net{net87, cfg};
     net.add_traffic(traffic::TrafficMatrix::peak_hour(
-        net87.topo.node_count(), 400e3, util::Rng{9}));
+        net87.node_count(), 400e3, util::Rng{9}));
     net.run_for(util::SimTime::from_sec(120));
     const auto& s = net.stats();
     return std::tuple{s.packets_generated, s.packets_delivered,
@@ -132,10 +133,10 @@ TEST(DeterminismTest, Arpanet87RunIsBitReproducible) {
 
 TEST(DeterminismTest, HostFlowRunIsReproducible) {
   auto run = [] {
-    const auto two = net::builders::two_region(4);
-    sim::Network net{two.topo, sim::NetworkConfig{}};
+    const net::Topology two = net::build_topology("two-region:per_region=4");
+    sim::Network net{two, sim::NetworkConfig{}};
     sim::HostFlowLayer host{net, sim::HostFlowConfig{}};
-    host.add_traffic(traffic::TrafficMatrix::uniform(two.topo.node_count(), 80e3));
+    host.add_traffic(traffic::TrafficMatrix::uniform(two.node_count(), 80e3));
     net.run_for(util::SimTime::from_sec(90));
     return std::tuple{host.messages_completed(), host.retransmissions(),
                       host.message_delay_ms().mean()};
@@ -146,14 +147,14 @@ TEST(DeterminismTest, HostFlowRunIsReproducible) {
 // ---- live route queries ----
 
 TEST(CurrentRouteTest, MatchesDeliveredHops) {
-  const auto net87 = net::builders::arpanet87();
-  sim::Network net{net87.topo, sim::NetworkConfig{}};
+  const net::Topology net87 = net::build_topology("arpanet87");
+  sim::Network net{net87, sim::NetworkConfig{}};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 100e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 100e3));
   net.run_for(util::SimTime::from_sec(60));
   // Between updates, routes exist and terminate for every pair.
-  for (net::NodeId s = 0; s < net87.topo.node_count(); s += 7) {
-    for (net::NodeId d = 0; d < net87.topo.node_count(); d += 5) {
+  for (net::NodeId s = 0; s < net87.node_count(); s += 7) {
+    for (net::NodeId d = 0; d < net87.node_count(); d += 5) {
       if (s == d) continue;
       const routing::PathTrace r = net.current_route(s, d);
       EXPECT_TRUE(r.reached);
@@ -161,7 +162,8 @@ TEST(CurrentRouteTest, MatchesDeliveredHops) {
       EXPECT_GE(r.hops(), 1);
     }
   }
-  const auto route = net.current_route(net87.mit, net87.ucla);
+  const auto route = net.current_route(net87.node_by_name("MIT"),
+                                       net87.node_by_name("UCLA"));
   EXPECT_GE(route.hops(), 3);  // coast to coast is never adjacent
 }
 

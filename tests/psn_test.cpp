@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/convergence.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace arpanet::sim {
@@ -35,15 +35,17 @@ TEST(PsnTest, DirectionsAreIndependent) {
 }
 
 TEST(PsnTest, DownLinkAdvertisesSentinelCost) {
-  const auto two = net::builders::two_region(4);
+  const net::Topology two = net::build_topology("two-region:per_region=4");
+  const net::LinkId link_a =
+      two.link_between(two.node_by_name("A0"), two.node_by_name("B0"));
   NetworkConfig cfg;
-  Network net{two.topo, cfg};
+  Network net{two, cfg};
   net.run_for(SimTime::from_sec(30));
-  net.set_trunk_up(two.link_a, false);
+  net.set_trunk_up(link_a, false);
   net.run_for(SimTime::from_sec(5));  // flood
   // Every PSN's map shows the sentinel for both directions.
-  const auto& link = two.topo.link(two.link_a);
-  for (net::NodeId n = 0; n < two.topo.node_count(); ++n) {
+  const auto& link = two.link(link_a);
+  for (net::NodeId n = 0; n < two.node_count(); ++n) {
     EXPECT_DOUBLE_EQ(net.psn(n).spf().costs()[link.id], Psn::kDownLinkCost);
     EXPECT_DOUBLE_EQ(net.psn(n).spf().costs()[link.reverse], Psn::kDownLinkCost);
   }
@@ -52,7 +54,7 @@ TEST(PsnTest, DownLinkAdvertisesSentinelCost) {
 TEST(PsnTest, NodeCrashIsRoutedAround) {
   // Ring of 6: node 3 crashes; 0<->2 traffic keeps flowing the short way,
   // 0->... traffic that used 3 reroutes the long way around.
-  const net::Topology t = net::builders::ring(6);
+  const net::Topology t = net::build_topology("ring:nodes=6");
   NetworkConfig cfg;
   Network net{t, cfg};
   traffic::TrafficMatrix m{6};
@@ -80,14 +82,14 @@ TEST(PsnTest, NodeCrashIsRoutedAround) {
 }
 
 TEST(PsnTest, ReportedCostQueriesValidateLink) {
-  const net::Topology t = net::builders::ring(4);
+  const net::Topology t = net::build_topology("ring:nodes=4");
   Network net{t, NetworkConfig{}};
   // Link 2 belongs to node 1, not node 0.
   EXPECT_THROW((void)net.psn(0).reported_cost(2), std::out_of_range);
 }
 
 TEST(PsnTest, MinHopNetworkStillSendsReliabilityUpdates) {
-  const net::Topology t = net::builders::ring(4);
+  const net::Topology t = net::build_topology("ring:nodes=4");
   NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kMinHop;
   Network net{t, cfg};

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::sim {
@@ -114,7 +114,7 @@ TEST(ScenarioBuilderTest, EffectiveLabelPrefersExplicitThenFactoryThenKind) {
 }
 
 TEST(ScenarioBuilderTest, ExplicitMatrixMustMatchTopology) {
-  const net::Topology topo = net::builders::ring(4);
+  const net::Topology topo = net::build_topology("ring:nodes=4");
   ScenarioConfig cfg = ScenarioConfig{}.with_matrix(traffic::TrafficMatrix{7});
   EXPECT_THROW((void)scenario_matrix(topo, cfg), std::invalid_argument);
 
@@ -127,14 +127,14 @@ TEST(ScenarioBuilderTest, ExplicitMatrixMustMatchTopology) {
 }
 
 TEST(ScenarioBuilderTest, RunScenarioValidatesBeforeRunning) {
-  const net::Topology topo = net::builders::ring(4);
+  const net::Topology topo = net::build_topology("ring:nodes=4");
   ScenarioConfig cfg;
   cfg.window = SimTime::zero();
   EXPECT_THROW((void)run_scenario(topo, cfg, "x"), std::invalid_argument);
 }
 
 TEST(ScenarioBuilderTest, RunScenarioReportsTelemetryAndDefaultLabel) {
-  const net::Topology topo = net::builders::ring(4);
+  const net::Topology topo = net::build_topology("ring:nodes=4");
   const ScenarioConfig cfg = ScenarioConfig{}
                                  .with_shape(TrafficShape::kUniform)
                                  .with_load_bps(40e3)

@@ -79,21 +79,21 @@ TEST(SignificanceTest, RejectsBadConfig) {
 }  // namespace arpanet::routing
 
 // Simulator-level: the ablation hook must actually replace the threshold.
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace arpanet::sim {
 namespace {
 
 TEST(SignificanceOverrideTest, ZeroThresholdReportsEveryPeriod) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   auto run = [&](double override_value) {
     NetworkConfig cfg;
     cfg.metric = metrics::MetricKind::kHnSpf;
     cfg.significance_threshold_override = override_value;
-    Network net{net87.topo, cfg};
+    Network net{net87, cfg};
     net.add_traffic(traffic::TrafficMatrix::peak_hour(
-        net87.topo.node_count(), 400e3, util::Rng{4}));
+        net87.node_count(), 400e3, util::Rng{4}));
     net.run_for(util::SimTime::from_sec(120));
     return net.stats().updates_originated;
   };

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mm1.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 
 namespace arpanet::sim {
@@ -70,12 +70,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(Conservation, GeneratedEqualsDeliveredPlusDropped) {
   const auto [kind, load] = GetParam();
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   NetworkConfig cfg;
   cfg.metric = kind;
-  Network net{net87.topo, cfg};
+  Network net{net87, cfg};
   net.add_traffic(
-      traffic::TrafficMatrix::peak_hour(net87.topo.node_count(), load,
+      traffic::TrafficMatrix::peak_hour(net87.node_count(), load,
                                         util::Rng{42}));
   net.run_for(SimTime::from_sec(90));
   net.stop_traffic();
@@ -89,12 +89,12 @@ TEST_P(Conservation, GeneratedEqualsDeliveredPlusDropped) {
 }
 
 TEST(ConservationDv, HoldsForDistanceVectorToo) {
-  const auto two = net::builders::two_region(5);
+  const net::Topology two = net::build_topology("two-region:per_region=5");
   NetworkConfig cfg;
   cfg.algorithm = routing::RoutingAlgorithm::kDistanceVector;
   cfg.hop_limit = 50;
-  Network net{two.topo, cfg};
-  net.add_traffic(traffic::TrafficMatrix::uniform(two.topo.node_count(), 80e3));
+  Network net{two, cfg};
+  net.add_traffic(traffic::TrafficMatrix::uniform(two.node_count(), 80e3));
   net.run_for(SimTime::from_sec(90));
   net.stop_traffic();
   net.run_for(SimTime::from_sec(60));
@@ -148,11 +148,11 @@ TEST(UtilizationAccounting, BusySecondsMatchOfferedLoad) {
 /// Delivered hop counts always match a real path: never fewer hops than the
 /// minimum-hop distance.
 TEST(PathSanity, HopsNeverBeatMinimum) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   NetworkConfig cfg;
-  Network net{net87.topo, cfg};
+  Network net{net87, cfg};
   net.add_traffic(
-      traffic::TrafficMatrix::uniform(net87.topo.node_count(), 200e3));
+      traffic::TrafficMatrix::uniform(net87.node_count(), 200e3));
   net.run_for(SimTime::from_sec(120));
   const NetworkStats& s = net.stats();
   EXPECT_GT(s.packets_delivered, 1000);

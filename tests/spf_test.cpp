@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/routing/routing_table.h"
 #include "src/util/rng.h"
@@ -77,7 +76,7 @@ TEST(SpfTest, RejectsWrongCostVectorSize) {
 }
 
 TEST(SpfTest, HopsCountTreeEdges) {
-  const Topology t = net::builders::ring(6);
+  const Topology t = net::build_topology("ring:nodes=6");
   const LinkCosts costs(t.link_count(), 1.0);
   const SpfTree tree = Spf::compute(t, 0, costs);
   EXPECT_EQ(tree.hops[3], 3);  // opposite side of a 6-ring
@@ -142,8 +141,8 @@ TEST(IncrementalSpfTest, NoopOnEqualCost) {
 TEST(IncrementalSpfTest, MatchesFullRecomputeOnRandomGraphs) {
   util::Rng rng{2024};
   for (int trial = 0; trial < 20; ++trial) {
-    const Topology t = net::builders::random_connected(
-        16, 12, rng, LineType::kTerrestrial56);
+    const Topology t = net::build_topology(
+        "random:nodes=16,extra=12,seed=" + std::to_string(2024 + trial));
     LinkCosts costs(t.link_count());
     for (double& c : costs) c = 1.0 + rng.uniform_index(5);
     IncrementalSpf inc{t, 0, costs};
@@ -245,7 +244,7 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeOnLeoGridWithTies) {
 }
 
 TEST(IncrementalSpfTest, MatchesFullRecomputeOnArpanet87WithTies) {
-  const Topology t = net::builders::arpanet87().topo;
+  const Topology t = net::build_topology("arpanet87");
   for (const net::NodeId root : {0u, 17u, 46u}) {
     check_against_full_recompute(t, root, 400, 200 + root);
   }
@@ -319,7 +318,7 @@ TEST(IncrementalSpfTest, ResetReplacesAllCosts) {
 // ---- min-hop lengths ----
 
 TEST(MinHopTest, RingDistances) {
-  const Topology t = net::builders::ring(8);
+  const Topology t = net::build_topology("ring:nodes=8");
   const auto d = min_hop_lengths(t);
   EXPECT_EQ(d[0][4], 4);
   EXPECT_EQ(d[0][7], 1);
@@ -355,7 +354,7 @@ TEST(ForwardingTest, DetectsLoopFromInconsistentTables) {
 
 TEST(ForwardingTest, ConsistentTablesNeverLoop) {
   util::Rng rng{555};
-  const Topology t = net::builders::random_connected(12, 8, rng);
+  const Topology t = net::build_topology("random:nodes=12,extra=8,seed=555");
   LinkCosts costs(t.link_count());
   for (double& c : costs) c = 1.0 + rng.uniform(0.0, 3.0);
   const auto tables = ForwardingTables::compute_all(t, costs);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/convergence.h"
-#include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
@@ -26,12 +25,12 @@ INSTANTIATE_TEST_SUITE_P(Metrics, FlapStress,
                                            metrics::MetricKind::kHnSpf));
 
 TEST_P(FlapStress, RandomTrunkFlapsNeverBreakInvariants) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   NetworkConfig cfg;
   cfg.metric = GetParam();
-  Network net{net87.topo, cfg};
+  Network net{net87, cfg};
   net.add_traffic(
-      traffic::TrafficMatrix::peak_hour(net87.topo.node_count(), 300e3,
+      traffic::TrafficMatrix::peak_hour(net87.node_count(), 300e3,
                                         util::Rng{7}));
   util::Rng rng{GetParam() == metrics::MetricKind::kDspf ? 21u : 22u};
 
@@ -45,7 +44,7 @@ TEST_P(FlapStress, RandomTrunkFlapsNeverBreakInvariants) {
       down = net::kInvalidLink;
     } else {
       const auto trunk = static_cast<net::LinkId>(
-          2 * rng.uniform_index(net87.topo.trunk_count()));
+          2 * rng.uniform_index(net87.trunk_count()));
       net.set_trunk_up(trunk, false);
       down = trunk;
     }
@@ -77,12 +76,12 @@ TEST_P(FlapStress, RandomTrunkFlapsNeverBreakInvariants) {
 TEST(StressTest, SustainedSaturationStaysLive) {
   // 3x network capacity for five simulated minutes: the simulator must stay
   // live (updates flowing, packets delivered at capacity), not wedge.
-  const auto two = net::builders::two_region(4);
+  const net::Topology two = net::build_topology("two-region:per_region=4");
   NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;
   cfg.queue_capacity = 15;
-  Network net{two.topo, cfg};
-  net.add_traffic(traffic::TrafficMatrix::uniform(two.topo.node_count(), 600e3));
+  Network net{two, cfg};
+  net.add_traffic(traffic::TrafficMatrix::uniform(two.node_count(), 600e3));
   net.run_for(SimTime::from_sec(300));
   const NetworkStats& s = net.stats();
   EXPECT_GT(s.packets_delivered, 50'000);
@@ -107,13 +106,13 @@ TEST(StressTest, Arpanet87BatteryWindowIsAllocationFree) {
   // HN-SPF, 600 kb/s peak-hour load, 60 s warm-up, 120 s window. After
   // warm-up every pool and scratch buffer must be at its high-water mark,
   // so the guarded measurement window performs zero heap allocations.
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   auto cfg = ScenarioConfig{}
                  .with_metric(metrics::MetricKind::kHnSpf)
                  .with_load_bps(600e3)
                  .with_warmup(SimTime::from_sec(60))
                  .with_window(SimTime::from_sec(120));
-  const ScenarioResult r = run_scenario(net87.topo, cfg, "alloc-guard");
+  const ScenarioResult r = run_scenario(net87, cfg, "alloc-guard");
 
   // run_scenario wraps exactly the measurement window in an AllocGuard and
   // reports through the counters catalog.
@@ -165,14 +164,14 @@ TEST(StressTest, FlapStormWindowIsAllocationFree) {
   // through the entire arpanet87 measurement window. Fault actions are
   // first-class SimEvents and the plan is compiled and pre-sized at install
   // time, so even a storm keeps the guarded window allocation-free.
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   auto cfg = ScenarioConfig{}
                  .with_metric(metrics::MetricKind::kHnSpf)
                  .with_load_bps(600e3)
                  .with_warmup(SimTime::from_sec(60))
                  .with_window(SimTime::from_sec(120))
                  .with_faults("flap:link=0,period_s=1,dwell_s=0.4");
-  const ScenarioResult r = run_scenario(net87.topo, cfg, "flap-storm");
+  const ScenarioResult r = run_scenario(net87, cfg, "flap-storm");
 
   EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
 #if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
@@ -188,11 +187,11 @@ TEST(StressTest, FlapStormWindowIsAllocationFree) {
 }
 
 TEST(StressTest, DelayPercentilesOrdered) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   NetworkConfig cfg;
-  Network net{net87.topo, cfg};
+  Network net{net87, cfg};
   net.add_traffic(
-      traffic::TrafficMatrix::peak_hour(net87.topo.node_count(), 420e3,
+      traffic::TrafficMatrix::peak_hour(net87.node_count(), 420e3,
                                         util::Rng{3}));
   net.run_for(SimTime::from_sec(180));
   const auto ind = net.indicators("x");

@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/traffic/traffic_matrix.h"
 
@@ -63,8 +63,8 @@ struct ChiSquare {
 // network drains. With no drop every generated packet is delivered, so the
 // delivery hook sees each pair's whole arrival count, Poisson(λ_sd·T).
 TEST(SuperpositionTest, PerPairAndPerNodeOfferedLoadMatchTheMatrix) {
-  const auto net87 = net::builders::arpanet87();
-  const net::Topology& topo = net87.topo;
+  const net::Topology net87 = net::build_topology("arpanet87");
+  const net::Topology& topo = net87;
   const std::size_t n = topo.node_count();
   const traffic::TrafficMatrix matrix = peak_hour(topo, 150e3);
   const SimTime horizon = SimTime::from_sec(100);
@@ -132,12 +132,12 @@ constexpr std::array<const char*, kIndicators> kIndicatorNames = {
 /// One seed of the Table-1 scenario: arpanet87, HN-SPF, an 800 kb/s peak
 /// hour (heavy enough that some seeds drop packets).
 std::array<double, kIndicators> table1_run(std::uint64_t seed) {
-  const auto net87 = net::builders::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   NetworkConfig cfg;
   cfg.metric = metrics::MetricKind::kHnSpf;
   cfg.seed = seed;
-  Network net{net87.topo, cfg};
-  net.add_traffic(peak_hour(net87.topo, 800e3));
+  Network net{net87, cfg};
+  net.add_traffic(peak_hour(net87, 800e3));
   net.run_for(SimTime::from_sec(30));
   net.reset_stats();
   net.run_for(SimTime::from_sec(90));

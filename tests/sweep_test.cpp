@@ -7,7 +7,7 @@
 #include <set>
 
 #include "src/exp/experiment.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::exp {
 namespace {
@@ -37,7 +37,7 @@ TEST(SweepSpecTest, EmptyAxesFallBackToBase) {
   spec.base = fast_base().with_metric(MetricKind::kDspf).with_seed(7);
   EXPECT_EQ(spec.cell_count(), 1u);
 
-  const NamedTopology topo{"t", net::builders::ring(4)};
+  const NamedTopology topo{"t", net::build_topology("ring:nodes=4")};
   const auto cells = expand_cells(spec, topo);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].metric, MetricKind::kDspf);
@@ -54,7 +54,7 @@ TEST(SweepSpecTest, ExpandsCrossProductInDeterministicOrder) {
       .over_seeds({1, 2, 3});
   EXPECT_EQ(spec.cell_count(), 12u);
 
-  const NamedTopology topo{"t", net::builders::ring(4)};
+  const NamedTopology topo{"t", net::build_topology("ring:nodes=4")};
   const auto cells = expand_cells(spec, topo);
   ASSERT_EQ(cells.size(), 12u);
   // Ordering: metric-major, then load, then seed; indexes are dense.
@@ -231,8 +231,8 @@ TEST(SweepTopologyAxisTest, SweepsAcrossNamedTopologies) {
   SweepSpec spec;
   spec.base = fast_base();
   std::vector<NamedTopology> topos;
-  topos.push_back({"ring4", net::builders::ring(4)});
-  topos.push_back({"grid2x3", net::builders::grid(2, 3)});
+  topos.push_back({"ring4", net::build_topology("ring:nodes=4")});
+  topos.push_back({"grid2x3", net::build_topology("grid:width=2,height=3")});
   spec.over_topologies(std::move(topos));
 
   const SweepResult r = e.sweep(spec, threads(2));

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 
 namespace arpanet::net {
 namespace {
@@ -57,13 +57,12 @@ TEST(TopologyIoTest, ErrorsCarryLineNumbers) {
 }
 
 TEST(TopologyIoTest, RoundTripsArpanet87) {
-  const builders::Arpanet87 original = builders::arpanet87();
-  const Topology parsed =
-      parse_topology(topology_to_string(original.topo));
-  ASSERT_EQ(parsed.node_count(), original.topo.node_count());
-  ASSERT_EQ(parsed.link_count(), original.topo.link_count());
+  const Topology original = build_topology("arpanet87");
+  const Topology parsed = parse_topology(topology_to_string(original));
+  ASSERT_EQ(parsed.node_count(), original.node_count());
+  ASSERT_EQ(parsed.link_count(), original.link_count());
   for (std::size_t i = 0; i < parsed.link_count(); ++i) {
-    const Link& a = original.topo.link(static_cast<LinkId>(i));
+    const Link& a = original.link(static_cast<LinkId>(i));
     const Link& b = parsed.link(static_cast<LinkId>(i));
     EXPECT_EQ(a.from, b.from);
     EXPECT_EQ(a.to, b.to);
@@ -72,7 +71,7 @@ TEST(TopologyIoTest, RoundTripsArpanet87) {
     EXPECT_EQ(a.reverse, b.reverse);
   }
   for (NodeId n = 0; n < parsed.node_count(); ++n) {
-    EXPECT_EQ(parsed.node_name(n), original.topo.node_name(n));
+    EXPECT_EQ(parsed.node_name(n), original.node_name(n));
   }
 }
 

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 
 namespace arpanet::net {
@@ -92,7 +93,7 @@ TEST(TopologyTest, OutLinks) {
 TEST(TopologyTest, InLinksPairWithOutTargets) {
   // in_links(v)[i] is the link out_targets(v)[i] -> v, i.e. the reverse of
   // out_links(v)[i], and every link is some node's in-link exactly once.
-  const Topology t = builders::arpanet87().topo;
+  const Topology t = build_topology("arpanet87");
   std::vector<int> seen(t.link_count(), 0);
   for (NodeId v = 0; v < t.node_count(); ++v) {
     const auto ins = t.in_links(v);
@@ -108,6 +109,22 @@ TEST(TopologyTest, InLinksPairWithOutTargets) {
     }
   }
   for (const int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(TopologyTest, LinkBetweenFindsTheTrunkInEitherDirection) {
+  Topology t;
+  const NodeId a = t.add_node("a");
+  const NodeId b = t.add_node("b");
+  const NodeId c = t.add_node("c");
+  t.add_duplex(a, c, LineType::kTerrestrial56);
+  const LinkId ab = t.add_duplex(a, b, LineType::kSatellite56);
+  EXPECT_EQ(t.link_between(a, b), ab);
+  const LinkId ba = t.link_between(b, a);
+  EXPECT_EQ(ba, t.link(ab).reverse);
+  EXPECT_EQ(t.link(ba).from, b);
+  EXPECT_EQ(t.link(ba).to, a);
+  EXPECT_EQ(t.link_between(b, c), kInvalidLink);  // no trunk
+  EXPECT_EQ(t.link_between(a, a), kInvalidLink);
 }
 
 TEST(TopologyTest, Connectivity) {
@@ -138,32 +155,44 @@ TEST(LineTypeTest, SatelliteHasLongPropagation) {
 // ---- builders ----
 
 TEST(BuildersTest, TwoRegionShape) {
-  const builders::TwoRegionNet net = builders::two_region(6);
-  EXPECT_EQ(net.topo.node_count(), 12u);
-  EXPECT_TRUE(net.topo.is_connected());
-  const Link& a = net.topo.link(net.link_a);
-  const Link& b = net.topo.link(net.link_b);
+  const Topology t = build_topology("two-region:per_region=6");
+  EXPECT_EQ(t.node_count(), 12u);
+  EXPECT_TRUE(t.is_connected());
+  // Region 1 is A0..A5 (ids 0..5), region 2 is B0..B5 (ids 6..11).
+  for (NodeId n = 0; n < 6; ++n) {
+    EXPECT_EQ(t.node_name(n), "A" + std::to_string(n));
+    EXPECT_EQ(t.node_name(n + 6), "B" + std::to_string(n));
+  }
+  const LinkId link_a =
+      t.link_between(t.node_by_name("A0"), t.node_by_name("B0"));
+  const LinkId link_b =
+      t.link_between(t.node_by_name("A3"), t.node_by_name("B3"));
+  ASSERT_NE(link_a, kInvalidLink);
+  ASSERT_NE(link_b, kInvalidLink);
   // Same bandwidth and propagation delay, as figure 1 requires.
-  EXPECT_EQ(a.rate, b.rate);
-  EXPECT_EQ(a.prop_delay, b.prop_delay);
-  // A and B are the only inter-region trunks: removing them disconnects.
-  // (Checked indirectly: endpoints are in different regions.)
-  EXPECT_NE(a.from, b.from);
+  EXPECT_EQ(t.link(link_a).rate, t.link(link_b).rate);
+  EXPECT_EQ(t.link(link_a).prop_delay, t.link(link_b).prop_delay);
+  // A and B are the only inter-region trunks.
+  std::vector<LinkId> crossing;
+  for (const Link& l : t.links()) {
+    if (l.from < 6 && l.to >= 6) crossing.push_back(l.id);
+  }
+  EXPECT_EQ(crossing, (std::vector<LinkId>{link_a, link_b}));
 }
 
 TEST(BuildersTest, Arpanet87Shape) {
-  const builders::Arpanet87 net = builders::arpanet87();
-  EXPECT_EQ(net.topo.node_count(), 47u);
-  EXPECT_EQ(net.topo.trunk_count(), 75u);
-  EXPECT_TRUE(net.topo.is_connected());
+  const Topology topo = build_topology("arpanet87");
+  EXPECT_EQ(topo.node_count(), 47u);
+  EXPECT_EQ(topo.trunk_count(), 75u);
+  EXPECT_TRUE(topo.is_connected());
   // Every node has at least two trunks (survivability).
-  for (NodeId n = 0; n < net.topo.node_count(); ++n) {
-    EXPECT_GE(net.topo.out_links(n).size(), 2u) << net.topo.node_name(n);
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    EXPECT_GE(topo.out_links(n).size(), 2u) << topo.node_name(n);
   }
   // Average degree around 3, like the real ARPANET.
   const double avg_degree =
-      2.0 * static_cast<double>(net.topo.trunk_count()) /
-      static_cast<double>(net.topo.node_count());
+      2.0 * static_cast<double>(topo.trunk_count()) /
+      static_cast<double>(topo.node_count());
   EXPECT_GT(avg_degree, 2.5);
   EXPECT_LT(avg_degree, 3.5);
 }
@@ -172,8 +201,7 @@ TEST(BuildersTest, Arpanet87Shape) {
 /// trunk may be a bridge — every route must have an alternate that avoids
 /// any single trunk.
 TEST(BuildersTest, Arpanet87HasNoBridgeTrunks) {
-  const builders::Arpanet87 net = builders::arpanet87();
-  const Topology& t = net.topo;
+  const Topology t = build_topology("arpanet87");
   for (std::size_t trunk = 0; trunk < t.link_count(); trunk += 2) {
     // BFS that refuses to cross either direction of this trunk.
     std::vector<bool> seen(t.node_count(), false);
@@ -201,13 +229,13 @@ TEST(BuildersTest, Arpanet87HasNoBridgeTrunks) {
 
 /// Mean minimum path length should resemble Table 1's ~3.2-4.0 hops.
 TEST(BuildersTest, Arpanet87PathLengthsResembleTable1) {
-  const builders::Arpanet87 net = builders::arpanet87();
-  const auto d = routing::min_hop_lengths(net.topo);
+  const Topology topo = build_topology("arpanet87");
+  const auto d = routing::min_hop_lengths(topo);
   double sum = 0;
   int pairs = 0;
   int diameter = 0;
-  for (NodeId s = 0; s < net.topo.node_count(); ++s) {
-    for (NodeId t2 = 0; t2 < net.topo.node_count(); ++t2) {
+  for (NodeId s = 0; s < topo.node_count(); ++s) {
+    for (NodeId t2 = 0; t2 < topo.node_count(); ++t2) {
       if (s == t2) continue;
       sum += d[s][t2];
       diameter = std::max(diameter, d[s][t2]);
@@ -221,11 +249,11 @@ TEST(BuildersTest, Arpanet87PathLengthsResembleTable1) {
 }
 
 TEST(BuildersTest, Arpanet87HasHeterogeneousTrunking) {
-  const builders::Arpanet87 net = builders::arpanet87();
+  const Topology topo = build_topology("arpanet87");
   int sat = 0;
   int slow = 0;
   int multi = 0;
-  for (const Link& l : net.topo.links()) {
+  for (const Link& l : topo.links()) {
     if (info(l.type).satellite) ++sat;
     if (l.type == LineType::kTerrestrial9_6) ++slow;
     if (l.type == LineType::kMultiTrunk112) ++multi;
@@ -236,22 +264,20 @@ TEST(BuildersTest, Arpanet87HasHeterogeneousTrunking) {
 }
 
 TEST(BuildersTest, RingAndGrid) {
-  const Topology r = builders::ring(5);
+  const Topology r = build_topology("ring:nodes=5");
   EXPECT_EQ(r.node_count(), 5u);
   EXPECT_EQ(r.trunk_count(), 5u);
   EXPECT_TRUE(r.is_connected());
 
-  const Topology g = builders::grid(3, 4);
+  const Topology g = build_topology("grid:width=3,height=4");
   EXPECT_EQ(g.node_count(), 12u);
   EXPECT_EQ(g.trunk_count(), 17u);  // 2*w*h - w - h
   EXPECT_TRUE(g.is_connected());
 }
 
 TEST(BuildersTest, RandomConnectedIsConnectedAndDeterministic) {
-  util::Rng rng1{123};
-  util::Rng rng2{123};
-  const Topology a = builders::random_connected(20, 10, rng1);
-  const Topology b = builders::random_connected(20, 10, rng2);
+  const Topology a = build_topology("random:nodes=20,extra=10,seed=123");
+  const Topology b = build_topology("random:nodes=20,extra=10,seed=123");
   EXPECT_TRUE(a.is_connected());
   EXPECT_EQ(a.trunk_count(), b.trunk_count());
   for (std::size_t i = 0; i < a.link_count(); ++i) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/net/dot_export.h"
 #include "src/sim/network.h"
 
@@ -102,8 +102,8 @@ TEST(PacketTracerTest, TracesAPacketHopByHop) {
 // ---- dot export ----
 
 TEST(DotExportTest, ContainsNodesEdgesAndStyles) {
-  const auto net87 = net::builders::arpanet87();
-  const std::string dot = net::to_dot(net87.topo);
+  const net::Topology net87 = net::build_topology("arpanet87");
+  const std::string dot = net::to_dot(net87);
   EXPECT_NE(dot.find("graph arpanet {"), std::string::npos);
   EXPECT_NE(dot.find("\"MIT\""), std::string::npos);
   EXPECT_NE(dot.find("\"HAWAII\" -- \"AMES\""), std::string::npos);

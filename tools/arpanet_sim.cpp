@@ -1,7 +1,7 @@
 // arpanet_sim: command-line driver for whole-network experiments.
 //
 // Usage:
-//   arpanet_sim [--topology=arpanet87|two-region|ring:N|grid:WxH|<spec>|<file>]
+//   arpanet_sim [--topology=<spec>|ring:N|grid:WxH|<file>]
 //               [--metric=min-hop|dspf|hnspf] [--algorithm=spf|dv]
 //               [--multipath] [--load-kbps=400] [--shape=uniform|peak-hour]
 //               [--warmup-sec=120] [--window-sec=300] [--seed=N]
@@ -15,8 +15,10 @@
 // must lie within the run, [0, warm-up + window].
 //
 // A <spec> is any TopologyBuilder registry family with key=value parameters,
-// e.g. ba:nodes=10000,seed=7,m=2 or leo-grid:planes=20,per_plane=20
-// (see docs/topologies.md for the families and their parameters).
+// e.g. arpanet87, two-region, ba:nodes=10000,seed=7,m=2 or
+// leo-grid:planes=20,per_plane=20 (see docs/topologies.md for the families
+// and their parameters). ring:N and grid:WxH are short for ring:nodes=N and
+// grid:width=W,height=H.
 //
 // Examples:
 //   arpanet_sim --metric=dspf --load-kbps=420
@@ -28,9 +30,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <string_view>
 
-#include "src/net/builders/builders.h"
 #include "src/net/builders/registry.h"
 #include "src/net/topology_io.h"
 #include "src/sim/network.h"
@@ -41,25 +43,28 @@ namespace {
 
 using namespace arpanet;
 
-net::Topology load_topology(const std::string& spec) {
-  if (spec == "arpanet87") return net::builders::arpanet87().topo;
-  if (spec == "two-region") return net::builders::two_region().topo;
-  if (spec.starts_with("ring:")) {
-    return net::builders::ring(std::stoi(spec.substr(5)));
-  }
+/// The registry spelling of a --topology value: "ring:N" and "grid:WxH"
+/// are short forms of "ring:nodes=N" and "grid:width=W,height=H"; every
+/// other value passes through unchanged.
+std::string registry_spec(const std::string& spec) {
+  const std::string args = spec.substr(spec.find(':') + 1);
+  if (args.find('=') != std::string::npos) return spec;
+  if (spec.starts_with("ring:")) return "ring:nodes=" + args;
   if (spec.starts_with("grid:")) {
-    const std::string dims = spec.substr(5);
-    const std::size_t x = dims.find('x');
+    const std::size_t x = args.find('x');
     if (x == std::string::npos) {
       throw std::invalid_argument("grid spec must be grid:WxH");
     }
-    return net::builders::grid(std::stoi(dims.substr(0, x)),
-                               std::stoi(dims.substr(x + 1)));
+    return "grid:width=" + args.substr(0, x) + ",height=" + args.substr(x + 1);
   }
-  // Any registry family, parameterized "family:key=value,...".
+  return spec;
+}
+
+/// A registry family spec ("family[:key=value,...]") or a topology file.
+net::Topology load_topology(const std::string& spec) {
   const std::string family = spec.substr(0, spec.find(':'));
   if (net::TopologyBuilder::registry().has_family(family)) {
-    return net::TopologyBuilder::registry().build(net::GraphSpec::parse(spec));
+    return net::build_topology(registry_spec(spec));
   }
   std::ifstream file{spec};
   if (!file) throw std::invalid_argument("cannot open topology file " + spec);
@@ -126,12 +131,11 @@ TrunkEvent parse_trunk_event(const net::Topology& topo, const std::string& flag,
                                 ": the time must lie within the run, [0, " +
                                 run_s + "] s (warm-up plus window)");
   }
-  for (const net::LinkId lid : topo.out_links(a)) {
-    if (topo.link(lid).to == b) {
-      return TrunkEvent{lid, util::SimTime::from_sec(t), up};
-    }
+  const net::LinkId link = topo.link_between(a, b);
+  if (link == net::kInvalidLink) {
+    throw std::invalid_argument("no trunk between the named nodes: " + spec);
   }
-  throw std::invalid_argument("no trunk between the named nodes: " + spec);
+  return TrunkEvent{link, util::SimTime::from_sec(t), up};
 }
 
 int run(const util::Flags& flags) {

@@ -8,13 +8,14 @@
 // Prints, for the chosen line and (optionally overridden) HNM parameters:
 // the D-SPF and HN-SPF cost maps over utilization, the derived movement
 // limits, and the hop-normalized view. With --dot-topology it instead emits
-// a Graphviz map of the named built-in topology to stdout.
+// a Graphviz map of the topology any registry spec names (arpanet87, milnet,
+// two-region:per_region=4, ...) to stdout.
 
 #include <cstdio>
 #include <iostream>
 
 #include "src/analysis/metric_map.h"
-#include "src/net/builders/builders.h"
+#include "src/net/builders/registry.h"
 #include "src/net/dot_export.h"
 #include "src/net/topology_io.h"
 #include "src/util/flags.h"
@@ -24,19 +25,8 @@ namespace {
 using namespace arpanet;
 
 int run(const util::Flags& flags) {
-  if (const auto topo_name = flags.get("dot-topology")) {
-    net::Topology topo;
-    if (*topo_name == "arpanet87") {
-      topo = net::builders::arpanet87().topo;
-    } else if (*topo_name == "milnet") {
-      topo = net::builders::milnet_like();
-    } else if (*topo_name == "two-region") {
-      topo = net::builders::two_region().topo;
-    } else {
-      std::fprintf(stderr, "unknown topology %s\n", topo_name->c_str());
-      return 2;
-    }
-    net::write_dot(std::cout, topo);
+  if (const auto spec = flags.get("dot-topology")) {
+    net::write_dot(std::cout, net::build_topology(*spec));
     return 0;
   }
 
