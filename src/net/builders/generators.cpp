@@ -47,10 +47,23 @@ Topology ring(const GraphSpec& spec) {
   return topo;
 }
 
+std::size_t grid_shape_nodes(const GraphSpec& spec) {
+  const auto w = static_cast<std::size_t>(spec.param("width", 0));
+  const auto h = static_cast<std::size_t>(spec.param("height", 0));
+  return w * h;
+}
+
 Topology grid(const GraphSpec& spec) {
   auto w = static_cast<std::size_t>(spec.param("width", 0));
   auto h = static_cast<std::size_t>(spec.param("height", 0));
   const std::size_t n = spec.nodes();
+  const std::size_t shaped = grid_shape_nodes(spec);
+  if (n != 0 && shaped != 0 && n != shaped) {
+    throw std::invalid_argument(
+        "grid: nodes=" + std::to_string(n) + " contradicts width=" +
+        std::to_string(w) + " x height=" + std::to_string(h) + " (" +
+        std::to_string(shaped) + " nodes)");
+  }
   if (w == 0 && h == 0) {
     w = std::max<std::size_t>(
         2, static_cast<std::size_t>(std::llround(std::sqrt(

@@ -14,12 +14,14 @@ using builders::families::barabasi_albert;
 using builders::families::clustered;
 using builders::families::fat_tree;
 using builders::families::grid;
+using builders::families::grid_shape_nodes;
 using builders::families::hier_as;
 using builders::families::leo_grid;
 using builders::families::milnet;
 using builders::families::random_connected;
 using builders::families::ring;
 using builders::families::two_region;
+using builders::families::two_region_shape_nodes;
 using builders::families::waxman;
 
 // ---- the family table ----
@@ -71,9 +73,10 @@ const FamilyInfo kFamilies[] = {
     {"two-region",
      "figure 1's regions A0..A{k-1} and B0..B{k-1} joined by links A "
      "(A0-B0) and B (A{k/2}-B{k/2})",
-     two_region, kTwoRegionParams, 12, 6, 8192},
+     two_region, kTwoRegionParams, 12, 6, 8192, two_region_shape_nodes},
     {"ring", "cycle of 56 kb/s terrestrial trunks", ring, {}, 8, 3, 0},
-    {"grid", "width x height mesh", grid, kGridParams, 16, 4, 0},
+    {"grid", "width x height mesh", grid, kGridParams, 16, 4, 0,
+     grid_shape_nodes},
     {"random", "random spanning tree plus chords", random_connected,
      kRandomParams, 16, 2, 100000},
     {"clustered", "rings of clusters joined by gateway trunks",
@@ -152,7 +155,9 @@ std::size_t TopologyBuilder::validate(const GraphSpec& spec) const {
     }
   }
 
-  const std::size_t nodes = spec.nodes() != 0 ? spec.nodes() : fam.default_nodes;
+  std::size_t nodes = spec.nodes();
+  if (nodes == 0 && fam.shape_nodes != nullptr) nodes = fam.shape_nodes(spec);
+  if (nodes == 0) nodes = fam.default_nodes;
   if (nodes < fam.min_nodes || (fam.max_nodes != 0 && nodes > fam.max_nodes)) {
     std::ostringstream msg;
     msg << "topology family '" << fam.name << "': node count " << nodes

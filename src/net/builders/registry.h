@@ -37,6 +37,9 @@ namespace arpanet::net {
 class TopologyBuilder {
  public:
   using BuildFn = Topology (*)(const GraphSpec&);
+  /// Node count a spec's shape parameters fix on their own, 0 if they
+  /// leave it to `nodes`.
+  using ShapeNodesFn = std::size_t (*)(const GraphSpec&);
 
   /// One declared numeric parameter of a family: its accepted closed range
   /// and the value used when the spec does not set it.
@@ -53,9 +56,14 @@ class TopologyBuilder {
     std::string_view description;
     BuildFn build;
     std::span<const ParamInfo> params;
-    std::size_t default_nodes;  ///< used when the spec leaves nodes unset
+    /// Used when the spec leaves nodes unset and its shape does not fix
+    /// the count.
+    std::size_t default_nodes;
     std::size_t min_nodes;
     std::size_t max_nodes;  ///< 0 = unbounded above min_nodes
+    /// Null for families whose size comes from `nodes` alone. The family's
+    /// build rejects an explicit `nodes` that contradicts its shape.
+    ShapeNodesFn shape_nodes = nullptr;
   };
 
   /// The process-wide registry (a static table: no registration order, no
@@ -69,8 +77,8 @@ class TopologyBuilder {
 
   /// Checks the spec against its family's declared parameters and node
   /// range without building; throws std::invalid_argument on any problem
-  /// and returns the effective node count (the family default when the spec
-  /// leaves nodes unset).
+  /// and returns the effective node count (when the spec leaves nodes
+  /// unset: the count its shape fixes, else the family default).
   std::size_t validate(const GraphSpec& spec) const;
 
   /// Validates `spec` and builds the graph; see the header comment.
@@ -94,6 +102,10 @@ namespace builders::families {
 [[nodiscard]] Topology two_region(const GraphSpec& spec);
 [[nodiscard]] Topology ring(const GraphSpec& spec);
 [[nodiscard]] Topology grid(const GraphSpec& spec);
+/// 2 x per_region, or 0 when per_region is unset.
+[[nodiscard]] std::size_t two_region_shape_nodes(const GraphSpec& spec);
+/// width x height, or 0 unless both are set.
+[[nodiscard]] std::size_t grid_shape_nodes(const GraphSpec& spec);
 [[nodiscard]] Topology random_connected(const GraphSpec& spec);
 [[nodiscard]] Topology clustered(const GraphSpec& spec);
 [[nodiscard]] Topology milnet(const GraphSpec& spec);

@@ -44,8 +44,19 @@ std::vector<NodeId> add_region(Topology& topo, const std::string& prefix,
 
 }  // namespace
 
+std::size_t two_region_shape_nodes(const GraphSpec& spec) {
+  return 2 * static_cast<std::size_t>(spec.param("per_region", 0));
+}
+
 Topology two_region(const GraphSpec& spec) {
   auto per = static_cast<std::size_t>(spec.param("per_region", 0));
+  const std::size_t shaped = two_region_shape_nodes(spec);
+  if (spec.nodes() != 0 && shaped != 0 && spec.nodes() != shaped) {
+    throw std::invalid_argument(
+        "two-region: nodes=" + std::to_string(spec.nodes()) +
+        " contradicts per_region=" + std::to_string(per) + " (" +
+        std::to_string(shaped) + " nodes)");
+  }
   if (per == 0) {
     if (spec.nodes() % 2 != 0) {
       throw std::invalid_argument("two-region: nodes must be even");

@@ -306,29 +306,39 @@ TopoCell run_topo_cell(const net::GraphSpec& spec) {
   return cell;
 }
 
+std::vector<BenchCell> run_bench_scenario(const BenchScenario& scenario,
+                                          int threads) {
+  sim::ScenarioConfig base;
+  base.offered_load_bps = scenario.offered_load_bps;
+  base.warmup = scenario.warmup;
+  base.window = scenario.window;
+  if (!scenario.fault_spec.empty()) {
+    base.with_faults(std::string_view{scenario.fault_spec});
+  }
+  exp::SweepSpec spec;
+  spec.base = base;
+  spec.metrics = {metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf};
+  const exp::NamedTopology named{scenario.name, scenario.topo};
+  exp::SweepOptions opts;
+  opts.threads = threads;
+  const exp::SweepRunner runner{std::move(opts)};
+  const exp::SweepResult sweep = runner.run(spec, named);
+  std::vector<BenchCell> cells;
+  cells.reserve(sweep.runs.size());
+  for (const exp::SweepRun& run : sweep.runs) {
+    cells.push_back(make_cell(scenario, run));
+  }
+  return cells;
+}
+
 BenchReport run_bench_battery(const std::string& battery, int threads) {
   const std::vector<BenchScenario> scenarios = bench_battery(battery);
   BenchReport report;
   report.battery = battery;
   const Stopwatch stopwatch;
   for (const BenchScenario& scenario : scenarios) {
-    sim::ScenarioConfig base;
-    base.offered_load_bps = scenario.offered_load_bps;
-    base.warmup = scenario.warmup;
-    base.window = scenario.window;
-    if (!scenario.fault_spec.empty()) {
-      base.with_faults(std::string_view{scenario.fault_spec});
-    }
-    exp::SweepSpec spec;
-    spec.base = base;
-    spec.metrics = {metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf};
-    const exp::NamedTopology named{scenario.name, scenario.topo};
-    exp::SweepOptions opts;
-    opts.threads = threads;
-    const exp::SweepRunner runner{std::move(opts)};
-    const exp::SweepResult sweep = runner.run(spec, named);
-    for (const exp::SweepRun& run : sweep.runs) {
-      report.cells.push_back(make_cell(scenario, run));
+    for (BenchCell& cell : run_bench_scenario(scenario, threads)) {
+      report.cells.push_back(std::move(cell));
     }
   }
   report.micro = run_micro_cells();

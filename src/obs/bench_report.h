@@ -235,8 +235,13 @@ struct BenchReport {
 [[nodiscard]] std::vector<BenchScenario> bench_battery(
     const std::string& name);
 
-/// Runs every scenario of `battery` under HN-SPF and D-SPF on `threads`
-/// sweep workers (0 = hardware concurrency) and collects the report.
+/// Runs one scenario under HN-SPF and D-SPF on `threads` sweep workers
+/// (0 = hardware concurrency): one cell per metric, in that order.
+[[nodiscard]] std::vector<BenchCell> run_bench_scenario(
+    const BenchScenario& scenario, int threads = 0);
+
+/// Runs every scenario of `battery` (run_bench_scenario), then the micro
+/// and topology cells, and collects the report.
 [[nodiscard]] BenchReport run_bench_battery(const std::string& battery,
                                             int threads = 0);
 

@@ -16,6 +16,18 @@ std::uint64_t key(net::NodeId src, net::NodeId dst) {
 
 /// ARPANET messages were capped at eight packets.
 constexpr int kMaxPacketsPerMessage = 8;
+static_assert(kMaxPacketsPerMessage <= 32,
+              "reassembly keeps one bit per packet in a 32-bit mask");
+
+/// Packet::message_tag: message id times kMaxPacketsPerMessage plus the
+/// packet's index, so ids must stay below 2^32 / kMaxPacketsPerMessage.
+constexpr std::uint64_t kMaxMessageId =
+    (std::uint64_t{1} << 32) / kMaxPacketsPerMessage - 1;
+
+std::uint32_t message_tag(std::uint64_t message_id, int index) {
+  return static_cast<std::uint32_t>(message_id * kMaxPacketsPerMessage +
+                                    static_cast<std::uint64_t>(index));
+}
 
 }  // namespace
 
@@ -64,12 +76,16 @@ void HostFlowLayer::handle_event(SimEvent& ev) {
       Pair& p = *pairs_[ev.index()];
       Message msg;
       msg.id = ++next_message_id_;
+      if (msg.id > kMaxMessageId) {
+        throw std::length_error("host-flow message ids exhausted");
+      }
       // Shifted-exponential message sizes, truncated to the 8-packet cap.
       const double cap = cfg_.packet_bits_max * kMaxPacketsPerMessage;
       msg.bits = std::min(
           64.0 + p.size_rng.exponential(cfg_.mean_message_bits - 64.0), cap);
       msg.packet_count = std::max(
           1, static_cast<int>(std::ceil(msg.bits / cfg_.packet_bits_max)));
+      packet_counts_.push_back(static_cast<std::uint8_t>(msg.packet_count));
       msg.submitted = net_.now();
       ++messages_offered_;
       p.backlog.push_back(msg);
@@ -104,10 +120,9 @@ void HostFlowLayer::transmit_message(Pair& pair, const Message& msg) {
     pkt.dst = pair.dst;
     pkt.bits = std::min(remaining, cfg_.packet_bits_max);
     remaining -= pkt.bits;
-    pkt.message_id = msg.id;
-    pkt.pkt_index = static_cast<std::uint16_t>(i);
-    pkt.pkt_count = static_cast<std::uint16_t>(msg.packet_count);
-    net_.psn(pair.src).originate_packet(std::move(pkt));
+    pkt.flags = Packet::kHostMessage;
+    pkt.message_tag = message_tag(msg.id, i);
+    net_.psn(pair.src).originate_packet(pkt);
   }
 }
 
@@ -139,14 +154,15 @@ void HostFlowLayer::on_timeout(std::size_t pair_index, std::uint64_t message_id,
 }
 
 void HostFlowLayer::on_delivered(const Packet& pkt) {
-  if (pkt.message_id == 0) return;  // plain datagram traffic
+  if ((pkt.flags & Packet::kHostMessage) == 0) return;  // datagram traffic
+  const std::uint64_t message_id = pkt.message_tag / kMaxPacketsPerMessage;
 
-  if (pkt.rfnm) {
+  if ((pkt.flags & Packet::kRfnm) != 0) {
     // RFNM arriving back at the message source.
     const auto pit = pair_index_.find(key(pkt.dst, pkt.src));
     if (pit == pair_index_.end()) return;
     Pair& pair = *pairs_[pit->second];
-    const auto it = pair.outstanding.find(pkt.message_id);
+    const auto it = pair.outstanding.find(message_id);
     if (it == pair.outstanding.end()) return;  // duplicate RFNM
     ++messages_completed_;
     completed_bits_ += it->second.bits;
@@ -159,24 +175,23 @@ void HostFlowLayer::on_delivered(const Packet& pkt) {
   // Data packet at the destination: reassemble. Per-index bits, so
   // retransmitted duplicates of one packet can't complete a message that is
   // genuinely missing another.
-  if (completed_at_dst_.contains(pkt.message_id)) {
+  if (completed_at_dst_.contains(message_id)) {
     // Duplicate from a retransmission whose original completed: the RFNM
     // was lost or late; send it again (idempotent at the source).
   } else {
-    auto& mask = reassembly_[pkt.message_id];
-    mask |= 1u << pkt.pkt_index;
-    if (std::popcount(static_cast<unsigned>(mask)) < pkt.pkt_count) return;
-    reassembly_.erase(pkt.message_id);
-    completed_at_dst_.insert(pkt.message_id);
+    std::uint32_t& mask = reassembly_[message_id];
+    mask |= 1u << (pkt.message_tag % kMaxPacketsPerMessage);
+    if (std::popcount(mask) < packet_counts_[message_id - 1]) return;
+    reassembly_.erase(message_id);
+    completed_at_dst_.insert(message_id);
   }
   Packet rfnm;
   rfnm.kind = Packet::Kind::kData;
   rfnm.dst = pkt.src;
   rfnm.bits = cfg_.rfnm_bits;
-  rfnm.message_id = pkt.message_id;
-  rfnm.pkt_count = 1;
-  rfnm.rfnm = true;
-  net_.psn(pkt.dst).originate_packet(std::move(rfnm));
+  rfnm.flags = Packet::kHostMessage | Packet::kRfnm;
+  rfnm.message_tag = message_tag(message_id, 0);
+  net_.psn(pkt.dst).originate_packet(rfnm);
 }
 
 double HostFlowLayer::goodput_bps() const {

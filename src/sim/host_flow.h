@@ -108,8 +108,12 @@ class HostFlowLayer : public EventSink {
   std::vector<std::unique_ptr<Pair>> pairs_;
   /// (src,dst) -> pair index, for hook dispatch.
   std::unordered_map<std::uint64_t, std::size_t> pair_index_;
-  /// Destination-side reassembly: message id -> packets seen.
-  std::unordered_map<std::uint64_t, std::uint16_t> reassembly_;
+  /// Packets per message, indexed by message id - 1: the framing side
+  /// table. Packets carry only their message id and index
+  /// (Packet::message_tag).
+  std::vector<std::uint8_t> packet_counts_;
+  /// Destination-side reassembly: message id -> bit mask of packets seen.
+  std::unordered_map<std::uint64_t, std::uint32_t> reassembly_;
   std::unordered_set<std::uint64_t> completed_at_dst_;
   std::uint64_t next_message_id_ = 0;
   long messages_offered_ = 0;

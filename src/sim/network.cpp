@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/analysis/invariants.h"
@@ -26,12 +28,19 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   if (!topo.is_connected()) {
     throw std::invalid_argument("topology must be connected");
   }
+  if (cfg.hop_limit > std::numeric_limits<decltype(Packet::hops)>::max()) {
+    throw std::invalid_argument("hop_limit " + std::to_string(cfg.hop_limit) +
+                                " exceeds the packet's 16-bit hop count");
+  }
   pool_.attach_update_pool(&updates_);
   std::size_t max_degree = 0;
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
     max_degree = std::max(max_degree, topo.out_links(v).size());
   }
   updates_.set_report_capacity(max_degree);
+  if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
+    updates_.set_dv_capacity(topo.node_count());
+  }
   // Queue-bound packet working set: every output queue full (enqueue drops
   // beyond queue_capacity) plus a transmitting/propagating packet per link,
   // plus slack for flooded updates (not queue-capped, but short-lived).
@@ -344,7 +353,9 @@ StabilityStats Network::stability() const {
 
 void Network::reserve_event_headroom() {
   sim_.reserve_events(4 * sim_.queue_peak_depth());
-  updates_.reserve(2 * updates_.slots());
+  // At least one live update per origin: a quiet warm-up (D-SPF on a small
+  // net) may flood nothing, leaving no peak to double for a fault's floods.
+  updates_.reserve(std::max(2 * updates_.slots(), topo_->node_count()));
 }
 
 obs::Counters Network::counters() const {

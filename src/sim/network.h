@@ -78,7 +78,8 @@ struct NetworkConfig {
   /// Record per-link reported-cost traces (fig. 1 style plots).
   bool track_reported_costs = false;
   /// Data packets exceeding this many hops are counted as loop drops
-  /// (only the 1969 algorithm ever reaches it).
+  /// (only the 1969 algorithm ever reaches it). At most 65535, the range of
+  /// Packet::hops.
   int hop_limit = 128;
   /// Distance-vector mode: table exchange interval ("every 2/3 seconds").
   util::SimTime dv_exchange_period = util::SimTime::from_us(666'667);
@@ -182,8 +183,9 @@ class Network : public EventSink {
     return sim_.events_processed();
   }
   /// Pre-sizes the calendar queue to 4x its observed peak depth and the
-  /// routing-update pool to 2x its peak of live updates, so a measurement
-  /// window after warm-up schedules and floods into existing storage.
+  /// routing-update pool to 2x its peak of live updates (at least one slot
+  /// per node), so a measurement window after warm-up schedules and floods
+  /// into existing storage.
   void reserve_event_headroom();
 
   [[nodiscard]] const Psn& psn(net::NodeId id) const { return *psns_.at(id); }

@@ -4,23 +4,28 @@
 // of consistent network-wide routing trees (paper section 4.1). Routing
 // updates travel as packets too, so their bandwidth consumption (one of the
 // D-SPF complaints, section 3.3 point 4) is charged against the links.
+//
+// Packet is a flat, trivially copyable record of at most 48 bytes: the pool
+// (sim/packet_pool.h) pre-creates one slot per queue place, so every byte
+// here is paid tens of thousands of times at construction. Payloads live
+// elsewhere and ride as 4-byte handles: routing updates and distance
+// vectors in sim::UpdatePool, host-message framing in sim::HostFlowLayer.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
-
+#include <type_traits>
 #include <vector>
 
 #include "src/net/topology.h"
-#include "src/routing/flooding.h"
 #include "src/util/units.h"
 
 namespace arpanet::sim {
 
-/// Index of a pooled RoutingUpdate slot (sim/update_pool.h). Flooded copies
-/// of one update share the slot by refcount, so forwarding an update moves
-/// a 4-byte handle instead of touching a shared_ptr control block.
+/// Index of a pooled routing-message slot (sim/update_pool.h). Flooded
+/// copies of one update, and the per-neighbor copies of one distance
+/// vector, share the slot by refcount, so forwarding moves a 4-byte handle
+/// instead of touching a shared_ptr control block.
 using UpdateHandle = std::uint32_t;
 inline constexpr UpdateHandle kInvalidUpdateHandle =
     static_cast<UpdateHandle>(-1);
@@ -42,28 +47,38 @@ struct DistanceVector {
 struct Packet {
   enum class Kind : std::uint8_t { kData, kRoutingUpdate, kDistanceVector };
 
+  /// Bits of `flags`.
+  static constexpr std::uint8_t kHostMessage = 1;  ///< `message_tag` is set
+  static constexpr std::uint8_t kRfnm = 2;  ///< a Request-For-Next-Message
+
   std::uint64_t id = 0;
-  Kind kind = Kind::kData;
-  net::NodeId src = net::kInvalidNode;
-  net::NodeId dst = net::kInvalidNode;  ///< unused for routing messages
   double bits = 0.0;
   util::SimTime created;
-  int hops = 0;
-
-  // Host-level message framing (sim/host_flow.h). Zero/false for plain
-  // datagram traffic.
-  std::uint64_t message_id = 0;  ///< nonzero when part of a host message
-  std::uint16_t pkt_index = 0;   ///< position within the message
-  std::uint16_t pkt_count = 0;   ///< packets in the message
-  bool rfnm = false;             ///< this is a Request-For-Next-Message ack
-
-  /// Payload for Kind::kRoutingUpdate: a refcounted sim::UpdatePool slot
-  /// shared between flooded copies. PacketPool::release drops the
-  /// reference through its attached UpdatePool.
-  UpdateHandle update = kInvalidUpdateHandle;
-  /// Payload for Kind::kDistanceVector (the 1969 baseline mode; cold path,
-  /// so the shared_ptr's allocation is acceptable there).
-  std::shared_ptr<const DistanceVector> dv;
+  /// When the packet joined its current PSN output queue (Psn::enqueue).
+  /// A packet sits in at most one queue at a time: flooded copies are
+  /// separate slots.
+  util::SimTime enqueued;
+  net::NodeId src = net::kInvalidNode;
+  net::NodeId dst = net::kInvalidNode;  ///< unused for routing messages
+  /// The 4-byte payload. `message_tag` is live when `flags` has
+  /// kHostMessage, `update` otherwise; only the live member is read.
+  union {
+    /// A refcounted sim::UpdatePool slot for kRoutingUpdate and
+    /// kDistanceVector; kInvalidUpdateHandle on blank slots and datagrams.
+    /// PacketPool::release drops the reference.
+    UpdateHandle update = kInvalidUpdateHandle;
+    /// A sim::HostFlowLayer data packet or RFNM: its message id and the
+    /// packet's index within the message.
+    std::uint32_t message_tag;
+  };
+  std::uint16_t hops = 0;
+  Kind kind = Kind::kData;
+  std::uint8_t flags = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "pool slots and queue moves copy Packet bytewise");
+static_assert(sizeof(Packet) <= 48,
+              "the pool reserves one Packet per queue place; keep it small");
 
 }  // namespace arpanet::sim

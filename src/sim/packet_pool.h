@@ -1,14 +1,13 @@
 // Pooled packet storage.
 //
-// Routing a packet through the network used to move the full 80-byte Packet
-// struct (with two shared_ptr payload members) into a per-hop closure at
-// every enqueue, transmit and propagation step. The pool replaces that with
-// a slab of Packet slots and a freelist of indices: the hot paths move a
-// 4-byte PacketHandle while the struct itself stays put. Slots live in a
-// deque so growth never relocates a packet a caller still references, and
-// release() resets the slot so recycled packets carry no stale payload
-// references. After warm-up the freelist covers the steady-state population
-// and the pool allocates nothing.
+// Routing a packet through the network used to move the full Packet struct
+// into a per-hop closure at every enqueue, transmit and propagation step.
+// The pool replaces that with a slab of Packet slots and a freelist of
+// indices: the hot paths move a 4-byte PacketHandle while the struct itself
+// stays put. Slots live in a deque so growth never relocates a packet a
+// caller still references, and release() resets the slot so recycled
+// packets carry no stale payload references. After warm-up the freelist
+// covers the steady-state population and the pool allocates nothing.
 //
 // The pool is owned by one sim::Network and is strictly single-threaded,
 // like the event queue it feeds (sweep parallelism is across Networks, never
@@ -19,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "src/sim/event.h"
@@ -33,7 +31,7 @@ class PacketPool {
  public:
   /// Wires the update pool that backs Packet::update handles; release()
   /// drops the packet's reference through it. Must be set before any
-  /// routing-update packet is released (sim::Network does so on
+  /// routing-message packet is released (sim::Network does so on
   /// construction).
   void attach_update_pool(UpdatePool* updates) { updates_ = updates; }
 
@@ -57,9 +55,9 @@ class PacketPool {
   }
 
   /// Acquires a slot holding `pkt`.
-  [[nodiscard]] PacketHandle acquire(Packet pkt) {
+  [[nodiscard]] PacketHandle acquire(const Packet& pkt) {
     const PacketHandle h = acquire();
-    slots_[h] = std::move(pkt);
+    slots_[h] = pkt;
     return h;
   }
 
@@ -68,15 +66,17 @@ class PacketPool {
 
   /// Returns a slot to the freelist. The slot is reset to a blank Packet so
   /// shared payloads (routing updates, distance vectors) are released now,
-  /// not at some future reuse; a routing-update reference is dropped
-  /// through the attached UpdatePool.
+  /// not at some future reuse; the reference is dropped through the
+  /// attached UpdatePool.
   void release(PacketHandle h) {
     ARPA_DCHECK(h < slots_.size()) << "released handle " << h
                                    << " outside pool of " << slots_.size();
-    if (slots_[h].update != kInvalidUpdateHandle) {
+    const Packet& pkt = slots_[h];
+    if ((pkt.flags & Packet::kHostMessage) == 0 &&
+        pkt.update != kInvalidUpdateHandle) {
       ARPA_DCHECK(updates_ != nullptr)
-          << "update packet released with no attached UpdatePool";
-      updates_->release(slots_[h].update);
+          << "routing packet released with no attached UpdatePool";
+      updates_->release(pkt.update);
     }
     slots_[h] = Packet{};
     // ARPALINT-ALLOW(hot-path-alloc): freelist retains its high-water capacity

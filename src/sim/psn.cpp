@@ -122,9 +122,9 @@ void Psn::originate_data(net::NodeId dst, double bits) {
   forward(h);
 }
 
-void Psn::originate_packet(Packet pkt) {
+void Psn::originate_packet(const Packet& pkt) {
   PacketPool& pool = net_.packet_pool();
-  const PacketHandle h = pool.acquire(std::move(pkt));
+  const PacketHandle h = pool.acquire(pkt);
   Packet& p = pool.at(h);
   p.id = net_.next_packet_id();
   p.src = id_;
@@ -199,7 +199,7 @@ void Psn::forward(PacketHandle h) {
 }
 
 void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
-  const Packet& pkt = net_.packet_pool().at(h);
+  Packet& pkt = net_.packet_pool().at(h);
   if (!out.up) {
     // A dead line accepts nothing: whatever is routed or flooded onto it is
     // lost. Flooded updates are redundant by design and not a charged drop;
@@ -211,10 +211,11 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
     net_.packet_pool().release(h);
     return;
   }
+  pkt.enqueued = net_.now();
   if (priority) {
     net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
     // ARPALINT-ALLOW(hot-path-alloc): RingQueue retains its power-of-two capacity
-    out.update_q.push_back(Queued{h, net_.now()});
+    out.update_q.push_back(h);
   } else {
     if (static_cast<int>(out.data_q.size()) >= net_.config().queue_capacity) {
       net_.trace(TraceEventKind::kDroppedQueue, pkt, id_, out.id);
@@ -224,7 +225,7 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
     }
     net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
     // ARPALINT-ALLOW(hot-path-alloc): see above — capacity-retaining ring.
-    out.data_q.push_back(Queued{h, net_.now()});
+    out.data_q.push_back(h);
   }
   maybe_start_tx(out);
 }
@@ -235,21 +236,21 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
 void Psn::drop_queued(OutLink& out) {
   PacketPool& pool = net_.packet_pool();
   while (!out.update_q.empty()) {
-    pool.release(out.update_q.front().pkt);
+    pool.release(out.update_q.front());
     out.update_q.pop_front();
   }
   while (!out.data_q.empty()) {
-    const Queued item = out.data_q.front();
+    const PacketHandle h = out.data_q.front();
     out.data_q.pop_front();
-    net_.trace(TraceEventKind::kDroppedQueue, pool.at(item.pkt), id_, out.id);
-    net_.on_queue_drop(pool.at(item.pkt));
-    pool.release(item.pkt);
+    net_.trace(TraceEventKind::kDroppedQueue, pool.at(h), id_, out.id);
+    net_.on_queue_drop(pool.at(h));
+    pool.release(h);
   }
 }
 
 void Psn::maybe_start_tx(OutLink& out) {
   if (out.busy || !out.up) return;
-  RingQueue<Queued>* q = nullptr;
+  RingQueue<PacketHandle>* q = nullptr;
   if (!out.update_q.empty()) {
     q = &out.update_q;
   } else if (!out.data_q.empty()) {
@@ -258,14 +259,14 @@ void Psn::maybe_start_tx(OutLink& out) {
     return;
   }
 
-  const Queued item = q->front();
+  const PacketHandle h = q->front();
   q->pop_front();
   out.busy = true;
 
   // The effective link record: a mid-run line-type upgrade changes the rate.
   const net::Link& link = net_.effective_link(out.id);
-  const Packet& pkt = net_.packet_pool().at(item.pkt);
-  const util::SimTime queue_delay = net_.now() - item.enqueued;
+  const Packet& pkt = net_.packet_pool().at(h);
+  const util::SimTime queue_delay = net_.now() - pkt.enqueued;
   const util::SimTime tx = link.rate.transmission_time(pkt.bits);
   // Both update kinds (flooded link costs, distance vectors) count as
   // routing overhead.
@@ -273,8 +274,8 @@ void Psn::maybe_start_tx(OutLink& out) {
 
   // The packet rides the typed completion event; no closure, no copy.
   net_.simulator().schedule_in(
-      tx, SimEvent::transmit_complete(net_, id_, out.id, item.pkt, queue_delay,
-                                      tx, is_update));
+      tx, SimEvent::transmit_complete(net_, id_, out.id, h, queue_delay, tx,
+                                      is_update));
 }
 
 void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
@@ -459,10 +460,15 @@ void Psn::dv_recompute() {
   }
 }
 
+// ARPALINT-HOTPATH-BEGIN: the 1969 exchange runs every 2/3 s on every node
+// and its copies cross every link, inside the measurement window.
 void Psn::dv_advertise() {
-  auto advert = std::make_shared<DistanceVector>();
-  advert->origin = id_;
-  advert->dist = dv_dist_;
+  UpdatePool& payloads = net_.update_pool();
+  const UpdateHandle uh = payloads.acquire();
+  DistanceVector& advert = payloads.dv(uh);
+  advert.origin = id_;
+  // ARPALINT-ALLOW(hot-path-alloc): pooled slots are reserved to node count
+  advert.dist.assign(dv_dist_.begin(), dv_dist_.end());
   mp_dirty_ = true;
   ++updates_originated_;
   net_.on_update_originated();
@@ -473,27 +479,37 @@ void Psn::dv_advertise() {
     pkt.id = net_.next_packet_id();
     pkt.kind = Packet::Kind::kDistanceVector;
     pkt.src = id_;
-    pkt.bits = advert->wire_bits();
+    pkt.bits = advert.wire_bits();
     pkt.created = net_.now();
-    pkt.dv = advert;
+    pkt.update = uh;
+    payloads.add_ref(uh);
     enqueue(o, h, /*priority=*/true);
   }
+  payloads.release(uh);
 }
 
 void Psn::handle_distance_vector(PacketHandle h, net::LinkId via_link) {
   PacketPool& pool = net_.packet_pool();
-  const std::shared_ptr<const DistanceVector> dv = std::move(pool.at(h).dv);
+  UpdatePool& payloads = net_.update_pool();
+  // Take over the packet's reference before the slot is reset.
+  const UpdateHandle uh = pool.at(h).update;
+  pool.at(h).update = kInvalidUpdateHandle;
   pool.release(h);
-  if (!dv) throw std::logic_error("distance-vector packet without payload");
+  if (uh == kInvalidUpdateHandle) {
+    throw std::logic_error("distance-vector packet without payload");
+  }
   const net::Topology& topo = net_.topology();
   const net::LinkId out_link = topo.link(via_link).reverse;
   if (topo.link(out_link).from != id_) {
     throw std::logic_error("distance vector arrived over unknown link");
   }
-  dv_neighbor_[topo.out_pos(out_link)] = dv->dist;
+  // Same length as the stored vector, so the copy reuses its storage.
+  dv_neighbor_[topo.out_pos(out_link)] = payloads.dv(uh).dist;
+  payloads.release(uh);
   // The original algorithm re-minimized on new information.
   dv_recompute();
 }
+// ARPALINT-HOTPATH-END
 
 // ARPALINT-HOTPATH-BEGIN: fault plans flap links inside the measurement
 // window (flap storms run at 1 Hz); admin-state changes must stay on the

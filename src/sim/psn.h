@@ -46,7 +46,7 @@ class Psn {
 
   /// Host layer entry: injects a pre-framed packet (message fields set by
   /// the caller); the PSN stamps id/src/created and forwards it.
-  void originate_packet(Packet pkt);
+  void originate_packet(const Packet& pkt);
 
   /// A pooled packet arrives from a neighbor over `via_link` (an in-link of
   /// this node). Ownership of the handle transfers to the PSN.
@@ -102,17 +102,12 @@ class Psn {
   static constexpr double kUnreachable = 1e9;
 
  private:
-  /// One waiting pooled packet: the queues move 16-byte records, never the
-  /// Packet structs themselves.
-  struct Queued {
-    PacketHandle pkt = kInvalidPacketHandle;
-    util::SimTime enqueued;
-  };
-
   struct OutLink {
     net::LinkId id = net::kInvalidLink;
-    RingQueue<Queued> data_q;
-    RingQueue<Queued> update_q;
+    /// Waiting pooled packets: the queues move 4-byte handles, never the
+    /// Packet structs; enqueue() stamps Packet::enqueued.
+    RingQueue<PacketHandle> data_q;
+    RingQueue<PacketHandle> update_q;
     bool busy = false;
     bool up = true;
     metrics::DelayMeasurement meas;

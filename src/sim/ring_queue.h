@@ -1,11 +1,11 @@
 // Allocation-free FIFO for per-link packet queues.
 //
-// The PSN output queues used to be std::deque<Queued>; a deque of large
-// elements allocates and frees a chunk every few dozen pushes even at steady
-// state. RingQueue is a power-of-two circular buffer that only allocates
-// when the high-water mark grows, so a queue that has reached its working
-// depth never touches the allocator again. Elements are assumed cheap to
-// move (the queues now hold 16-byte {PacketHandle, SimTime} records).
+// The PSN output queues used to be std::deques; a deque allocates and frees
+// a chunk every few dozen pushes even at steady state. RingQueue is a
+// power-of-two circular buffer that only allocates when the high-water mark
+// grows, so a queue that has reached its working depth never touches the
+// allocator again. Elements are assumed cheap to move (the queues hold
+// 4-byte PacketHandles; the enqueue time lives in the Packet).
 //
 // ARPALINT-HOTPATH
 

@@ -1,14 +1,17 @@
-// Pooled routing-update storage.
+// Pooled routing-message storage.
 //
 // Flooding one link-state update used to allocate a shared_ptr control
 // block plus a reports vector per origination, and every measurement period
 // with a significant change paid that cost inside the measurement window —
 // the one steady-state allocation left after the packet slab and the
 // calendar queue went allocation-free. The pool replaces the shared_ptr
-// with a slab of refcounted RoutingUpdate slots: flooded packet copies
-// share one slot through a 4-byte UpdateHandle, and when the last copy is
-// consumed the slot returns to a freelist with its reports vector's
-// capacity intact, so a recycled origination writes into existing storage.
+// with a slab of refcounted slots: flooded packet copies share one slot
+// through a 4-byte UpdateHandle, and when the last copy is consumed the
+// slot returns to a freelist with its vectors' capacity intact, so a
+// recycled origination writes into existing storage. A slot holds either
+// payload a routing packet carries: a RoutingUpdate (SPF modes) or the
+// 1969 baseline's DistanceVector, which one advertisement shares between
+// its per-neighbor copies.
 //
 // Slots live in a deque so growth never relocates an update a flooded
 // packet still references. Like sim::PacketPool the pool is owned by one
@@ -31,8 +34,8 @@ namespace arpanet::sim {
 class UpdatePool {
  public:
   // ARPALINT-HOTPATH-BEGIN
-  /// Acquires a slot with refcount 1. The slot's reports vector is empty
-  /// but keeps whatever capacity its previous occupant grew.
+  /// Acquires a slot with refcount 1. The slot's vectors are empty but keep
+  /// whatever capacity their previous occupants grew.
   [[nodiscard]] UpdateHandle acquire() {
     ++acquired_;
     if (!free_.empty()) {
@@ -50,8 +53,7 @@ class UpdatePool {
     // it here keeps release() from growing it later, mid-window.
     // ARPALINT-ALLOW(hot-path-alloc): grows with the slab, never in release()
     free_.reserve(slots_.size());
-    // ARPALINT-ALLOW(hot-path-alloc): one-time reserve at slot creation
-    slots_[h].update.reports.reserve(report_capacity_);
+    reserve_payloads(slots_[h]);
     slots_[h].refs = 1;
     ++in_use_;
     return h;
@@ -63,6 +65,7 @@ class UpdatePool {
   [[nodiscard]] const routing::RoutingUpdate& at(UpdateHandle h) const {
     return slots_[h].update;
   }
+  [[nodiscard]] DistanceVector& dv(UpdateHandle h) { return slots_[h].dv; }
 
   /// Another flooded copy now shares the slot.
   void add_ref(UpdateHandle h) {
@@ -71,7 +74,7 @@ class UpdatePool {
   }
 
   /// Drops one reference; the last drop parks the slot on the freelist with
-  /// its reports storage retained (clear(), not shrink).
+  /// its vectors' storage retained (clear(), not shrink).
   void release(UpdateHandle h) {
     ARPA_DCHECK(h < slots_.size() && slots_[h].refs > 0)
         << "released update handle " << h << " with no live reference";
@@ -79,6 +82,8 @@ class UpdatePool {
       slots_[h].update.origin = net::kInvalidNode;
       slots_[h].update.seq = 0;
       slots_[h].update.reports.clear();
+      slots_[h].dv.origin = net::kInvalidNode;
+      slots_[h].dv.dist.clear();
       // ARPALINT-ALLOW(hot-path-alloc): acquire() reserved a place per slot
       free_.push_back(h);
       --in_use_;
@@ -92,7 +97,15 @@ class UpdatePool {
   /// the topology's maximum out-degree so a slot fits any origin from birth.
   void set_report_capacity(std::size_t n) {
     report_capacity_ = n;
-    for (Slot& s : slots_) s.update.reports.reserve(n);
+    for (Slot& s : slots_) reserve_payloads(s);
+  }
+
+  /// Sets the distance-vector capacity every slot is created with; the 1969
+  /// mode sets the node count, so an advertisement copies into existing
+  /// storage even on a slot created for the measurement window's headroom.
+  void set_dv_capacity(std::size_t n) {
+    dv_capacity_ = n;
+    for (Slot& s : slots_) reserve_payloads(s);
   }
 
   /// Grows the slab to at least `n` slots, parking the new ones on the
@@ -102,7 +115,7 @@ class UpdatePool {
     while (slots_.size() < n) {
       free_.push_back(static_cast<UpdateHandle>(slots_.size()));
       slots_.emplace_back();
-      slots_.back().update.reports.reserve(report_capacity_);
+      reserve_payloads(slots_.back());
     }
   }
 
@@ -118,12 +131,20 @@ class UpdatePool {
  private:
   struct Slot {
     routing::RoutingUpdate update;
+    DistanceVector dv;
     std::uint32_t refs = 0;
   };
+
+  /// Applies the capacity floors; acquire() calls it once per new slot.
+  void reserve_payloads(Slot& s) const {
+    s.update.reports.reserve(report_capacity_);
+    s.dv.dist.reserve(dv_capacity_);
+  }
 
   std::deque<Slot> slots_;
   std::vector<UpdateHandle> free_;
   std::size_t report_capacity_ = 0;
+  std::size_t dv_capacity_ = 0;
   std::size_t in_use_ = 0;
   std::uint64_t acquired_ = 0;
   std::uint64_t recycled_ = 0;

@@ -274,6 +274,42 @@ TEST(GeneratorsTest, RegistryRejectsOutOfRangeNodeCounts) {
                std::invalid_argument);
 }
 
+TEST(GeneratorsTest, ShapedFamiliesRejectAContradictingNodeCount) {
+  const struct {
+    const char* spec;
+    const char* nodes;  ///< the given count
+    const char* shape;  ///< the count the shape fixes
+  } contradictions[] = {
+      {"grid:nodes=9,width=5,height=5", "nodes=9", "25 nodes"},
+      {"two-region:nodes=8,per_region=6", "nodes=8", "12 nodes"},
+  };
+  for (const auto& c : contradictions) {
+    try {
+      (void)build_topology(c.spec);
+      ADD_FAILURE() << c.spec << " built";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.nodes), std::string::npos) << what;
+      EXPECT_NE(what.find(c.shape), std::string::npos) << what;
+    }
+  }
+  // Agreeing counts still build.
+  EXPECT_EQ(build_topology("grid:nodes=25,width=5,height=5").node_count(), 25u);
+  EXPECT_EQ(build_topology("two-region:nodes=12,per_region=6").node_count(),
+            12u);
+}
+
+TEST(GeneratorsTest, RegistryRangeChecksTheCountAShapeFixes) {
+  // Without nodes the shape decides the size, and that size is what the
+  // registry reports and range-checks, not the family default (16, 12).
+  const TopologyBuilder& reg = TopologyBuilder::registry();
+  EXPECT_EQ(reg.validate(GraphSpec::parse("grid:width=5,height=5")), 25u);
+  EXPECT_EQ(reg.validate(GraphSpec::parse("two-region:per_region=6")), 12u);
+  // A shape that leaves the count open still falls back to the default.
+  EXPECT_EQ(reg.validate(GraphSpec::parse("grid:width=4")), 16u);
+  EXPECT_EQ(reg.validate(GraphSpec::parse("two-region")), 12u);
+}
+
 TEST(GeneratorsTest, LegacyFamiliesAreReachableThroughTheRegistry) {
   EXPECT_EQ(build(GraphSpec{"arpanet87"}).node_count(), 47u);
   EXPECT_EQ(build(GraphSpec{"ring"}.with_nodes(6)).node_count(), 6u);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/sim/scenario.h"
 
 namespace arpanet::sim {
@@ -46,6 +48,15 @@ TEST(NetworkTest, DeliversPacketsOnPointToPoint) {
   // One-way delay: ~10 ms prop + ~10.7 ms transmission + light queueing.
   EXPECT_GT(s.one_way_delay_ms.mean(), 15.0);
   EXPECT_LT(s.one_way_delay_ms.mean(), 40.0);
+}
+
+TEST(NetworkTest, RejectsAHopLimitBeyondThePacketsHopCounter) {
+  const net::Topology topo = two_nodes();
+  NetworkConfig cfg;
+  cfg.hop_limit = 65535;
+  EXPECT_NO_THROW(Network(topo, cfg));
+  cfg.hop_limit = 65536;  // Packet::hops is 16-bit: the limit could never trip
+  EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
 }
 
 TEST(NetworkTest, ForwardsAcrossIntermediateNode) {

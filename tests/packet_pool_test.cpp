@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,66 @@ TEST(PacketPoolTest, ReleaseDropsPooledUpdateReferences) {
   EXPECT_EQ(again, uh);
   EXPECT_EQ(updates.at(again).origin, net::kInvalidNode);
   EXPECT_EQ(updates.recycled(), 1u);
+}
+
+TEST(PacketPoolTest, PacketIsAFlatRecordOfAtMost48Bytes) {
+  // Mirrors the static_asserts in src/sim/packet.h: the pool reserves one
+  // slot per queue place, so the record's size is paid at every place.
+  EXPECT_TRUE(std::is_trivially_copyable_v<Packet>);
+  EXPECT_LE(sizeof(Packet), 48u);
+}
+
+TEST(PacketPoolTest, ReleaseLeavesHostMessageTagsAlone) {
+  PacketPool pool;
+  UpdatePool updates;
+  pool.attach_update_pool(&updates);
+  const UpdateHandle uh = updates.acquire();
+
+  // A host-message tag shares the payload slot with the update handle;
+  // releasing the packet must not read it as a reference to drop.
+  const PacketHandle h = pool.acquire();
+  pool.at(h).flags = Packet::kHostMessage;
+  pool.at(h).message_tag = uh;
+  pool.release(h);
+  EXPECT_EQ(updates.in_use(), 1u);
+
+  const PacketHandle again = pool.acquire();
+  EXPECT_EQ(again, h);
+  EXPECT_EQ(pool.at(again).flags, 0);
+  EXPECT_EQ(pool.at(again).update, kInvalidUpdateHandle);
+}
+
+TEST(PacketPoolTest, ReleaseDropsPooledDistanceVectorReferences) {
+  PacketPool pool;
+  UpdatePool updates;
+  updates.set_dv_capacity(16);
+  pool.attach_update_pool(&updates);
+
+  // One advertisement shared by two per-neighbor copies.
+  const UpdateHandle uh = updates.acquire();
+  updates.dv(uh).origin = 3;
+  updates.dv(uh).dist.assign(16, 1.0);
+  PacketHandle copies[2];
+  for (PacketHandle& c : copies) {
+    c = pool.acquire();
+    pool.at(c).kind = Packet::Kind::kDistanceVector;
+    pool.at(c).update = uh;
+    updates.add_ref(uh);
+  }
+  updates.release(uh);  // the originator's reference
+  pool.release(copies[0]);
+  EXPECT_EQ(updates.in_use(), 1u) << "one copy still holds the vector";
+  pool.release(copies[1]);
+  EXPECT_EQ(updates.in_use(), 0u);
+
+  // Recycled with its distance storage kept and its identity reset.
+  const util::AllocGuard guard;
+  const UpdateHandle again = updates.acquire();
+  EXPECT_EQ(again, uh);
+  EXPECT_EQ(updates.dv(again).origin, net::kInvalidNode);
+  EXPECT_TRUE(updates.dv(again).dist.empty());
+  updates.dv(again).dist.assign(16, 2.0);
+  EXPECT_EQ(guard.allocations(), 0u);
 }
 
 TEST(UpdatePoolTest, AddRefKeepsSlotAliveUntilLastRelease) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/analysis/convergence.h"
 #include "src/net/builders/registry.h"
+#include "src/obs/bench_report.h"
 #include "src/sim/network.h"
 #include "src/sim/scenario.h"
 
@@ -184,6 +187,62 @@ TEST(StressTest, FlapStormWindowIsAllocationFree) {
   // ~120 down/up pairs land inside the window.
   EXPECT_GT(r.stability.faults_applied, 100);
   EXPECT_GT(r.stats.packets_delivered, 10'000);
+}
+
+TEST(StressTest, DistanceVectorWindowIsAllocationFree) {
+  // The 1969 baseline on arpanet87: every PSN advertises its whole distance
+  // table to each neighbor every 2/3 s. Advertisements are pooled
+  // UpdatePool slots reserved to the node count, so a window full of them
+  // allocates nothing.
+  const net::Topology net87 = net::build_topology("arpanet87");
+  NetworkConfig ncfg;
+  ncfg.algorithm = routing::RoutingAlgorithm::kDistanceVector;
+  auto cfg = ScenarioConfig{}
+                 .with_network(ncfg)
+                 .with_load_bps(300e3)
+                 .with_warmup(SimTime::from_sec(60))
+                 .with_window(SimTime::from_sec(120));
+  const ScenarioResult r = run_scenario(net87, cfg, "dv-alloc-guard");
+
+  EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
+#if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
+  EXPECT_EQ(r.counters.alloc_guard_bytes_peak, 0u)
+      << "a distance-vector exchange allocated inside the measurement "
+         "window; advertisements must reuse pooled storage";
+#else
+  SUCCEED() << "bytes_peak=" << r.counters.alloc_guard_bytes_peak;
+#endif
+  // 47 nodes x 180 exchanges per node in the window.
+  EXPECT_GT(r.stats.updates_originated, 8'000);
+  EXPECT_GT(r.stats.packets_delivered, 10'000);
+}
+
+/// Every faulted cell of both bench batteries, run exactly as bench_report
+/// runs it (same scenario, metric axis and derived seeds).
+class FaultedBatteryCell : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Batteries, FaultedBatteryCell,
+                         ::testing::Values("smoke", "battery"));
+
+TEST_P(FaultedBatteryCell, WindowIsAllocationFree) {
+  int faulted = 0;
+  for (const obs::BenchScenario& scenario : obs::bench_battery(GetParam())) {
+    if (scenario.fault_spec.empty()) continue;
+    ++faulted;
+    for (const obs::BenchCell& cell :
+         obs::run_bench_scenario(scenario, /*threads=*/1)) {
+      SCOPED_TRACE(cell.topology + " " + cell.metric);
+      EXPECT_EQ(cell.counters.alloc_guard_scopes, 1u);
+#if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
+      EXPECT_EQ(cell.counters.alloc_guard_bytes_peak, 0u)
+          << "fault injection allocated inside the measurement window";
+#else
+      SUCCEED() << "bytes_peak=" << cell.counters.alloc_guard_bytes_peak;
+#endif
+      EXPECT_GT(cell.stability_faults_applied, 0);
+    }
+  }
+  EXPECT_GT(faulted, 0) << "battery " << GetParam() << " has no fault cell";
 }
 
 TEST(StressTest, DelayPercentilesOrdered) {

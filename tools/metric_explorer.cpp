@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "src/analysis/metric_map.h"
 #include "src/net/builders/registry.h"
@@ -24,8 +26,18 @@ namespace {
 
 using namespace arpanet;
 
+/// Reports every flag no get* call asked about; true if there was one.
+bool has_unknown_flags(const util::Flags& flags) {
+  const std::vector<std::string> unknown = flags.unknown();
+  for (const std::string& u : unknown) {
+    std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
+  }
+  return !unknown.empty();
+}
+
 int run(const util::Flags& flags) {
   if (const auto spec = flags.get("dot-topology")) {
+    if (has_unknown_flags(flags)) return 2;
     net::write_dot(std::cout, net::build_topology(*spec));
     return 0;
   }
@@ -43,10 +55,7 @@ int run(const util::Flags& flags) {
   params.set(type, p);
   const long steps = flags.get_long("steps", 20);
 
-  for (const std::string& u : flags.unknown()) {
-    std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    return 2;
-  }
+  if (has_unknown_flags(flags)) return 2;
 
   const core::HnMetric hnm{p, net::info(type).rate, prop};
   const analysis::MetricMap hn{metrics::MetricKind::kHnSpf, type, params, prop};
