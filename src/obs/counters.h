@@ -50,7 +50,7 @@ struct Counters {
   std::uint64_t event_queue_overflow_scheduled = 0;
 
   // ---- packet pool (sim/packet_pool.h) ----
-  std::uint64_t packet_pool_slots = 0;     ///< distinct slots allocated (max)
+  std::uint64_t packet_pool_slots = 0;     ///< distinct slots constructed (max)
   std::uint64_t packet_pool_acquired = 0;  ///< total packet acquisitions
   std::uint64_t packet_pool_recycled = 0;  ///< acquisitions served by freelist
 

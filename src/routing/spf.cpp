@@ -138,22 +138,39 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
   return tree;
 }
 
+SpfScratch::SpfScratch(const net::Topology& topo) {
+  const std::size_t n = topo.node_count();
+  heap.reserve(std::max(topo.link_count(), 2 * n));
+  nodes.reserve(n);
+  in_nodes.assign(n, 0);
+}
+
 IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
                                LinkCosts costs)
-    : topo_{&topo}, costs_{std::move(costs)} {
-  check_costs(topo, costs_);
-  tree_ = Spf::compute(topo, root, costs_);
+    : topo_{&topo},
+      costs_{std::move(costs)},
+      owned_scratch_{std::make_unique<SpfScratch>(topo)},
+      scratch_{owned_scratch_.get()} {
+  init(root);
+}
+
+IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
+                               LinkCosts costs, SpfScratch& scratch)
+    : topo_{&topo}, costs_{std::move(costs)}, scratch_{&scratch} {
+  // A scratch sized for the topology never grows in a pass, even for a PSN
+  // whose first incremental update arrives long after construction (the
+  // AllocGuard window assumes exactly this).
+  ARPA_CHECK(scratch.in_nodes.size() == topo.node_count())
+      << "SPF scratch sized for " << scratch.in_nodes.size()
+      << " nodes, topology has " << topo.node_count();
+  init(root);
+}
+
+void IncrementalSpf::init(net::NodeId root) {
+  check_costs(*topo_, costs_);
+  tree_ = Spf::compute(*topo_, root, costs_);
   ++full_;
   build_children();
-  // Size the scratch up front: the passes' push_backs then never grow, even
-  // for a PSN whose first incremental update arrives long after
-  // construction (the AllocGuard window assumes exactly this). The heap
-  // holds at most one entry per link in a distance pass and at most two per
-  // node in repair_structure's push.
-  const std::size_t n = topo.node_count();
-  scratch_.heap.reserve(std::max(topo.link_count(), 2 * n));
-  scratch_.nodes.reserve(n);
-  scratch_.in_nodes.assign(n, 0);
 }
 
 void IncrementalSpf::reset(LinkCosts costs) {
@@ -204,13 +221,13 @@ void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
 
 void IncrementalSpf::decrease_pass(net::LinkId link) {
   const net::Link& l = topo_->link(link);
-  auto& nodes = scratch_.nodes;
+  auto& nodes = scratch_->nodes;
   nodes.clear();
   if (tree_.dist[l.from] == kInf) return;
   const double cand = tree_.dist[l.from] + costs_[link];
   if (cand >= tree_.dist[l.to]) return;
 
-  HeapVec& heap = scratch_.heap;
+  HeapVec& heap = scratch_->heap;
   heap.clear();
   heap_push(heap, cand, l.to);
   while (!heap.empty()) {
@@ -218,10 +235,10 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
     if (d >= tree_.dist[w]) continue;
     // Pops are nondecreasing, so each node is lowered at most once and the
     // region list stays duplicate-free.
-    ARPA_DCHECK(!scratch_.in_nodes[w]) << "node " << w << " lowered twice";
+    ARPA_DCHECK(!scratch_->in_nodes[w]) << "node " << w << " lowered twice";
     tree_.dist[w] = d;
     ++nodes_touched_;
-    scratch_.in_nodes[w] = 1;
+    scratch_->in_nodes[w] = 1;
     // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
     nodes.push_back(w);
     const std::span<const net::LinkId> lids = topo_->out_links(w);
@@ -237,8 +254,8 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
   // Affected region: the subtree hanging below the head of the increased
   // link, walked breadth-first over the child lists with `nodes` as the
   // queue. Everything else keeps its distance.
-  auto& nodes = scratch_.nodes;
-  auto& in_nodes = scratch_.in_nodes;
+  auto& nodes = scratch_->nodes;
+  auto& in_nodes = scratch_->in_nodes;
   const net::NodeId head = topo_->link(link).to;
   nodes.clear();
   // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
@@ -258,7 +275,7 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
   // Re-run Dijkstra over the affected region, seeding each node with its
   // best entry over the in-links from the unaffected frontier (the
   // increased link among them).
-  HeapVec& heap = scratch_.heap;
+  HeapVec& heap = scratch_->heap;
   heap.clear();
   for (const net::NodeId v : nodes) {
     const std::span<const net::LinkId> ins = topo_->in_links(v);
@@ -288,11 +305,11 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
 void IncrementalSpf::repair_structure(net::NodeId head) {
   // Only three kinds of node can have changed their canonical parent: the
   // head of the changed link (its in-link cost moved), the region whose
-  // distances the pass reset or lowered (scratch_.nodes), and the region's
+  // distances the pass reset or lowered (scratch_->nodes), and the region's
   // out-neighbours (an in-link's source distance moved). Every other node
   // keeps its distance and all of its in-link sums.
-  auto& nodes = scratch_.nodes;
-  auto& in_nodes = scratch_.in_nodes;
+  auto& nodes = scratch_->nodes;
+  auto& in_nodes = scratch_->in_nodes;
   const std::size_t region = nodes.size();
   if (!in_nodes[head]) {
     in_nodes[head] = 1;
@@ -308,7 +325,7 @@ void IncrementalSpf::repair_structure(net::NodeId head) {
     }
   }
 
-  HeapVec& heap = scratch_.heap;
+  HeapVec& heap = scratch_->heap;
   heap.clear();
   for (const net::NodeId v : nodes) {
     in_nodes[v] = 0;

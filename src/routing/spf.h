@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -63,11 +64,19 @@ class Spf {
                                        std::span<const double> link_costs);
 };
 
-/// Reusable workspace for the incremental passes. One instance lives inside
-/// each IncrementalSpf so a steady-state cost change allocates nothing: the
-/// heap, the region list and the mark bytes keep their capacity across
-/// updates.
+/// Reusable workspace for the incremental passes, sized once for a topology
+/// so a steady-state cost change allocates nothing: the heap, the region
+/// list and the mark bytes keep their capacity across updates. A pass
+/// leaves nothing behind in it, so any number of IncrementalSpf instances
+/// over the same topology can share one scratch as long as their passes
+/// never overlap: sim::Network owns one for all of its PSNs, which run one
+/// pass at a time on one thread.
 struct SpfScratch {
+  /// Reserves the heap, the region list and the mark bytes for passes over
+  /// `topo`: the heap holds at most one entry per link in a distance pass
+  /// and at most two per node in repair_structure's push.
+  explicit SpfScratch(const net::Topology& topo);
+
   /// Binary min-heap of (dist, node), driven via std::push_heap/pop_heap.
   std::vector<std::pair<double, net::NodeId>> heap;
   /// The pass's region (nodes whose distance it reset or lowered), then the
@@ -90,7 +99,12 @@ struct SpfScratch {
 /// tests). Counters expose how much work each class of update required.
 class IncrementalSpf {
  public:
+  /// A standalone instance with a scratch of its own.
   IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs);
+  /// Borrows `scratch`, which must be sized for `topo`, outlive this
+  /// instance, and not be used by a pass running at the same time.
+  IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs,
+                 SpfScratch& scratch);
 
   [[nodiscard]] const SpfTree& tree() const { return tree_; }
   [[nodiscard]] std::span<const double> costs() const { return costs_; }
@@ -117,6 +131,7 @@ class IncrementalSpf {
   [[nodiscard]] long first_hop_changes() const { return first_hop_changes_; }
 
  private:
+  void init(net::NodeId root);
   void decrease_pass(net::LinkId link);
   void increase_pass(net::LinkId link);
   void repair_structure(net::NodeId head);
@@ -132,7 +147,10 @@ class IncrementalSpf {
   std::vector<net::NodeId> first_child_;
   std::vector<net::NodeId> next_sibling_;
   std::vector<net::NodeId> prev_sibling_;
-  SpfScratch scratch_;
+  /// Set only for a standalone instance; scratch_ points here or at a
+  /// borrowed scratch. Heap-held so a moved instance keeps a valid pointer.
+  std::unique_ptr<SpfScratch> owned_scratch_;
+  SpfScratch* scratch_;
   long full_ = 0;
   long skipped_ = 0;
   long incremental_ = 0;

@@ -24,6 +24,7 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
       drops_{cfg.stats_bucket},
       rng_{cfg.seed},
       sizer_{cfg.mean_packet_bits},
+      spf_scratch_{topo},
       min_hop_table_{routing::min_hop_lengths(topo)} {
   if (!topo.is_connected()) {
     throw std::invalid_argument("topology must be connected");

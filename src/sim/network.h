@@ -15,8 +15,9 @@
 //
 // Engine structure: one Network is one single-threaded discrete-event run.
 // It owns a single Simulator (calendar event queue and clock), the pooled
-// packet and routing-update slabs, and every statistic the PSNs report into;
-// run_until drives that queue on the caller's thread. Parallelism lives one
+// packet and routing-update slabs, the one SPF workspace its PSNs share,
+// and every statistic the PSNs report into; run_until drives that queue on
+// the caller's thread. Parallelism lives one
 // level up, in the sweep runner (src/exp/sweep_runner.h), which executes
 // independent Networks on a thread pool.
 
@@ -294,6 +295,9 @@ class Network : public EventSink {
   [[nodiscard]] PacketPool& packet_pool() { return pool_; }
   /// The refcounted routing-update slab.
   [[nodiscard]] UpdatePool& update_pool() { return updates_; }
+  /// The one SPF workspace every PSN's IncrementalSpf borrows: PSNs run
+  /// their passes one at a time on this network's thread.
+  [[nodiscard]] routing::SpfScratch& spf_scratch() { return spf_scratch_; }
   /// Pre-extends the bucketed statistics series (per-link utilization,
   /// drops) to cover sim time up to `end`, so recording during a
   /// measurement window that ends by then allocates nothing. Call before
@@ -369,6 +373,8 @@ class Network : public EventSink {
   std::uint64_t packet_seq_ = 0;
   util::Rng rng_;
   traffic::PacketSizer sizer_;
+  /// Declared before psns_ so it outlives every PSN that borrows it.
+  routing::SpfScratch spf_scratch_;
   std::vector<std::unique_ptr<Psn>> psns_;
   std::vector<Source> sources_;
   /// Every source's destination table, in one flat column array.

@@ -6,8 +6,9 @@
 // D-SPF complaints, section 3.3 point 4) is charged against the links.
 //
 // Packet is a flat, trivially copyable record of at most 48 bytes: the pool
-// (sim/packet_pool.h) pre-creates one slot per queue place, so every byte
-// here is paid tens of thousands of times at construction. Payloads live
+// (sim/packet_pool.h) reserves one slot per queue place and touches one per
+// live packet, so every byte here is paid hundreds of times in resident
+// memory and tens of thousands of times in address space. Payloads live
 // elsewhere and ride as 4-byte handles: routing updates and distance
 // vectors in sim::UpdatePool, host-message framing in sim::HostFlowLayer.
 

@@ -4,10 +4,18 @@
 // into a per-hop closure at every enqueue, transmit and propagation step.
 // The pool replaces that with a slab of Packet slots and a freelist of
 // indices: the hot paths move a 4-byte PacketHandle while the struct itself
-// stays put. Slots live in a deque so growth never relocates a packet a
-// caller still references, and release() resets the slot so recycled
-// packets carry no stale payload references. After warm-up the freelist
-// covers the steady-state population and the pool allocates nothing.
+// stays put, and release() resets the slot so recycled packets carry no
+// stale payload references.
+//
+// The slab is paged: fixed pages of kPageSlots slots, allocated but not
+// constructed. reserve() allocates pages and freelist capacity and touches
+// neither, so a worst-case reservation costs address space, not resident
+// memory; acquire() constructs the next slot in place only when the
+// freelist is empty, so the slab's constructed footprint is the run's live
+// high-water mark. Pages never move, so growth never relocates a packet a
+// caller still references, and growth inside reserved pages allocates
+// nothing. After warm-up the freelist covers the steady-state population
+// and the pool allocates nothing.
 //
 // The pool is owned by one sim::Network and is strictly single-threaded,
 // like the event queue it feeds (sweep parallelism is across Networks, never
@@ -17,7 +25,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/event.h"
@@ -47,9 +57,10 @@ class PacketPool {
       live_slot(h);
       return h;
     }
-    const PacketHandle h = static_cast<PacketHandle>(slots_.size());
-    // ARPALINT-ALLOW(hot-path-alloc): slab growth; after warm-up every acquire recycles
-    slots_.emplace_back();
+    // ARPALINT-ALLOW(hot-path-alloc): a new page; after warm-up every acquire recycles
+    if (constructed_ == capacity()) reserve(constructed_ + 1);
+    const PacketHandle h = static_cast<PacketHandle>(constructed_++);
+    ::new (static_cast<void*>(slot(h))) Packet{};
     live_slot(h);
     return h;
   }
@@ -57,50 +68,62 @@ class PacketPool {
   /// Acquires a slot holding `pkt`.
   [[nodiscard]] PacketHandle acquire(const Packet& pkt) {
     const PacketHandle h = acquire();
-    slots_[h] = pkt;
+    at(h) = pkt;
     return h;
   }
 
-  [[nodiscard]] Packet& at(PacketHandle h) { return slots_[h]; }
-  [[nodiscard]] const Packet& at(PacketHandle h) const { return slots_[h]; }
+  [[nodiscard]] Packet& at(PacketHandle h) { return *slot(h); }
+  [[nodiscard]] const Packet& at(PacketHandle h) const { return *slot(h); }
 
   /// Returns a slot to the freelist. The slot is reset to a blank Packet so
   /// shared payloads (routing updates, distance vectors) are released now,
   /// not at some future reuse; the reference is dropped through the
   /// attached UpdatePool.
   void release(PacketHandle h) {
-    ARPA_DCHECK(h < slots_.size()) << "released handle " << h
-                                   << " outside pool of " << slots_.size();
-    const Packet& pkt = slots_[h];
+    ARPA_DCHECK(h < constructed_) << "released handle " << h
+                                  << " outside pool of " << constructed_;
+    Packet& pkt = at(h);
     if ((pkt.flags & Packet::kHostMessage) == 0 &&
         pkt.update != kInvalidUpdateHandle) {
       ARPA_DCHECK(updates_ != nullptr)
           << "routing packet released with no attached UpdatePool";
       updates_->release(pkt.update);
     }
-    slots_[h] = Packet{};
-    // ARPALINT-ALLOW(hot-path-alloc): freelist retains its high-water capacity
+    pkt = Packet{};
+    // ARPALINT-ALLOW(hot-path-alloc): freelist capacity covers every page's slots
     free_.push_back(h);
     --in_use_;
   }
   // ARPALINT-HOTPATH-END
 
-  /// Pre-creates slots (parked on the freelist) until the slab holds `n`.
-  /// The lazy slab sizes itself to the warm-up transient, but a longer
-  /// measurement window can push the in-flight population past that
+  /// Allocates pages, and freelist capacity, for at least `n` slots,
+  /// constructing none: up to `n` packets can then be live at once without
+  /// allocating. The lazy slab sizes itself to the warm-up transient, but a
+  /// longer measurement window can push the in-flight population past that
   /// high-water mark; sim::Network reserves the queue-bound working set at
-  /// construction so the window never pays deque chunk growth.
+  /// construction so the window never allocates a page.
   void reserve(std::size_t n) {
-    if (n <= slots_.size()) return;
-    free_.reserve(n);
-    while (slots_.size() < n) {
-      free_.push_back(static_cast<PacketHandle>(slots_.size()));
-      slots_.emplace_back();
+    const std::size_t pages = (n + kPageSlots - 1) >> kPageShift;
+    if (pages <= pages_.size()) return;
+    pages_.reserve(pages);
+    while (pages_.size() < pages) {
+      pages_.emplace_back(std::allocator<Packet>{}.allocate(kPageSlots));
     }
+    // The freelist never holds more entries than there are slots, so
+    // release() never grows it.
+    free_.reserve(capacity());
   }
 
-  /// Distinct slots ever created (the pool's footprint).
-  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
+  /// Slots per page (a power of two).
+  static constexpr unsigned kPageShift = 12;
+  static constexpr std::size_t kPageSlots = std::size_t{1} << kPageShift;
+
+  /// Distinct slots ever constructed (the pool's resident footprint).
+  [[nodiscard]] std::size_t slots() const { return constructed_; }
+  /// Slots the allocated pages hold, constructed or not.
+  [[nodiscard]] std::size_t capacity() const {
+    return pages_.size() * kPageSlots;
+  }
   /// Total acquire() calls.
   [[nodiscard]] std::uint64_t acquired() const { return acquired_; }
   /// acquire() calls served from the freelist rather than new storage.
@@ -111,11 +134,29 @@ class PacketPool {
   [[nodiscard]] std::size_t peak_in_use() const { return peak_in_use_; }
 
  private:
+  static constexpr std::size_t kPageMask = kPageSlots - 1;
+  // Pages are freed without running destructors.
+  static_assert(std::is_trivially_destructible_v<Packet>);
+
+  /// Returns a page's storage; its slots were never destroyed (trivially
+  /// destructible) or never constructed.
+  struct PageDeleter {
+    void operator()(Packet* page) const {
+      std::allocator<Packet>{}.deallocate(page, kPageSlots);
+    }
+  };
+
+  [[nodiscard]] Packet* slot(PacketHandle h) const {
+    return pages_[h >> kPageShift].get() + (h & kPageMask);
+  }
+
   void live_slot(PacketHandle) {
     if (++in_use_ > peak_in_use_) peak_in_use_ = in_use_;
   }
 
-  std::deque<Packet> slots_;
+  std::vector<std::unique_ptr<Packet, PageDeleter>> pages_;
+  /// Slots [0, constructed_) hold a Packet; the rest of the pages is raw.
+  std::size_t constructed_ = 0;
   std::vector<PacketHandle> free_;
   UpdatePool* updates_ = nullptr;
   std::uint64_t acquired_ = 0;

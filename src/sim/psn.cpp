@@ -30,7 +30,7 @@ routing::SignificanceFilter make_filter(const metrics::LinkMetric& metric,
 Psn::Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs)
     : net_{net},
       id_{id},
-      spf_{net.topology(), id, std::move(initial_costs)},
+      spf_{net.topology(), id, std::move(initial_costs), net.spf_scratch()},
       flood_state_{net.topology().node_count()} {
   const net::Topology& topo = net.topology();
   out_.reserve(topo.out_links(id).size());

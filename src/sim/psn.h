@@ -1,7 +1,8 @@
 // PSN: one packet-switching node.
 //
 // Each PSN owns, exactly as in the ARPANET scheme:
-//   * a resident incremental SPF over its own copy of the network cost map,
+//   * a resident incremental SPF over its own copy of the network cost map
+//     (its pass workspace is the Network's, shared by all PSNs),
 //   * destination-based single-path forwarding (first hop from its tree),
 //   * per-outgoing-link output queues — routing updates at high priority,
 //     data FIFO behind them, finite data buffering with tail drop,

@@ -49,10 +49,13 @@ class UpdatePool {
     const UpdateHandle h = static_cast<UpdateHandle>(slots_.size());
     // ARPALINT-ALLOW(hot-path-alloc): slab growth; freelist serves steady state
     slots_.emplace_back();
-    // The freelist never holds more entries than there are slots, so sizing
-    // it here keeps release() from growing it later, mid-window.
-    // ARPALINT-ALLOW(hot-path-alloc): grows with the slab, never in release()
-    free_.reserve(slots_.size());
+    // The freelist never holds more entries than there are slots, so keeping
+    // its capacity at least the slab's size keeps release() from growing it
+    // later, mid-window. Doubling keeps the growths logarithmic in the peak.
+    if (free_.capacity() < slots_.size()) {
+      // ARPALINT-ALLOW(hot-path-alloc): grows with the slab, never in release()
+      free_.reserve(2 * slots_.size());
+    }
     reserve_payloads(slots_[h]);
     slots_[h].refs = 1;
     ++in_use_;

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "src/net/builders/registry.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::sim {
@@ -57,6 +58,18 @@ TEST(NetworkTest, RejectsAHopLimitBeyondThePacketsHopCounter) {
   EXPECT_NO_THROW(Network(topo, cfg));
   cfg.hop_limit = 65536;  // Packet::hops is 16-bit: the limit could never trip
   EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
+}
+
+TEST(NetworkTest, ConstructionReservesPacketSlotsWithoutCreatingThem) {
+  const net::Topology topo = net::build_topology("leo-grid:nodes=256");
+  const NetworkConfig cfg;
+  Network net{topo, cfg};
+  // The queue-bound working set is reserved as address space only: no slot
+  // exists until a packet needs one.
+  EXPECT_EQ(net.packet_pool().slots(), 0u);
+  EXPECT_EQ(net.counters().packet_pool_slots, 0u);
+  EXPECT_GE(net.packet_pool().capacity(),
+            topo.link_count() * (static_cast<std::size_t>(cfg.queue_capacity) + 2));
 }
 
 TEST(NetworkTest, ForwardsAcrossIntermediateNode) {

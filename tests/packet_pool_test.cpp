@@ -48,10 +48,36 @@ TEST(PacketPoolTest, SlotAddressesAreStableAcrossGrowth) {
   PacketPool pool;
   const PacketHandle first = pool.acquire();
   Packet* addr = &pool.at(first);
-  // Force the slab through many growth steps; a deque never relocates
-  // existing elements, so the first slot must stay put.
-  for (int i = 0; i < 1000; ++i) (void)pool.acquire();
+  // Force the slab through several new pages; pages never move, so the
+  // first slot must stay put.
+  for (std::size_t i = 0; i < 2 * PacketPool::kPageSlots + 1000; ++i) {
+    (void)pool.acquire();
+  }
   EXPECT_EQ(&pool.at(first), addr);
+}
+
+TEST(PacketPoolTest, ReserveConstructsNoSlots) {
+  PacketPool pool;
+  // Spans three pages, the last one partly.
+  const std::size_t n = 2 * PacketPool::kPageSlots + 5;
+  pool.reserve(n);
+  EXPECT_EQ(pool.slots(), 0u) << "reserve must not construct a slot";
+  EXPECT_EQ(pool.capacity(), 3 * PacketPool::kPageSlots);
+  EXPECT_EQ(pool.in_use(), 0u);
+
+  std::vector<PacketHandle> held;
+  held.reserve(n);
+  const util::AllocGuard guard;
+  held.push_back(pool.acquire());
+  const Packet* first = &pool.at(held.front());
+  for (std::size_t i = 1; i < n; ++i) held.push_back(pool.acquire());
+  for (const PacketHandle h : held) pool.release(h);
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(guard.bytes(), 0u);
+  EXPECT_EQ(&pool.at(held.front()), first);
+  EXPECT_EQ(pool.slots(), n) << "each acquire constructs one reserved slot";
+  EXPECT_EQ(pool.recycled(), 0u);
+  EXPECT_EQ(pool.capacity(), 3 * PacketPool::kPageSlots);
 }
 
 TEST(PacketPoolTest, ReleaseDropsPooledUpdateReferences) {
@@ -177,6 +203,29 @@ TEST(UpdatePoolTest, CyclesAfterWarmUpAllocateNothing) {
   EXPECT_EQ(guard.allocations(), 0u);
   EXPECT_EQ(updates.slots(), 8u);
   EXPECT_EQ(updates.in_use(), 0u);
+}
+
+TEST(UpdatePoolTest, FreshSlotsGrowTheFreelistGeometrically) {
+  UpdatePool updates;
+  updates.set_report_capacity(1);
+  constexpr std::size_t kSlots = 1024;
+  std::vector<UpdateHandle> live;
+  live.reserve(kSlots);
+
+  const util::AllocGuard guard;
+  for (std::size_t i = 0; i < kSlots; ++i) live.push_back(updates.acquire());
+  const std::uint64_t grown = guard.allocations();
+  for (const UpdateHandle h : live) updates.release(h);
+  EXPECT_EQ(guard.allocations(), grown) << "release() must never allocate";
+
+  // Each new slot pays its one reports buffer; the deque slab adds a block
+  // per several slots (a Slot is far below a quarter of libstdc++'s
+  // 512-byte block) and a logarithmic number of block-map growths; the
+  // freelist may add only logarithmically many growths on top. Growing it
+  // one slot at a time would add one reallocation per slot.
+  const std::uint64_t log2_slots = 10;
+  EXPECT_LE(grown, kSlots + kSlots / 4 + 4 * log2_slots);
+  EXPECT_EQ(updates.slots(), kSlots);
 }
 
 TEST(UpdatePoolTest, ReserveParksSlotsForLaterAcquires) {

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/net/builders/registry.h"
 #include "src/routing/routing_table.h"
@@ -258,6 +259,63 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeWithUnreachableNodes) {
   const auto y = t.add_node("y");
   t.add_duplex(x, y, LineType::kTerrestrial56);
   check_against_full_recompute(t, 0, 200, 300);
+}
+
+TEST(IncrementalSpfTest, SharedScratchMatchesFullRecompute) {
+  // Four PSN-like instances over one topology borrow one scratch, each with
+  // its own cost map. Changes land on a random instance at a time, so every
+  // pass starts from whatever the previous instance's pass left behind.
+  const Topology t = net::TopologyBuilder::registry().build(
+      net::GraphSpec::parse("leo-grid:nodes=64"));
+  SpfScratch scratch{t};
+  const std::vector<net::NodeId> roots{0, 21, 42, 63};
+  util::Rng rng{4242};
+  // Three cost levels: ties everywhere, and a third of all changes lower.
+  const auto random_cost = [&rng] {
+    return 1.0 + static_cast<double>(rng.uniform_index(3));
+  };
+  std::vector<LinkCosts> costs(roots.size(), LinkCosts(t.link_count()));
+  std::vector<IncrementalSpf> spfs;
+  spfs.reserve(roots.size());
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    for (double& c : costs[r]) c = random_cost();
+    spfs.emplace_back(t, roots[r], costs[r], scratch);
+  }
+  long increases = 0;
+  long decreases = 0;
+  for (int step = 0; step < 600; ++step) {
+    const std::size_t r = rng.uniform_index(roots.size());
+    const auto link =
+        static_cast<net::LinkId>(rng.uniform_index(t.link_count()));
+    const double new_cost = random_cost();
+    if (new_cost > costs[r][link]) ++increases;
+    if (new_cost < costs[r][link]) ++decreases;
+    spfs[r].set_cost(link, new_cost);
+    costs[r][link] = new_cost;
+    for (std::size_t k = 0; k < roots.size(); ++k) {
+      const SpfTree full = Spf::compute(t, roots[k], costs[k]);
+      SCOPED_TRACE("step " + std::to_string(step) + " root " +
+                   std::to_string(roots[k]));
+      ASSERT_EQ(spfs[k].tree().dist, full.dist);
+      ASSERT_EQ(spfs[k].tree().parent_link, full.parent_link);
+      ASSERT_EQ(spfs[k].tree().first_hop, full.first_hop);
+      ASSERT_EQ(spfs[k].tree().hops, full.hops);
+    }
+  }
+  EXPECT_GT(increases, 150);
+  EXPECT_GT(decreases, 150);
+  for (const IncrementalSpf& spf : spfs) EXPECT_GT(spf.incremental_updates(), 20);
+  for (const std::uint8_t mark : scratch.in_nodes) {
+    ASSERT_EQ(mark, 0) << "a pass must leave the shared marks clear";
+  }
+}
+
+TEST(IncrementalSpfDeathTest, BorrowedScratchMustFitTheTopology) {
+  const Topology t = diamond();
+  const Topology ring = net::build_topology("ring:nodes=6");
+  SpfScratch scratch{ring};
+  EXPECT_DEATH((void)IncrementalSpf(t, 0, LinkCosts(t.link_count(), 1.0), scratch),
+               "SPF scratch sized for 6 nodes");
 }
 
 TEST(IncrementalSpfTest, DecreaseCreatingOnlyATieReparents) {

@@ -56,9 +56,14 @@ if command -v perf >/dev/null 2>&1; then
   echo "profile.sh: perf report ($BATTERY battery) at $OUT"
 else
   # gprof fallback: instrumented build (-pg), run from the build directory
-  # so gmon.out lands beside the binary.
+  # so gmon.out lands beside the binary. gprof drops GCC's clone symbols
+  # (.part, .isra, .constprop, .cold) and charges their samples to the
+  # function placed before them, so the build turns off the four passes
+  # that make them: every sample then lands on a real function.
+  NO_CLONES="-fno-partial-inlining -fno-ipa-sra -fno-ipa-cp"
+  NO_CLONES="$NO_CLONES -fno-reorder-blocks-and-partition"
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
+    -DCMAKE_CXX_FLAGS="-pg $NO_CLONES" -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
   cmake --build "$BUILD_DIR" -j --target bench_report >/dev/null
   (cd "$BUILD_DIR" &&
    ./tools/bench_report --scenario="$BATTERY" --threads=1 \
