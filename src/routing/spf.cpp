@@ -211,12 +211,13 @@ void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
 
   costs_[link] = new_cost;
   ++incremental_;
-  if (new_cost < old_cost) {
+  const bool decrease = new_cost < old_cost;
+  if (decrease) {
     decrease_pass(link);
   } else {
     increase_pass(link);
   }
-  repair_structure(topo_->link(link).to);
+  repair_structure(topo_->link(link).to, decrease);
 }
 
 void IncrementalSpf::decrease_pass(net::LinkId link) {
@@ -302,12 +303,18 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
   }
 }
 
-void IncrementalSpf::repair_structure(net::NodeId head) {
-  // Only three kinds of node can have changed their canonical parent: the
-  // head of the changed link (its in-link cost moved), the region whose
-  // distances the pass reset or lowered (scratch_->nodes), and the region's
-  // out-neighbours (an in-link's source distance moved). Every other node
-  // keeps its distance and all of its in-link sums.
+void IncrementalSpf::repair_structure(net::NodeId head, bool decrease) {
+  // A node's canonical parent can change only if its distance or one of its
+  // in-link sums moved. The head of the changed link (its in-link cost
+  // moved) and the region whose distances the pass reset or lowered
+  // (scratch_->nodes) get a full canonical_parent scan. Any other node w
+  // keeps its distance, and only the region's out-neighbours see an in-link
+  // sum move, so w's parent link (u,w) has u outside the region: after an
+  // increase pass because the region is the increased link's whole subtree,
+  // after a decrease pass because a lowered u would have lowered w. An
+  // increase only raises the region's sums, so w keeps its parent. A
+  // decrease can make a region link (x,w) tie, and it takes over if its id
+  // is lower than the parent's.
   auto& nodes = scratch_->nodes;
   auto& in_nodes = scratch_->in_nodes;
   const std::size_t region = nodes.size();
@@ -316,23 +323,41 @@ void IncrementalSpf::repair_structure(net::NodeId head) {
     // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
     nodes.push_back(head);
   }
-  for (std::size_t i = 0; i < region; ++i) {
-    for (const net::NodeId w : topo_->out_targets(nodes[i])) {
-      if (in_nodes[w]) continue;
-      in_nodes[w] = 1;
-      // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
-      nodes.push_back(w);
+  // nodes[0, scanned) get the full scan; tied out-neighbours are appended
+  // after them once, marked 2, and re-parented on the spot.
+  const std::size_t scanned = nodes.size();
+  if (decrease) {
+    for (std::size_t i = 0; i < region; ++i) {
+      const double dx = tree_.dist[nodes[i]];
+      const std::span<const net::LinkId> lids = topo_->out_links(nodes[i]);
+      const std::span<const net::NodeId> tos = topo_->out_targets(nodes[i]);
+      for (std::size_t k = 0; k < lids.size(); ++k) {
+        const net::NodeId w = tos[k];
+        if (in_nodes[w] == 1 || lids[k] >= tree_.parent_link[w] ||
+            dx + costs_[lids[k]] != tree_.dist[w]) {
+          continue;
+        }
+        reparent(w, lids[k]);
+        if (in_nodes[w] == 0) {
+          in_nodes[w] = 2;
+          // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
+          nodes.push_back(w);
+        }
+      }
     }
   }
 
   HeapVec& heap = scratch_->heap;
   heap.clear();
-  for (const net::NodeId v : nodes) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const net::NodeId v = nodes[i];
     in_nodes[v] = 0;
-    if (v == tree_.root) continue;
-    const net::LinkId pl = canonical_parent(*topo_, costs_, tree_.dist, v);
-    if (pl == tree_.parent_link[v]) continue;
-    reparent(v, pl);
+    if (i < scanned) {
+      if (v == tree_.root) continue;
+      const net::LinkId pl = canonical_parent(*topo_, costs_, tree_.dist, v);
+      if (pl == tree_.parent_link[v]) continue;
+      reparent(v, pl);
+    }
     heap_push(heap, tree_.dist[v], v);
   }
 

@@ -82,8 +82,8 @@ struct SpfScratch {
   /// The pass's region (nodes whose distance it reset or lowered), then the
   /// further candidates for parent re-derivation. Distinct nodes.
   std::vector<net::NodeId> nodes;
-  /// 1 iff the node is in `nodes` (plain bytes, not vector<bool>). All
-  /// zero between passes: each pass clears exactly the bytes it set.
+  /// Nonzero iff the node is in `nodes` (plain bytes, not vector<bool>).
+  /// All zero between passes: each pass clears exactly the bytes it set.
   std::vector<std::uint8_t> in_nodes;
 };
 
@@ -134,7 +134,7 @@ class IncrementalSpf {
   void init(net::NodeId root);
   void decrease_pass(net::LinkId link);
   void increase_pass(net::LinkId link);
-  void repair_structure(net::NodeId head);
+  void repair_structure(net::NodeId head, bool decrease);
   void build_children();
   void reparent(net::NodeId v, net::LinkId new_parent);
 

@@ -17,6 +17,11 @@
 // nothing. After warm-up the freelist covers the steady-state population
 // and the pool allocates nothing.
 //
+// Each page also holds one FIFO link per slot, so a PacketFifo (the PSN
+// output queues) threads its packets through the slab and owns no storage:
+// a queue's footprint is 12 bytes at any depth, and enqueue() can never
+// allocate.
+//
 // The pool is owned by one sim::Network and is strictly single-threaded,
 // like the event queue it feeds (sweep parallelism is across Networks, never
 // within one).
@@ -36,6 +41,21 @@
 #include "src/util/check.h"
 
 namespace arpanet::sim {
+
+/// A FIFO of pooled packets, linked through their slots' `next` handles in
+/// the PacketPool that holds them: enqueue() and dequeue() are PacketPool
+/// members. A packet is in at most one queue at a time and stays acquired
+/// while queued.
+struct PacketFifo {
+  PacketHandle head = kInvalidPacketHandle;
+  PacketHandle tail = kInvalidPacketHandle;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] bool empty() const { return count == 0; }
+  [[nodiscard]] std::size_t size() const { return count; }
+};
+static_assert(sizeof(PacketFifo) == 12,
+              "an output queue is two handles and a count, whatever its depth");
 
 class PacketPool {
  public:
@@ -94,6 +114,29 @@ class PacketPool {
     free_.push_back(h);
     --in_use_;
   }
+
+  /// Appends the acquired packet `h` to `q`.
+  void enqueue(PacketFifo& q, PacketHandle h) {
+    ARPA_DCHECK(h < constructed_) << "queued handle " << h
+                                  << " outside pool of " << constructed_;
+    next(h) = kInvalidPacketHandle;
+    if (q.count == 0) {
+      q.head = h;
+    } else {
+      next(q.tail) = h;
+    }
+    q.tail = h;
+    ++q.count;
+  }
+
+  /// Removes and returns the oldest packet in `q`, which must not be empty.
+  [[nodiscard]] PacketHandle dequeue(PacketFifo& q) {
+    ARPA_DCHECK(q.count > 0) << "dequeue() on an empty PacketFifo";
+    const PacketHandle h = q.head;
+    q.head = next(h);
+    if (--q.count == 0) q.tail = kInvalidPacketHandle;
+    return h;
+  }
   // ARPALINT-HOTPATH-END
 
   /// Allocates pages, and freelist capacity, for at least `n` slots,
@@ -107,7 +150,7 @@ class PacketPool {
     if (pages <= pages_.size()) return;
     pages_.reserve(pages);
     while (pages_.size() < pages) {
-      pages_.emplace_back(std::allocator<Packet>{}.allocate(kPageSlots));
+      pages_.emplace_back(std::allocator<Page>{}.allocate(1));
     }
     // The freelist never holds more entries than there are slots, so
     // release() never grows it.
@@ -138,23 +181,34 @@ class PacketPool {
   // Pages are freed without running destructors.
   static_assert(std::is_trivially_destructible_v<Packet>);
 
+  /// kPageSlots packet slots and their FIFO links. A slot is constructed by
+  /// acquire() and its link written by enqueue(), so an untouched page stays
+  /// address space only.
+  struct Page {
+    Packet slots[kPageSlots];
+    PacketHandle next[kPageSlots];
+  };
+
   /// Returns a page's storage; its slots were never destroyed (trivially
   /// destructible) or never constructed.
   struct PageDeleter {
-    void operator()(Packet* page) const {
-      std::allocator<Packet>{}.deallocate(page, kPageSlots);
+    void operator()(Page* page) const {
+      std::allocator<Page>{}.deallocate(page, 1);
     }
   };
 
   [[nodiscard]] Packet* slot(PacketHandle h) const {
-    return pages_[h >> kPageShift].get() + (h & kPageMask);
+    return &pages_[h >> kPageShift]->slots[h & kPageMask];
+  }
+  [[nodiscard]] PacketHandle& next(PacketHandle h) {
+    return pages_[h >> kPageShift]->next[h & kPageMask];
   }
 
   void live_slot(PacketHandle) {
     if (++in_use_ > peak_in_use_) peak_in_use_ = in_use_;
   }
 
-  std::vector<std::unique_ptr<Packet, PageDeleter>> pages_;
+  std::vector<std::unique_ptr<Page, PageDeleter>> pages_;
   /// Slots [0, constructed_) hold a Packet; the rest of the pages is raw.
   std::size_t constructed_ = 0;
   std::vector<PacketHandle> free_;

@@ -44,13 +44,6 @@ Psn::Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs)
     out_.emplace_back(lid,
                       metrics::DelayMeasurement{link.rate, link.prop_delay},
                       std::move(metric), std::move(filter), initial);
-    // Pre-size the rings to their working bounds so no queue grows
-    // mid-measurement: data_q is hard-capped at queue_capacity by the drop
-    // check in enqueue(); update_q's working set is one in-flight update
-    // per origin node.
-    OutLink& out = out_.back();
-    out.data_q.reserve(static_cast<std::size_t>(net.config().queue_capacity));
-    out.update_q.reserve(topo.node_count());
   }
   // Sized up front so the first fault-driven origination (which can precede
   // the first measurement period) already finds warm storage.
@@ -214,8 +207,7 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
   pkt.enqueued = net_.now();
   if (priority) {
     net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
-    // ARPALINT-ALLOW(hot-path-alloc): RingQueue retains its power-of-two capacity
-    out.update_q.push_back(h);
+    net_.packet_pool().enqueue(out.update_q, h);
   } else {
     if (static_cast<int>(out.data_q.size()) >= net_.config().queue_capacity) {
       net_.trace(TraceEventKind::kDroppedQueue, pkt, id_, out.id);
@@ -224,8 +216,7 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
       return;
     }
     net_.trace(TraceEventKind::kEnqueued, pkt, id_, out.id);
-    // ARPALINT-ALLOW(hot-path-alloc): see above — capacity-retaining ring.
-    out.data_q.push_back(h);
+    net_.packet_pool().enqueue(out.data_q, h);
   }
   maybe_start_tx(out);
 }
@@ -235,13 +226,9 @@ void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
 // this stays clean inside the zero-allocation measurement window.
 void Psn::drop_queued(OutLink& out) {
   PacketPool& pool = net_.packet_pool();
-  while (!out.update_q.empty()) {
-    pool.release(out.update_q.front());
-    out.update_q.pop_front();
-  }
+  while (!out.update_q.empty()) pool.release(pool.dequeue(out.update_q));
   while (!out.data_q.empty()) {
-    const PacketHandle h = out.data_q.front();
-    out.data_q.pop_front();
+    const PacketHandle h = pool.dequeue(out.data_q);
     net_.trace(TraceEventKind::kDroppedQueue, pool.at(h), id_, out.id);
     net_.on_queue_drop(pool.at(h));
     pool.release(h);
@@ -250,7 +237,7 @@ void Psn::drop_queued(OutLink& out) {
 
 void Psn::maybe_start_tx(OutLink& out) {
   if (out.busy || !out.up) return;
-  RingQueue<PacketHandle>* q = nullptr;
+  PacketFifo* q = nullptr;
   if (!out.update_q.empty()) {
     q = &out.update_q;
   } else if (!out.data_q.empty()) {
@@ -259,13 +246,13 @@ void Psn::maybe_start_tx(OutLink& out) {
     return;
   }
 
-  const PacketHandle h = q->front();
-  q->pop_front();
+  PacketPool& pool = net_.packet_pool();
+  const PacketHandle h = pool.dequeue(*q);
   out.busy = true;
 
   // The effective link record: a mid-run line-type upgrade changes the rate.
   const net::Link& link = net_.effective_link(out.id);
-  const Packet& pkt = net_.packet_pool().at(h);
+  const Packet& pkt = pool.at(h);
   const util::SimTime queue_delay = net_.now() - pkt.enqueued;
   const util::SimTime tx = link.rate.transmission_time(pkt.bits);
   // Both update kinds (flooded link costs, distance vectors) count as

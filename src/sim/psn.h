@@ -29,7 +29,7 @@
 #include "src/routing/spf.h"
 #include "src/sim/event.h"
 #include "src/sim/packet.h"
-#include "src/sim/ring_queue.h"
+#include "src/sim/packet_pool.h"
 
 namespace arpanet::sim {
 
@@ -105,10 +105,11 @@ class Psn {
  private:
   struct OutLink {
     net::LinkId id = net::kInvalidLink;
-    /// Waiting pooled packets: the queues move 4-byte handles, never the
-    /// Packet structs; enqueue() stamps Packet::enqueued.
-    RingQueue<PacketHandle> data_q;
-    RingQueue<PacketHandle> update_q;
+    /// Waiting pooled packets, linked through the Network's packet pool:
+    /// the queues own no storage and never move a Packet; enqueue() stamps
+    /// Packet::enqueued.
+    PacketFifo data_q;
+    PacketFifo update_q;
     bool busy = false;
     bool up = true;
     metrics::DelayMeasurement meas;

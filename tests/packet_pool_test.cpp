@@ -1,16 +1,14 @@
-// The pooled packet slab (sim/packet_pool.h) and the ring-buffer output
-// queues (sim/ring_queue.h) behind the PSN hot paths.
+// The pooled packet slab (sim/packet_pool.h) and the PacketFifo output
+// queues threaded through it, behind the PSN hot paths.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
-#include "src/sim/ring_queue.h"
 #include "src/util/alloc_guard.h"
 
 namespace arpanet::sim {
@@ -258,46 +256,100 @@ TEST(PacketPoolTest, AcquireWithPacketMovesItIn) {
   EXPECT_DOUBLE_EQ(pool.at(h).bits, 568.0);
 }
 
-TEST(RingQueueTest, FifoOrderAcrossWrapAround) {
-  RingQueue<int> q;
-  EXPECT_TRUE(q.empty());
-  // Fill, drain partially, refill past the old tail so the ring wraps, then
-  // grow: order must stay FIFO throughout.
-  for (int i = 0; i < 6; ++i) q.push_back(i);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(q.front(), i);
-    q.pop_front();
-  }
-  for (int i = 6; i < 20; ++i) q.push_back(i);  // forces growth while wrapped
-  EXPECT_EQ(q.size(), 16u);
-  for (int i = 4; i < 20; ++i) {
-    EXPECT_EQ(q.front(), i);
-    q.pop_front();
-  }
-  EXPECT_TRUE(q.empty());
+// Drains `q` and returns its handles in pop order.
+std::vector<PacketHandle> drain(PacketPool& pool, PacketFifo& q) {
+  std::vector<PacketHandle> out;
+  while (!q.empty()) out.push_back(pool.dequeue(q));
+  return out;
 }
 
-TEST(RingQueueTest, CapacityIsPowerOfTwoAndReused) {
-  RingQueue<int> q;
-  for (int i = 0; i < 9; ++i) q.push_back(i);
-  const std::size_t cap = q.capacity();
-  EXPECT_EQ(cap & (cap - 1), 0u) << "capacity must be a power of two";
-  EXPECT_GE(cap, 9u);
-  // Steady-state churn below capacity must not grow the buffer.
-  for (int i = 0; i < 1000; ++i) {
-    q.pop_front();
-    q.push_back(100 + i);
+TEST(PacketFifoTest, QueuesSharingOnePoolKeepTheirOwnOrder) {
+  PacketPool pool;
+  PacketFifo q[3];
+  std::vector<PacketHandle> pushed[3];
+  // Interleave the pushes so neighbouring slots land in different queues.
+  for (int i = 0; i < 30; ++i) {
+    const PacketHandle h = pool.acquire();
+    pool.enqueue(q[i % 3], h);
+    pushed[i % 3].push_back(h);
   }
-  EXPECT_EQ(q.capacity(), cap);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(drain(pool, q[k]), pushed[k]) << "queue " << k;
+    EXPECT_EQ(q[k].head, kInvalidPacketHandle);
+    EXPECT_EQ(q[k].tail, kInvalidPacketHandle);
+  }
 }
 
-TEST(RingQueueTest, PopResetsTheSlot) {
-  RingQueue<std::shared_ptr<int>> q;
-  auto payload = std::make_shared<int>(5);
-  std::weak_ptr<int> watch = payload;
-  q.push_back(std::move(payload));
-  q.pop_front();
-  EXPECT_TRUE(watch.expired()) << "popped slot must not pin its old value";
+TEST(PacketFifoTest, SizeFollowsMixedPushesAndPops) {
+  PacketPool pool;
+  PacketFifo q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  for (int i = 0; i < 5; ++i) pool.enqueue(q, pool.acquire());
+  EXPECT_EQ(q.size(), 5u);
+  (void)pool.dequeue(q);
+  (void)pool.dequeue(q);
+  EXPECT_EQ(q.size(), 3u);
+  pool.enqueue(q, pool.acquire());
+  EXPECT_EQ(q.size(), 4u);
+  for (int i = 0; i < 4; ++i) (void)pool.dequeue(q);
+  EXPECT_TRUE(q.empty());
+  // An emptied queue starts over cleanly.
+  const PacketHandle h = pool.acquire();
+  pool.enqueue(q, h);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.head, h);
+  EXPECT_EQ(q.tail, h);
+}
+
+TEST(PacketFifoTest, OrderSurvivesRecyclingByOtherQueues) {
+  PacketPool pool;
+  PacketFifo kept;
+  PacketFifo churn;
+  std::vector<PacketHandle> expected;
+  for (int round = 0; round < 50; ++round) {
+    const PacketHandle h = pool.acquire();
+    pool.enqueue(kept, h);
+    expected.push_back(h);
+    // Another queue acquires, queues, pops and releases its packets, so
+    // recycled handles are relinked right beside the kept queue's slots.
+    for (int i = 0; i < 3; ++i) pool.enqueue(churn, pool.acquire());
+    for (int i = 0; i < 3; ++i) pool.release(pool.dequeue(churn));
+  }
+  EXPECT_GT(pool.recycled(), 0u);
+  EXPECT_EQ(kept.size(), expected.size());
+  EXPECT_EQ(drain(pool, kept), expected);
+}
+
+TEST(PacketFifoTest, DeepQueueAllocatesNothingOnceReserved) {
+  // Deeper than any per-queue reservation the output queues ever made
+  // (queue_capacity or node_count entries): the queue's storage is the
+  // pool's, so only the pool's reservation matters.
+  constexpr std::size_t kDepth = 10'000;
+  PacketPool pool;
+  pool.reserve(kDepth);
+  PacketFifo q;
+  std::size_t popped = 0;
+  bool in_order = true;
+  const util::AllocGuard guard;
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const PacketHandle h = pool.acquire();
+    pool.at(h).id = i;
+    pool.enqueue(q, h);
+  }
+  const std::size_t depth = q.size();
+  while (!q.empty()) {
+    const PacketHandle h = pool.dequeue(q);
+    in_order = in_order && pool.at(h).id == popped;
+    ++popped;
+    pool.release(h);
+  }
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(guard.bytes(), 0u);
+  EXPECT_EQ(depth, kDepth);
+  EXPECT_EQ(popped, kDepth);
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 }  // namespace

@@ -364,6 +364,74 @@ TEST(IncrementalSpfTest, IncreaseOnTiedTreeLinkMovesTheSubtree) {
   EXPECT_EQ(inc.first_hop_changes(), 2);
 }
 
+// Root r reaches w over r->m->w at cost 2 and x over r->x at cost 3; x->w
+// costs 1 and w->x 5. `x_w_first` puts the x-w trunk's links before the
+// r-m-w path's, so x->w has the lower id.
+Topology tie_at_out_neighbour(bool x_w_first) {
+  Topology t;
+  const auto r = t.add_node("r");
+  const auto x = t.add_node("x");
+  const auto m = t.add_node("m");
+  const auto w = t.add_node("w");
+  if (x_w_first) t.add_duplex(x, w, LineType::kTerrestrial56);
+  t.add_duplex(r, x, LineType::kTerrestrial56);
+  t.add_duplex(r, m, LineType::kTerrestrial56);
+  t.add_duplex(m, w, LineType::kTerrestrial56);
+  if (!x_w_first) t.add_duplex(x, w, LineType::kTerrestrial56);
+  return t;
+}
+
+LinkCosts tie_costs(const Topology& t) {
+  LinkCosts costs(t.link_count(), 1.0);
+  costs[t.link_between(0, 1)] = 3.0;  // r->x
+  costs[t.link_between(3, 1)] = 5.0;  // w->x
+  return costs;
+}
+
+TEST(IncrementalSpfTest, DecreaseTieWithLowerIdReparentsAnOutNeighbour) {
+  // Lowering r->x to 1 lowers only x; w keeps distance 2 but x->w now ties
+  // with its parent m->w and has the lower id, so w moves under x and its
+  // first hop swings from r->m to r->x.
+  const Topology t = tie_at_out_neighbour(/*x_w_first=*/true);
+  const net::LinkId r_x = t.link_between(0, 1);
+  const net::LinkId x_w = t.link_between(1, 3);
+  const net::LinkId m_w = t.link_between(2, 3);
+  ASSERT_LT(x_w, m_w);
+  IncrementalSpf inc{t, 0, tie_costs(t)};
+  ASSERT_EQ(inc.tree().parent_link[3], m_w);
+  ASSERT_EQ(inc.tree().first_hop[3], t.link_between(0, 2));
+
+  inc.set_cost(r_x, 1.0);
+  EXPECT_EQ(inc.nodes_touched(), 1) << "only x is lowered";
+  EXPECT_DOUBLE_EQ(inc.tree().dist[3], 2.0);
+  EXPECT_EQ(inc.tree().parent_link[3], x_w);
+  EXPECT_EQ(inc.tree().first_hop[3], r_x);
+  EXPECT_EQ(inc.tree().hops[3], 2);
+  EXPECT_EQ(inc.first_hop_changes(), 1);
+  const SpfTree full = Spf::compute(t, 0, inc.costs());
+  EXPECT_EQ(inc.tree().parent_link, full.parent_link);
+  EXPECT_EQ(inc.tree().first_hop, full.first_hop);
+}
+
+TEST(IncrementalSpfTest, DecreaseTieWithHigherIdLeavesAnOutNeighbour) {
+  // The same tie, but x->w has the higher id: w stays under m.
+  const Topology t = tie_at_out_neighbour(/*x_w_first=*/false);
+  const net::LinkId x_w = t.link_between(1, 3);
+  const net::LinkId m_w = t.link_between(2, 3);
+  ASSERT_GT(x_w, m_w);
+  IncrementalSpf inc{t, 0, tie_costs(t)};
+  ASSERT_EQ(inc.tree().parent_link[3], m_w);
+
+  inc.set_cost(t.link_between(0, 1), 1.0);
+  EXPECT_EQ(inc.nodes_touched(), 1);
+  EXPECT_DOUBLE_EQ(inc.tree().dist[3], 2.0);
+  EXPECT_EQ(inc.tree().parent_link[3], m_w);
+  EXPECT_EQ(inc.tree().first_hop[3], t.link_between(0, 2));
+  EXPECT_EQ(inc.first_hop_changes(), 0);
+  const SpfTree full = Spf::compute(t, 0, inc.costs());
+  EXPECT_EQ(inc.tree().parent_link, full.parent_link);
+}
+
 TEST(IncrementalSpfTest, ResetReplacesAllCosts) {
   const Topology t = diamond();
   IncrementalSpf inc{t, 0, LinkCosts(t.link_count(), 1.0)};
