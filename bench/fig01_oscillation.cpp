@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/net/builders/registry.h"
+#include "src/obs/trace_sink.h"
 #include "src/sim/network.h"
 
 namespace {
@@ -32,8 +33,9 @@ RunResult run(metrics::MetricKind kind, const net::Topology& two,
               double inter_region_bps, int buckets) {
   sim::NetworkConfig cfg;
   cfg.metric = kind;
-  cfg.track_reported_costs = true;
   sim::Network net{two, cfg};
+  obs::RecordingTraceSink trace{two.link_count()};
+  net.attach_trace_sink(&trace);
 
   // Inter-region pairs only: the intra-region mesh is irrelevant here.
   // Region 1 is A0..A{k-1} (ids 0..k-1), region 2 is B0..B{k-1}.
@@ -75,7 +77,7 @@ RunResult run(metrics::MetricKind kind, const net::Topology& two,
   const auto ind = net.indicators("x");
   r.drops_per_sec = ind.packets_dropped_per_sec;
   r.delay_ms = ind.round_trip_delay_ms;
-  for (const auto& [when, cost] : net.reported_cost_trace(link_a)) {
+  for (const auto& [when, cost] : trace.costs(link_a)) {
     if (when >= warmup) r.cost_a.push_back(cost);
   }
   return r;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "src/metrics/metric_factory.h"
@@ -81,15 +80,6 @@ void check_flat_region(const core::HnMetric& metric, int samples) {
       << "equilibrium cost at 100% utilization is "
       << metric.equilibrium_cost(1.0) << ", expected the maximum "
       << metric.max_cost();
-}
-
-void MonotonicTimeChecker::observe(util::SimTime t) {
-  if (count_ > 0) {
-    ARPA_CHECK(t >= last_) << what_ << " went backwards: " << last_.us()
-                           << "us -> " << t.us() << "us";
-  }
-  last_ = t;
-  ++count_;
 }
 
 void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
@@ -241,16 +231,11 @@ AuditStats audit_network(const sim::Network& net) {
 
   // Absolute bounds come from whatever range the factory promises per link
   // (built-in kinds and custom factories alike, via MetricFactory::bounds);
-  // flat regions and movement limits additionally need HN-SPF semantics.
-  const auto* kind_factory =
-      dynamic_cast<const metrics::KindMetricFactory*>(&net.metric_factory());
-  const bool hnspf =
-      kind_factory && kind_factory->kind() == metrics::MetricKind::kHnSpf;
-
+  // flat regions additionally need HN-SPF semantics.
   for (const net::Link& link : topo.links()) {
     // Mid-run line-type upgrades swap a link's type and rate; bounds, flat
     // regions and the live cost are judged against the record in effect
-    // now, while trace steps are judged against the era they happened in.
+    // now.
     const net::Link& live = net.effective_link(link.id);
 
     const double reported = net.psn(link.from).reported_cost(link.id);
@@ -267,54 +252,10 @@ AuditStats audit_network(const sim::Network& net) {
       ++stats.costs_checked;
     }
 
-    if (hnspf) {
+    if (net.hnspf_semantics()) {
       check_flat_region(core::HnMetric{cfg.line_params.for_type(live.type),
                                        live.rate, live.prop_delay});
       ++stats.maps_checked;
-    }
-
-    if (cfg.track_reported_costs) {
-      // This link's applied upgrades, in sim-time order (the network
-      // appends them as they fire).
-      std::vector<std::pair<util::SimTime, net::LineType>> eras;
-      for (const sim::Network::AppliedUpgrade& u : net.upgrades_applied()) {
-        if (u.link == link.id) eras.emplace_back(u.at, u.type);
-      }
-      const auto type_at = [&](util::SimTime t) {
-        net::LineType type = link.type;
-        for (const auto& [at, next] : eras) {
-          if (at <= t) type = next;
-        }
-        return type;
-      };
-      const auto upgraded_between = [&](util::SimTime a, util::SimTime b) {
-        for (const auto& [at, next] : eras) {
-          if (at > a && at <= b) return true;
-        }
-        return false;
-      };
-      MonotonicTimeChecker times{"reported-cost trace"};
-      util::SimTime previous_at = util::SimTime::zero();
-      double previous = kInf;
-      for (const auto& [at, cost] : net.reported_cost_trace(link.id)) {
-        times.observe(at);
-        if (hnspf && previous != kInf && !is_down_cost(previous) &&
-            !is_down_cost(cost) && !upgraded_between(previous_at, at)) {
-          // Report-to-report movement may accumulate sub-threshold drift
-          // on top of one period's limited move before an update carries
-          // it; limits come from the line type in effect at the step.
-          const core::LineTypeParams& params =
-              cfg.line_params.for_type(type_at(at));
-          const double threshold = cfg.significance_threshold_override >= 0.0
-                                       ? cfg.significance_threshold_override
-                                       : params.change_threshold();
-          check_movement_limited(Cost{previous}, Cost{cost}, params,
-                                 threshold);
-          ++stats.trace_steps_checked;
-        }
-        previous = cost;
-        previous_at = at;
-      }
     }
   }
 

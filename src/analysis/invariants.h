@@ -16,11 +16,12 @@
 // fatal via ARPA_CHECK instead of a skewed CSV column.
 //
 // Two usage layers:
-//   * free check_* functions / MonotonicTimeChecker — direct enforcement,
-//     used by tests and by hot-path ARPA_DCHECKs in core/sim/routing;
+//   * free check_* functions — direct enforcement, called by sim::Network on
+//     every reported cost and every measurement period, by hot-path
+//     ARPA_DCHECKs in core/sim/routing, and by tests;
 //   * audit_network — the end-of-run self-audit sim::run_scenario performs
 //     on every scenario (ScenarioConfig::self_audit), walking all PSNs'
-//     reported costs, cost traces and SPF trees.
+//     live reported costs, equilibrium maps and SPF trees.
 
 #pragma once
 
@@ -97,24 +98,6 @@ void check_utilization_in_range(Utilization u,
 /// evenly spaced utilizations.
 void check_flat_region(const core::HnMetric& metric, int samples = 101);
 
-/// Streaming check that a sequence of timestamps never goes backwards
-/// (event-queue pops, per-link cost traces, packet traces).
-class MonotonicTimeChecker {
- public:
-  explicit MonotonicTimeChecker(const char* what = "timestamp")
-      : what_{what} {}
-
-  /// Fatal if `t` precedes the previously observed timestamp.
-  void observe(util::SimTime t);
-
-  [[nodiscard]] long observed() const { return count_; }
-
- private:
-  const char* what_;
-  util::SimTime last_ = util::SimTime::zero();
-  long count_ = 0;
-};
-
 /// Fatal unless `tree` is structurally valid for `topo` and `costs`:
 /// root at distance 0 with no parent; every reached node's parent edge
 /// consistent (dist[to] == dist[from] + cost within slack); parent chains
@@ -128,14 +111,12 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
 /// inspected something (a zero count in a test means the hook is dead).
 struct AuditStats {
   long costs_checked = 0;        ///< live reported costs, bounds-checked
-  long trace_steps_checked = 0;  ///< cost-trace transitions, movement-checked
   long trees_checked = 0;        ///< per-PSN SPF trees validated
   long maps_checked = 0;         ///< per-link equilibrium maps validated
   long routes_checked = 0;       ///< node pairs route-audited (both kinds)
 
   AuditStats& operator+=(const AuditStats& o) {
     costs_checked += o.costs_checked;
-    trace_steps_checked += o.trace_steps_checked;
     trees_checked += o.trees_checked;
     maps_checked += o.maps_checked;
     routes_checked += o.routes_checked;
@@ -160,12 +141,13 @@ struct AuditStats {
 /// pairs checked; violations abort via ARPA_CHECK.
 AuditStats check_reachable_within_component(const sim::Network& net);
 
-/// Full-network self-audit; any violated invariant aborts via ARPA_CHECK.
-/// Always checks that reported costs are positive and finite and (in SPF
-/// mode) that every PSN's tree is valid against its own cost map. When the
-/// network runs the HN-SPF metric with known line parameters, additionally
-/// enforces cost bounds, flat regions, and — if reported-cost traces were
-/// recorded — timestamp monotonicity and movement limits per trace.
+/// Full-network self-audit of the final state; any violated invariant
+/// aborts via ARPA_CHECK. Checks every live reported cost against the
+/// factory's bounds (or for positivity when it promises none) and, in SPF
+/// mode, that every PSN's tree is valid against its own cost map. Under
+/// HN-SPF semantics it also checks each link's equilibrium map for the
+/// flat region. Movement limits are not replayed here: sim::Network checks
+/// them on every report and every period as the run goes.
 AuditStats audit_network(const sim::Network& net);
 
 }  // namespace arpanet::analysis

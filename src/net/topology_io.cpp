@@ -51,7 +51,10 @@ util::SimTime parse_prop_delay(const std::string& token, int line_no) {
   double ms = 0.0;
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), ms);
-  if (ec != std::errc{} || ptr != value.data() + value.size() || ms < 0.0) {
+  // from_chars accepts "nan" and "inf"; both, like anything too large for
+  // SimTime's microsecond count, fail the range test.
+  if (ec != std::errc{} || ptr != value.data() + value.size() ||
+      !(ms >= 0.0 && ms <= util::SimTime::kMaxSec * 1e3)) {
     fail(line_no, "bad propagation delay '" + std::string(value) + "'");
   }
   return util::SimTime::from_ms(ms);

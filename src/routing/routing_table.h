@@ -1,74 +1,25 @@
-// Forwarding tables and path tracing.
+// Hop-by-hop path tracing over per-node forwarding decisions.
 //
 // ARPANET forwarding is destination-based and single-path: a packet header
-// carries only the destination PSN, and each PSN's table maps destination to
-// one outgoing link (paper section 2). This module derives those tables from
-// SPF trees and provides the hop-by-hop path walk used by the simulator's
-// diagnostics and by the analysis layer. Because each node routes
+// carries only the destination PSN, and each PSN maps destination to one
+// outgoing link (paper section 2). trace_path walks that chain from a source
+// through whatever lookup the caller supplies — each PSN's own SPF tree, its
+// 1969 distance-vector table, or a hand-built table in a test — and is what
+// sim::Network::current_route reports. Because each node routes
 // independently, a walk can loop when nodes hold inconsistent costs; the
 // trace reports that rather than hiding it — transient loops are part of the
 // phenomenon under study.
 
 #pragma once
 
-#include <span>
-#include <stdexcept>
+#include <concepts>
 #include <vector>
 
 #include "src/net/topology.h"
-#include "src/routing/spf.h"
 
 namespace arpanet::routing {
 
-/// All nodes' forwarding tables, derived from per-node SPF over one shared
-/// cost vector. next_hop(n, d) is the outgoing link node n uses for packets
-/// destined to d (kInvalidLink if d == n or unreachable).
-///
-/// Storage is one flat node-major array (node n's row is the contiguous
-/// stride starting at n * node_count), so the all-pairs analyses that walk
-/// whole rows stream linear memory instead of chasing a vector per node.
-class ForwardingTables {
- public:
-  ForwardingTables() = default;
-
-  /// Builds tables for every node with a full SPF each. Analysis-side helper;
-  /// the simulator instead maintains one IncrementalSpf per PSN.
-  [[nodiscard]] static ForwardingTables compute_all(const net::Topology& topo,
-                                                    std::span<const double> costs);
-
-  /// Builds from already-computed trees (one per node, index = root id).
-  [[nodiscard]] static ForwardingTables from_trees(std::span<const SpfTree> trees);
-
-  [[nodiscard]] net::LinkId next_hop(net::NodeId node, net::NodeId dst) const {
-    return table_[idx(node, dst)];
-  }
-
-  void set_next_hop(net::NodeId node, net::NodeId dst, net::LinkId link) {
-    table_[idx(node, dst)] = link;
-  }
-
-  /// Node n's full row: next hop per destination, indexed by NodeId.
-  [[nodiscard]] std::span<const net::LinkId> row(net::NodeId node) const {
-    return {table_.data() + idx(node, 0), stride_};
-  }
-
-  [[nodiscard]] std::size_t node_count() const {
-    return stride_ == 0 ? 0 : table_.size() / stride_;
-  }
-
- private:
-  [[nodiscard]] std::size_t idx(net::NodeId node, net::NodeId dst) const {
-    if (node >= node_count() || dst >= stride_) {
-      throw std::out_of_range("ForwardingTables: node or destination id out of range");
-    }
-    return node * stride_ + dst;
-  }
-
-  std::vector<net::LinkId> table_;  ///< node-major, stride_ entries per node
-  std::size_t stride_ = 0;          ///< = node_count of the topology
-};
-
-/// Result of walking a packet's path through the forwarding tables.
+/// Result of walking a packet's path hop by hop.
 struct PathTrace {
   std::vector<net::LinkId> links;  ///< links traversed, in order
   bool reached = false;            ///< destination was reached
@@ -76,9 +27,29 @@ struct PathTrace {
   [[nodiscard]] int hops() const { return static_cast<int>(links.size()); }
 };
 
-/// Walks from src toward dst, following each node's next hop.
-[[nodiscard]] PathTrace trace_path(const net::Topology& topo,
-                                   const ForwardingTables& tables,
-                                   net::NodeId src, net::NodeId dst);
+/// Walks from src toward dst, following `next_hop(node, dst)` — the
+/// outgoing link `node` uses for packets to `dst`, or kInvalidLink when it
+/// has none (the walk then stops unreached).
+template <typename NextHop>
+  requires std::invocable<NextHop&, net::NodeId, net::NodeId>
+[[nodiscard]] PathTrace trace_path(const net::Topology& topo, net::NodeId src,
+                                   net::NodeId dst, NextHop&& next_hop) {
+  PathTrace trace;
+  std::vector<bool> visited(topo.node_count(), false);
+  net::NodeId at = src;
+  while (at != dst) {
+    if (visited[at]) {
+      trace.looped = true;
+      return trace;
+    }
+    visited[at] = true;
+    const net::LinkId next = next_hop(at, dst);
+    if (next == net::kInvalidLink) return trace;  // unreachable
+    trace.links.push_back(next);
+    at = topo.link(next).to;
+  }
+  trace.reached = true;
+  return trace;
+}
 
 }  // namespace arpanet::routing

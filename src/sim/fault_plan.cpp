@@ -1,7 +1,10 @@
 #include "src/sim/fault_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -45,10 +48,23 @@ double to_double(std::string_view spec, std::string_view key, std::string_view v
   }
 }
 
+/// A time in seconds: finite and small enough for SimTime::from_sec.
+util::SimTime to_seconds(std::string_view spec, std::string_view key,
+                         std::string_view value) {
+  const double v = to_double(spec, key, value);
+  if (!(std::abs(v) <= util::SimTime::kMaxSec)) {
+    parse_fail(spec, "'" + std::string(key) + "' is not a representable time");
+  }
+  return util::SimTime::from_sec(v);
+}
+
 std::uint32_t to_id(std::string_view spec, std::string_view key, std::string_view value) {
   const double v = to_double(spec, key, value);
-  if (v < 0 || v != static_cast<double>(static_cast<std::uint32_t>(v))) {
-    parse_fail(spec, "'" + std::string(key) + "' must be a non-negative integer");
+  // Range first: converting NaN or an out-of-range double is undefined.
+  if (!(v >= 0.0 && v <= std::numeric_limits<std::int32_t>::max()) ||
+      v != std::trunc(v)) {
+    parse_fail(spec,
+               "'" + std::string(key) + "' must be an integer in [0, 2^31)");
   }
   return static_cast<std::uint32_t>(v);
 }
@@ -338,40 +354,42 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       const KeyValues kvs =
           parse_kvs(entry, body, {"link", "at_s", "dwell_s", "period_s", "count"});
       require(entry, kvs, {"link", "dwell_s"});
-      const double period_s =
-          kvs.has("period_s") ? to_double(entry, "period_s", kvs.get("period_s")) : 0.0;
-      const double at_s =
-          kvs.has("at_s") ? to_double(entry, "at_s", kvs.get("at_s")) : period_s;
+      const util::SimTime period =
+          kvs.has("period_s")
+              ? to_seconds(entry, "period_s", kvs.get("period_s"))
+              : util::SimTime::zero();
+      const util::SimTime at =
+          kvs.has("at_s") ? to_seconds(entry, "at_s", kvs.get("at_s")) : period;
       const int count = kvs.has("count")
                             ? static_cast<int>(to_id(entry, "count", kvs.get("count")))
-                            : (period_s > 0.0 ? 0 : 1);
-      plan.flap_link(to_id(entry, "link", kvs.get("link")), util::SimTime::from_sec(at_s),
-                     util::SimTime::from_sec(to_double(entry, "dwell_s", kvs.get("dwell_s"))),
-                     util::SimTime::from_sec(period_s), count);
+                            : (period > util::SimTime::zero() ? 0 : 1);
+      plan.flap_link(to_id(entry, "link", kvs.get("link")), at,
+                     to_seconds(entry, "dwell_s", kvs.get("dwell_s")), period,
+                     count);
     } else if (kind == "crash") {
       const KeyValues kvs = parse_kvs(entry, body, {"node", "at_s", "dwell_s"});
       require(entry, kvs, {"node", "at_s", "dwell_s"});
       plan.crash_node(to_id(entry, "node", kvs.get("node")),
-                      util::SimTime::from_sec(to_double(entry, "at_s", kvs.get("at_s"))),
-                      util::SimTime::from_sec(to_double(entry, "dwell_s", kvs.get("dwell_s"))));
+                      to_seconds(entry, "at_s", kvs.get("at_s")),
+                      to_seconds(entry, "dwell_s", kvs.get("dwell_s")));
     } else if (kind == "outage") {
       const KeyValues kvs = parse_kvs(entry, body, {"nodes", "at_s", "dwell_s"});
       require(entry, kvs, {"nodes", "at_s", "dwell_s"});
       plan.regional_outage(to_node_list(entry, "nodes", kvs.get("nodes")),
-                           util::SimTime::from_sec(to_double(entry, "at_s", kvs.get("at_s"))),
-                           util::SimTime::from_sec(to_double(entry, "dwell_s", kvs.get("dwell_s"))));
+                           to_seconds(entry, "at_s", kvs.get("at_s")),
+                           to_seconds(entry, "dwell_s", kvs.get("dwell_s")));
     } else if (kind == "partition") {
       const KeyValues kvs = parse_kvs(entry, body, {"a", "b", "at_s", "dwell_s"});
       require(entry, kvs, {"a", "b", "at_s", "dwell_s"});
       plan.partition(to_node_list(entry, "a", kvs.get("a")),
                      to_node_list(entry, "b", kvs.get("b")),
-                     util::SimTime::from_sec(to_double(entry, "at_s", kvs.get("at_s"))),
-                     util::SimTime::from_sec(to_double(entry, "dwell_s", kvs.get("dwell_s"))));
+                     to_seconds(entry, "at_s", kvs.get("at_s")),
+                     to_seconds(entry, "dwell_s", kvs.get("dwell_s")));
     } else if (kind == "upgrade") {
       const KeyValues kvs = parse_kvs(entry, body, {"link", "at_s", "type"});
       require(entry, kvs, {"link", "at_s", "type"});
       plan.upgrade_line(to_id(entry, "link", kvs.get("link")),
-                        util::SimTime::from_sec(to_double(entry, "at_s", kvs.get("at_s"))),
+                        to_seconds(entry, "at_s", kvs.get("at_s")),
                         to_line_type(entry, kvs.get("type")));
     } else {
       parse_fail(entry, "unknown fault kind '" + std::string(kind) + "'");

@@ -54,11 +54,12 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   for (const net::Link& l : topo.links()) {
     initial[l.id] = factory_->create(l, cfg.line_params)->initial_cost();
   }
-  // Movement-limit checks need HN-SPF semantics; absolute bounds come from
-  // whatever range the factory promises (custom factories included).
+  // Movement-limit and flat-region checks need HN-SPF semantics; absolute
+  // bounds come from whatever range the factory promises (custom factories
+  // included).
   const auto* kind_factory =
       dynamic_cast<const metrics::KindMetricFactory*>(factory_.get());
-  hnspf_invariants_ =
+  hnspf_semantics_ =
       kind_factory && kind_factory->kind() == metrics::MetricKind::kHnSpf;
   link_bounds_.reserve(topo.link_count());
   for (const net::Link& l : topo.links()) {
@@ -74,7 +75,6 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
     link_busy_.emplace_back(cfg.stats_bucket);
   }
-  cost_traces_.resize(topo.link_count());
   for (const auto& psn : psns_) psn->start();
 }
 
@@ -204,13 +204,19 @@ void Network::on_cost_reported(net::LinkId link, double cost) {
                                      analysis::Cost{link_bounds_[link]->min_cost},
                                      analysis::Cost{link_bounds_[link]->max_cost});
     }
-    // Movement limiting is enforced per measurement period (the granularity
-    // the paper states it at) in on_period_measured, not report-to-report.
+    const double previous = last_reported_cost_[link];
+    if (hnspf_semantics_ && previous != Psn::kDownLinkCost) {
+      const core::LineTypeParams& params =
+          cfg_.line_params.for_type(effective_links_[link].type);
+      const double threshold = cfg_.significance_threshold_override >= 0.0
+                                   ? cfg_.significance_threshold_override
+                                   : params.change_threshold();
+      analysis::check_movement_limited(analysis::Cost{previous},
+                                       analysis::Cost{cost}, params,
+                                       threshold);
+    }
   }
   last_reported_cost_[link] = cost;
-  if (cfg_.track_reported_costs) {
-    cost_traces_[link].emplace_back(now(), cost);
-  }
   if (trace_sink_) trace_sink_->on_cost_reported(link, now(), cost);
 }
 
@@ -219,7 +225,7 @@ void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
                                  analysis::Utilization busy_fraction) {
   if (cfg_.check_invariants) {
     analysis::check_utilization_in_range(busy_fraction);
-    if (hnspf_invariants_ && previous.value() != Psn::kDownLinkCost &&
+    if (hnspf_semantics_ && previous.value() != Psn::kDownLinkCost &&
         candidate.value() != Psn::kDownLinkCost) {
       const net::Link& l = effective_links_[link];
       // The exact section 4.3 bound: consecutive periods' costs differ by at
@@ -263,22 +269,13 @@ void Network::set_trunk_up(net::LinkId link, bool up) {
 
 routing::PathTrace Network::current_route(net::NodeId src,
                                           net::NodeId dst) const {
-  routing::PathTrace trace;
-  std::vector<bool> visited(topo_->node_count(), false);
-  net::NodeId at = src;
-  while (at != dst) {
-    if (visited[at]) {
-      trace.looped = true;
-      return trace;
-    }
-    visited[at] = true;
-    const net::LinkId next = psns_[at]->tree().first_hop[dst];
-    if (next == net::kInvalidLink) return trace;
-    trace.links.push_back(next);
-    at = topo_->link(next).to;
-  }
-  trace.reached = true;
-  return trace;
+  const bool dv = cfg_.algorithm == routing::RoutingAlgorithm::kDistanceVector;
+  return routing::trace_path(*topo_, src, dst,
+                             [&](net::NodeId at, net::NodeId to) {
+                               const Psn& psn = *psns_[at];
+                               return dv ? psn.dv_next_hop(to)
+                                         : psn.tree().first_hop[to];
+                             });
 }
 
 void Network::set_node_up(net::NodeId node, bool up) {
@@ -297,7 +294,6 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
       << "install_faults may be called at most once per network";
   fault_actions_ = plan.compile(*topo_, horizon);
   prepared_upgrades_.resize(fault_actions_.size());
-  std::size_t upgrade_halves = 0;
   for (std::uint32_t i = 0; i < fault_actions_.size(); ++i) {
     const FaultAction& a = fault_actions_[i];
     if (a.op == FaultAction::Op::kUpgrade) {
@@ -310,12 +306,9 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
         half.metric = factory_->create(half.link, cfg_.line_params);
         half.bounds = factory_->bounds(half.link, cfg_.line_params);
       }
-      upgrade_halves += 2;
     }
     sim_.schedule_at(a.at, SimEvent::fault_action(*this, i));
   }
-  // Sized here so the mid-window push_back in apply_fault never allocates.
-  upgrades_applied_.reserve(upgrade_halves);
 }
 
 void Network::apply_fault(std::uint32_t action_index) {
@@ -335,8 +328,10 @@ void Network::apply_fault(std::uint32_t action_index) {
         const net::Link& rec = half.link;
         effective_links_[rec.id] = rec;
         link_bounds_[rec.id] = half.bounds;
+        // The new line eases in from its own maximum: a restart, not a
+        // movement, so the report-to-report check starts afresh.
+        last_reported_cost_[rec.id] = Psn::kDownLinkCost;
         psns_[rec.from]->upgrade_local_link(rec.id, std::move(half.metric));
-        upgrades_applied_.push_back({rec.id, now(), rec.type});
       }
       break;
   }

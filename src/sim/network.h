@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace_sink.h"
 #include "src/routing/routing_table.h"
+#include "src/routing/spf.h"
 #include "src/sim/event.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/network_stats.h"
@@ -76,8 +76,6 @@ struct NetworkConfig {
   std::uint64_t seed = 0x19870726ULL;
   /// Bucket width for drop/utilization time series.
   util::SimTime stats_bucket = util::SimTime::from_sec(10);
-  /// Record per-link reported-cost traces (fig. 1 style plots).
-  bool track_reported_costs = false;
   /// Data packets exceeding this many hops are counted as loop drops
   /// (only the 1969 algorithm ever reaches it). At most 65535, the range of
   /// Packet::hops.
@@ -104,9 +102,9 @@ struct NetworkConfig {
   /// decaying 64-unit scheme for D-SPF.
   double significance_threshold_override = -1.0;
   /// Validate paper invariants on every reported cost (absolute bounds and
-  /// movement limits, src/analysis/invariants.h); a violation aborts via
-  /// ARPA_CHECK. A few comparisons per update origination — leave it on
-  /// unless profiling says otherwise.
+  /// report-to-report movement limits, src/analysis/invariants.h) and on
+  /// every measurement period; a violation aborts via ARPA_CHECK. A few
+  /// comparisons per report — leave it on unless profiling says otherwise.
   bool check_invariants = true;
 };
 
@@ -176,6 +174,9 @@ class Network : public EventSink {
   [[nodiscard]] const metrics::MetricFactory& metric_factory() const {
     return *factory_;
   }
+  /// True when every link runs the built-in HN-SPF metric, whose movement
+  /// limits and flat region the invariant checks know how to judge.
+  [[nodiscard]] bool hnspf_semantics() const { return hnspf_semantics_; }
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] util::SimTime now() const { return sim_.now(); }
 
@@ -198,12 +199,6 @@ class Network : public EventSink {
   }
   [[nodiscard]] double link_utilization(net::LinkId id,
                                         std::size_t bucket) const;
-
-  /// Reported-cost trace of a link (empty unless track_reported_costs).
-  [[nodiscard]] const std::vector<std::pair<util::SimTime, double>>&
-  reported_cost_trace(net::LinkId id) const {
-    return cost_traces_.at(id);
-  }
 
   /// Drops per stats bucket (fig. 13's quantity).
   [[nodiscard]] const stats::TimeSeries& drop_series() const { return drops_; }
@@ -243,28 +238,24 @@ class Network : public EventSink {
   /// from the latest fault and route-change timestamps.
   [[nodiscard]] StabilityStats stability() const;
 
-  using AppliedUpgrade = ::arpanet::sim::AppliedUpgrade;
-  /// Applied line-type upgrades in time order (forward half before
-  /// reverse).
-  [[nodiscard]] std::span<const AppliedUpgrade> upgrades_applied() const {
-    return upgrades_applied_;
-  }
-
   /// Takes a whole PSN down or up: all its trunks at once (a node crash /
   /// restart). Down nodes still exist in every map; their links carry
   /// Psn::kDownLinkCost so traffic routes around them.
   void set_node_up(net::NodeId node, bool up);
 
   /// The route a data packet submitted right now at `src` would take,
-  /// walking each PSN's *own* current tree hop by hop — so during update
-  /// transients this can legitimately report a loop, exactly as a real
-  /// packet could experience one.
+  /// walking each PSN's *own* current next hop (its SPF tree, or its
+  /// distance-vector table in 1969 mode) — so during update transients this
+  /// can legitimately report a loop, exactly as a real packet could
+  /// experience one. With multipath on it reports the canonical tree's
+  /// route, not the round-robin choice a given packet gets.
   [[nodiscard]] routing::PathTrace current_route(net::NodeId src,
                                                  net::NodeId dst) const;
 
   /// Cost most recently passed to on_cost_reported for each link (the
-  /// link's metric initial cost before any report). The invariant layer
-  /// checks each new report's movement against this baseline.
+  /// link's metric initial cost before any report; kDownLinkCost right
+  /// after a line-type upgrade, whose restart is not a movement).
+  /// on_cost_reported checks each new report's movement against it.
   [[nodiscard]] double last_reported_cost(net::LinkId link) const {
     return last_reported_cost_.at(link);
   }
@@ -285,6 +276,11 @@ class Network : public EventSink {
   }
   void on_data_packet_sent() { ++counters_.packets_forwarded; }
   void on_transmission(net::LinkId link, util::SimTime busy);
+  /// A PSN advertised `cost` for its link `link`. Checks the cost against
+  /// the link's bounds and, under HN-SPF, the move from the link's previous
+  /// report (section 4.3's limit widened by the significance threshold, as
+  /// a cost may drift sub-threshold for several periods before an update
+  /// carries it); then feeds the trace sink.
   void on_cost_reported(net::LinkId link, double cost);
   /// Typed-event dispatch (sim/event.h): source ticks, propagation
   /// arrivals, transmit completions and the per-node timers all route
@@ -369,7 +365,6 @@ class Network : public EventSink {
   /// Live whole-run counters (the engine/pool fields are read from sim_ and
   /// pool_ directly in counters()).
   obs::Counters counters_;
-  std::vector<AppliedUpgrade> upgrades_applied_;
   std::uint64_t packet_seq_ = 0;
   util::Rng rng_;
   traffic::PacketSizer sizer_;
@@ -389,8 +384,7 @@ class Network : public EventSink {
   util::SimTime window_start_ = util::SimTime::zero();
   std::vector<stats::TimeSeries> link_busy_;
   std::vector<double> last_reported_cost_;
-  bool hnspf_invariants_ = false;  ///< HN-SPF semantics known for all links
-  std::vector<std::vector<std::pair<util::SimTime, double>>> cost_traces_;
+  bool hnspf_semantics_ = false;
   /// Mutable view of the topology's link records (line-type upgrades swap
   /// type and rate in place); indexed by LinkId like the topology's own.
   std::vector<net::Link> effective_links_;

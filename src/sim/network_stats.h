@@ -2,12 +2,8 @@
 
 #pragma once
 
-#include <cstdint>
-
-#include "src/net/topology.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
-#include "src/util/units.h"
 
 namespace arpanet::sim {
 
@@ -48,17 +44,6 @@ struct StabilityStats {
   /// change anywhere — the reconvergence time after the final heal. Zero
   /// when the window saw no fault.
   double reconverge_sec = 0.0;
-};
-
-/// One applied line-type upgrade: which simplex link, when, and to what
-/// type. The audit uses this to pick the right era's movement limits for
-/// each reported-cost trace step and to skip the restart step across the
-/// swap itself (section 5.4: an upgraded line eases in from the new
-/// type's maximum, which is not a per-period movement).
-struct AppliedUpgrade {
-  net::LinkId link = net::kInvalidLink;
-  util::SimTime at;
-  net::LineType type = net::LineType::kTerrestrial56;
 };
 
 }  // namespace arpanet::sim

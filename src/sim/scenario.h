@@ -63,9 +63,10 @@ struct ScenarioConfig {
   /// the topology at run time; horizon is warmup + window.
   std::optional<FaultPlan> faults;
   /// Run analysis::audit_network when the measurement window ends: every
-  /// reported cost, cost trace and SPF tree is checked against the paper's
-  /// invariants, and any violation aborts. Costs one pass over the final
-  /// network state, so sweeps keep it on by default.
+  /// live reported cost, equilibrium map and SPF tree is checked against the
+  /// paper's invariants, and any violation aborts. Costs one pass over the
+  /// final network state, so sweeps keep it on by default. (Movement limits
+  /// are checked as the run goes, under NetworkConfig::check_invariants.)
   bool self_audit = true;
 
   // ---- fluent, validated setters ----

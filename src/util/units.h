@@ -30,6 +30,10 @@ class SimTime {
   [[nodiscard]] static constexpr SimTime from_sec(double s) {
     return SimTime{static_cast<std::int64_t>(s * 1e6 + (s >= 0 ? 0.5 : -0.5))};
   }
+  /// Largest magnitude, in seconds, from_sec converts without overflowing
+  /// the microsecond count. Text parsers reject larger and non-finite
+  /// values before converting.
+  static constexpr double kMaxSec = 9.2e12;
   [[nodiscard]] static constexpr SimTime zero() { return SimTime{0}; }
   [[nodiscard]] static constexpr SimTime max() {
     return SimTime{std::numeric_limits<std::int64_t>::max()};

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/net/builders/registry.h"
+#include "src/routing/spf.h"
 #include "src/sim/network.h"
 
 namespace arpanet::sim {
@@ -38,6 +41,129 @@ TEST(DistanceVectorTest, TablesConvergeOnIdleNetwork) {
   EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(2), 2.0);
   EXPECT_DOUBLE_EQ(net.psn(2).dv_distance(0), 2.0);
   EXPECT_EQ(net.psn(0).dv_next_hop(1), 0u);
+}
+
+// The distance-vector mode is the 1969 distributed Bellman-Ford; these
+// cases check that algorithm's textbook claims on the live tables.
+
+/// Idle queues make every link's metric the bias, so within ten exchange
+/// rounds a ring's distances are bias x hop count.
+TEST(BellmanFordTest, ConvergesOnRing) {
+  const net::Topology ring = net::build_topology("ring:nodes=6");
+  const NetworkConfig cfg = dv_config();
+  Network net{ring, cfg};
+  net.run_for(cfg.dv_exchange_period * 10);
+  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(3), 3.0 * cfg.dv_bias);
+  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(1), 1.0 * cfg.dv_bias);
+  for (net::NodeId s = 0; s < ring.node_count(); ++s) {
+    for (net::NodeId d = 0; d < ring.node_count(); ++d) {
+      const int gap = static_cast<int>(s > d ? s - d : d - s);
+      const int hops = std::min(gap, 6 - gap);
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops * cfg.dv_bias)
+          << s << " -> " << d;
+    }
+  }
+}
+
+/// With static (idle, all-bias) link costs the converged tables must hold
+/// the same distances Dijkstra computes, which are bias x min-hop lengths.
+TEST(BellmanFordTest, AgreesWithSpfOnStaticCosts) {
+  const net::Topology topo =
+      net::build_topology("random:nodes=14,extra=10,seed=77");
+  const NetworkConfig cfg = dv_config();
+  Network net{topo, cfg};
+  net.run_for(SimTime::from_sec(20));
+  const routing::LinkCosts costs(topo.link_count(), cfg.dv_bias);
+  const auto hops = routing::min_hop_lengths(topo);
+  for (net::NodeId s = 0; s < topo.node_count(); ++s) {
+    const routing::SpfTree tree = routing::Spf::compute(topo, s, costs);
+    for (net::NodeId d = 0; d < topo.node_count(); ++d) {
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), tree.dist[d])
+          << s << " -> " << d;
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops[s][d] * cfg.dv_bias)
+          << s << " -> " << d;
+    }
+  }
+}
+
+/// Converged tables forward every pair along a loop-free min-hop route.
+TEST(BellmanFordTest, NoLoopsAfterConvergence) {
+  const net::Topology topo =
+      net::build_topology("random:nodes=12,extra=8,seed=78");
+  Network net{topo, dv_config()};
+  net.run_for(SimTime::from_sec(20));
+  const auto hops = routing::min_hop_lengths(topo);
+  for (net::NodeId s = 0; s < topo.node_count(); ++s) {
+    for (net::NodeId d = 0; d < topo.node_count(); ++d) {
+      if (s == d) continue;
+      const routing::PathTrace route = net.current_route(s, d);
+      EXPECT_TRUE(route.reached) << s << " -> " << d;
+      EXPECT_FALSE(route.looped) << s << " -> " << d;
+      EXPECT_EQ(route.hops(), hops[s][d]) << s << " -> " << d;
+    }
+  }
+}
+
+TEST(DistanceVectorTest, CurrentRouteFollowsTheDistanceVectorTables) {
+  // Square: a-b-d and a-c-d. The SPF tree never moves in 1969 mode, so a
+  // route walked through it would keep using the dead a->b.
+  net::Topology t;
+  const auto a = t.add_node("a");
+  const auto b = t.add_node("b");
+  const auto c = t.add_node("c");
+  const auto d = t.add_node("d");
+  const auto ab = t.add_duplex(a, b, LineType::kTerrestrial56);
+  t.add_duplex(a, c, LineType::kTerrestrial56);
+  t.add_duplex(b, d, LineType::kTerrestrial56);
+  t.add_duplex(c, d, LineType::kTerrestrial56);
+
+  Network net{t, dv_config()};
+  net.run_for(SimTime::from_sec(10));
+  net.set_trunk_up(ab, false);
+  net.run_for(SimTime::from_sec(10));
+  const routing::PathTrace route = net.current_route(a, d);
+  ASSERT_TRUE(route.reached);
+  EXPECT_FALSE(route.looped);
+  ASSERT_EQ(route.hops(), 2);
+  EXPECT_NE(route.links[0], ab);
+  EXPECT_EQ(route.links[0], net.psn(a).dv_next_hop(d));
+  EXPECT_EQ(t.link(route.links[0]).to, c);
+}
+
+/// The section 2.1 failure, deterministically: on a converged 5-ring, 4
+/// reaches 3 directly and 0 reaches 3 through 4. When trunk 4-3 fails, 4
+/// at once picks 0's stale two-hop advertisement, while 0 still forwards
+/// to 4 — a two-node loop that lasts until the exchanges count the stale
+/// distance up past the route the other way round.
+TEST(DistanceVectorTest, TrunkFailureLoopsTransientlyThenResolves) {
+  const net::Topology ring = net::build_topology("ring:nodes=5");
+  const net::LinkId four_three = ring.link_between(4, 3);
+  ASSERT_NE(four_three, net::kInvalidLink);
+  Network net{ring, dv_config()};
+  net.run_for(SimTime::from_sec(10));
+  const routing::PathTrace before = net.current_route(0, 3);
+  ASSERT_TRUE(before.reached);
+  EXPECT_EQ(before.hops(), 2);
+  EXPECT_EQ(ring.link(before.links[0]).to, 4u);
+
+  net.set_trunk_up(four_three, false);
+  const routing::PathTrace during = net.current_route(0, 3);
+  EXPECT_TRUE(during.looped);
+  EXPECT_FALSE(during.reached);
+  ASSERT_EQ(during.hops(), 2);  // 0 -> 4 -> 0
+  EXPECT_EQ(ring.link(during.links[0]).to, 4u);
+  EXPECT_EQ(ring.link(during.links[1]).to, 0u);
+
+  net.run_for(SimTime::from_sec(5));
+  for (net::NodeId s = 0; s < ring.node_count(); ++s) {
+    for (net::NodeId d = 0; d < ring.node_count(); ++d) {
+      if (s == d) continue;
+      const routing::PathTrace after = net.current_route(s, d);
+      EXPECT_TRUE(after.reached) << s << " -> " << d;
+      EXPECT_FALSE(after.looped) << s << " -> " << d;
+    }
+  }
+  EXPECT_EQ(net.current_route(0, 3).hops(), 3);  // 0 -> 1 -> 2 -> 3
 }
 
 TEST(DistanceVectorTest, DeliversTraffic) {
@@ -95,8 +221,9 @@ TEST(DistanceVectorTest, ReroutesAfterTrunkFailure) {
 }
 
 /// The section 2.1 story, measured: under load the volatile queue-length
-/// metric forms transient loops (visible as loop drops and inflated paths),
-/// which the 1979 SPF scheme eliminated.
+/// metric wastes hops, and SPF never drops a packet to a loop. Whether a
+/// given loaded run loops is up to its seed; the loop itself is shown
+/// deterministically by TrunkFailureLoopsTransientlyThenResolves.
 TEST(DistanceVectorTest, LoopsUnderLoadVersusSpf) {
   const net::Topology two = net::build_topology("two-region:per_region=5");
   auto run = [&](RoutingAlgorithm algo) {
@@ -122,7 +249,6 @@ TEST(DistanceVectorTest, LoopsUnderLoadVersusSpf) {
   const NetworkStats dv = run(RoutingAlgorithm::kDistanceVector);
   const NetworkStats spf = run(RoutingAlgorithm::kSpf);
   EXPECT_EQ(spf.packets_dropped_loop, 0);
-  EXPECT_GE(dv.packets_dropped_loop, 0);  // loops possible, not guaranteed
   // The stale-information algorithm wastes hops relative to SPF.
   EXPECT_GE(dv.path_hops.mean(), spf.path_hops.mean() * 0.9);
 }

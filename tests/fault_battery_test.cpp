@@ -15,8 +15,8 @@
 //     old full-reachability assumption was a false positive) and the
 //     component-aware route check sees both sides.
 //   * Dispatch: a flap, a node crash and a line upgrade each fire once per
-//     compiled action, move link state as scheduled, and record the
-//     upgrade's two simplex halves in order.
+//     compiled action and move link state as scheduled — the upgrade swaps
+//     both simplex halves' type and rate at its instant.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "src/analysis/invariants.h"
 #include "src/exp/sweep.h"
 #include "src/exp/sweep_runner.h"
+#include "src/net/line_type.h"
 #include "src/net/builders/registry.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/network.h"
@@ -212,9 +213,7 @@ TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
   plan.crash_node(3, warmup + sec(15), sec(10));
   plan.upgrade_line(upgraded, upgrade_at, net::LineType::kMultiTrunk112);
 
-  NetworkConfig cfg = hnspf_config();
-  cfg.track_reported_costs = true;  // arm the audit's trace checks
-  Network net{topo, cfg};
+  Network net{topo, hnspf_config()};
   net.install_faults(plan, horizon);
   net.add_traffic(traffic::TrafficMatrix::uniform(topo.node_count(), 60e3));
   net.run_for(warmup);
@@ -231,6 +230,21 @@ TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
     EXPECT_FALSE(net.link_admin_up(l));
     EXPECT_FALSE(net.link_admin_up(topo.link(l).reverse));
   }
+  // Flap down/up and crash down/up have fired; the upgrade has not.
+  const net::LineType original = topo.link(upgraded).type;
+  ASSERT_NE(original, net::LineType::kMultiTrunk112);
+  net.run_until(upgrade_at - sec(0.001));
+  EXPECT_EQ(net.stability().faults_applied, 4);
+  for (const net::LinkId half : {upgraded, topo.link(upgraded).reverse}) {
+    EXPECT_EQ(net.effective_link(half).type, original);
+  }
+  net.run_until(upgrade_at);
+  EXPECT_EQ(net.stability().faults_applied, 5);
+  for (const net::LinkId half : {upgraded, topo.link(upgraded).reverse}) {
+    EXPECT_EQ(net.effective_link(half).type, net::LineType::kMultiTrunk112);
+    EXPECT_EQ(net.effective_link(half).rate,
+              net::info(net::LineType::kMultiTrunk112).rate);
+  }
   net.run_until(horizon);
 
   long in_window = 0;
@@ -239,16 +253,6 @@ TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
   }
   EXPECT_EQ(in_window, 5);  // flap down/up, crash down/up, upgrade
   EXPECT_EQ(net.stability().faults_applied, in_window);
-
-  const auto upgrades = net.upgrades_applied();
-  ASSERT_EQ(upgrades.size(), 2u);
-  EXPECT_EQ(upgrades[0].link, upgraded);
-  EXPECT_EQ(upgrades[1].link, topo.link(upgraded).reverse);
-  for (const AppliedUpgrade& u : upgrades) {
-    EXPECT_EQ(u.at, upgrade_at);
-    EXPECT_EQ(u.type, net::LineType::kMultiTrunk112);
-    EXPECT_EQ(net.effective_link(u.link).type, net::LineType::kMultiTrunk112);
-  }
   for (const net::Link& l : topo.links()) {
     EXPECT_TRUE(net.link_admin_up(l.id));
   }
@@ -318,9 +322,9 @@ void run_property_sweep(const net::Topology& topo, const std::string& name,
                              .with_window(sec(37))
                              .with_seed(seed_base ^ (7919u * i))
                              .with_faults(plan);
-    cfg.network.track_reported_costs = true;  // arm trace movement audits
     // check_invariants and self_audit default on: any violated bound,
-    // movement limit, flat region or tree inconsistency aborts the run.
+    // period or report-to-report movement limit, flat region or tree
+    // inconsistency aborts the run.
     const ScenarioResult result = run_scenario(topo, cfg, name);
     EXPECT_GT(result.stats.packets_delivered, 0)
         << name << " seed " << i << ": nothing delivered";

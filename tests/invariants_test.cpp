@@ -139,21 +139,6 @@ TEST(FlatRegionTest, ArpanetDefaultsHaveThePaperShape) {
   SUCCEED();
 }
 
-TEST(MonotonicTimeTest, NonDecreasingSequencePasses) {
-  analysis::MonotonicTimeChecker checker;
-  checker.observe(SimTime::from_us(10));
-  checker.observe(SimTime::from_us(10));  // simultaneous events are legal
-  checker.observe(SimTime::from_us(11));
-  EXPECT_EQ(checker.observed(), 3);
-}
-
-TEST(MonotonicTimeTest, DeathOnBackwardsTimestamp) {
-  analysis::MonotonicTimeChecker checker{"event time"};
-  checker.observe(SimTime::from_us(10));
-  EXPECT_DEATH(checker.observe(SimTime::from_us(9)),
-               "event time went backwards");
-}
-
 TEST(SpfTreeCheckTest, ComputedTreesPass) {
   const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   const std::vector<double> costs(topo.link_count(), 30.0);
@@ -223,6 +208,48 @@ TEST(PeriodMovementHookTest, DownSentinelPeriodsAreExempt) {
   SUCCEED();
 }
 
+TEST(ReportMovementHookTest, DeathOnInBoundsJumpFromMaxToMin) {
+  // Every report is checked against the link's previous one as it is made,
+  // with the movement limit widened by the significance threshold. A jump
+  // from the initial (maximum) cost straight to the line's minimum stays
+  // inside the absolute bounds, so only the movement check can catch it.
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
+  arpanet::sim::NetworkConfig cfg;
+  cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
+  arpanet::sim::Network net{topo, cfg};
+  ASSERT_TRUE(net.hnspf_semantics());
+  const auto bounds =
+      net.metric_factory().bounds(net.effective_link(0), cfg.line_params);
+  ASSERT_TRUE(bounds.has_value());
+  const double initial = net.last_reported_cost(0);
+  EXPECT_DOUBLE_EQ(initial, bounds->max_cost);
+  const LineTypeParams& params =
+      cfg.line_params.for_type(net.effective_link(0).type);
+  ASSERT_GT(initial - bounds->min_cost,
+            params.down_limit() + params.change_threshold());
+  // The widest legal fall passes; the jump to the minimum does not.
+  net.on_cost_reported(0, initial - params.down_limit() -
+                              params.change_threshold());
+  net.on_cost_reported(0, initial);
+  EXPECT_DEATH(net.on_cost_reported(0, bounds->min_cost),
+               "below the per-update down limit");
+}
+
+TEST(ReportMovementHookTest, DownSentinelReportsAreExempt) {
+  // A link that went down and came back restarts from its maximum: the
+  // steps into and out of kDownLinkCost are not metric movements.
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
+  arpanet::sim::NetworkConfig cfg;
+  cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
+  arpanet::sim::Network net{topo, cfg};
+  const auto bounds =
+      net.metric_factory().bounds(net.effective_link(0), cfg.line_params);
+  ASSERT_TRUE(bounds.has_value());
+  net.on_cost_reported(0, arpanet::sim::Psn::kDownLinkCost);
+  net.on_cost_reported(0, bounds->min_cost);
+  EXPECT_DOUBLE_EQ(net.last_reported_cost(0), bounds->min_cost);
+}
+
 TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
   const arpanet::net::Topology topo = build_topology("ring:nodes=5");
   const auto cfg = arpanet::sim::ScenarioConfig{}
@@ -235,17 +262,6 @@ TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
   EXPECT_EQ(result.audit.maps_checked, static_cast<long>(topo.link_count()));
   EXPECT_EQ(result.audit.trees_checked,
             static_cast<long>(topo.node_count()));
-}
-
-TEST(ScenarioAuditTest, TracesAreMovementCheckedWhenTracked) {
-  const arpanet::net::Topology topo = build_topology("ring:nodes=5");
-  auto cfg = arpanet::sim::ScenarioConfig{}
-                 .with_load_bps(150e3)
-                 .with_warmup(SimTime::from_sec(30))
-                 .with_window(SimTime::from_sec(120));
-  cfg.network.track_reported_costs = true;
-  const auto result = arpanet::sim::run_scenario(topo, cfg, "audit");
-  EXPECT_GT(result.audit.trace_steps_checked, 0);
 }
 
 TEST(ScenarioAuditTest, AuditCanBeDisabled) {

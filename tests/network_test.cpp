@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "src/net/builders/registry.h"
+#include "src/obs/trace_sink.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::sim {
@@ -149,11 +150,12 @@ TEST(NetworkTest, HnCostsEaseInFromMax) {
   const net::Topology topo = two_nodes();
   NetworkConfig cfg;
   cfg.metric = MetricKind::kHnSpf;
-  cfg.track_reported_costs = true;
   Network net{topo, cfg};
+  obs::RecordingTraceSink sink{topo.link_count()};
+  net.attach_trace_sink(&sink);
   net.add_traffic(traffic::TrafficMatrix::uniform(2, 5e3));
   net.run_for(SimTime::from_sec(120));
-  const auto& trace = net.reported_cost_trace(0);
+  const auto& trace = sink.costs(0);
   ASSERT_GE(trace.size(), 3u);
   // Starts high (eased in from 90) and declines toward the floor (~31).
   EXPECT_GT(trace.front().second, 70.0);

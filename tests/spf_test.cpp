@@ -452,14 +452,27 @@ TEST(MinHopTest, RingDistances) {
   EXPECT_EQ(d[2][6], 4);
 }
 
-// ---- forwarding tables / path trace ----
+// ---- path trace ----
+
+/// One full SPF tree per node over a shared cost vector: the forwarding
+/// state every PSN converges to once flooding quiesces.
+std::vector<SpfTree> all_trees(const Topology& t, const LinkCosts& costs) {
+  std::vector<SpfTree> trees;
+  for (net::NodeId n = 0; n < t.node_count(); ++n) {
+    trees.push_back(Spf::compute(t, n, costs));
+  }
+  return trees;
+}
 
 TEST(ForwardingTest, TraceFollowsShortestPath) {
   const Topology t = diamond();
   LinkCosts costs(t.link_count(), 1.0);
   costs[0] = 5.0;
-  const auto tables = ForwardingTables::compute_all(t, costs);
-  const PathTrace trace = trace_path(t, tables, 0, 3);
+  const auto trees = all_trees(t, costs);
+  const PathTrace trace =
+      trace_path(t, 0, 3, [&](net::NodeId at, net::NodeId dst) {
+        return trees[at].first_hop[dst];
+      });
   EXPECT_TRUE(trace.reached);
   EXPECT_FALSE(trace.looped);
   EXPECT_EQ(trace.hops(), 2);
@@ -468,12 +481,15 @@ TEST(ForwardingTest, TraceFollowsShortestPath) {
 
 TEST(ForwardingTest, DetectsLoopFromInconsistentTables) {
   const Topology t = diamond();
-  const LinkCosts costs(t.link_count(), 1.0);
-  auto tables = ForwardingTables::compute_all(t, costs);
-  // Sabotage: b forwards to a for destination d, a forwards to b.
-  tables.set_next_hop(0, 3, 0);  // a -> b
-  tables.set_next_hop(1, 3, 1);  // b -> a (link 1 is b->a)
-  const PathTrace trace = trace_path(t, tables, 0, 3);
+  const auto trees = all_trees(t, LinkCosts(t.link_count(), 1.0));
+  // Sabotage: for destination d, a forwards to b and b back to a (link 1
+  // is b->a).
+  const PathTrace trace =
+      trace_path(t, 0, 3, [&](net::NodeId at, net::NodeId dst) {
+        if (dst == 3 && at == 0) return net::LinkId{0};
+        if (dst == 3 && at == 1) return net::LinkId{1};
+        return trees[at].first_hop[dst];
+      });
   EXPECT_TRUE(trace.looped);
   EXPECT_FALSE(trace.reached);
 }
@@ -483,13 +499,17 @@ TEST(ForwardingTest, ConsistentTablesNeverLoop) {
   const Topology t = net::build_topology("random:nodes=12,extra=8,seed=555");
   LinkCosts costs(t.link_count());
   for (double& c : costs) c = 1.0 + rng.uniform(0.0, 3.0);
-  const auto tables = ForwardingTables::compute_all(t, costs);
+  const auto trees = all_trees(t, costs);
+  const auto next_hop = [&](net::NodeId at, net::NodeId dst) {
+    return trees[at].first_hop[dst];
+  };
   for (net::NodeId s = 0; s < t.node_count(); ++s) {
     for (net::NodeId d = 0; d < t.node_count(); ++d) {
       if (s == d) continue;
-      const PathTrace trace = trace_path(t, tables, s, d);
+      const PathTrace trace = trace_path(t, s, d, next_hop);
       EXPECT_TRUE(trace.reached);
       EXPECT_FALSE(trace.looped);
+      EXPECT_EQ(trace.hops(), trees[s].hops[d]);
     }
   }
 }
