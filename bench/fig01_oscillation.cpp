@@ -58,11 +58,11 @@ RunResult run(metrics::MetricKind kind, const net::Topology& two,
   const auto warmup = util::SimTime::from_sec(200);
   net.run_for(warmup);
   net.reset_stats();
-  net.run_for(cfg.stats_bucket * buckets);
+  net.run_for(sim::Network::kStatsBucket * buckets);
 
   RunResult r;
   const std::size_t first =
-      static_cast<std::size_t>(warmup.us() / cfg.stats_bucket.us());
+      static_cast<std::size_t>(warmup.us() / sim::Network::kStatsBucket.us());
   for (int i = 0; i < buckets; ++i) {
     const double ua = net.link_utilization(link_a, first + i);
     const double ub = net.link_utilization(link_b, first + i);

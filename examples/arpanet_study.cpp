@@ -32,7 +32,9 @@ void utilization_histogram(metrics::MetricKind kind, double offered) {
   // Utilization of every simplex link over the last bucket.
   stats::Histogram hist{0.0, 1.0, 10};
   const std::size_t bucket =
-      static_cast<std::size_t>(net.now().us() / cfg.stats_bucket.us()) - 2;
+      static_cast<std::size_t>(net.now().us() /
+                               sim::Network::kStatsBucket.us()) -
+      2;
   for (const net::Link& l : net87.links()) {
     hist.add(net.link_utilization(l.id, bucket));
   }

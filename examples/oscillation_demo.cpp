@@ -54,7 +54,7 @@ void demo(metrics::MetricKind kind) {
   std::printf("%5s  %-32s  %-32s\n", "t(s)", "trunk A", "trunk B");
   const std::size_t first = 20;  // 200 s / 10 s buckets
   for (int i = 0; i < 20; ++i) {
-    net.run_for(cfg.stats_bucket);
+    net.run_for(sim::Network::kStatsBucket);
     const double ua = net.link_utilization(link_a, first + i);
     const double ub = net.link_utilization(link_b, first + i);
     std::printf("%5d  %s  %s\n", (i + 1) * 10, bar(ua).c_str(), bar(ub).c_str());

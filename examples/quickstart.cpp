@@ -54,9 +54,9 @@ int main() {
 
   // Look at how the two inter-region trunks shared the load.
   const double ua = network.link_utilization(
-      link_a, network.now().us() / cfg.stats_bucket.us() - 2);
+      link_a, network.now().us() / sim::Network::kStatsBucket.us() - 2);
   const double ub = network.link_utilization(
-      link_b, network.now().us() / cfg.stats_bucket.us() - 2);
+      link_b, network.now().us() / sim::Network::kStatsBucket.us() - 2);
   std::printf("  trunk A utilization %8.1f %%\n", 100.0 * ua);
   std::printf("  trunk B utilization %8.1f %%\n", 100.0 * ub);
   return 0;

@@ -67,7 +67,9 @@ void run(double island_load_bps) {
   net.run_for(util::SimTime::from_sec(400));
 
   const std::size_t bucket =
-      static_cast<std::size_t>(net.now().us() / cfg.stats_bucket.us()) - 2;
+      static_cast<std::size_t>(net.now().us() /
+                               sim::Network::kStatsBucket.us()) -
+      2;
   const net::Link& sat = isl.topo.link(isl.sat);
   const net::Link& cable = isl.topo.link(isl.cable);
   const double sat_util = net.link_utilization(sat.reverse, bucket);

@@ -20,8 +20,8 @@
 //     every reported cost and every measurement period, by hot-path
 //     ARPA_DCHECKs in core/sim/routing, and by tests;
 //   * audit_network — the end-of-run self-audit sim::run_scenario performs
-//     on every scenario (ScenarioConfig::self_audit), walking all PSNs'
-//     live reported costs, equilibrium maps and SPF trees.
+//     on every scenario, walking all PSNs' live reported costs, equilibrium
+//     maps and SPF trees.
 
 #pragma once
 

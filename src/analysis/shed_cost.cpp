@@ -20,6 +20,11 @@ bool route_uses_link(const net::Topology& topo, const routing::SpfTree& tree,
   return false;
 }
 
+/// Scanned reported costs, in hops: from just above one hop up to this,
+/// in steps of kCostStep.
+constexpr double kMaxCost = 12.875;
+constexpr double kCostStep = 0.25;
+
 struct PendingRoute {
   net::NodeId src;
   net::NodeId dst;
@@ -29,8 +34,7 @@ struct PendingRoute {
 }  // namespace
 
 ShedCostResult shed_cost_study(const net::Topology& topo,
-                               const traffic::TrafficMatrix& matrix,
-                               const ShedCostConfig& cfg) {
+                               const traffic::TrafficMatrix& matrix) {
   ShedCostResult result;
   result.by_route_length.resize(2 * topo.node_count() + 2);
 
@@ -52,8 +56,8 @@ ShedCostResult shed_cost_study(const net::Topology& topo,
     }
 
     double shed_all_cost = 0.0;
-    for (double c = 1.125; c <= cfg.max_cost + 1e-9 && !pending.empty();
-         c += cfg.step) {
+    for (double c = 1.125; c <= kMaxCost + 1e-9 && !pending.empty();
+         c += kCostStep) {
       costs[link.id] = c;
       // Group remaining routes by source so each tree is computed once.
       std::ranges::sort(pending, {}, &PendingRoute::src);

@@ -30,15 +30,8 @@ struct ShedCostResult {
   long unshed_routes = 0;
 };
 
-struct ShedCostConfig {
-  /// Scanned reported costs (hops): base + these offsets above 1 hop.
-  double max_cost = 12.875;
-  double step = 0.25;
-  /// Routes are enumerated from the traffic matrix's nonzero pairs.
-};
-
-[[nodiscard]] ShedCostResult shed_cost_study(const net::Topology& topo,
-                                             const traffic::TrafficMatrix& matrix,
-                                             const ShedCostConfig& cfg = {});
+/// Routes are enumerated from the traffic matrix's nonzero pairs.
+[[nodiscard]] ShedCostResult shed_cost_study(
+    const net::Topology& topo, const traffic::TrafficMatrix& matrix);
 
 }  // namespace arpanet::analysis

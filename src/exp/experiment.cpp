@@ -20,10 +20,6 @@ Experiment Experiment::two_region(int per_region) {
                     "two-region"};
 }
 
-Experiment Experiment::from_spec(const net::GraphSpec& spec) {
-  return Experiment{net::TopologyBuilder::registry().build(spec), spec.label()};
-}
-
 sim::ScenarioResult Experiment::run(const sim::ScenarioConfig& cfg) const {
   return sim::run_scenario(topo_.topo, cfg, /*label=*/"");
 }

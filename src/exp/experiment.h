@@ -38,11 +38,6 @@ class Experiment {
   [[nodiscard]] static Experiment arpanet87();
   [[nodiscard]] static Experiment two_region(int per_region = 6);
 
-  /// Builds the topology through the TopologyBuilder registry; the
-  /// experiment is named by the spec's label(). Throws
-  /// std::invalid_argument on an invalid spec.
-  [[nodiscard]] static Experiment from_spec(const net::GraphSpec& spec);
-
   [[nodiscard]] const net::Topology& topology() const { return topo_.topo; }
   [[nodiscard]] const std::string& name() const { return topo_.name; }
 

@@ -39,24 +39,6 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 SweepSpec& SweepSpec::with_base(sim::ScenarioConfig cfg) {
@@ -214,29 +196,15 @@ std::uint64_t SweepResult::total_events() const {
   return total;
 }
 
-analysis::AuditStats SweepResult::total_audit() const {
-  analysis::AuditStats total;
-  for (const SweepRun& r : runs) total += r.result.audit;
-  return total;
-}
-
-obs::Counters SweepResult::total_counters() const {
-  obs::Counters total;
-  for (const SweepRun& r : runs) total += r.result.counters;
-  return total;
-}
-
 double SweepResult::speedup() const {
   return elapsed_seconds > 0 ? total_run_seconds() / elapsed_seconds : 0.0;
 }
 
-void SweepResult::write_csv(std::ostream& os, bool include_telemetry) const {
+void SweepResult::write_csv(std::ostream& os) const {
   os << "index,topology,metric,shape,seed,offered_kbps,delivered_kbps,"
         "rtt_ms,delay_p50_ms,delay_p95_ms,delay_p99_ms,drops_per_sec,"
         "delivered_pps,actual_hops,min_hops,path_ratio,updates_per_trunk_sec,"
-        "generated,delivered,drops_queue,drops_unreachable,drops_loop";
-  if (include_telemetry) os << ",wall_sec,events,events_per_sec,worker";
-  os << "\n";
+        "generated,delivered,drops_queue,drops_unreachable,drops_loop\n";
   for (const SweepRun& r : runs) {
     const auto& ind = r.result.indicators;
     const auto& st = r.result.stats;
@@ -251,48 +219,14 @@ void SweepResult::write_csv(std::ostream& os, bool include_telemetry) const {
        << fmt(ind.path_ratio()) << ',' << fmt(ind.updates_per_trunk_sec) << ','
        << st.packets_generated << ',' << st.packets_delivered << ','
        << st.packets_dropped_queue << ',' << st.packets_dropped_unreachable
-       << ',' << st.packets_dropped_loop;
-    if (include_telemetry) {
-      os << ',' << fmt(r.result.wall_seconds) << ',' << r.result.events_processed
-         << ',' << fmt(r.result.events_per_sec()) << ',' << r.worker;
-    }
-    os << "\n";
+       << ',' << st.packets_dropped_loop << "\n";
   }
 }
 
-std::string SweepResult::csv(bool include_telemetry) const {
+std::string SweepResult::csv() const {
   std::ostringstream os;
-  write_csv(os, include_telemetry);
+  write_csv(os);
   return os.str();
-}
-
-void SweepResult::write_json(std::ostream& os) const {
-  os << "{\n  \"threads\": " << threads_used
-     << ",\n  \"elapsed_sec\": " << fmt(elapsed_seconds)
-     << ",\n  \"total_run_sec\": " << fmt(total_run_seconds())
-     << ",\n  \"total_events\": " << total_events() << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const SweepRun& r = runs[i];
-    const auto& ind = r.result.indicators;
-    os << "    {\"index\": " << r.cell.index << ", \"topology\": \""
-       << json_escape(r.cell.topology) << "\", \"metric\": \""
-       << to_string(r.cell.metric) << "\", \"shape\": \""
-       << to_string(r.cell.shape) << "\", \"seed\": " << r.cell.seed
-       << ", \"derived_seed\": " << r.cell.derived_seed
-       << ", \"offered_kbps\": " << fmt(r.cell.offered_load_bps / 1e3)
-       << ", \"delivered_kbps\": " << fmt(ind.internode_traffic_kbps)
-       << ", \"rtt_ms\": " << fmt(ind.round_trip_delay_ms)
-       << ", \"drops_per_sec\": " << fmt(ind.packets_dropped_per_sec)
-       << ", \"actual_hops\": " << fmt(ind.actual_path_hops)
-       << ", \"path_ratio\": " << fmt(ind.path_ratio())
-       << ", \"updates_per_trunk_sec\": " << fmt(ind.updates_per_trunk_sec)
-       << ", \"wall_sec\": " << fmt(r.result.wall_seconds)
-       << ", \"events\": " << r.result.events_processed
-       << ", \"events_per_sec\": " << fmt(r.result.events_per_sec())
-       << ", \"worker\": " << r.worker << "}";
-    os << (i + 1 < runs.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
 }
 
 void SweepResult::write_summary(std::ostream& os) const {

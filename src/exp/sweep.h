@@ -123,23 +123,13 @@ class SweepResult {
   /// Sum of per-run wall times (the serial-equivalent cost).
   [[nodiscard]] double total_run_seconds() const;
   [[nodiscard]] std::uint64_t total_events() const;
-  /// Aggregated self-audit coverage across all cells (every cell ran the
-  /// end-of-run invariant audit unless the base config disabled it).
-  [[nodiscard]] analysis::AuditStats total_audit() const;
-  /// Observability counters merged across all cells (sums, except peak
-  /// depths which take the max — see obs::Counters::catalog()).
-  [[nodiscard]] obs::Counters total_counters() const;
   /// total_run_seconds / elapsed_seconds: the achieved parallelism.
   [[nodiscard]] double speedup() const;
 
   /// Deterministic CSV: axes + indicators + drop/update counters. Identical
-  /// bytes for identical specs at any thread count. Set include_telemetry
-  /// to append wall-time/events columns (those vary run to run).
-  void write_csv(std::ostream& os, bool include_telemetry = false) const;
-  [[nodiscard]] std::string csv(bool include_telemetry = false) const;
-
-  /// JSON array of runs, telemetry included.
-  void write_json(std::ostream& os) const;
+  /// bytes for identical specs at any thread count.
+  void write_csv(std::ostream& os) const;
+  [[nodiscard]] std::string csv() const;
 
   /// Human summary of the sweep's own performance (threads, events/sec,
   /// achieved speedup).

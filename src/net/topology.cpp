@@ -77,6 +77,11 @@ LinkId Topology::add_duplex(NodeId a, NodeId b, LineType type,
     throw std::out_of_range("add_duplex: node id out of range");
   }
   if (a == b) throw std::invalid_argument("add_duplex: self-loop");
+  if (prop_delay < util::SimTime::zero() || prop_delay > kMaxPropDelay) {
+    throw std::invalid_argument(
+        "add_duplex: propagation delay " + std::to_string(prop_delay.us()) +
+        " us outside [0, " + std::to_string(kMaxPropDelay.us()) + "] us");
+  }
 
   const auto fwd = static_cast<LinkId>(links_.size());
   const auto rev = static_cast<LinkId>(links_.size() + 1);

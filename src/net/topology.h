@@ -71,9 +71,16 @@ class Topology {
   /// Adds a PSN. Names must be unique; used in reports and for lookups.
   NodeId add_node(std::string name);
 
+  /// Largest propagation delay a trunk may have. The longest any builder
+  /// emits is 130 ms (satellite trunks); the bound keeps a hostile delay
+  /// read from a topology file from overflowing SimTime when an arrival is
+  /// scheduled.
+  static constexpr util::SimTime kMaxPropDelay = util::SimTime::from_sec(10);
+
   /// Adds a full-duplex trunk as two simplex links with identical
   /// parameters. Rate and propagation delay default from the line type;
-  /// prop_delay may be overridden (e.g. long terrestrial trunks).
+  /// prop_delay may be overridden (e.g. long terrestrial trunks). Throws
+  /// std::invalid_argument on a delay outside [0, kMaxPropDelay].
   /// Returns the id of the a->b simplex link (its reverse is retrievable
   /// via Link::reverse).
   LinkId add_duplex(NodeId a, NodeId b, LineType type);

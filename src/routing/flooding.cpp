@@ -4,15 +4,6 @@
 
 namespace arpanet::routing {
 
-FloodingState::FloodingState(const net::Topology& topo)
-    : FloodingState{topo.node_count()} {}
-
-void FloodingState::reset(std::size_t node_count) {
-  last_seq_.assign(node_count, 0);
-  accepted_ = 0;
-  duplicates_ = 0;
-}
-
 std::size_t flood_copy_count(const net::Topology& topo, net::NodeId node,
                              net::LinkId arrived_on) {
   const std::size_t fanout = topo.out_links(node).size();

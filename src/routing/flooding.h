@@ -44,12 +44,6 @@ class FloodingState {
  public:
   explicit FloodingState(std::size_t node_count)
       : last_seq_(node_count, 0) {}
-  /// Sized for one slot per node of `topo`.
-  explicit FloodingState(const net::Topology& topo);
-
-  /// Forgets all sequence numbers and counters and resizes for `node_count`
-  /// nodes (a PSN restart loses its flooding memory).
-  void reset(std::size_t node_count);
 
   /// True iff this update is newer than anything previously seen from its
   /// origin; if so, records it (caller should then apply and forward it).

@@ -173,14 +173,6 @@ void IncrementalSpf::init(net::NodeId root) {
   build_children();
 }
 
-void IncrementalSpf::reset(LinkCosts costs) {
-  check_costs(*topo_, costs);
-  costs_ = std::move(costs);
-  tree_ = Spf::compute(*topo_, tree_.root, costs_);
-  ++full_;
-  build_children();
-}
-
 void IncrementalSpf::build_children() {
   const std::size_t n = topo_->node_count();
   first_child_.assign(n, net::kInvalidNode);

@@ -113,10 +113,7 @@ class IncrementalSpf {
   /// Applies one link-cost change and updates the tree.
   void set_cost(net::LinkId link, double new_cost);
 
-  /// Replaces all costs (e.g. first full update after startup).
-  void reset(LinkCosts costs);
-
-  /// Full Dijkstra recomputations (construction plus every reset()).
+  /// Full Dijkstra recomputations (one, at construction).
   [[nodiscard]] long full_recomputes() const { return full_; }
   /// Updates that required no distance work at all (cost increase on a
   /// non-tree link — the paper's example).

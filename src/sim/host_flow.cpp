@@ -18,6 +18,12 @@ std::uint64_t key(net::NodeId src, net::NodeId dst) {
 constexpr int kMaxPacketsPerMessage = 8;
 static_assert(kMaxPacketsPerMessage <= 32,
               "reassembly keeps one bit per packet in a 32-bit mask");
+/// ARPANET packet payload ceiling, bits.
+constexpr double kPacketBitsMax = 1008.0;
+/// Retransmissions per message before the source gives up.
+constexpr int kMaxRetransmits = 10;
+/// RFNM wire size, bits.
+constexpr double kRfnmBits = 152.0;
 
 /// Packet::message_tag: message id times kMaxPacketsPerMessage plus the
 /// packet's index, so ids must stay below 2^32 / kMaxPacketsPerMessage.
@@ -33,8 +39,7 @@ std::uint32_t message_tag(std::uint64_t message_id, int index) {
 
 HostFlowLayer::HostFlowLayer(Network& net, HostFlowConfig cfg)
     : net_{net}, cfg_{cfg}, start_{net.now()} {
-  if (cfg.window < 1 || cfg.mean_message_bits <= 0 ||
-      cfg.packet_bits_max <= 0 || cfg.max_retransmits < 0) {
+  if (cfg.window < 1 || cfg.mean_message_bits <= 0) {
     throw std::invalid_argument("bad HostFlowConfig");
   }
   net_.set_delivery_hook([this](const Packet& pkt) { on_delivered(pkt); });
@@ -80,11 +85,11 @@ void HostFlowLayer::handle_event(SimEvent& ev) {
         throw std::length_error("host-flow message ids exhausted");
       }
       // Shifted-exponential message sizes, truncated to the 8-packet cap.
-      const double cap = cfg_.packet_bits_max * kMaxPacketsPerMessage;
+      const double cap = kPacketBitsMax * kMaxPacketsPerMessage;
       msg.bits = std::min(
           64.0 + p.size_rng.exponential(cfg_.mean_message_bits - 64.0), cap);
       msg.packet_count = std::max(
-          1, static_cast<int>(std::ceil(msg.bits / cfg_.packet_bits_max)));
+          1, static_cast<int>(std::ceil(msg.bits / kPacketBitsMax)));
       packet_counts_.push_back(static_cast<std::uint8_t>(msg.packet_count));
       msg.submitted = net_.now();
       ++messages_offered_;
@@ -118,7 +123,7 @@ void HostFlowLayer::transmit_message(Pair& pair, const Message& msg) {
     Packet pkt;
     pkt.kind = Packet::Kind::kData;
     pkt.dst = pair.dst;
-    pkt.bits = std::min(remaining, cfg_.packet_bits_max);
+    pkt.bits = std::min(remaining, kPacketBitsMax);
     remaining -= pkt.bits;
     pkt.flags = Packet::kHostMessage;
     pkt.message_tag = message_tag(msg.id, i);
@@ -141,7 +146,7 @@ void HostFlowLayer::on_timeout(std::size_t pair_index, std::uint64_t message_id,
   const auto it = pair.outstanding.find(message_id);
   if (it == pair.outstanding.end()) return;  // acked meanwhile
   if (it->second.retransmits != retransmit_generation) return;  // stale
-  if (it->second.retransmits >= cfg_.max_retransmits) {
+  if (it->second.retransmits >= kMaxRetransmits) {
     ++messages_abandoned_;
     pair.outstanding.erase(it);
     try_send(pair);
@@ -188,7 +193,7 @@ void HostFlowLayer::on_delivered(const Packet& pkt) {
   Packet rfnm;
   rfnm.kind = Packet::Kind::kData;
   rfnm.dst = pkt.src;
-  rfnm.bits = cfg_.rfnm_bits;
+  rfnm.bits = kRfnmBits;
   rfnm.flags = Packet::kHostMessage | Packet::kRfnm;
   rfnm.message_tag = message_tag(message_id, 0);
   net_.psn(pkt.dst).originate_packet(rfnm);

@@ -9,7 +9,7 @@
 // sim::Network:
 //
 //   * Poisson message arrivals per (source, destination) pair, message
-//     sizes shifted-exponential, split into <= packet_bits_max packets;
+//     sizes shifted-exponential, split into packets of at most 1008 bits;
 //   * at most `window` messages outstanding per pair (window 1 = the
 //     original scheme, 8 = the later one); excess messages queue at the
 //     source host;
@@ -37,11 +37,8 @@ namespace arpanet::sim {
 
 struct HostFlowConfig {
   double mean_message_bits = 4000.0;  ///< multi-packet messages (~4 packets)
-  double packet_bits_max = 1008.0;    ///< ARPANET packet payload ceiling
   int window = 1;                     ///< outstanding messages per pair
   util::SimTime rfnm_timeout = util::SimTime::from_sec(15);
-  int max_retransmits = 10;           ///< per message, before giving up
-  double rfnm_bits = 152.0;           ///< RFNM wire size
 };
 
 class HostFlowLayer : public EventSink {

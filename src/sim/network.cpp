@@ -21,9 +21,9 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
       factory_{cfg.metric_factory
                    ? cfg.metric_factory
                    : std::make_shared<metrics::KindMetricFactory>(cfg.metric)},
-      drops_{cfg.stats_bucket},
+      drops_{kStatsBucket},
       rng_{cfg.seed},
-      sizer_{cfg.mean_packet_bits},
+      sizer_{util::kAveragePacketBits},
       spf_scratch_{topo},
       min_hop_table_{routing::min_hop_lengths(topo)} {
   if (!topo.is_connected()) {
@@ -73,7 +73,7 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   }
   link_busy_.reserve(topo.link_count());
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
-    link_busy_.emplace_back(cfg.stats_bucket);
+    link_busy_.emplace_back(kStatsBucket);
   }
   for (const auto& psn : psns_) psn->start();
 }
@@ -99,7 +99,8 @@ void Network::add_traffic(const traffic::TrafficMatrix& matrix) {
     const double bps = std::accumulate(row.begin(), row.end(), 0.0);
     if (bps <= 0.0) continue;
     sources_.push_back(Source{
-        s, traffic::PoissonProcess{bps / cfg_.mean_packet_bits, rng_.split(s)},
+        s,
+        traffic::PoissonProcess{bps / util::kAveragePacketBits, rng_.split(s)},
         rng_.split(s + 0x8000'0000ULL), destinations_.add(row)});
     schedule_arrival(sources_.size() - 1);
   }
@@ -196,7 +197,7 @@ void Network::on_transmission(net::LinkId link, util::SimTime busy) {
 }
 
 void Network::on_cost_reported(net::LinkId link, double cost) {
-  if (cfg_.check_invariants && cost != Psn::kDownLinkCost) {
+  if (cost != Psn::kDownLinkCost) {
     ARPA_CHECK(std::isfinite(cost) && cost > 0.0)
         << "link " << link << " reported non-positive cost " << cost;
     if (link_bounds_[link]) {
@@ -223,20 +224,18 @@ void Network::on_cost_reported(net::LinkId link, double cost) {
 void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
                                  analysis::Cost candidate,
                                  analysis::Utilization busy_fraction) {
-  if (cfg_.check_invariants) {
-    analysis::check_utilization_in_range(busy_fraction);
-    if (hnspf_semantics_ && previous.value() != Psn::kDownLinkCost &&
-        candidate.value() != Psn::kDownLinkCost) {
-      const net::Link& l = effective_links_[link];
-      // The exact section 4.3 bound: consecutive periods' costs differ by at
-      // most the movement limit, with no threshold slack — HN-SPF limits the
-      // candidate against the previous period's value whether or not either
-      // was significant enough to flood.
-      analysis::check_movement_limited(previous, candidate,
-                                       cfg_.line_params.for_type(l.type),
-                                       /*extra_slack=*/0.0);
-      ++counters_.invariant_period_checks;
-    }
+  analysis::check_utilization_in_range(busy_fraction);
+  if (hnspf_semantics_ && previous.value() != Psn::kDownLinkCost &&
+      candidate.value() != Psn::kDownLinkCost) {
+    const net::Link& l = effective_links_[link];
+    // The exact section 4.3 bound: consecutive periods' costs differ by at
+    // most the movement limit, with no threshold slack — HN-SPF limits the
+    // candidate against the previous period's value whether or not either
+    // was significant enough to flood.
+    analysis::check_movement_limited(previous, candidate,
+                                     cfg_.line_params.for_type(l.type),
+                                     /*extra_slack=*/0.0);
+    ++counters_.invariant_period_checks;
   }
   if (previous.value() != Psn::kDownLinkCost &&
       candidate.value() != Psn::kDownLinkCost) {
@@ -258,7 +257,7 @@ void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
 
 double Network::link_utilization(net::LinkId id, std::size_t bucket) const {
   const double busy_us = link_busy_.at(id).bucket(bucket);
-  return busy_us / static_cast<double>(cfg_.stats_bucket.us());
+  return busy_us / static_cast<double>(kStatsBucket.us());
 }
 
 void Network::set_trunk_up(net::LinkId link, bool up) {

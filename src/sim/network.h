@@ -72,40 +72,20 @@ struct NetworkConfig {
   util::SimTime measurement_period = util::SimTime::from_sec(10);
   /// Output data-queue capacity, packets; routing updates bypass it.
   int queue_capacity = 40;
-  double mean_packet_bits = util::kAveragePacketBits;
   std::uint64_t seed = 0x19870726ULL;
-  /// Bucket width for drop/utilization time series.
-  util::SimTime stats_bucket = util::SimTime::from_sec(10);
   /// Data packets exceeding this many hops are counted as loop drops
   /// (only the 1969 algorithm ever reaches it). At most 65535, the range of
   /// Packet::hops.
   int hop_limit = 128;
-  /// Distance-vector mode: table exchange interval ("every 2/3 seconds").
-  util::SimTime dv_exchange_period = util::SimTime::from_us(666'667);
-  /// Distance-vector mode: the fixed constant added to the instantaneous
-  /// queue length.
-  double dv_bias = 1.0;
   /// Extension (paper section 4.5): spread each destination's packets
   /// round-robin over all equal-cost shortest-path next hops instead of the
   /// single canonical first hop. SPF mode only.
   bool multipath = false;
-  /// Costs within this many routing units count as "equal" for multipath —
-  /// measured metrics never produce exact ties. HN-SPF reports a link only
-  /// when it moves by a little less than a half-hop (14 units on a 56 kb/s
-  /// line), so two paths that differ in one link each can be a full hop
-  /// (30 units) apart on the map while equal on the wire. Only downstream
-  /// neighbors join a set, so the tolerance never admits a loop.
-  double multipath_tolerance = 30.0;
   /// Ablation hook: overrides the metric's update-generation threshold
   /// (routing units) when >= 0. The shipped behaviour (-1) uses the
   /// metric's own value — "a little less than a half-hop" for HN-SPF, the
   /// decaying 64-unit scheme for D-SPF.
   double significance_threshold_override = -1.0;
-  /// Validate paper invariants on every reported cost (absolute bounds and
-  /// report-to-report movement limits, src/analysis/invariants.h) and on
-  /// every measurement period; a violation aborts via ARPA_CHECK. A few
-  /// comparisons per report — leave it on unless profiling says otherwise.
-  bool check_invariants = true;
 };
 
 class Network : public EventSink {
@@ -115,6 +95,9 @@ class Network : public EventSink {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+
+  /// Bucket width for the drop and link-utilization time series.
+  static constexpr util::SimTime kStatsBucket = util::SimTime::from_sec(10);
 
   /// Installs one Poisson source per node with outgoing traffic: its rate
   /// is the row's sum, and each packet's destination is drawn in proportion

@@ -57,10 +57,10 @@ void Psn::start() {
     dv_dist_[id_] = 0.0;
     dv_next_.assign(n, net::kInvalidLink);
     dv_neighbor_.assign(out_.size(), std::vector<double>(n, kUnreachable));
-    const util::SimTime period = net_.config().dv_exchange_period;
     const util::SimTime offset = util::SimTime::from_us(
-        period.us() * (static_cast<std::int64_t>(id_) % 16) / 16);
-    net_.simulator().schedule_in(period + offset, SimEvent::dv_tick(net_, id_));
+        kDvExchangePeriod.us() * (static_cast<std::int64_t>(id_) % 16) / 16);
+    net_.simulator().schedule_in(kDvExchangePeriod + offset,
+                                 SimEvent::dv_tick(net_, id_));
     return;
   }
   // Measurement periods are staggered across nodes (the real PSNs' clocks
@@ -169,8 +169,7 @@ void Psn::forward(PacketHandle h) {
       // ARPALINT-ALLOW(hot-path-alloc): the lazy multipath rebuild runs per
       // cost change, not per packet, and only when multipath is enabled.
       mp_sets_ = routing::MultipathSets::compute(
-          net_.topology(), id_, spf_.costs(),
-          net_.config().multipath_tolerance);
+          net_.topology(), id_, spf_.costs(), kMultipathTolerance);
       // ARPALINT-ALLOW(hot-path-alloc): cursor vector retains capacity.
       mp_cursor_.assign(net_.topology().node_count(), 0);
       mp_dirty_ = false;
@@ -417,13 +416,13 @@ double Psn::dv_link_metric(const OutLink& out) const {
   // of updating plus a fixed constant" (section 2.1).
   if (!out.up) return kUnreachable;
   return static_cast<double>(out.data_q.size() + out.update_q.size()) +
-         net_.config().dv_bias;
+         kDvBias;
 }
 
 void Psn::dv_tick() {
   dv_recompute();
   dv_advertise();
-  net_.simulator().schedule_in(net_.config().dv_exchange_period,
+  net_.simulator().schedule_in(kDvExchangePeriod,
                                SimEvent::dv_tick(net_, id_));
 }
 

@@ -30,6 +30,7 @@
 #include "src/sim/event.h"
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
+#include "src/util/units.h"
 
 namespace arpanet::sim {
 
@@ -101,6 +102,21 @@ class Psn {
   /// Distance-vector "infinity": estimates at or above this are treated as
   /// unreachable.
   static constexpr double kUnreachable = 1e9;
+
+  /// Distance-vector mode: table exchange interval ("every 2/3 seconds").
+  static constexpr util::SimTime kDvExchangePeriod =
+      util::SimTime::from_us(666'667);
+  /// Distance-vector mode: the fixed constant added to the instantaneous
+  /// queue length.
+  static constexpr double kDvBias = 1.0;
+
+  /// Costs within this many routing units count as "equal" for multipath —
+  /// measured metrics never produce exact ties. HN-SPF reports a link only
+  /// when it moves by a little less than a half-hop (14 units on a 56 kb/s
+  /// line), so two paths that differ in one link each can be a full hop
+  /// (30 units) apart on the map while equal on the wire. Only downstream
+  /// neighbors join a set, so the tolerance never admits a loop.
+  static constexpr double kMultipathTolerance = 30.0;
 
  private:
   struct OutLink {

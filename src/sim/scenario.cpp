@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/net/builders/registry.h"
 #include "src/obs/stopwatch.h"
 #include "src/util/alloc_guard.h"
 
@@ -73,12 +72,6 @@ ScenarioConfig& ScenarioConfig::with_matrix(traffic::TrafficMatrix m) {
   return *this;
 }
 
-ScenarioConfig& ScenarioConfig::with_topology(net::GraphSpec spec) {
-  net::TopologyBuilder::registry().validate(spec);
-  topology = std::move(spec);
-  return *this;
-}
-
 ScenarioConfig& ScenarioConfig::with_faults(FaultPlan plan) {
   faults = std::move(plan);
   return *this;
@@ -86,11 +79,6 @@ ScenarioConfig& ScenarioConfig::with_faults(FaultPlan plan) {
 
 ScenarioConfig& ScenarioConfig::with_faults(std::string_view spec) {
   faults = FaultPlan::parse(spec);
-  return *this;
-}
-
-ScenarioConfig& ScenarioConfig::with_self_audit(bool enabled) {
-  self_audit = enabled;
   return *this;
 }
 
@@ -174,9 +162,7 @@ ScenarioResult run_scenario(const net::Topology& topo, const ScenarioConfig& cfg
     result.indicators =
         network.indicators(label.empty() ? cfg.effective_label() : label);
     result.stats = network.stats();
-    if (cfg.self_audit) {
-      result.audit = analysis::audit_network(network);
-    }
+    result.audit = analysis::audit_network(network);
     result.stability = network.stability();
     result.counters = network.counters();
     result.counters.alloc_guard_scopes = 1;
@@ -184,17 +170,6 @@ ScenarioResult run_scenario(const net::Topology& topo, const ScenarioConfig& cfg
     result.events_processed = network.events_processed();
   }
   return result;
-}
-
-ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  if (!cfg.topology) {
-    throw std::invalid_argument(
-        "run_scenario(cfg): config has no topology (use with_topology, or "
-        "the overload taking an explicit net::Topology)");
-  }
-  const net::Topology topo =
-      net::TopologyBuilder::registry().build(*cfg.topology);
-  return run_scenario(topo, cfg, /*label=*/"");
 }
 
 }  // namespace arpanet::sim

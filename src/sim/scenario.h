@@ -23,7 +23,6 @@
 #include <string_view>
 
 #include "src/analysis/invariants.h"
-#include "src/net/graph_spec.h"
 #include "src/net/topology.h"
 #include "src/obs/counters.h"
 #include "src/sim/network.h"
@@ -54,20 +53,10 @@ struct ScenarioConfig {
   std::string label;
   /// Explicit traffic matrix; overrides shape/offered_load_bps when set.
   std::optional<traffic::TrafficMatrix> matrix;
-  /// Declarative topology: when set, the run_scenario(cfg) overload builds
-  /// it through the TopologyBuilder registry. Overloads taking an explicit
-  /// Topology ignore it.
-  std::optional<net::GraphSpec> topology;
   /// Deterministic fault schedule (link flaps, crashes, outages, partitions,
   /// line upgrades) injected through the calendar queue. Compiled against
   /// the topology at run time; horizon is warmup + window.
   std::optional<FaultPlan> faults;
-  /// Run analysis::audit_network when the measurement window ends: every
-  /// live reported cost, equilibrium map and SPF tree is checked against the
-  /// paper's invariants, and any violation aborts. Costs one pass over the
-  /// final network state, so sweeps keep it on by default. (Movement limits
-  /// are checked as the run goes, under NetworkConfig::check_invariants.)
-  bool self_audit = true;
 
   // ---- fluent, validated setters ----
   // Each returns *this so calls chain; each throws std::invalid_argument on
@@ -85,15 +74,11 @@ struct ScenarioConfig {
   ScenarioConfig& with_label(std::string l);
   ScenarioConfig& with_network(NetworkConfig cfg);
   ScenarioConfig& with_matrix(traffic::TrafficMatrix m);
-  /// Validates the spec against the TopologyBuilder registry immediately
-  /// (unknown family / bad params throw here, not at run time).
-  ScenarioConfig& with_topology(net::GraphSpec spec);
   ScenarioConfig& with_faults(FaultPlan plan);
   /// Parses a fault-plan spec string ("flap:link=3,period_s=10,dwell_s=2";
   /// see FaultPlan::parse) — the sweep-friendly form. Throws
   /// std::invalid_argument on a malformed spec.
   ScenarioConfig& with_faults(std::string_view spec);
-  ScenarioConfig& with_self_audit(bool enabled);
 
   /// The label a run of this config reports: `label`, or the metric
   /// factory's name, or the metric kind's.
@@ -113,7 +98,7 @@ struct ScenarioResult {
   /// Whole-run observability counters (src/obs/counters.h), warm-up
   /// included — SPF work, flooding volume, forwarding, queue depth.
   obs::Counters counters;
-  /// What the end-of-run self-audit covered (all zeros when disabled).
+  /// What the end-of-run self-audit covered.
   analysis::AuditStats audit;
   /// Routing-stability telemetry for the measurement window (all zeros when
   /// the run had no faults and no route churn).
@@ -129,14 +114,14 @@ struct ScenarioResult {
 /// results. `label` names the indicator column (e.g. "D-SPF"); when empty
 /// the config's effective label is used. Prefer exp::Experiment for new
 /// code; this remains the single-run primitive underneath it.
+///
+/// When the window ends, analysis::audit_network checks every live reported
+/// cost, equilibrium map and SPF tree against the paper's invariants, and
+/// any violation aborts. Movement limits are checked as the run goes
+/// (Network::on_cost_reported).
 [[nodiscard]] ScenarioResult run_scenario(const net::Topology& topo,
                                           const ScenarioConfig& cfg,
                                           const std::string& label);
-
-/// Runs a config that carries its own topology (with_topology): builds the
-/// graph through the TopologyBuilder registry, then runs as above. Throws
-/// std::invalid_argument if cfg.topology is unset.
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& cfg);
 
 /// Builds the scenario's traffic matrix without running (for reuse).
 [[nodiscard]] traffic::TrafficMatrix scenario_matrix(const net::Topology& topo,

@@ -52,14 +52,14 @@ TEST(BellmanFordTest, ConvergesOnRing) {
   const net::Topology ring = net::build_topology("ring:nodes=6");
   const NetworkConfig cfg = dv_config();
   Network net{ring, cfg};
-  net.run_for(cfg.dv_exchange_period * 10);
-  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(3), 3.0 * cfg.dv_bias);
-  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(1), 1.0 * cfg.dv_bias);
+  net.run_for(Psn::kDvExchangePeriod * 10);
+  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(3), 3.0 * Psn::kDvBias);
+  EXPECT_DOUBLE_EQ(net.psn(0).dv_distance(1), 1.0 * Psn::kDvBias);
   for (net::NodeId s = 0; s < ring.node_count(); ++s) {
     for (net::NodeId d = 0; d < ring.node_count(); ++d) {
       const int gap = static_cast<int>(s > d ? s - d : d - s);
       const int hops = std::min(gap, 6 - gap);
-      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops * cfg.dv_bias)
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops * Psn::kDvBias)
           << s << " -> " << d;
     }
   }
@@ -73,14 +73,14 @@ TEST(BellmanFordTest, AgreesWithSpfOnStaticCosts) {
   const NetworkConfig cfg = dv_config();
   Network net{topo, cfg};
   net.run_for(SimTime::from_sec(20));
-  const routing::LinkCosts costs(topo.link_count(), cfg.dv_bias);
+  const routing::LinkCosts costs(topo.link_count(), Psn::kDvBias);
   const auto hops = routing::min_hop_lengths(topo);
   for (net::NodeId s = 0; s < topo.node_count(); ++s) {
     const routing::SpfTree tree = routing::Spf::compute(topo, s, costs);
     for (net::NodeId d = 0; d < topo.node_count(); ++d) {
       EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), tree.dist[d])
           << s << " -> " << d;
-      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops[s][d] * cfg.dv_bias)
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops[s][d] * Psn::kDvBias)
           << s << " -> " << d;
     }
   }

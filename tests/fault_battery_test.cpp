@@ -322,9 +322,9 @@ void run_property_sweep(const net::Topology& topo, const std::string& name,
                              .with_window(sec(37))
                              .with_seed(seed_base ^ (7919u * i))
                              .with_faults(plan);
-    // check_invariants and self_audit default on: any violated bound,
-    // period or report-to-report movement limit, flat region or tree
-    // inconsistency aborts the run.
+    // The network checks every report and period, and run_scenario audits
+    // the end state: any violated bound, period or report-to-report
+    // movement limit, flat region or tree inconsistency aborts the run.
     const ScenarioResult result = run_scenario(topo, cfg, name);
     EXPECT_GT(result.stats.packets_delivered, 0)
         << name << " seed " << i << ": nothing delivered";

@@ -104,6 +104,19 @@ TEST(GeneratorsTest, EveryFamilyBuildsAConnectedGraph) {
   }
 }
 
+// Topology::add_duplex rejects a delay above kMaxPropDelay; no family may
+// need one at its default parameters.
+TEST(GeneratorsTest, EveryFamilyKeepsDelaysUnderTheBound) {
+  for (const TopologyBuilder::FamilyInfo& family :
+       TopologyBuilder::registry().families()) {
+    const Topology topo = build(GraphSpec{std::string(family.name)});
+    for (const Link& link : topo.links()) {
+      EXPECT_GE(link.prop_delay, util::SimTime::zero()) << family.name;
+      EXPECT_LE(link.prop_delay, Topology::kMaxPropDelay) << family.name;
+    }
+  }
+}
+
 TEST(GeneratorsTest, BarabasiAlbertHasAHeavyTail) {
   const Topology topo =
       build(GraphSpec{"ba"}.with_nodes(2000).with_seed(11).with_param("m", 2));

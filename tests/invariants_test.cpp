@@ -264,16 +264,4 @@ TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
             static_cast<long>(topo.node_count()));
 }
 
-TEST(ScenarioAuditTest, AuditCanBeDisabled) {
-  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
-  const auto cfg = arpanet::sim::ScenarioConfig{}
-                       .with_load_bps(20e3)
-                       .with_warmup(SimTime::from_sec(10))
-                       .with_window(SimTime::from_sec(20))
-                       .with_self_audit(false);
-  const auto result = arpanet::sim::run_scenario(topo, cfg, "no-audit");
-  EXPECT_EQ(result.audit.costs_checked, 0);
-  EXPECT_EQ(result.audit.trees_checked, 0);
-}
-
 }  // namespace

@@ -194,7 +194,7 @@ TEST(NetworkTest, TrunkDownReroutesTraffic) {
   EXPECT_DOUBLE_EQ(s.path_hops.mean(), 2.0);
   // And the b-side trunk is idle.
   const std::size_t bucket = static_cast<std::size_t>(
-      (net.now() - SimTime::from_sec(60)).us() / cfg.stats_bucket.us());
+      (net.now() - SimTime::from_sec(60)).us() / Network::kStatsBucket.us());
   EXPECT_DOUBLE_EQ(net.link_utilization(t.link(ab).id, bucket), 0.0);
 }
 

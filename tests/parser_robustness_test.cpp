@@ -134,7 +134,10 @@ TEST(ParserRobustnessTest, TopologyRejectsHostileDelays) {
   for (const char* delay :
        {"prop_ms=nan", "prop_ms=inf", "prop_ms=-inf", "prop_ms=1e308",
         "prop_ms=-1", "prop_us=-5", "prop_us=99999999999999999999",
-        "prop_us=1e3", "prop_us=nan"}) {
+        "prop_us=1e3", "prop_us=nan",
+        // Fit the number types but overflow SimTime once an arrival is
+        // scheduled: Topology::add_duplex's delay bound rejects them.
+        "prop_us=9223372036854775000", "prop_ms=9.2e15"}) {
     const std::string text =
         std::string("node a\nnode b\ntrunk a b 56kb-terrestrial ") + delay;
     EXPECT_THROW((void)net::parse_topology(text), std::invalid_argument)

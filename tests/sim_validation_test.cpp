@@ -140,7 +140,7 @@ TEST(UtilizationAccounting, BusySecondsMatchOfferedLoad) {
   double sum = 0;
   const std::size_t buckets = series.bucket_count() - 1;
   for (std::size_t i = 0; i < buckets; ++i) {
-    sum += series.bucket(i) / static_cast<double>(cfg.stats_bucket.us());
+    sum += series.bucket(i) / static_cast<double>(Network::kStatsBucket.us());
   }
   EXPECT_NEAR(sum / static_cast<double>(buckets), 0.5, 0.05);
 }

@@ -432,15 +432,6 @@ TEST(IncrementalSpfTest, DecreaseTieWithHigherIdLeavesAnOutNeighbour) {
   EXPECT_EQ(inc.tree().parent_link, full.parent_link);
 }
 
-TEST(IncrementalSpfTest, ResetReplacesAllCosts) {
-  const Topology t = diamond();
-  IncrementalSpf inc{t, 0, LinkCosts(t.link_count(), 1.0)};
-  LinkCosts costs(t.link_count(), 2.0);
-  costs[2] = 0.5;
-  inc.reset(costs);
-  EXPECT_EQ(inc.tree().first_hop[3], 2u);
-}
-
 // ---- min-hop lengths ----
 
 TEST(MinHopTest, RingDistances) {

@@ -98,7 +98,7 @@ TEST(SuperpositionTest, PerPairAndPerNodeOfferedLoadMatchTheMatrix) {
         const long observed =
             delivered[static_cast<std::size_t>(src) * n + dst];
         const double expected =
-            matrix.at(src, dst) / cfg.mean_packet_bits * horizon.sec();
+            matrix.at(src, dst) / util::kAveragePacketBits * horizon.sec();
         if (expected <= 0.0) {
           EXPECT_EQ(observed, 0) << src << "->" << dst << " has no traffic";
           continue;

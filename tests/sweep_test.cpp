@@ -200,7 +200,7 @@ TEST(SweepRunnerTest, ProgressCallbackSeesEveryCellExactlyOnce) {
   EXPECT_EQ(seen, (std::set<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(SweepResultTest, CsvAndJsonCarryAxesAndTelemetry) {
+TEST(SweepResultTest, CsvCarriesAxesAndSummaryCarriesTelemetry) {
   const Experiment e = Experiment::two_region(4);
   SweepSpec spec;
   spec.base = fast_base();
@@ -210,16 +210,8 @@ TEST(SweepResultTest, CsvAndJsonCarryAxesAndTelemetry) {
   const std::string csv = r.csv();
   EXPECT_NE(csv.find("index,topology,metric"), std::string::npos);
   EXPECT_NE(csv.find("two-region,min-hop,uniform"), std::string::npos);
-  // Telemetry columns only on request.
+  // Wall time varies run to run, so it stays out of the CSV.
   EXPECT_EQ(csv.find("wall_sec"), std::string::npos);
-  EXPECT_NE(r.csv(/*include_telemetry=*/true).find("wall_sec"),
-            std::string::npos);
-
-  std::ostringstream json;
-  r.write_json(json);
-  EXPECT_NE(json.str().find("\"runs\": ["), std::string::npos);
-  EXPECT_NE(json.str().find("\"derived_seed\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"events_per_sec\""), std::string::npos);
 
   std::ostringstream summary;
   r.write_summary(summary);

@@ -230,7 +230,7 @@ int run(const util::Flags& flags) {
   if (show_utilization) {
     std::printf("\ntrunk utilization (last bucket, per direction):\n");
     const std::size_t bucket = static_cast<std::size_t>(
-        net.now().us() / cfg.stats_bucket.us()) - 1;
+        net.now().us() / sim::Network::kStatsBucket.us()) - 1;
     for (std::size_t l = 0; l < topo.link_count(); l += 2) {
       const net::Link& link = topo.link(static_cast<net::LinkId>(l));
       std::printf("  %-12s <-> %-12s %-19s %5.1f%% / %5.1f%%\n",
