@@ -10,18 +10,10 @@
 //                           path length for queueing headroom;
 //   * near-static         — flat to 90% with a low cap: the metric barely
 //                           reacts, approaching min-hop behaviour.
-//
-// A fourth run goes beyond parameter tables: a FunctionMetricFactory
-// injects a per-link hybrid (HN-SPF on terrestrial lines, a static cost on
-// satellite lines, whose delay is propagation-dominated) through the same
-// NetworkConfig seam the built-in metrics use.
 
 #include <cstdio>
-#include <memory>
 
 #include "src/exp/experiment.h"
-#include "src/metrics/metric_factory.h"
-#include "src/metrics/minhop_metric.h"
 
 namespace {
 
@@ -52,21 +44,6 @@ void run_tuning(const exp::Experiment& e, const char* label,
   print_row(e.run(base_config().with_network(ncfg).with_label(label)));
 }
 
-void run_hybrid(const exp::Experiment& e) {
-  const auto factory = std::make_shared<metrics::FunctionMetricFactory>(
-      "hybrid-sat",
-      [](const net::Link& link, const core::LineParamsTable& params) {
-        if (link.type == net::LineType::kSatellite56) {
-          // Propagation dominates a satellite hop: advertise a flat cost
-          // instead of chasing queueing noise.
-          return std::unique_ptr<metrics::LinkMetric>(
-              std::make_unique<metrics::MinHopMetric>(2.0));
-        }
-        return metrics::make_metric(metrics::MetricKind::kHnSpf, link, params);
-      });
-  print_row(e.run(base_config().with_metric_factory(factory)));
-}
-
 }  // namespace
 
 int main() {
@@ -81,13 +58,10 @@ int main() {
              {.base_min = 30.0, .max_cost = 90.0, .flat_threshold = 0.25});
   run_tuning(e, "near-static",
              {.base_min = 30.0, .max_cost = 45.0, .flat_threshold = 0.90});
-  run_hybrid(e);
 
   std::printf("\nThe default is a compromise: early shedding lengthens paths"
               " to buy delay\nheadroom; the near-static tuning keeps paths"
               " short but lets hot trunks\ncongest (watch the drop column),"
-              " drifting toward min-hop behaviour.\nThe hybrid row shows the"
-              " open seam: any per-link metric can be injected\nwithout"
-              " touching the simulator.\n");
+              " drifting toward min-hop behaviour.\n");
   return 0;
 }

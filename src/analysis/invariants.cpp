@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "src/metrics/metric_factory.h"
 #include "src/sim/network.h"
 #include "src/sim/psn.h"
 #include "src/util/check.h"
@@ -229,8 +228,7 @@ AuditStats audit_network(const sim::Network& net) {
   const sim::NetworkConfig& cfg = net.config();
   AuditStats stats;
 
-  // Absolute bounds come from whatever range the factory promises per link
-  // (built-in kinds and custom factories alike, via MetricFactory::bounds);
+  // Absolute bounds are the ones the network enforces on every report;
   // flat regions additionally need HN-SPF semantics.
   for (const net::Link& link : topo.links()) {
     // Mid-run line-type upgrades swap a link's type and rate; bounds, flat
@@ -240,15 +238,9 @@ AuditStats audit_network(const sim::Network& net) {
 
     const double reported = net.psn(link.from).reported_cost(link.id);
     if (!is_down_cost(reported)) {
-      if (const auto bounds =
-              net.metric_factory().bounds(live, cfg.line_params)) {
-        check_cost_in_bounds(Cost{reported}, Cost{bounds->min_cost},
-                             Cost{bounds->max_cost});
-      } else {
-        ARPA_CHECK(std::isfinite(reported) && reported > 0.0)
-            << "link " << link.id << " reported non-positive cost "
-            << reported;
-      }
+      const metrics::CostBounds& bounds = net.link_bounds(link.id);
+      check_cost_in_bounds(Cost{reported}, Cost{bounds.min_cost},
+                           Cost{bounds.max_cost});
       ++stats.costs_checked;
     }
 

@@ -143,7 +143,7 @@ AuditStats check_reachable_within_component(const sim::Network& net);
 
 /// Full-network self-audit of the final state; any violated invariant
 /// aborts via ARPA_CHECK. Checks every live reported cost against the
-/// factory's bounds (or for positivity when it promises none) and, in SPF
+/// bounds the network holds for its link (Network::link_bounds) and, in SPF
 /// mode, that every PSN's tree is valid against its own cost map. Under
 /// HN-SPF semantics it also checks each link's equilibrium map for the
 /// flat region. Movement limits are not replayed here: sim::Network checks

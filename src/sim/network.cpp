@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "src/analysis/invariants.h"
-#include "src/metrics/metric_factory.h"
+#include "src/metrics/make_metric.h"
 #include "src/net/line_type.h"
 #include "src/util/check.h"
 
@@ -18,9 +18,6 @@ namespace arpanet::sim {
 Network::Network(const net::Topology& topo, NetworkConfig cfg)
     : topo_{&topo},
       cfg_{cfg},
-      factory_{cfg.metric_factory
-                   ? cfg.metric_factory
-                   : std::make_shared<metrics::KindMetricFactory>(cfg.metric)},
       drops_{kStatsBucket},
       rng_{cfg.seed},
       sizer_{util::kAveragePacketBits},
@@ -32,6 +29,22 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   if (cfg.hop_limit > std::numeric_limits<decltype(Packet::hops)>::max()) {
     throw std::invalid_argument("hop_limit " + std::to_string(cfg.hop_limit) +
                                 " exceeds the packet's 16-bit hop count");
+  }
+  if (cfg.queue_capacity <= 0) {
+    throw std::invalid_argument("queue_capacity " +
+                                std::to_string(cfg.queue_capacity) +
+                                " must be > 0");
+  }
+  if (cfg.measurement_period <= util::SimTime::zero()) {
+    // A zero period would re-arm every PSN's timer at the same instant
+    // forever; a negative one schedules into the past.
+    throw std::invalid_argument("measurement_period must be > 0");
+  }
+  if (cfg.multipath &&
+      cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
+    throw std::invalid_argument(
+        "multipath needs SPF routing; the distance-vector algorithm keeps "
+        "one next hop per destination");
   }
   pool_.attach_update_pool(&updates_);
   std::size_t max_degree = 0;
@@ -51,19 +64,11 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   // Every PSN starts from the same cost map (each link at its metric's
   // initial cost), so the initial trees are consistent network-wide.
   routing::LinkCosts initial(topo.link_count());
-  for (const net::Link& l : topo.links()) {
-    initial[l.id] = factory_->create(l, cfg.line_params)->initial_cost();
-  }
-  // Movement-limit and flat-region checks need HN-SPF semantics; absolute
-  // bounds come from whatever range the factory promises (custom factories
-  // included).
-  const auto* kind_factory =
-      dynamic_cast<const metrics::KindMetricFactory*>(factory_.get());
-  hnspf_semantics_ =
-      kind_factory && kind_factory->kind() == metrics::MetricKind::kHnSpf;
   link_bounds_.reserve(topo.link_count());
   for (const net::Link& l : topo.links()) {
-    link_bounds_.push_back(factory_->bounds(l, cfg.line_params));
+    initial[l.id] =
+        metrics::make_metric(cfg.metric, l, cfg.line_params)->initial_cost();
+    link_bounds_.push_back(metrics::cost_bounds(cfg.metric, l, cfg.line_params));
   }
   last_reported_cost_ = initial;
   effective_links_.assign(topo.links().begin(), topo.links().end());
@@ -198,15 +203,11 @@ void Network::on_transmission(net::LinkId link, util::SimTime busy) {
 
 void Network::on_cost_reported(net::LinkId link, double cost) {
   if (cost != Psn::kDownLinkCost) {
-    ARPA_CHECK(std::isfinite(cost) && cost > 0.0)
-        << "link " << link << " reported non-positive cost " << cost;
-    if (link_bounds_[link]) {
-      analysis::check_cost_in_bounds(analysis::Cost{cost},
-                                     analysis::Cost{link_bounds_[link]->min_cost},
-                                     analysis::Cost{link_bounds_[link]->max_cost});
-    }
+    analysis::check_cost_in_bounds(analysis::Cost{cost},
+                                   analysis::Cost{link_bounds_[link].min_cost},
+                                   analysis::Cost{link_bounds_[link].max_cost});
     const double previous = last_reported_cost_[link];
-    if (hnspf_semantics_ && previous != Psn::kDownLinkCost) {
+    if (hnspf_semantics() && previous != Psn::kDownLinkCost) {
       const core::LineTypeParams& params =
           cfg_.line_params.for_type(effective_links_[link].type);
       const double threshold = cfg_.significance_threshold_override >= 0.0
@@ -225,7 +226,7 @@ void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
                                  analysis::Cost candidate,
                                  analysis::Utilization busy_fraction) {
   analysis::check_utilization_in_range(busy_fraction);
-  if (hnspf_semantics_ && previous.value() != Psn::kDownLinkCost &&
+  if (hnspf_semantics() && previous.value() != Psn::kDownLinkCost &&
       candidate.value() != Psn::kDownLinkCost) {
     const net::Link& l = effective_links_[link];
     // The exact section 4.3 bound: consecutive periods' costs differ by at
@@ -302,8 +303,10 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
         half.link = effective_links_[halves[h]];
         half.link.type = a.new_type;
         half.link.rate = net::info(a.new_type).rate;
-        half.metric = factory_->create(half.link, cfg_.line_params);
-        half.bounds = factory_->bounds(half.link, cfg_.line_params);
+        half.metric =
+            metrics::make_metric(cfg_.metric, half.link, cfg_.line_params);
+        half.bounds =
+            metrics::cost_bounds(cfg_.metric, half.link, cfg_.line_params);
       }
     }
     sim_.schedule_at(a.at, SimEvent::fault_action(*this, i));

@@ -27,14 +27,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/analysis/invariants.h"
 #include "src/core/line_params.h"
 #include "src/metrics/link_metric.h"
-#include "src/metrics/metric_factory.h"
+#include "src/metrics/make_metric.h"
 #include "src/net/topology.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace_sink.h"
@@ -62,15 +61,12 @@ struct NetworkConfig {
   /// Route computation generation; kSpf is the 1979+ scheme the paper
   /// modifies, kDistanceVector the 1969 original kept as a baseline.
   routing::RoutingAlgorithm algorithm = routing::RoutingAlgorithm::kSpf;
+  /// The link metric every link runs (metrics::make_metric builds it).
   metrics::MetricKind metric = metrics::MetricKind::kHnSpf;
-  /// Open injection point for custom link metrics. When set it overrides
-  /// `metric`; when null the network builds a KindMetricFactory from
-  /// `metric`. Shared (not owned) so sweep cells can reuse one factory.
-  std::shared_ptr<const metrics::MetricFactory> metric_factory;
   core::LineParamsTable line_params = core::LineParamsTable::arpanet_defaults();
-  /// The ARPANET's ten-second measurement interval.
+  /// The ARPANET's ten-second measurement interval (> 0).
   util::SimTime measurement_period = util::SimTime::from_sec(10);
-  /// Output data-queue capacity, packets; routing updates bypass it.
+  /// Output data-queue capacity, packets (> 0); routing updates bypass it.
   int queue_capacity = 40;
   std::uint64_t seed = 0x19870726ULL;
   /// Data packets exceeding this many hops are counted as loop drops
@@ -79,7 +75,8 @@ struct NetworkConfig {
   int hop_limit = 128;
   /// Extension (paper section 4.5): spread each destination's packets
   /// round-robin over all equal-cost shortest-path next hops instead of the
-  /// single canonical first hop. SPF mode only.
+  /// single canonical first hop. SPF mode only: the network rejects it
+  /// under kDistanceVector.
   bool multipath = false;
   /// Ablation hook: overrides the metric's update-generation threshold
   /// (routing units) when >= 0. The shipped behaviour (-1) uses the
@@ -153,13 +150,16 @@ class Network : public EventSink {
 
   [[nodiscard]] const net::Topology& topology() const { return *topo_; }
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
-  /// The metric factory in effect (config's, or one built from its kind).
-  [[nodiscard]] const metrics::MetricFactory& metric_factory() const {
-    return *factory_;
+  /// True when every link runs HN-SPF, whose movement limits and flat
+  /// region the invariant checks judge.
+  [[nodiscard]] bool hnspf_semantics() const {
+    return cfg_.metric == metrics::MetricKind::kHnSpf;
   }
-  /// True when every link runs the built-in HN-SPF metric, whose movement
-  /// limits and flat region the invariant checks know how to judge.
-  [[nodiscard]] bool hnspf_semantics() const { return hnspf_semantics_; }
+  /// The cost range `link`'s metric promises (metrics::cost_bounds for the
+  /// link record in effect, so a line-type upgrade brings its own).
+  [[nodiscard]] const metrics::CostBounds& link_bounds(net::LinkId link) const {
+    return link_bounds_[link];
+  }
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] util::SimTime now() const { return sim_.now(); }
 
@@ -325,7 +325,7 @@ class Network : public EventSink {
     struct Half {
       net::Link link;
       std::unique_ptr<metrics::LinkMetric> metric;
-      std::optional<metrics::CostBounds> bounds;
+      metrics::CostBounds bounds;
     };
     std::array<Half, 2> halves;  ///< forward, then reverse
   };
@@ -335,7 +335,6 @@ class Network : public EventSink {
 
   const net::Topology* topo_;
   NetworkConfig cfg_;
-  std::shared_ptr<const metrics::MetricFactory> factory_;
   Simulator sim_;
   PacketPool pool_;
   UpdatePool updates_;
@@ -361,13 +360,12 @@ class Network : public EventSink {
   std::function<void(const Packet&)> delivery_hook_;
   PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;
-  /// Per-link cost bounds promised by the factory (nullopt = unbounded).
-  std::vector<std::optional<metrics::CostBounds>> link_bounds_;
+  /// Per-link cost bounds, indexed by LinkId.
+  std::vector<metrics::CostBounds> link_bounds_;
   bool traffic_enabled_ = true;
   util::SimTime window_start_ = util::SimTime::zero();
   std::vector<stats::TimeSeries> link_busy_;
   std::vector<double> last_reported_cost_;
-  bool hnspf_semantics_ = false;
   /// Mutable view of the topology's link records (line-type upgrades swap
   /// type and rate in place); indexed by LinkId like the topology's own.
   std::vector<net::Link> effective_links_;

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/analysis/invariants.h"
-#include "src/metrics/metric_factory.h"
+#include "src/metrics/make_metric.h"
 #include "src/sim/network.h"
 #include "src/util/check.h"
 
@@ -36,7 +36,8 @@ Psn::Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs)
   out_.reserve(topo.out_links(id).size());
   for (const net::LinkId lid : topo.out_links(id)) {
     const net::Link& link = topo.link(lid);
-    auto metric = net.metric_factory().create(link, net.config().line_params);
+    auto metric = metrics::make_metric(net.config().metric, link,
+                                       net.config().line_params);
     auto filter =
         make_filter(*metric, net.config().significance_threshold_override);
     const double initial = metric->initial_cost();
@@ -455,7 +456,6 @@ void Psn::dv_advertise() {
   advert.origin = id_;
   // ARPALINT-ALLOW(hot-path-alloc): pooled slots are reserved to node count
   advert.dist.assign(dv_dist_.begin(), dv_dist_.end());
-  mp_dirty_ = true;
   ++updates_originated_;
   net_.on_update_originated();
   for (OutLink& o : out_) {

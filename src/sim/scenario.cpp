@@ -13,15 +13,6 @@ ScenarioConfig& ScenarioConfig::with_metric(metrics::MetricKind m) {
   return *this;
 }
 
-ScenarioConfig& ScenarioConfig::with_metric_factory(
-    std::shared_ptr<const metrics::MetricFactory> factory) {
-  if (!factory) {
-    throw std::invalid_argument("ScenarioConfig: null metric factory");
-  }
-  network.metric_factory = std::move(factory);
-  return *this;
-}
-
 ScenarioConfig& ScenarioConfig::with_load_bps(double bps) {
   if (bps < 0.0) {
     throw std::invalid_argument("ScenarioConfig: offered load must be >= 0");
@@ -84,7 +75,6 @@ ScenarioConfig& ScenarioConfig::with_faults(std::string_view spec) {
 
 std::string ScenarioConfig::effective_label() const {
   if (!label.empty()) return label;
-  if (network.metric_factory) return network.metric_factory->name();
   return to_string(metric);
 }
 

@@ -63,9 +63,6 @@ struct ScenarioConfig {
   // a value the simulator could not run.
 
   ScenarioConfig& with_metric(metrics::MetricKind m);
-  /// Also clears `metric`-based construction: the factory wins.
-  ScenarioConfig& with_metric_factory(
-      std::shared_ptr<const metrics::MetricFactory> factory);
   ScenarioConfig& with_load_bps(double bps);       ///< rejects negative load
   ScenarioConfig& with_shape(TrafficShape s);
   ScenarioConfig& with_warmup(util::SimTime t);    ///< rejects negative
@@ -81,7 +78,7 @@ struct ScenarioConfig {
   ScenarioConfig& with_faults(std::string_view spec);
 
   /// The label a run of this config reports: `label`, or the metric
-  /// factory's name, or the metric kind's.
+  /// kind's name.
   [[nodiscard]] std::string effective_label() const;
 
   /// Full-config check (the setters validate only their own field; direct

@@ -1,6 +1,7 @@
 #include "src/traffic/poisson_source.h"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace arpanet::traffic {
@@ -8,6 +9,15 @@ namespace arpanet::traffic {
 PoissonProcess::PoissonProcess(double rate_per_sec, util::Rng rng)
     : rate_{rate_per_sec}, rng_{rng} {
   if (!(rate_per_sec > 0.0)) throw std::invalid_argument("rate must be positive");
+  if (rate_per_sec < kMinRatePerSec) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "Poisson rate %g packets/s is below the minimum %g "
+                  "packets/s: its longest gap would overflow the simulated "
+                  "clock",
+                  rate_per_sec, kMinRatePerSec);
+    throw std::invalid_argument(msg);
+  }
 }
 
 util::SimTime PoissonProcess::next_gap() {

@@ -23,6 +23,12 @@ namespace arpanet::traffic {
 /// Interarrival-gap sampler for a Poisson process.
 class PoissonProcess {
  public:
+  /// The slowest rate whose longest possible gap (Rng::exponential's cap)
+  /// still converts to a SimTime: about 4e-12 packets/s.
+  static constexpr double kMinRatePerSec =
+      util::Rng::kMaxExponentialMeans / util::SimTime::kMaxSec;
+
+  /// Throws std::invalid_argument unless rate_per_sec >= kMinRatePerSec.
   PoissonProcess(double rate_per_sec, util::Rng rng);
 
   [[nodiscard]] double rate_per_sec() const { return rate_; }

@@ -55,7 +55,10 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
   /// Exponential with the given mean (> 0). Used for Poisson interarrivals.
+  /// Never exceeds kMaxExponentialMeans times the mean.
   double exponential(double mean);
+  /// -log(2^-53): the smallest 1 - uniform() is 2^-53.
+  static constexpr double kMaxExponentialMeans = 53 * 0.69314718055994531;
   /// true with probability p.
   bool bernoulli(double p);
 

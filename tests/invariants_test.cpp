@@ -11,6 +11,7 @@
 #include "src/analysis/invariants.h"
 #include "src/core/hn_metric.h"
 #include "src/core/line_params.h"
+#include "src/metrics/make_metric.h"
 #include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 #include "src/sim/network.h"
@@ -218,20 +219,18 @@ TEST(ReportMovementHookTest, DeathOnInBoundsJumpFromMaxToMin) {
   cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
   arpanet::sim::Network net{topo, cfg};
   ASSERT_TRUE(net.hnspf_semantics());
-  const auto bounds =
-      net.metric_factory().bounds(net.effective_link(0), cfg.line_params);
-  ASSERT_TRUE(bounds.has_value());
+  const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
   const double initial = net.last_reported_cost(0);
-  EXPECT_DOUBLE_EQ(initial, bounds->max_cost);
+  EXPECT_DOUBLE_EQ(initial, bounds.max_cost);
   const LineTypeParams& params =
       cfg.line_params.for_type(net.effective_link(0).type);
-  ASSERT_GT(initial - bounds->min_cost,
+  ASSERT_GT(initial - bounds.min_cost,
             params.down_limit() + params.change_threshold());
   // The widest legal fall passes; the jump to the minimum does not.
   net.on_cost_reported(0, initial - params.down_limit() -
                               params.change_threshold());
   net.on_cost_reported(0, initial);
-  EXPECT_DEATH(net.on_cost_reported(0, bounds->min_cost),
+  EXPECT_DEATH(net.on_cost_reported(0, bounds.min_cost),
                "below the per-update down limit");
 }
 
@@ -242,26 +241,86 @@ TEST(ReportMovementHookTest, DownSentinelReportsAreExempt) {
   arpanet::sim::NetworkConfig cfg;
   cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
   arpanet::sim::Network net{topo, cfg};
-  const auto bounds =
-      net.metric_factory().bounds(net.effective_link(0), cfg.line_params);
-  ASSERT_TRUE(bounds.has_value());
+  const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
   net.on_cost_reported(0, arpanet::sim::Psn::kDownLinkCost);
-  net.on_cost_reported(0, bounds->min_cost);
-  EXPECT_DOUBLE_EQ(net.last_reported_cost(0), bounds->min_cost);
+  net.on_cost_reported(0, bounds.min_cost);
+  EXPECT_DOUBLE_EQ(net.last_reported_cost(0), bounds.min_cost);
+}
+
+TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
+  // Every report is checked against metrics::cost_bounds for its link as it
+  // is made. Right after a down report no movement limit applies, so only
+  // the bounds check can catch a cost outside the range.
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
+  for (const auto kind : {arpanet::metrics::MetricKind::kDspf,
+                          arpanet::metrics::MetricKind::kHnSpf}) {
+    SCOPED_TRACE(arpanet::metrics::to_string(kind));
+    arpanet::sim::NetworkConfig cfg;
+    cfg.metric = kind;
+    arpanet::sim::Network net{topo, cfg};
+    const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
+    const double down = arpanet::sim::Psn::kDownLinkCost;
+    ASSERT_LT(bounds.min_cost, bounds.max_cost);
+    ASSERT_GT(down, bounds.max_cost + 1.0);
+    // Both ends of the range are legal reports.
+    net.on_cost_reported(0, down);
+    net.on_cost_reported(0, bounds.min_cost);
+    net.on_cost_reported(0, down);
+    net.on_cost_reported(0, bounds.max_cost);
+    net.on_cost_reported(0, down);
+    EXPECT_DEATH(net.on_cost_reported(0, bounds.min_cost - 0.5),
+                 "below line-type minimum");
+    EXPECT_DEATH(net.on_cost_reported(0, bounds.max_cost + 0.5),
+                 "above line-type maximum");
+  }
+}
+
+TEST(MetricFactoryBoundsTest, AuditValidatesCustomFactoryAgainstItsBounds) {
+  // The bounds the audit judges live costs against are the ones
+  // metrics::cost_bounds declares for each link's metric kind, and the
+  // audit bounds-checks every link's cost against them.
+  const arpanet::net::Topology topo = build_topology("ring:nodes=4");
+  for (const auto kind : {arpanet::metrics::MetricKind::kMinHop,
+                          arpanet::metrics::MetricKind::kDspf,
+                          arpanet::metrics::MetricKind::kHnSpf}) {
+    SCOPED_TRACE(arpanet::metrics::to_string(kind));
+    arpanet::sim::NetworkConfig cfg;
+    cfg.metric = kind;
+    arpanet::sim::Network net{topo, cfg};
+    for (const arpanet::net::Link& link : topo.links()) {
+      const arpanet::metrics::CostBounds declared =
+          arpanet::metrics::cost_bounds(kind, net.effective_link(link.id),
+                                        cfg.line_params);
+      const arpanet::metrics::CostBounds& held = net.link_bounds(link.id);
+      EXPECT_DOUBLE_EQ(held.min_cost, declared.min_cost);
+      EXPECT_DOUBLE_EQ(held.max_cost, declared.max_cost);
+    }
+    const analysis::AuditStats stats = analysis::audit_network(net);
+    EXPECT_EQ(stats.costs_checked, static_cast<long>(topo.link_count()));
+  }
 }
 
 TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
+  // Every kind's live costs are judged against the bounds the network
+  // enforced on its reports; only HN-SPF has equilibrium maps to check.
   const arpanet::net::Topology topo = build_topology("ring:nodes=5");
-  const auto cfg = arpanet::sim::ScenarioConfig{}
-                       .with_load_bps(50e3)
-                       .with_warmup(SimTime::from_sec(30))
-                       .with_window(SimTime::from_sec(60));
-  const auto result = arpanet::sim::run_scenario(topo, cfg, "audit");
-  EXPECT_EQ(result.audit.costs_checked,
-            static_cast<long>(topo.link_count()));
-  EXPECT_EQ(result.audit.maps_checked, static_cast<long>(topo.link_count()));
-  EXPECT_EQ(result.audit.trees_checked,
-            static_cast<long>(topo.node_count()));
+  for (const auto kind : {arpanet::metrics::MetricKind::kMinHop,
+                          arpanet::metrics::MetricKind::kDspf,
+                          arpanet::metrics::MetricKind::kHnSpf}) {
+    SCOPED_TRACE(arpanet::metrics::to_string(kind));
+    const auto cfg = arpanet::sim::ScenarioConfig{}
+                         .with_metric(kind)
+                         .with_load_bps(50e3)
+                         .with_warmup(SimTime::from_sec(30))
+                         .with_window(SimTime::from_sec(60));
+    const auto result = arpanet::sim::run_scenario(topo, cfg, "audit");
+    const auto links = static_cast<long>(topo.link_count());
+    EXPECT_EQ(result.audit.costs_checked, links);
+    EXPECT_EQ(result.audit.maps_checked,
+              kind == arpanet::metrics::MetricKind::kHnSpf ? links : 0);
+    EXPECT_EQ(result.audit.trees_checked,
+              static_cast<long>(topo.node_count()));
+  }
 }
 
 }  // namespace

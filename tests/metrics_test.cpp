@@ -4,7 +4,7 @@
 #include "src/metrics/delay_measurement.h"
 #include "src/metrics/dspf_metric.h"
 #include "src/metrics/hnspf_metric.h"
-#include "src/metrics/metric_factory.h"
+#include "src/metrics/make_metric.h"
 #include "src/metrics/minhop_metric.h"
 
 namespace arpanet::metrics {
@@ -98,9 +98,9 @@ TEST(HnSpfMetricTest, ChangeThresholdIsLittleLessThanHalfHop) {
   EXPECT_FALSE(m.threshold_decays());
 }
 
-// ---- factory ----
+// ---- construction and cost bounds ----
 
-TEST(MetricFactoryTest, BuildsEachKind) {
+TEST(MakeMetricTest, BuildsEachKind) {
   net::Topology t;
   const auto a = t.add_node("a");
   const auto b = t.add_node("b");
@@ -116,6 +116,37 @@ TEST(MetricFactoryTest, BuildsEachKind) {
 
   const auto hn = make_metric(MetricKind::kHnSpf, link, params);
   EXPECT_DOUBLE_EQ(hn->initial_cost(), 90.0);
+}
+
+TEST(CostBoundsTest, MatchTheBuiltInMetricRanges) {
+  net::Topology t;
+  const auto a = t.add_node("a");
+  const auto b = t.add_node("b");
+  const auto l = t.add_duplex(a, b, net::LineType::kTerrestrial56);
+  const auto params = core::LineParamsTable::arpanet_defaults();
+  const auto& link = t.link(l);
+
+  const CostBounds minhop = cost_bounds(MetricKind::kMinHop, link, params);
+  EXPECT_DOUBLE_EQ(minhop.min_cost, MinHopMetric{}.initial_cost());
+  EXPECT_DOUBLE_EQ(minhop.max_cost, MinHopMetric{}.initial_cost());
+
+  const CostBounds dspf = cost_bounds(MetricKind::kDspf, link, params);
+  EXPECT_DOUBLE_EQ(dspf.min_cost,
+                   (DspfMetric{link.rate, link.prop_delay}.bias()));
+  EXPECT_DOUBLE_EQ(dspf.max_cost, DspfMetric::kMaxUnits);
+
+  const CostBounds hnspf = cost_bounds(MetricKind::kHnSpf, link, params);
+  const core::LineTypeParams& p = params.for_type(link.type);
+  EXPECT_DOUBLE_EQ(hnspf.min_cost, p.min_cost(link.prop_delay));
+  EXPECT_DOUBLE_EQ(hnspf.max_cost, p.max_cost);
+  // Each kind's initial cost lies inside its own range.
+  for (const MetricKind kind :
+       {MetricKind::kMinHop, MetricKind::kDspf, MetricKind::kHnSpf}) {
+    const CostBounds bounds = cost_bounds(kind, link, params);
+    const double initial = make_metric(kind, link, params)->initial_cost();
+    EXPECT_GE(initial, bounds.min_cost) << to_string(kind);
+    EXPECT_LE(initial, bounds.max_cost) << to_string(kind);
+  }
 }
 
 // ---- delay measurement ----

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "src/net/builders/registry.h"
@@ -58,6 +59,40 @@ TEST(NetworkTest, RejectsAHopLimitBeyondThePacketsHopCounter) {
   cfg.hop_limit = 65535;
   EXPECT_NO_THROW(Network(topo, cfg));
   cfg.hop_limit = 65536;  // Packet::hops is 16-bit: the limit could never trip
+  EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
+}
+
+TEST(NetworkTest, RejectsANonPositiveQueueCapacity) {
+  const net::Topology topo = two_nodes();
+  NetworkConfig cfg;
+  cfg.queue_capacity = 1;
+  EXPECT_NO_THROW(Network(topo, cfg));
+  for (const int capacity : {0, -1}) {
+    cfg.queue_capacity = capacity;  // would drop every packet, or wrap
+    EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
+  }
+}
+
+TEST(NetworkTest, RejectsANonPositiveMeasurementPeriod) {
+  const net::Topology topo = two_nodes();
+  NetworkConfig cfg;
+  cfg.measurement_period = SimTime::from_us(1);
+  EXPECT_NO_THROW(Network(topo, cfg));
+  // Zero re-arms the period timers forever at one instant; negative
+  // schedules into the past.
+  for (const std::int64_t us : {0, -5}) {
+    cfg.measurement_period = SimTime::from_us(us);
+    EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
+  }
+}
+
+TEST(NetworkTest, RejectsMultipathUnderDistanceVector) {
+  const net::Topology topo = two_nodes();
+  NetworkConfig cfg;
+  cfg.multipath = true;
+  EXPECT_NO_THROW(Network(topo, cfg));
+  // The 1969 algorithm forwards on its one distance-vector next hop.
+  cfg.algorithm = routing::RoutingAlgorithm::kDistanceVector;
   EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
 }
 

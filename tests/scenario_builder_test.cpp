@@ -53,11 +53,6 @@ TEST(ScenarioBuilderTest, RejectsZeroOrNegativeWindow) {
   EXPECT_NO_THROW((void)ScenarioConfig{}.with_warmup(SimTime::zero()));
 }
 
-TEST(ScenarioBuilderTest, RejectsNullMetricFactory) {
-  EXPECT_THROW((void)ScenarioConfig{}.with_metric_factory(nullptr),
-               std::invalid_argument);
-}
-
 TEST(ScenarioBuilderTest, FailedSetterLeavesConfigUnchanged) {
   ScenarioConfig cfg;
   const double before = cfg.offered_load_bps;
@@ -100,13 +95,12 @@ TEST(ScenarioBuilderTest, AggregateInitStillWorks) {
   EXPECT_NO_THROW(assigned.validate());
 }
 
-TEST(ScenarioBuilderTest, EffectiveLabelPrefersExplicitThenFactoryThenKind) {
+TEST(ScenarioBuilderTest, EffectiveLabelPrefersExplicitThenKind) {
   ScenarioConfig cfg;
   cfg.metric = MetricKind::kDspf;
   EXPECT_EQ(cfg.effective_label(), "D-SPF");
 
-  cfg.with_metric_factory(
-      std::make_shared<metrics::KindMetricFactory>(MetricKind::kMinHop));
+  cfg.with_metric(MetricKind::kMinHop);
   EXPECT_EQ(cfg.effective_label(), "min-hop");
 
   cfg.with_label("custom");

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -71,6 +73,25 @@ TEST(PoissonProcessTest, MeanGapMatchesRate) {
 
 TEST(PoissonProcessTest, RejectsZeroRate) {
   EXPECT_THROW(PoissonProcess(0.0, util::Rng{1}), std::invalid_argument);
+}
+
+TEST(PoissonProcessTest, RejectsARateWhoseLongestGapOverflowsTheClock) {
+  // At the slowest accepted rate, the longest gap Rng::exponential can draw
+  // still converts to SimTime's microsecond count.
+  EXPECT_NO_THROW(PoissonProcess(PoissonProcess::kMinRatePerSec, util::Rng{1}));
+  const double longest_sec =
+      util::Rng::kMaxExponentialMeans / PoissonProcess::kMinRatePerSec;
+  EXPECT_LE(longest_sec, util::SimTime::kMaxSec * (1.0 + 1e-12));
+  EXPECT_GT(util::SimTime::from_sec(longest_sec), util::SimTime::zero());
+  // A vanishing rate's gaps would not; the rejection names the rate.
+  try {
+    (void)PoissonProcess{1e-15, util::Rng{1}};
+    FAIL() << "a 1e-15 packets/s rate was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rate 1e-15 packets/s"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PacketSizerTest, MeanAndFloor) {

@@ -79,6 +79,18 @@ metrics::MetricKind parse_metric(const std::string& name) {
                               " (min-hop|dspf|hnspf)");
 }
 
+routing::RoutingAlgorithm parse_algorithm(const std::string& name) {
+  if (name == "spf") return routing::RoutingAlgorithm::kSpf;
+  if (name == "dv") return routing::RoutingAlgorithm::kDistanceVector;
+  throw std::invalid_argument("unknown algorithm " + name + " (spf|dv)");
+}
+
+sim::TrafficShape parse_shape(const std::string& name) {
+  if (name == "uniform") return sim::TrafficShape::kUniform;
+  if (name == "peak-hour") return sim::TrafficShape::kPeakHour;
+  throw std::invalid_argument("unknown shape " + name + " (uniform|peak-hour)");
+}
+
 struct TrunkEvent {
   net::LinkId link;
   util::SimTime at;
@@ -149,15 +161,14 @@ int run(const util::Flags& flags) {
 
   sim::NetworkConfig cfg;
   cfg.metric = parse_metric(flags.get_string("metric", "hnspf"));
-  cfg.algorithm = flags.get_string("algorithm", "spf") == "dv"
-                      ? routing::RoutingAlgorithm::kDistanceVector
-                      : routing::RoutingAlgorithm::kSpf;
+  cfg.algorithm = parse_algorithm(flags.get_string("algorithm", "spf"));
   cfg.multipath = flags.get_bool("multipath");
   cfg.queue_capacity = static_cast<int>(flags.get_long("queue-capacity", 40));
   cfg.seed = static_cast<std::uint64_t>(flags.get_long("seed", 0x1987));
 
   const double load_bps = flags.get_double("load-kbps", 400.0) * 1e3;
-  const std::string shape = flags.get_string("shape", "peak-hour");
+  const sim::TrafficShape shape =
+      parse_shape(flags.get_string("shape", "peak-hour"));
   const auto warmup =
       util::SimTime::from_sec(flags.get_double("warmup-sec", 120.0));
   const auto window =
@@ -186,7 +197,7 @@ int run(const util::Flags& flags) {
   }
 
   sim::Network net{topo, cfg};
-  const auto matrix = shape == "uniform"
+  const auto matrix = shape == sim::TrafficShape::kUniform
                           ? traffic::TrafficMatrix::uniform(topo.node_count(),
                                                             load_bps)
                           : traffic::TrafficMatrix::peak_hour(
@@ -214,7 +225,7 @@ int run(const util::Flags& flags) {
   std::printf("routing     %s / %s%s\n", to_string(cfg.algorithm),
               to_string(cfg.metric), cfg.multipath ? " + multipath" : "");
   std::printf("offered     %.1f kb/s (%s), window %.0f s after %.0f s warmup\n",
-              load_bps / 1e3, shape.c_str(), window.sec(), warmup.sec());
+              load_bps / 1e3, to_string(shape), window.sec(), warmup.sec());
   std::printf("delivered   %.1f kb/s (%.1f pkt/s)\n",
               ind.internode_traffic_kbps, ind.delivered_packets_per_sec);
   std::printf("delay       %.1f ms round trip\n", ind.round_trip_delay_ms);
