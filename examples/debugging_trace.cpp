@@ -52,7 +52,7 @@ int main() {
   }
 
   // Emit a cost-annotated Graphviz map of the network as MIT sees it.
-  const auto& mit_costs = net.psn(mit).spf().costs();
+  const routing::LinkCosts mit_costs = net.psn(mit).spf().costs();
   const std::string dot = net::to_dot(net87, [&](const net::Link& l) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "%.0f", mit_costs[l.id]);

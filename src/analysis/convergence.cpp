@@ -4,12 +4,9 @@ namespace arpanet::analysis {
 
 bool costs_converged(const sim::Network& net) {
   const auto& topo = net.topology();
-  const std::span<const double> reference = net.psn(0).spf().costs();
+  const routing::LinkCosts reference = net.psn(0).spf().costs();
   for (net::NodeId n = 1; n < topo.node_count(); ++n) {
-    const std::span<const double> costs = net.psn(n).spf().costs();
-    for (std::size_t l = 0; l < costs.size(); ++l) {
-      if (costs[l] != reference[l]) return false;
-    }
+    if (net.psn(n).spf().costs() != reference) return false;
   }
   return true;
 }

@@ -22,6 +22,19 @@ std::unique_ptr<LinkMetric> make_metric(MetricKind kind, const net::Link& link,
   throw std::invalid_argument("unknown MetricKind");
 }
 
+double initial_cost(MetricKind kind, const net::Link& link,
+                    const core::LineParamsTable& params) {
+  switch (kind) {
+    case MetricKind::kMinHop:
+      return MinHopMetric{}.initial_cost();
+    case MetricKind::kDspf:
+      return DspfMetric{link.rate, link.prop_delay}.bias();
+    case MetricKind::kHnSpf:
+      return params.for_type(link.type).max_cost;
+  }
+  throw std::invalid_argument("unknown MetricKind");
+}
+
 CostBounds cost_bounds(MetricKind kind, const net::Link& link,
                        const core::LineParamsTable& params) {
   switch (kind) {

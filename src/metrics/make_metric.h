@@ -1,9 +1,10 @@
 // Construction of per-link metric instances.
 //
 // The simulator models exactly the three metrics the paper compares, and
-// MetricKind names them: make_metric builds one link's instance and
-// cost_bounds states the absolute range its reported costs must stay in.
-// A new metric is a MetricKind enumerator plus one case in each.
+// MetricKind names them: make_metric builds one link's instance,
+// initial_cost states the cost a fresh instance advertises, and
+// cost_bounds the absolute range its reported costs must stay in. A new
+// metric is a MetricKind enumerator plus one case in each.
 
 #pragma once
 
@@ -17,6 +18,13 @@ namespace arpanet::metrics {
 /// Creates the metric instance for one simplex link.
 [[nodiscard]] std::unique_ptr<LinkMetric> make_metric(
     MetricKind kind, const net::Link& link, const core::LineParamsTable& params);
+
+/// The cost a freshly built metric for `link` advertises, equal to
+/// make_metric(kind, link, params)->initial_cost() without building one:
+/// HN-SPF's maximum (new links ease in, section 5.4), D-SPF's bias,
+/// min-hop's constant.
+[[nodiscard]] double initial_cost(MetricKind kind, const net::Link& link,
+                                  const core::LineParamsTable& params);
 
 /// The absolute cost range a link's metric promises. The invariant layer
 /// (sim::Network per report, analysis::audit_network at end of run) enforces

@@ -30,6 +30,7 @@ Topology::Topology(Topology&& other) noexcept
       csr_to_{std::move(other.csr_to_)},
       csr_in_{std::move(other.csr_in_)},
       csr_pos_{std::move(other.csr_pos_)},
+      csr_in_pos_{std::move(other.csr_in_pos_)},
       csr_valid_{other.csr_valid_.load(std::memory_order_relaxed)} {
   other.csr_valid_.store(false, std::memory_order_relaxed);
 }
@@ -44,6 +45,7 @@ Topology& Topology::operator=(Topology&& other) noexcept {
   csr_to_ = std::move(other.csr_to_);
   csr_in_ = std::move(other.csr_in_);
   csr_pos_ = std::move(other.csr_pos_);
+  csr_in_pos_ = std::move(other.csr_in_pos_);
   csr_valid_.store(other.csr_valid_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   other.csr_valid_.store(false, std::memory_order_relaxed);
@@ -117,6 +119,10 @@ void Topology::rebuild_csr() const {
     csr_to_[slot] = l.to;
     csr_in_[slot] = l.reverse;
     csr_pos_[l.id] = slot - csr_start_[l.from];
+  }
+  csr_in_pos_.resize(m);
+  for (std::size_t slot = 0; slot < m; ++slot) {
+    csr_in_pos_[slot] = csr_pos_[csr_in_[slot]];
   }
 
   csr_valid_.store(true, std::memory_order_release);

@@ -131,6 +131,17 @@ class Topology {
             csr_in_.data() + csr_start_[node + 1]};
   }
 
+  /// Positions parallel to in_links(node): in_pos(v)[i] is
+  /// out_pos(in_links(v)[i]), the slot of that in-link within its own
+  /// from-node's out_links slice. Routing state held per origin in
+  /// out_links order reads an in-link's entry without a per-link lookup.
+  [[nodiscard]] std::span<const std::uint32_t> in_pos(NodeId node) const {
+    ensure_csr();
+    check_node(node);
+    return {csr_in_pos_.data() + csr_start_[node],
+            csr_in_pos_.data() + csr_start_[node + 1]};
+  }
+
   /// Position of `link` inside its from-node's out_links slice. Per-out-link
   /// state held in out_links order (e.g. a PSN's output queues) is then an
   /// O(1) lookup instead of a linear scan.
@@ -178,14 +189,15 @@ class Topology {
   // CSR cache over links_: node n's out-links are csr_links_[csr_start_[n]
   // .. csr_start_[n+1]), csr_to_ holds the matching targets, csr_in_ their
   // reverse links, csr_pos_[l] the slot of link l within its from-node's
-  // slice. Mutable because it is a lazily-(re)built view of the link list;
-  // guarded for concurrent first access from sweep workers sharing one
-  // const Topology.
+  // slice, csr_in_pos_ the csr_pos_ of each csr_in_ entry. Mutable because
+  // it is a lazily-(re)built view of the link list; guarded for concurrent
+  // first access from sweep workers sharing one const Topology.
   mutable std::vector<std::uint32_t> csr_start_;
   mutable std::vector<LinkId> csr_links_;
   mutable std::vector<NodeId> csr_to_;
   mutable std::vector<LinkId> csr_in_;
   mutable std::vector<std::uint32_t> csr_pos_;
+  mutable std::vector<std::uint32_t> csr_in_pos_;
   mutable std::atomic<bool> csr_valid_{false};
   mutable std::mutex csr_mu_;
 };

@@ -43,6 +43,25 @@ void check_costs(const net::Topology& topo, std::span<const double> costs) {
   }
 }
 
+/// The two cost layouts a tree is computed over: an id-indexed cost map
+/// (Spf::compute) and per-origin rows (IncrementalSpf). Both are called
+/// with a link, its from-node and its slot in that node's out_links slice,
+/// and each reads the one it needs.
+struct IdCosts {
+  std::span<const double> costs;
+  double operator()(net::LinkId link, net::NodeId /*from*/,
+                    std::uint32_t /*pos*/) const {
+    return costs[link];
+  }
+};
+struct RowCosts {
+  const double* const* rows;
+  double operator()(net::LinkId /*link*/, net::NodeId from,
+                    std::uint32_t pos) const {
+    return rows[from][pos];
+  }
+};
+
 /// The canonical parent of v: the lowest-id in-link (u,v) with
 /// dist[u] + cost == dist[v], or kInvalidLink if none achieves it. Because
 /// relaxations only ever propagate from settled nodes, the achieving sum is
@@ -51,16 +70,19 @@ void check_costs(const net::Topology& topo, std::span<const double> costs) {
 /// happened to produce) is what makes every PSN compute the identical tree
 /// from identical costs.
 // ARPALINT-HOTPATH-BEGIN
-net::LinkId canonical_parent(const net::Topology& topo,
-                             std::span<const double> costs,
+template <class Costs>
+net::LinkId canonical_parent(const net::Topology& topo, const Costs& cost,
                              std::span<const double> dist, net::NodeId v) {
   const std::span<const net::LinkId> ins = topo.in_links(v);
   const std::span<const net::NodeId> froms = topo.out_targets(v);
+  const std::span<const std::uint32_t> pos = topo.in_pos(v);
   net::LinkId best = net::kInvalidLink;
   for (std::size_t i = 0; i < ins.size(); ++i) {
     const double du = dist[froms[i]];
     if (du == kInf) continue;
-    if (du + costs[ins[i]] == dist[v] && ins[i] < best) best = ins[i];
+    if (du + cost(ins[i], froms[i], pos[i]) == dist[v] && ins[i] < best) {
+      best = ins[i];
+    }
   }
   return best;
 }
@@ -70,7 +92,8 @@ net::LinkId canonical_parent(const net::Topology& topo,
 /// `order` lists every node with parents before children: positive costs
 /// mean dist strictly increases along tree edges, so any nondecreasing-
 /// distance order qualifies (equal-dist nodes are never parent/child).
-void derive_structure(const net::Topology& topo, std::span<const double> costs,
+template <class Costs>
+void derive_structure(const net::Topology& topo, const Costs& cost,
                       SpfTree& tree, std::span<const net::NodeId> order) {
   const std::size_t n = topo.node_count();
   tree.parent_link.assign(n, net::kInvalidLink);
@@ -79,7 +102,7 @@ void derive_structure(const net::Topology& topo, std::span<const double> costs,
   tree.hops[tree.root] = 0;
   for (const net::NodeId v : order) {
     if (v == tree.root) continue;
-    const net::LinkId pl = canonical_parent(topo, costs, tree.dist, v);
+    const net::LinkId pl = canonical_parent(topo, cost, tree.dist, v);
     if (pl == net::kInvalidLink) continue;
     tree.parent_link[v] = pl;
     const net::NodeId u = topo.link(pl).from;
@@ -94,11 +117,10 @@ void derive_structure(const net::Topology& topo, std::span<const double> costs,
   }
 }
 
-}  // namespace
-
-SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
-                     std::span<const double> link_costs) {
-  check_costs(topo, link_costs);
+/// One-shot Dijkstra over positive costs in either layout.
+template <class Costs>
+SpfTree compute_tree(const net::Topology& topo, net::NodeId root,
+                     const Costs& cost) {
   if (root >= topo.node_count()) throw std::out_of_range("SPF root out of range");
 
   SpfTree tree;
@@ -123,7 +145,7 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
     const std::span<const net::LinkId> lids = topo.out_links(u);
     const std::span<const net::NodeId> tos = topo.out_targets(u);
     for (std::size_t i = 0; i < lids.size(); ++i) {
-      const double nd = d + link_costs[lids[i]];
+      const double nd = d + cost(lids[i], u, static_cast<std::uint32_t>(i));
       if (nd < tree.dist[tos[i]]) {
         tree.dist[tos[i]] = nd;
         heap_push(heap, nd, tos[i]);
@@ -134,8 +156,16 @@ SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
     if (!settled[v]) order.push_back(v);
   }
 
-  derive_structure(topo, link_costs, tree, order);
+  derive_structure(topo, cost, tree, order);
   return tree;
+}
+
+}  // namespace
+
+SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
+                     std::span<const double> link_costs) {
+  check_costs(topo, link_costs);
+  return compute_tree(topo, root, IdCosts{link_costs});
 }
 
 SpfScratch::SpfScratch(const net::Topology& topo) {
@@ -143,34 +173,79 @@ SpfScratch::SpfScratch(const net::Topology& topo) {
   heap.reserve(std::max(topo.link_count(), 2 * n));
   nodes.reserve(n);
   in_nodes.assign(n, 0);
+  std::size_t max_degree = 0;
+  for (net::NodeId v = 0; v < n; ++v) {
+    max_degree = std::max(max_degree, topo.out_links(v).size());
+  }
+  pending.reserve(max_degree);
 }
 
 IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
-                               LinkCosts costs)
+                               const LinkCosts& costs)
     : topo_{&topo},
-      costs_{std::move(costs)},
       owned_scratch_{std::make_unique<SpfScratch>(topo)},
       scratch_{owned_scratch_.get()} {
+  own_rows(costs);
   init(root);
 }
 
 IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
-                               LinkCosts costs, SpfScratch& scratch)
-    : topo_{&topo}, costs_{std::move(costs)}, scratch_{&scratch} {
-  // A scratch sized for the topology never grows in a pass, even for a PSN
-  // whose first incremental update arrives long after construction (the
-  // AllocGuard window assumes exactly this).
-  ARPA_CHECK(scratch.in_nodes.size() == topo.node_count())
-      << "SPF scratch sized for " << scratch.in_nodes.size()
-      << " nodes, topology has " << topo.node_count();
+                               const LinkCosts& costs, SpfScratch& scratch)
+    : topo_{&topo}, scratch_{&scratch} {
+  own_rows(costs);
   init(root);
+}
+
+IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
+                               std::span<const double* const> rows,
+                               SpfScratch& scratch)
+    : topo_{&topo}, rows_(rows.begin(), rows.end()), scratch_{&scratch} {
+  ARPA_CHECK(rows_.size() == topo.node_count())
+      << rows_.size() << " cost rows for " << topo.node_count() << " nodes";
+  init(root);
+}
+
+void IncrementalSpf::own_rows(const LinkCosts& costs) {
+  if (costs.size() != topo_->link_count()) {
+    throw std::invalid_argument("link cost vector size != link count");
+  }
+  const std::size_t n = topo_->node_count();
+  rows_.resize(n);
+  owned_rows_.reserve(topo_->link_count());
+  for (net::NodeId u = 0; u < n; ++u) {
+    rows_[u] = owned_rows_.data() + owned_rows_.size();
+    for (const net::LinkId l : topo_->out_links(u)) {
+      owned_rows_.push_back(costs[l]);
+    }
+  }
 }
 
 void IncrementalSpf::init(net::NodeId root) {
-  check_costs(*topo_, costs_);
-  tree_ = Spf::compute(*topo_, root, costs_);
+  // A scratch sized for the topology never grows in a pass, even for a PSN
+  // whose first incremental update arrives long after construction (the
+  // AllocGuard window assumes exactly this).
+  ARPA_CHECK(scratch_->in_nodes.size() == topo_->node_count())
+      << "SPF scratch sized for " << scratch_->in_nodes.size()
+      << " nodes, topology has " << topo_->node_count();
+  for (net::NodeId u = 0; u < rows_.size(); ++u) {
+    for (std::size_t i = 0; i < topo_->out_links(u).size(); ++i) {
+      if (!(rows_[u][i] > 0.0)) {
+        throw std::invalid_argument("link costs must be positive");
+      }
+    }
+  }
+  tree_ = compute_tree(*topo_, root, RowCosts{rows_.data()});
   ++full_;
   build_children();
+}
+
+LinkCosts IncrementalSpf::costs() const {
+  LinkCosts costs(topo_->link_count());
+  for (net::NodeId u = 0; u < rows_.size(); ++u) {
+    const std::span<const net::LinkId> lids = topo_->out_links(u);
+    for (std::size_t i = 0; i < lids.size(); ++i) costs[lids[i]] = rows_[u][i];
+  }
+  return costs;
 }
 
 void IncrementalSpf::build_children() {
@@ -189,35 +264,63 @@ void IncrementalSpf::build_children() {
 
 // ARPALINT-HOTPATH-BEGIN
 void IncrementalSpf::set_cost(net::LinkId link, double new_cost) {
+  if (owned_rows_.empty()) {
+    throw std::logic_error("set_cost on a resident SPF; use adopt_row");
+  }
+  const net::Link& l = topo_->link(link);
+  // rows_ point into owned_rows_, so this is the entry the passes read.
+  const auto at =
+      static_cast<std::size_t>(rows_[l.from] - owned_rows_.data()) +
+      topo_->out_pos(link);
+  change_cost(link, owned_rows_[at], new_cost);
+}
+
+void IncrementalSpf::adopt_row(net::NodeId origin, const double* row) {
+  ARPA_DCHECK(owned_rows_.empty()) << "adopt_row on a standalone SPF";
+  // The origin reads the pending row while its links change one at a time,
+  // then `row`, which by then holds the same values.
+  const std::span<const net::LinkId> lids = topo_->out_links(origin);
+  std::vector<double>& pending = scratch_->pending;
+  // ARPALINT-ALLOW(hot-path-alloc): reserved to the maximum out-degree
+  pending.assign(rows_[origin], rows_[origin] + lids.size());
+  rows_[origin] = pending.data();
+  for (std::size_t i = 0; i < lids.size(); ++i) {
+    change_cost(lids[i], pending[i], row[i]);
+  }
+  rows_[origin] = row;
+}
+
+void IncrementalSpf::change_cost(net::LinkId link, double& slot,
+                                 double new_cost) {
   if (!(new_cost > 0.0)) throw std::invalid_argument("link costs must be positive");
-  const double old_cost = costs_.at(link);
+  const double old_cost = slot;
   if (new_cost == old_cost) return;
 
   if (new_cost > old_cost && !tree_.uses_link(*topo_, link)) {
     // A cost increase on a link not in the tree cannot improve or invalidate
     // any path; the PSN skips all work (paper section 2.2).
-    costs_[link] = new_cost;
+    slot = new_cost;
     ++skipped_;
     return;
   }
 
-  costs_[link] = new_cost;
+  slot = new_cost;
   ++incremental_;
   const bool decrease = new_cost < old_cost;
   if (decrease) {
-    decrease_pass(link);
+    decrease_pass(link, new_cost);
   } else {
     increase_pass(link);
   }
   repair_structure(topo_->link(link).to, decrease);
 }
 
-void IncrementalSpf::decrease_pass(net::LinkId link) {
+void IncrementalSpf::decrease_pass(net::LinkId link, double new_cost) {
   const net::Link& l = topo_->link(link);
   auto& nodes = scratch_->nodes;
   nodes.clear();
   if (tree_.dist[l.from] == kInf) return;
-  const double cand = tree_.dist[l.from] + costs_[link];
+  const double cand = tree_.dist[l.from] + new_cost;
   if (cand >= tree_.dist[l.to]) return;
 
   HeapVec& heap = scratch_->heap;
@@ -234,10 +337,10 @@ void IncrementalSpf::decrease_pass(net::LinkId link) {
     scratch_->in_nodes[w] = 1;
     // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
     nodes.push_back(w);
-    const std::span<const net::LinkId> lids = topo_->out_links(w);
+    const double* row = rows_[w];
     const std::span<const net::NodeId> tos = topo_->out_targets(w);
-    for (std::size_t i = 0; i < lids.size(); ++i) {
-      const double nd = d + costs_[lids[i]];
+    for (std::size_t i = 0; i < tos.size(); ++i) {
+      const double nd = d + row[i];
       if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
     }
   }
@@ -271,13 +374,13 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
   HeapVec& heap = scratch_->heap;
   heap.clear();
   for (const net::NodeId v : nodes) {
-    const std::span<const net::LinkId> ins = topo_->in_links(v);
     const std::span<const net::NodeId> froms = topo_->out_targets(v);
+    const std::span<const std::uint32_t> pos = topo_->in_pos(v);
     double best = kInf;
-    for (std::size_t i = 0; i < ins.size(); ++i) {
+    for (std::size_t i = 0; i < froms.size(); ++i) {
       const double du = tree_.dist[froms[i]];
       if (in_nodes[froms[i]] || du == kInf) continue;
-      best = std::min(best, du + costs_[ins[i]]);
+      best = std::min(best, du + rows_[froms[i]][pos[i]]);
     }
     if (best < kInf) heap_push(heap, best, v);
   }
@@ -285,11 +388,11 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
     const auto [d, w] = heap_pop(heap);
     if (d >= tree_.dist[w]) continue;
     tree_.dist[w] = d;
-    const std::span<const net::LinkId> lids = topo_->out_links(w);
+    const double* row = rows_[w];
     const std::span<const net::NodeId> tos = topo_->out_targets(w);
-    for (std::size_t i = 0; i < lids.size(); ++i) {
+    for (std::size_t i = 0; i < tos.size(); ++i) {
       if (!in_nodes[tos[i]]) continue;
-      const double nd = d + costs_[lids[i]];
+      const double nd = d + row[i];
       if (nd < tree_.dist[tos[i]]) heap_push(heap, nd, tos[i]);
     }
   }
@@ -321,12 +424,13 @@ void IncrementalSpf::repair_structure(net::NodeId head, bool decrease) {
   if (decrease) {
     for (std::size_t i = 0; i < region; ++i) {
       const double dx = tree_.dist[nodes[i]];
+      const double* row = rows_[nodes[i]];
       const std::span<const net::LinkId> lids = topo_->out_links(nodes[i]);
       const std::span<const net::NodeId> tos = topo_->out_targets(nodes[i]);
       for (std::size_t k = 0; k < lids.size(); ++k) {
         const net::NodeId w = tos[k];
         if (in_nodes[w] == 1 || lids[k] >= tree_.parent_link[w] ||
-            dx + costs_[lids[k]] != tree_.dist[w]) {
+            dx + row[k] != tree_.dist[w]) {
           continue;
         }
         reparent(w, lids[k]);
@@ -346,7 +450,8 @@ void IncrementalSpf::repair_structure(net::NodeId head, bool decrease) {
     in_nodes[v] = 0;
     if (i < scanned) {
       if (v == tree_.root) continue;
-      const net::LinkId pl = canonical_parent(*topo_, costs_, tree_.dist, v);
+      const net::LinkId pl =
+          canonical_parent(*topo_, RowCosts{rows_.data()}, tree_.dist, v);
       if (pl == tree_.parent_link[v]) continue;
       reparent(v, pl);
     }

@@ -72,9 +72,10 @@ class Spf {
 /// never overlap: sim::Network owns one for all of its PSNs, which run one
 /// pass at a time on one thread.
 struct SpfScratch {
-  /// Reserves the heap, the region list and the mark bytes for passes over
-  /// `topo`: the heap holds at most one entry per link in a distance pass
-  /// and at most two per node in repair_structure's push.
+  /// Reserves the heap, the region list, the mark bytes and the pending
+  /// row for passes over `topo`: the heap holds at most one entry per link
+  /// in a distance pass and at most two per node in repair_structure's
+  /// push; the pending row holds one origin's out-links.
   explicit SpfScratch(const net::Topology& topo);
 
   /// Binary min-heap of (dist, node), driven via std::push_heap/pop_heap.
@@ -85,6 +86,10 @@ struct SpfScratch {
   /// Nonzero iff the node is in `nodes` (plain bytes, not vector<bool>).
   /// All zero between passes: each pass clears exactly the bytes it set.
   std::vector<std::uint8_t> in_nodes;
+  /// The row an origin reads from while IncrementalSpf::adopt_row applies
+  /// its new costs one link at a time: links already applied hold their new
+  /// cost, the rest their old one. Unused between adoptions.
+  std::vector<double> pending;
 };
 
 /// Resident incremental SPF, as run inside a PSN.
@@ -97,21 +102,44 @@ struct SpfScratch {
 /// degree) rather than O(nodes + links). The result is always bit-identical
 /// to a full Spf::compute with the same costs (verified by property
 /// tests). Counters expose how much work each class of update required.
+///
+/// Costs are read per origin: row(u)[i] is the cost of out_links(u)[i], the
+/// layout of a routing update, which reports every out-link of its origin
+/// in that order. A standalone instance owns its rows and changes one link
+/// at a time through set_cost. A resident instance owns none: it reads each
+/// origin's row from the routing update its PSN last accepted from that
+/// origin, and adopt_row switches an origin to a newer update.
 class IncrementalSpf {
  public:
-  /// A standalone instance with a scratch of its own.
-  IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs);
-  /// Borrows `scratch`, which must be sized for `topo`, outlive this
-  /// instance, and not be used by a pass running at the same time.
-  IncrementalSpf(const net::Topology& topo, net::NodeId root, LinkCosts costs,
-                 SpfScratch& scratch);
+  /// A standalone instance over id-indexed `costs`, with a scratch of its
+  /// own.
+  IncrementalSpf(const net::Topology& topo, net::NodeId root,
+                 const LinkCosts& costs);
+  /// A standalone instance borrowing `scratch`, which must be sized for
+  /// `topo`, outlive this instance, and not be used by a pass running at the
+  /// same time.
+  IncrementalSpf(const net::Topology& topo, net::NodeId root,
+                 const LinkCosts& costs, SpfScratch& scratch);
+  /// A resident instance reading origin u's costs from rows[u] (one entry
+  /// per out_links(u) link). The caller keeps every row alive and unchanged
+  /// until adopt_row replaces it; `scratch` as above.
+  IncrementalSpf(const net::Topology& topo, net::NodeId root,
+                 std::span<const double* const> rows, SpfScratch& scratch);
 
   [[nodiscard]] const SpfTree& tree() const { return tree_; }
-  [[nodiscard]] std::span<const double> costs() const { return costs_; }
+  /// A copy of the cost map, indexed by LinkId.
+  [[nodiscard]] LinkCosts costs() const;
   [[nodiscard]] net::NodeId root() const { return tree_.root; }
 
-  /// Applies one link-cost change and updates the tree.
+  /// Applies one link-cost change and updates the tree (standalone
+  /// instances only).
   void set_cost(net::LinkId link, double new_cost);
+
+  /// Switches `origin` to `row` (resident instances only), applying its
+  /// entries in out_links(origin) order exactly as that many set_cost calls
+  /// would: the same passes and the same counters. `row` must stay alive
+  /// and unchanged until the origin's next adopt_row.
+  void adopt_row(net::NodeId origin, const double* row);
 
   /// Full Dijkstra recomputations (one, at construction).
   [[nodiscard]] long full_recomputes() const { return full_; }
@@ -128,15 +156,21 @@ class IncrementalSpf {
   [[nodiscard]] long first_hop_changes() const { return first_hop_changes_; }
 
  private:
+  void own_rows(const LinkCosts& costs);
   void init(net::NodeId root);
-  void decrease_pass(net::LinkId link);
+  void change_cost(net::LinkId link, double& slot, double new_cost);
+  void decrease_pass(net::LinkId link, double new_cost);
   void increase_pass(net::LinkId link);
   void repair_structure(net::NodeId head, bool decrease);
   void build_children();
   void reparent(net::NodeId v, net::LinkId new_parent);
 
   const net::Topology* topo_;
-  LinkCosts costs_;
+  /// rows_[u]: origin u's out-link costs, in out_links(u) order.
+  std::vector<const double*> rows_;
+  /// A standalone instance's rows, back to back in node order (empty for a
+  /// resident instance). A move keeps the buffer, so rows_ stays valid.
+  std::vector<double> owned_rows_;
   SpfTree tree_;
   /// Intrusive doubly linked child lists of tree_: the children of u are
   /// first_child_[u], next_sibling_[first_child_[u]], ... (kInvalidNode
@@ -144,8 +178,9 @@ class IncrementalSpf {
   std::vector<net::NodeId> first_child_;
   std::vector<net::NodeId> next_sibling_;
   std::vector<net::NodeId> prev_sibling_;
-  /// Set only for a standalone instance; scratch_ points here or at a
-  /// borrowed scratch. Heap-held so a moved instance keeps a valid pointer.
+  /// Set only for an instance built without a borrowed scratch; scratch_
+  /// points here or at the borrowed one. Heap-held so a moved instance
+  /// keeps a valid pointer.
   std::unique_ptr<SpfScratch> owned_scratch_;
   SpfScratch* scratch_;
   long full_ = 0;

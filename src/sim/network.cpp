@@ -40,6 +40,12 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
     // forever; a negative one schedules into the past.
     throw std::invalid_argument("measurement_period must be > 0");
   }
+  if (cfg.measurement_period > kMaxMeasurementPeriod) {
+    throw std::invalid_argument(
+        "measurement_period " + std::to_string(cfg.measurement_period.us()) +
+        " us exceeds the bound of " +
+        std::to_string(kMaxMeasurementPeriod.us()) + " us");
+  }
   if (cfg.multipath &&
       cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
     throw std::invalid_argument(
@@ -52,30 +58,46 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
     max_degree = std::max(max_degree, topo.out_links(v).size());
   }
   updates_.set_report_capacity(max_degree);
-  if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
-    updates_.set_dv_capacity(topo.node_count());
-  }
   // Queue-bound packet working set: every output queue full (enqueue drops
   // beyond queue_capacity) plus a transmitting/propagating packet per link,
   // plus slack for flooded updates (not queue-capped, but short-lived).
   pool_.reserve(topo.link_count() *
                     (static_cast<std::size_t>(cfg.queue_capacity) + 2) +
                 topo.node_count() * 8);
-  // Every PSN starts from the same cost map (each link at its metric's
-  // initial cost), so the initial trees are consistent network-wide.
-  routing::LinkCosts initial(topo.link_count());
+  last_reported_cost_.reserve(topo.link_count());
   link_bounds_.reserve(topo.link_count());
   for (const net::Link& l : topo.links()) {
-    initial[l.id] =
-        metrics::make_metric(cfg.metric, l, cfg.line_params)->initial_cost();
+    last_reported_cost_.push_back(
+        metrics::initial_cost(cfg.metric, l, cfg.line_params));
     link_bounds_.push_back(metrics::cost_bounds(cfg.metric, l, cfg.line_params));
   }
-  last_reported_cost_ = initial;
+  // Every PSN starts from the same link state: one sequence-0 update per
+  // origin, each link at its metric's initial cost, held by every PSN, so
+  // the initial trees are consistent network-wide. The constructor holds
+  // each seed until the PSNs do, so no seed ever counts as in flight (nor
+  // toward the in-flight peak that sizes reserve_event_headroom).
+  std::vector<UpdateHandle> seeds(topo.node_count());
+  std::vector<const double*> seed_rows(topo.node_count());
+  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
+    seeds[n] = updates_.acquire();
+    routing::RoutingUpdate& seed = updates_.at(seeds[n]);
+    seed.origin = n;
+    for (const net::LinkId l : topo.out_links(n)) {
+      seed.costs.push_back(last_reported_cost_[l]);
+    }
+    seed_rows[n] = seed.costs.data();
+    updates_.hold(seeds[n]);
+    updates_.release(seeds[n]);
+  }
+  if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
+    updates_.set_dv_capacity(topo.node_count());
+  }
   effective_links_.assign(topo.links().begin(), topo.links().end());
   psns_.reserve(topo.node_count());
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    psns_.push_back(std::make_unique<Psn>(*this, n, initial));
+    psns_.push_back(std::make_unique<Psn>(*this, n, seeds, seed_rows));
   }
+  for (const UpdateHandle h : seeds) updates_.drop_hold(h);
   link_busy_.reserve(topo.link_count());
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
     link_busy_.emplace_back(kStatsBucket);
@@ -351,9 +373,11 @@ StabilityStats Network::stability() const {
 
 void Network::reserve_event_headroom() {
   sim_.reserve_events(4 * sim_.queue_peak_depth());
-  // At least one live update per origin: a quiet warm-up (D-SPF on a small
-  // net) may flood nothing, leaving no peak to double for a fault's floods.
-  updates_.reserve(std::max(2 * updates_.slots(), topo_->node_count()));
+  // The versions the PSNs hold, plus twice the in-flight peak, and at least
+  // one update in flight per origin: a quiet warm-up (D-SPF on a small net)
+  // may flood nothing, leaving no peak to double for a fault's floods.
+  updates_.reserve(updates_.held() +
+                   std::max(2 * updates_.peak_in_flight(), topo_->node_count()));
 }
 
 obs::Counters Network::counters() const {

@@ -64,7 +64,8 @@ struct NetworkConfig {
   /// The link metric every link runs (metrics::make_metric builds it).
   metrics::MetricKind metric = metrics::MetricKind::kHnSpf;
   core::LineParamsTable line_params = core::LineParamsTable::arpanet_defaults();
-  /// The ARPANET's ten-second measurement interval (> 0).
+  /// The ARPANET's ten-second measurement interval (> 0, at most
+  /// Network::kMaxMeasurementPeriod).
   util::SimTime measurement_period = util::SimTime::from_sec(10);
   /// Output data-queue capacity, packets (> 0); routing updates bypass it.
   int queue_capacity = 40;
@@ -95,6 +96,13 @@ class Network : public EventSink {
 
   /// Bucket width for the drop and link-utilization time series.
   static constexpr util::SimTime kStatsBucket = util::SimTime::from_sec(10);
+
+  /// Longest measurement period a network accepts: an hour, 360 times the
+  /// ARPANET's ten seconds. Any longer period closes at most a handful of
+  /// times in a run, and the bound keeps every period sum and Psn::start's
+  /// per-node stagger (period x node index) far inside SimTime's range.
+  static constexpr util::SimTime kMaxMeasurementPeriod =
+      util::SimTime::from_sec(3600);
 
   /// Installs one Poisson source per node with outgoing traffic: its rate
   /// is the row's sum, and each packet's destination is drawn in proportion
@@ -168,9 +176,9 @@ class Network : public EventSink {
     return sim_.events_processed();
   }
   /// Pre-sizes the calendar queue to 4x its observed peak depth and the
-  /// routing-update pool to 2x its peak of live updates (at least one slot
-  /// per node), so a measurement window after warm-up schedules and floods
-  /// into existing storage.
+  /// routing-update pool to the versions the PSNs hold plus 2x its peak of
+  /// updates in flight (at least one per node), so a measurement window
+  /// after warm-up schedules and floods into existing storage.
   void reserve_event_headroom();
 
   [[nodiscard]] const Psn& psn(net::NodeId id) const { return *psns_.at(id); }
@@ -211,10 +219,11 @@ class Network : public EventSink {
   }
 
   /// Routing updates currently in flight (origination slots plus flooded
-  /// copies not yet consumed). Zero means every flooded report has been
-  /// applied at every PSN — the quiescence gate for map-agreement checks.
+  /// copies not yet consumed); the versions PSNs merely hold do not count.
+  /// Zero means every flooded report has been applied at every PSN — the
+  /// quiescence gate for map-agreement checks.
   [[nodiscard]] std::size_t updates_in_flight() const {
-    return updates_.in_use();
+    return updates_.in_flight();
   }
 
   /// Window stability telemetry; reconverge_sec is derived at call time
@@ -272,8 +281,10 @@ class Network : public EventSink {
   /// The pooled packet slab; hot paths pass PacketHandle indices instead of
   /// moving Packet structs.
   [[nodiscard]] PacketPool& packet_pool() { return pool_; }
-  /// The refcounted routing-update slab.
+  /// The refcounted routing-update slab: updates in flight and the
+  /// versions every PSN holds as its link-state store.
   [[nodiscard]] UpdatePool& update_pool() { return updates_; }
+  [[nodiscard]] const UpdatePool& update_pool() const { return updates_; }
   /// The one SPF workspace every PSN's IncrementalSpf borrows: PSNs run
   /// their passes one at a time on this network's thread.
   [[nodiscard]] routing::SpfScratch& spf_scratch() { return spf_scratch_; }

@@ -27,11 +27,13 @@ routing::SignificanceFilter make_filter(const metrics::LinkMetric& metric,
 
 }  // namespace
 
-Psn::Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs)
+Psn::Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
+         std::span<const double* const> seed_rows)
     : net_{net},
       id_{id},
-      spf_{net.topology(), id, std::move(initial_costs), net.spf_scratch()},
-      flood_state_{net.topology().node_count()} {
+      held_(seeds.begin(), seeds.end()),
+      spf_{net.topology(), id, seed_rows, net.spf_scratch()} {
+  for (const UpdateHandle h : held_) net.update_pool().hold(h);
   const net::Topology& topo = net.topology();
   out_.reserve(topo.out_links(id).size());
   for (const net::LinkId lid : topo.out_links(id)) {
@@ -311,18 +313,26 @@ void Psn::handle_update(PacketHandle h, net::LinkId via_link) {
     throw std::logic_error("update packet without payload");
   }
   const routing::RoutingUpdate& update = updates.at(uh);
-  if (!flood_state_.accept(update)) {  // duplicate
+  // A higher sequence number always supersedes the held update; an equal
+  // or lower one is a copy already seen (or older news).
+  if (update.seq <= updates.at(held_[update.origin]).seq) {
     updates.release(uh);
     return;
   }
-  const long hops_before = spf_.first_hop_changes();
-  for (const routing::LinkCostReport& r : update.reports) {
-    spf_.set_cost(r.link, r.cost);
-  }
-  net_.on_route_change(spf_.first_hop_changes() - hops_before);
-  mp_dirty_ = true;
+  adopt(uh);
   flood_copies(uh, via_link);
   updates.release(uh);
+}
+
+void Psn::adopt(UpdateHandle uh) {
+  UpdatePool& updates = net_.update_pool();
+  const routing::RoutingUpdate& update = updates.at(uh);
+  const long hops_before = spf_.first_hop_changes();
+  spf_.adopt_row(update.origin, update.costs.data());
+  net_.on_route_change(spf_.first_hop_changes() - hops_before);
+  mp_dirty_ = true;
+  updates.hold(uh);
+  updates.drop_hold(std::exchange(held_[update.origin], uh));
 }
 // ARPALINT-HOTPATH-END
 
@@ -355,11 +365,11 @@ void Psn::measurement_period() {
 // window whenever a period's cost change is significant.
 void Psn::originate_update(std::span<const double> candidates) {
   UpdatePool& updates = net_.update_pool();
+  const std::uint64_t seq = updates.at(held_[id_]).seq + 1;
   const UpdateHandle uh = updates.acquire();
   routing::RoutingUpdate& update = updates.at(uh);
   update.origin = id_;
-  update.seq = ++seq_;
-  const long hops_before = spf_.first_hop_changes();
+  update.seq = seq;
   for (std::size_t i = 0; i < out_.size(); ++i) {
     OutLink& o = out_[i];
     // Every advertised cost must keep SPF well-defined (positive, finite);
@@ -370,19 +380,20 @@ void Psn::originate_update(std::span<const double> candidates) {
     // trip the filter themselves become the new baseline anyway.
     o.filter.force_report(candidates[i]);
     o.reported = candidates[i];
-    // ARPALINT-ALLOW(hot-path-alloc): recycled slots keep their reports capacity
-    update.reports.push_back({o.id, candidates[i]});
+    // ARPALINT-ALLOW(hot-path-alloc): recycled slots keep their row capacity
+    update.costs.push_back(candidates[i]);
     net_.on_cost_reported(o.id, candidates[i]);
-    // Apply locally at once: the PSN's own table always reflects its own
-    // latest reports.
-    spf_.set_cost(o.id, candidates[i]);
   }
-  net_.on_route_change(spf_.first_hop_changes() - hops_before);
-  mp_dirty_ = true;
+  // The row is every PSN's view of this node's links: it must cover them
+  // all, in out_links order (out_ was built in that order).
+  ARPA_CHECK(update.costs.size() == net_.topology().out_links(id_).size())
+      << "update from " << id_ << " reports " << update.costs.size()
+      << " of " << net_.topology().out_links(id_).size() << " out-links";
+  // Adopt at once: the PSN's own map always reflects its own latest
+  // reports, and holding the update rejects its flooded-back copies.
+  adopt(uh);
   ++updates_originated_;
   net_.on_update_originated();
-  // Record our own sequence number so flooded-back copies are rejected.
-  flood_state_.accept(update);
   flood_copies(uh, net::kInvalidLink);
   updates.release(uh);
 }

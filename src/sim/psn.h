@@ -1,14 +1,17 @@
 // PSN: one packet-switching node.
 //
 // Each PSN owns, exactly as in the ARPANET scheme:
-//   * a resident incremental SPF over its own copy of the network cost map
-//     (its pass workspace is the Network's, shared by all PSNs),
+//   * its link-state store: per origin, the latest routing update it
+//     accepted (a held sim::UpdatePool slot), whose cost row is its view of
+//     that origin's links; the update's sequence number is also the
+//     duplicate-suppression state for flooding,
+//   * a resident incremental SPF reading its costs from those rows (its
+//     pass workspace is the Network's, shared by all PSNs),
 //   * destination-based single-path forwarding (first hop from its tree),
 //   * per-outgoing-link output queues — routing updates at high priority,
 //     data FIFO behind them, finite data buffering with tail drop,
 //   * the 10-second delay measurement and the link metric (min-hop, D-SPF
-//     or HN-SPF) feeding the significance filter,
-//   * origin + flood duplicate-suppression state for routing updates.
+//     or HN-SPF) feeding the significance filter.
 //
 // The PSN calls back into Network for scheduling, packet hand-off to the
 // neighbor PSN, and statistics.
@@ -23,7 +26,6 @@
 #include "src/metrics/link_metric.h"
 #include "src/net/topology.h"
 #include "src/routing/algorithm.h"
-#include "src/routing/flooding.h"
 #include "src/routing/multipath.h"
 #include "src/routing/significance.h"
 #include "src/routing/spf.h"
@@ -38,7 +40,11 @@ class Network;
 
 class Psn {
  public:
-  Psn(Network& net, net::NodeId id, routing::LinkCosts initial_costs);
+  /// Starts from the Network's seed versions: seeds[u] is origin u's
+  /// sequence-0 update, whose cost row is seed_rows[u]. The PSN holds every
+  /// seed until a newer update from its origin replaces it.
+  Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
+      std::span<const double* const> seed_rows);
 
   /// Schedules the first measurement period (staggered per node).
   void start();
@@ -67,6 +73,11 @@ class Psn {
   [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] const routing::SpfTree& tree() const { return spf_.tree(); }
   [[nodiscard]] const routing::IncrementalSpf& spf() const { return spf_; }
+  /// The update this PSN last accepted from `origin` (its sequence-0 seed
+  /// until the origin's first update arrives).
+  [[nodiscard]] UpdateHandle held_update(net::NodeId origin) const {
+    return held_.at(origin);
+  }
   [[nodiscard]] long updates_originated() const { return updates_originated_; }
 
   /// Cost this node's metric most recently reported for one of its own
@@ -149,6 +160,7 @@ class Psn {
   void maybe_start_tx(OutLink& out);
   void handle_update(PacketHandle pkt, net::LinkId via_link);
   void originate_update(std::span<const double> candidates);
+  void adopt(UpdateHandle update);
   void flood_copies(UpdateHandle update, net::LinkId arrived_on);
   OutLink& out_for(net::LinkId link);
 
@@ -160,10 +172,11 @@ class Psn {
 
   Network& net_;
   net::NodeId id_;
+  /// held_[u]: the latest update accepted from origin u, held in the
+  /// Network's UpdatePool; spf_ reads origin u's costs from its row.
+  std::vector<UpdateHandle> held_;
   routing::IncrementalSpf spf_;
-  routing::FloodingState flood_state_;
   std::vector<OutLink> out_;
-  std::uint64_t seq_ = 0;
   long updates_originated_ = 0;
   /// Scratch for measurement_period's per-link candidate costs; persistent
   /// so closing a period allocates nothing at steady state.

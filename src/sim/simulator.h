@@ -6,6 +6,7 @@
 
 #include "src/sim/event.h"
 #include "src/sim/event_queue.h"
+#include "src/util/check.h"
 #include "src/util/units.h"
 
 namespace arpanet::sim {
@@ -16,9 +17,14 @@ class Simulator {
 
   /// Schedules a typed event at an absolute time (must not be in the past).
   void schedule_at(util::SimTime at, SimEvent ev);
-  /// Schedules a typed event `delay` from now.
+  /// Schedules a typed event `delay` from now. A sum beyond SimTime's range
+  /// aborts, naming both operands, rather than wrapping into the past.
   void schedule_in(util::SimTime delay, SimEvent ev) {
-    schedule_at(now_ + delay, ev);
+    std::int64_t at = 0;
+    ARPA_CHECK(!__builtin_add_overflow(now_.us(), delay.us(), &at))
+        << "schedule_in overflows SimTime: now " << now_.us()
+        << " us + delay " << delay.us() << " us";
+    schedule_at(util::SimTime::from_us(at), ev);
   }
 
   /// Runs events until the queue is empty or the next event is later than

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/mm1.h"
 #include "src/metrics/delay_measurement.h"
 #include "src/metrics/dspf_metric.h"
@@ -116,6 +119,34 @@ TEST(MakeMetricTest, BuildsEachKind) {
 
   const auto hn = make_metric(MetricKind::kHnSpf, link, params);
   EXPECT_DOUBLE_EQ(hn->initial_cost(), 90.0);
+}
+
+TEST(InitialCostTest, EqualsABuiltMetricsInitialCost) {
+  // The Network seeds every PSN's map from initial_cost without building a
+  // metric per link; it must agree with the metric the PSN then runs, for
+  // every kind and every line type in the default table, satellite lines
+  // (whose propagation delay the D-SPF bias includes) among them.
+  const auto params = core::LineParamsTable::arpanet_defaults();
+  net::Topology t;
+  std::vector<net::LinkId> links;
+  for (int i = 0; i < net::kLineTypeCount; ++i) {
+    const net::LineTypeInfo& type = net::all_line_types()[i];
+    const auto a = t.add_node(std::string{type.name} + "-a");
+    const auto b = t.add_node(std::string{type.name} + "-b");
+    links.push_back(t.add_duplex(a, b, type.type));
+  }
+  int satellites = 0;
+  for (const net::LinkId l : links) {
+    const net::Link& link = t.link(l);
+    satellites += net::info(link.type).satellite ? 1 : 0;
+    for (const MetricKind kind :
+         {MetricKind::kMinHop, MetricKind::kDspf, MetricKind::kHnSpf}) {
+      EXPECT_EQ(initial_cost(kind, link, params),
+                make_metric(kind, link, params)->initial_cost())
+          << to_string(kind) << " on " << net::to_string(link.type);
+    }
+  }
+  EXPECT_EQ(satellites, 2);
 }
 
 TEST(CostBoundsTest, MatchTheBuiltInMetricRanges) {

@@ -10,6 +10,7 @@
 #include "src/net/builders/registry.h"
 #include "src/obs/trace_sink.h"
 #include "src/sim/scenario.h"
+#include "src/util/alloc_guard.h"
 
 namespace arpanet::sim {
 namespace {
@@ -86,6 +87,20 @@ TEST(NetworkTest, RejectsANonPositiveMeasurementPeriod) {
   }
 }
 
+TEST(NetworkTest, RejectsAMeasurementPeriodBeyondTheBound) {
+  const net::Topology topo = net::build_topology("ring:nodes=4");
+  NetworkConfig cfg;
+  cfg.measurement_period = Network::kMaxMeasurementPeriod;
+  EXPECT_NO_THROW(Network(topo, cfg));
+  // 9.2e18 us once overflowed the first period's schedule and aborted with
+  // "scheduling into the past".
+  for (const std::int64_t us :
+       {Network::kMaxMeasurementPeriod.us() + 1, std::int64_t{9'200'000'000'000'000'000}}) {
+    cfg.measurement_period = SimTime::from_us(us);
+    EXPECT_THROW(Network(topo, cfg), std::invalid_argument) << us;
+  }
+}
+
 TEST(NetworkTest, RejectsMultipathUnderDistanceVector) {
   const net::Topology topo = two_nodes();
   NetworkConfig cfg;
@@ -106,6 +121,70 @@ TEST(NetworkTest, ConstructionReservesPacketSlotsWithoutCreatingThem) {
   EXPECT_EQ(net.counters().packet_pool_slots, 0u);
   EXPECT_GE(net.packet_pool().capacity(),
             topo.link_count() * (static_cast<std::size_t>(cfg.queue_capacity) + 2));
+}
+
+TEST(NetworkTest, ConstructionKeepsNoPerPsnCostMap) {
+  // Every PSN reads link costs from the updates it holds (one per origin,
+  // shared through the update pool), so building a 256-node, 1,024-link
+  // network allocates no per-PSN cost map (8 B per link) and no per-PSN
+  // sequence vector (8 B per origin): 2.5 MiB at this size, of which the
+  // held handles and SPF row pointers give back 0.75 MiB. Construction
+  // requested 9,077,408 bytes with those maps and 7,197,024 without; the
+  // bound sits between the two.
+  const net::Topology topo = net::build_topology("leo-grid:nodes=256");
+  topo.finalize();
+  const NetworkConfig cfg;
+  ASSERT_EQ(cfg.metric, MetricKind::kHnSpf);
+  const util::AllocGuard guard;
+  const Network net{topo, cfg};
+  EXPECT_LT(guard.bytes(), 8'000'000u);
+}
+
+TEST(NetworkTest, QuiescedNetworkHoldsOneVersionPerOrigin) {
+  const net::Topology topo = net::build_topology("leo-grid:nodes=64");
+  const NetworkConfig cfg;
+  ASSERT_EQ(cfg.metric, MetricKind::kHnSpf);
+  Network net{topo, cfg};
+  // Built, every PSN holds the same sequence-0 seed from each origin, and
+  // the seeds never counted as in flight.
+  EXPECT_EQ(net.updates_in_flight(), 0u);
+  EXPECT_EQ(net.update_pool().in_use(), topo.node_count());
+  EXPECT_LE(net.update_pool().peak_in_flight(), 1u);
+  net.add_traffic(traffic::TrafficMatrix::uniform(topo.node_count(), 200e3));
+  FaultPlan plan;
+  plan.flap_link(0, SimTime::from_sec(15), SimTime::from_sec(5),
+                 SimTime::from_sec(20), 3);
+  net.install_faults(plan, SimTime::from_sec(300));
+
+  // Mid-flood, the updates being flooded count as in flight.
+  bool saw_flight = false;
+  for (int i = 0; i < 3000 && !saw_flight; ++i) {
+    net.run_for(SimTime::from_ms(10));
+    saw_flight = net.updates_in_flight() > 0;
+  }
+  EXPECT_TRUE(saw_flight);
+
+  // Past the last flap, with traffic stopped, wait for a gap between
+  // floods.
+  net.run_for(SimTime::from_sec(90));
+  net.stop_traffic();
+  net.run_for(SimTime::from_sec(30));
+  for (int i = 0; i < 300 && net.updates_in_flight() > 0; ++i) {
+    net.run_for(SimTime::from_ms(100));
+  }
+  ASSERT_EQ(net.updates_in_flight(), 0u);
+  // Every PSN holds the same latest update from each origin, and nothing
+  // else is live: one version per origin.
+  EXPECT_EQ(net.update_pool().in_use(), topo.node_count());
+  EXPECT_EQ(net.update_pool().held(), topo.node_count());
+  const routing::LinkCosts reference = net.psn(0).spf().costs();
+  for (net::NodeId n = 1; n < topo.node_count(); ++n) {
+    EXPECT_EQ(net.psn(n).spf().costs(), reference) << "PSN " << n;
+    for (net::NodeId origin = 0; origin < topo.node_count(); ++origin) {
+      ASSERT_EQ(net.psn(n).held_update(origin), net.psn(0).held_update(origin));
+    }
+  }
+  EXPECT_GT(net.stats().updates_originated, 2 * static_cast<long>(topo.node_count()));
 }
 
 TEST(NetworkTest, ForwardsAcrossIntermediateNode) {

@@ -171,6 +171,47 @@ TEST(UpdatePoolTest, AddRefKeepsSlotAliveUntilLastRelease) {
   EXPECT_EQ(updates.in_use(), 0u);
 }
 
+TEST(UpdatePoolTest, HeldSlotsStayLiveOutOfFlight) {
+  UpdatePool updates;
+  const UpdateHandle h = updates.acquire();
+  updates.hold(h);  // a PSN adopts the update it originated
+  updates.hold(h);  // and a second PSN the same version
+  EXPECT_EQ(updates.in_flight(), 1u);
+  updates.release(h);  // the last flooded copy is consumed
+  EXPECT_EQ(updates.in_flight(), 0u);
+  EXPECT_EQ(updates.peak_in_flight(), 1u);
+  EXPECT_EQ(updates.in_use(), 1u) << "held versions stay live";
+  EXPECT_EQ(updates.held(), 1u);
+  updates.drop_hold(h);
+  EXPECT_EQ(updates.in_use(), 1u);
+  updates.drop_hold(h);  // the last holder moved on to a newer version
+  EXPECT_EQ(updates.in_use(), 0u);
+  EXPECT_EQ(updates.held(), 0u);
+  EXPECT_EQ(updates.acquire(), h) << "the parked slot is recycled";
+}
+
+TEST(UpdatePoolDeathTest, ReadingARowNobodyHoldsFailsUnderAsan) {
+#if !defined(ARPANET_ASAN)
+  GTEST_SKIP() << "row poisoning is compiled in only under AddressSanitizer";
+#else
+  UpdatePool updates;
+  updates.set_report_capacity(4);
+  const UpdateHandle h = updates.acquire();
+  updates.at(h).costs.assign(4, 30.0);
+  const volatile double* row = updates.at(h).costs.data();
+  updates.hold(h);
+  updates.release(h);
+  EXPECT_EQ(row[3], 30.0) << "a held row stays readable";
+  updates.drop_hold(h);
+  // A PSN reading a version it no longer holds reads a parked row.
+  EXPECT_DEATH((void)row[0], "use-after-poison");
+  // Recycling the slot unpoisons its row for the next occupant.
+  ASSERT_EQ(updates.acquire(), h);
+  updates.at(h).costs.assign(4, 45.0);
+  EXPECT_EQ(row[0], 45.0);
+#endif
+}
+
 TEST(UpdatePoolTest, CyclesAfterWarmUpAllocateNothing) {
   UpdatePool updates;
   updates.set_report_capacity(4);
@@ -187,9 +228,7 @@ TEST(UpdatePoolTest, CyclesAfterWarmUpAllocateNothing) {
     live.clear();
     for (int i = 0; i <= round % 8; ++i) {
       const UpdateHandle h = updates.acquire();
-      for (net::LinkId l = 0; l < 4; ++l) {
-        updates.at(h).reports.push_back({l, 1.0});
-      }
+      updates.at(h).costs.assign(4, 1.0);
       updates.add_ref(h);
       live.push_back(h);
     }
@@ -237,8 +276,8 @@ TEST(UpdatePoolTest, ReserveParksSlotsForLaterAcquires) {
   UpdateHandle live[4];
   for (UpdateHandle& h : live) {
     h = updates.acquire();
-    updates.at(h).reports.push_back({0, 1.0});
-    updates.at(h).reports.push_back({1, 1.0});
+    updates.at(h).costs.push_back(1.0);
+    updates.at(h).costs.push_back(1.0);
   }
   for (const UpdateHandle h : live) updates.release(h);
   EXPECT_EQ(guard.allocations(), 0u);

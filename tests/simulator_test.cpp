@@ -104,6 +104,18 @@ TEST(SimulatorTest, PastSchedulingThrows) {
       std::logic_error);
 }
 
+TEST(SimulatorDeathTest, ScheduleInPastSimTimesRangeDies) {
+  // now + delay beyond int64 microseconds would wrap into the past; the
+  // checked add aborts naming both operands instead.
+  RecordingSink sink;
+  Simulator sim;
+  sim.schedule_in(SimTime::from_sec(5), SimEvent::source_tick(sink, 0));
+  sim.run_until(SimTime::from_sec(5));
+  EXPECT_DEATH(sim.schedule_in(SimTime::max(), SimEvent::source_tick(sink, 1)),
+               "schedule_in overflows SimTime: now 5000000 us \\+ delay "
+               "9223372036854775807 us");
+}
+
 TEST(SimulatorTest, StepExecutesOneEvent) {
   Simulator sim;
   RecordingSink sink;

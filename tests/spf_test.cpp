@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -248,6 +250,97 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeOnArpanet87WithTies) {
   const Topology t = net::build_topology("arpanet87");
   for (const net::NodeId root : {0u, 17u, 46u}) {
     check_against_full_recompute(t, root, 400, 200 + root);
+  }
+}
+
+/// Drives a resident instance, which adopts whole per-origin rows as a PSN
+/// adopts routing updates, next to a standalone instance fed the same
+/// reports one link at a time through set_cost, and checks after every
+/// update that the two agree: the tree field by field, all five counters
+/// and the cost map. Each row mixes unchanged entries, decreases that tie
+/// the link's head onto a second shortest path, and random moves over a
+/// few integer levels (so ties are everywhere and sums stay exact).
+void check_resident_matches_standalone(const Topology& t, net::NodeId root,
+                                       int updates, std::uint64_t seed) {
+  util::Rng rng{seed};
+  const auto random_cost = [&rng] {
+    return 1.0 + static_cast<double>(rng.uniform_index(4));
+  };
+  LinkCosts initial(t.link_count());
+  for (double& c : initial) c = random_cost();
+  // The standalone instance is moved by the vector's regrowth before it
+  // is used: its owned rows must survive the move.
+  std::vector<IncrementalSpf> standalone;
+  standalone.emplace_back(t, root, initial);
+  standalone.emplace_back(t, root, initial);
+  IncrementalSpf& reference = standalone.front();
+
+  std::vector<std::vector<double>> rows(t.node_count());
+  std::vector<const double*> row_ptrs(t.node_count());
+  for (net::NodeId u = 0; u < t.node_count(); ++u) {
+    for (const net::LinkId l : t.out_links(u)) rows[u].push_back(initial[l]);
+    row_ptrs[u] = rows[u].data();
+  }
+  SpfScratch scratch{t};
+  IncrementalSpf resident{t, root, row_ptrs, scratch};
+  EXPECT_THROW(resident.set_cost(0, 1.0), std::logic_error);
+
+  long unchanged = 0;
+  long ties = 0;
+  for (int step = 0; step < updates; ++step) {
+    const auto origin =
+        static_cast<net::NodeId>(rng.uniform_index(t.node_count()));
+    const std::span<const net::LinkId> lids = t.out_links(origin);
+    std::vector<double> next = rows[origin];
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      const std::uint64_t kind = rng.uniform_index(3);
+      const double tie = reference.tree().dist[t.link(lids[i]).to] -
+                         reference.tree().dist[origin];
+      if (kind == 0) {
+        ++unchanged;
+      } else if (kind == 1 && tie > 0.0 && tie < next[i]) {
+        next[i] = tie;
+        ++ties;
+      } else {
+        next[i] = random_cost();
+      }
+    }
+    resident.adopt_row(origin, next.data());
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      reference.set_cost(lids[i], next[i]);
+    }
+    // The resident instance now reads `next`; the old row may go.
+    rows[origin] = std::move(next);
+
+    SCOPED_TRACE("root " + std::to_string(root) + " update " +
+                 std::to_string(step) + " origin " + std::to_string(origin));
+    ASSERT_EQ(resident.tree().dist, reference.tree().dist);
+    ASSERT_EQ(resident.tree().parent_link, reference.tree().parent_link);
+    ASSERT_EQ(resident.tree().first_hop, reference.tree().first_hop);
+    ASSERT_EQ(resident.tree().hops, reference.tree().hops);
+    ASSERT_EQ(resident.full_recomputes(), reference.full_recomputes());
+    ASSERT_EQ(resident.skipped_updates(), reference.skipped_updates());
+    ASSERT_EQ(resident.incremental_updates(), reference.incremental_updates());
+    ASSERT_EQ(resident.nodes_touched(), reference.nodes_touched());
+    ASSERT_EQ(resident.first_hop_changes(), reference.first_hop_changes());
+    ASSERT_EQ(resident.costs(), reference.costs());
+  }
+  EXPECT_GT(unchanged, updates / 2);
+  EXPECT_GT(ties, updates / 10);
+  EXPECT_GT(resident.skipped_updates(), 0);
+  EXPECT_GT(resident.incremental_updates(), updates / 2);
+  EXPECT_GT(resident.first_hop_changes(), 0);
+}
+
+TEST(IncrementalSpfTest, ResidentRowsMatchStandaloneSetCost) {
+  const Topology leo = net::TopologyBuilder::registry().build(
+      net::GraphSpec::parse("leo-grid:nodes=64"));
+  for (const net::NodeId root : {0u, 21u, 63u}) {
+    check_resident_matches_standalone(leo, root, 300, 300 + root);
+  }
+  const Topology arpa = net::build_topology("arpanet87");
+  for (const net::NodeId root : {0u, 17u, 46u}) {
+    check_resident_matches_standalone(arpa, root, 300, 400 + root);
   }
 }
 
