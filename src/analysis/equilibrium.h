@@ -31,11 +31,6 @@ class EquilibriumModel {
   /// u(c) = min(1, L * R(c)), with R normalized to 1 at one hop.
   [[nodiscard]] double utilization_at(double cost_hops, double offered_load) const;
 
-  /// Cost the metric reports back for that utilization, in hops.
-  [[nodiscard]] double cost_at(double utilization) const {
-    return metric_->normalized_cost(utilization);
-  }
-
   /// Solves the fixed point by bisection (the composed map is monotone
   /// non-increasing in cost, so the crossing is unique).
   [[nodiscard]] EquilibriumPoint equilibrium(double offered_load) const;

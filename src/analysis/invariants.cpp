@@ -238,7 +238,7 @@ AuditStats audit_network(const sim::Network& net) {
 
     const double reported = net.psn(link.from).reported_cost(link.id);
     if (!is_down_cost(reported)) {
-      const metrics::CostBounds& bounds = net.link_bounds(link.id);
+      const metrics::CostBounds bounds = net.link_bounds(link.id);
       check_cost_in_bounds(Cost{reported}, Cost{bounds.min_cost},
                            Cost{bounds.max_cost});
       ++stats.costs_checked;

@@ -1,45 +1,33 @@
 #include "src/analysis/metric_map.h"
 
-#include "src/core/mm1.h"
-
 namespace arpanet::analysis {
+
+namespace {
+
+/// A line of `type` with its tabled rate and the given propagation delay.
+net::Link line_of(net::LineType type, util::SimTime prop_delay) {
+  net::Link link;
+  link.type = type;
+  link.rate = net::info(type).rate;
+  link.prop_delay = prop_delay;
+  return link;
+}
+
+}  // namespace
 
 MetricMap::MetricMap(metrics::MetricKind kind, net::LineType type,
                      const core::LineParamsTable& params,
                      util::SimTime prop_delay)
-    : kind_{kind}, type_{type}, prop_delay_{prop_delay},
-      rate_{net::info(type).rate} {
-  const net::LineType ref = net::LineType::kTerrestrial56;
-  switch (kind) {
-    case metrics::MetricKind::kHnSpf:
-      hn_ = std::make_unique<core::HnMetric>(params.for_type(type), rate_,
-                                             prop_delay);
-      hop_unit_ = params.for_type(ref).base_min;
-      break;
-    case metrics::MetricKind::kDspf: {
-      dspf_ = std::make_unique<metrics::DspfMetric>(rate_, prop_delay);
-      const metrics::DspfMetric ref_metric{net::info(ref).rate,
-                                           util::SimTime::zero()};
-      hop_unit_ = ref_metric.bias();
-      break;
-    }
-    case metrics::MetricKind::kMinHop:
-      hop_unit_ = 1.0;
-      break;
-  }
-}
+    : metric_{kind, line_of(type, prop_delay), params},
+      hop_unit_{metrics::LinkMetric{kind,
+                                    line_of(net::LineType::kTerrestrial56,
+                                            util::SimTime::zero()),
+                                    params}
+                    .bounds()
+                    .min_cost} {}
 
 double MetricMap::cost(double utilization) const {
-  switch (kind_) {
-    case metrics::MetricKind::kHnSpf:
-      return hn_->equilibrium_cost(utilization);
-    case metrics::MetricKind::kDspf:
-      return dspf_->cost_for_delay(
-          core::delay_from_utilization(utilization, rate_, prop_delay_));
-    case metrics::MetricKind::kMinHop:
-      return 1.0;
-  }
-  return 1.0;
+  return metric_.equilibrium_cost(utilization);
 }
 
 }  // namespace arpanet::analysis

@@ -9,11 +9,7 @@
 
 #pragma once
 
-#include <memory>
-
-#include "src/core/hn_metric.h"
 #include "src/core/line_params.h"
-#include "src/metrics/dspf_metric.h"
 #include "src/metrics/link_metric.h"
 #include "src/net/line_type.h"
 
@@ -36,7 +32,7 @@ class MetricMap {
   }
 
   /// The "one hop" denominator: what an idle zero-propagation 56 kb/s
-  /// terrestrial line reports under this metric.
+  /// terrestrial line reports under this metric (its bounds' minimum).
   [[nodiscard]] double hop_unit() const { return hop_unit_; }
 
   /// This line's own idle (minimum) cost in units.
@@ -44,17 +40,9 @@ class MetricMap {
   /// This line's saturated cost in units.
   [[nodiscard]] double max_cost() const { return cost(1.0); }
 
-  [[nodiscard]] metrics::MetricKind kind() const { return kind_; }
-
  private:
-  metrics::MetricKind kind_;
-  net::LineType type_;
-  util::SimTime prop_delay_;
-  util::DataRate rate_;
-  double hop_unit_ = 1.0;
-  // Engines for the two measured metrics (unused slots left null).
-  std::unique_ptr<core::HnMetric> hn_;
-  std::unique_ptr<metrics::DspfMetric> dspf_;
+  metrics::LinkMetric metric_;
+  double hop_unit_;
 };
 
 }  // namespace arpanet::analysis

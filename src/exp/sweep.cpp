@@ -41,11 +41,6 @@ std::string fmt(double v) {
 
 }  // namespace
 
-SweepSpec& SweepSpec::with_base(sim::ScenarioConfig cfg) {
-  base = std::move(cfg);
-  return *this;
-}
-
 SweepSpec& SweepSpec::over_metrics(std::vector<metrics::MetricKind> kinds) {
   metrics = std::move(kinds);
   return *this;
@@ -69,11 +64,6 @@ SweepSpec& SweepSpec::over_load_range_bps(double from, double to, double step) {
   loads_bps.clear();
   // Half-a-step slack so `to` itself is included despite rounding.
   for (double l = from; l <= to + step / 2; l += step) loads_bps.push_back(l);
-  return *this;
-}
-
-SweepSpec& SweepSpec::over_shapes(std::vector<sim::TrafficShape> s) {
-  shapes = std::move(s);
   return *this;
 }
 
@@ -116,7 +106,7 @@ std::vector<NamedTopology> SweepSpec::materialize_topologies() const {
 std::size_t SweepSpec::cell_count() const {
   const auto dim = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
   return dim(topologies.size() + topology_specs.size()) * dim(metrics.size()) *
-         dim(loads_bps.size()) * dim(shapes.size()) * dim(seeds.size());
+         dim(loads_bps.size()) * dim(seeds.size());
 }
 
 std::uint64_t derive_cell_seed(const std::string& topology,
@@ -153,30 +143,28 @@ std::vector<SweepCell> expand_cells(const SweepSpec& spec,
   const std::vector<double> load_axis =
       spec.loads_bps.empty() ? std::vector{spec.base.offered_load_bps}
                              : spec.loads_bps;
-  const std::vector<sim::TrafficShape> shape_axis =
-      spec.shapes.empty() ? std::vector{spec.base.shape} : spec.shapes;
   const std::vector<std::uint64_t> seed_axis =
       spec.seeds.empty() ? std::vector{spec.base.seed} : spec.seeds;
 
+  const sim::TrafficShape shape = spec.base.shape;
+
   std::vector<SweepCell> cells;
   cells.reserve(topo_axis.size() * metric_axis.size() * load_axis.size() *
-                shape_axis.size() * seed_axis.size());
+                seed_axis.size());
   for (const NamedTopology* t : topo_axis) {
     for (const metrics::MetricKind m : metric_axis) {
       for (const double load : load_axis) {
-        for (const sim::TrafficShape s : shape_axis) {
-          for (const std::uint64_t seed : seed_axis) {
-            SweepCell cell;
-            cell.index = cells.size();
-            cell.topology = t->name;
-            cell.topo = &t->topo;
-            cell.metric = m;
-            cell.offered_load_bps = load;
-            cell.shape = s;
-            cell.seed = seed;
-            cell.derived_seed = derive_cell_seed(t->name, m, load, s, seed);
-            cells.push_back(std::move(cell));
-          }
+        for (const std::uint64_t seed : seed_axis) {
+          SweepCell cell;
+          cell.index = cells.size();
+          cell.topology = t->name;
+          cell.topo = &t->topo;
+          cell.metric = m;
+          cell.offered_load_bps = load;
+          cell.shape = shape;
+          cell.seed = seed;
+          cell.derived_seed = derive_cell_seed(t->name, m, load, shape, seed);
+          cells.push_back(std::move(cell));
         }
       }
     }

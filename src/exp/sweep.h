@@ -1,6 +1,6 @@
 // Scenario sweeps: the experiment shape behind every figure and table in
 // the paper — the same scenario re-run across offered loads, metric kinds,
-// traffic shapes, seeds, and topologies.
+// seeds, and topologies.
 //
 // SweepSpec declares the axes; the cross product is expanded into an
 // ordered list of SweepCells; SweepRunner (sweep_runner.h) executes the
@@ -28,14 +28,13 @@ struct NamedTopology {
 };
 
 /// The declarative description of a sweep: a base ScenarioConfig (warm-up,
-/// window, network tuning) plus one value list per axis. Empty axis lists
-/// fall back to the base config's value, so a spec only names the axes it
-/// actually sweeps.
+/// window, network tuning, traffic shape) plus one value list per axis.
+/// Empty axis lists fall back to the base config's value, so a spec only
+/// names the axes it actually sweeps.
 struct SweepSpec {
   sim::ScenarioConfig base;
   std::vector<metrics::MetricKind> metrics;
   std::vector<double> loads_bps;
-  std::vector<sim::TrafficShape> shapes;
   std::vector<std::uint64_t> seeds;
   /// Topology axis. Usually empty: the Experiment's own topology is the
   /// single value. Non-empty lists run every cell on every named topology.
@@ -48,12 +47,10 @@ struct SweepSpec {
   std::vector<net::GraphSpec> topology_specs;
 
   // ---- fluent construction ----
-  SweepSpec& with_base(sim::ScenarioConfig cfg);
   SweepSpec& over_metrics(std::vector<metrics::MetricKind> kinds);
   SweepSpec& over_loads_bps(std::vector<double> loads);
   /// Inclusive arithmetic progression; throws on step <= 0 or to < from.
   SweepSpec& over_load_range_bps(double from, double to, double step);
-  SweepSpec& over_shapes(std::vector<sim::TrafficShape> s);
   SweepSpec& over_seeds(std::vector<std::uint64_t> s);
   /// n replica seeds base.seed, base.seed+1, ... (throws on n <= 0).
   SweepSpec& over_replicas(int n);
@@ -72,14 +69,14 @@ struct SweepSpec {
 };
 
 /// One point of the cross product, in deterministic enumeration order
-/// (topology-major, then metric, load, shape, seed).
+/// (topology-major, then metric, load, seed).
 struct SweepCell {
   std::size_t index = 0;
   std::string topology;
   const net::Topology* topo = nullptr;  ///< borrowed from spec / experiment
   metrics::MetricKind metric = metrics::MetricKind::kHnSpf;
   double offered_load_bps = 0.0;
-  sim::TrafficShape shape = sim::TrafficShape::kPeakHour;
+  sim::TrafficShape shape = sim::TrafficShape::kPeakHour;  ///< base.shape
   std::uint64_t seed = 0;          ///< the axis value (replica id)
   std::uint64_t derived_seed = 0;  ///< seed ^ hash(other axes): the RNG stream
 

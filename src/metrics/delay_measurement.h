@@ -30,8 +30,6 @@ class DelayMeasurement {
   /// `period_length` is used for the busy fraction.
   [[nodiscard]] PeriodMeasurement end_period(util::SimTime period_length);
 
-  [[nodiscard]] long packets_this_period() const { return packets_; }
-
  private:
   util::SimTime idle_floor_;
   util::SimTime prop_delay_;

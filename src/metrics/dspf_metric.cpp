@@ -7,7 +7,7 @@
 
 namespace arpanet::metrics {
 
-DspfMetric::DspfMetric(util::DataRate rate, util::SimTime /*prop_delay*/) {
+DspfMetric::DspfMetric(util::DataRate rate) {
   // The bias is "a function of line speed" only: one average transmission
   // time plus nominal PSN processing (~2 ms), in units, at least 1. For a
   // 56 kb/s trunk: (10.7 ms + 2 ms) / 6.4 ms -> 2 units, the value the
@@ -16,10 +16,6 @@ DspfMetric::DspfMetric(util::DataRate rate, util::SimTime /*prop_delay*/) {
   const util::SimTime idle =
       core::mean_service_time(rate) + util::SimTime::from_ms(2.0);
   bias_ = std::clamp(std::round(idle.ms() / kUnitMs), 1.0, kMaxUnits);
-}
-
-double DspfMetric::on_period(const PeriodMeasurement& m) {
-  return cost_for_delay(m.avg_delay);
 }
 
 double DspfMetric::cost_for_delay(util::SimTime delay) const {

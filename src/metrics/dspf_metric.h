@@ -8,31 +8,28 @@
 // section 3.2: a loaded 9.6 kb/s line can report 254 units ~ 127x the idle
 // 56 kb/s bias of 2, and in an all-56 kb/s network a loaded line looks ~20x
 // worse than an idle one.
+//
+// This is the stateless delay-to-cost transform; metrics::LinkMetric runs it
+// once per measurement period for a D-SPF link.
 
 #pragma once
 
-#include "src/metrics/link_metric.h"
+#include "src/util/units.h"
 
 namespace arpanet::metrics {
 
-class DspfMetric final : public LinkMetric {
+class DspfMetric {
  public:
   /// One D-SPF routing unit of measured delay.
   static constexpr double kUnitMs = 6.4;
   /// Upper clip, in units.
   static constexpr double kMaxUnits = 254.0;
 
-  DspfMetric(util::DataRate rate, util::SimTime prop_delay);
-
-  double on_period(const PeriodMeasurement& m) override;
-  [[nodiscard]] double initial_cost() const override { return bias_; }
-  [[nodiscard]] double change_threshold() const override { return 64.0; }
-  [[nodiscard]] bool threshold_decays() const override { return true; }
-  void on_link_up() override {}
+  explicit DspfMetric(util::DataRate rate);
 
   [[nodiscard]] double bias() const { return bias_; }
 
-  /// Static map from delay to cost (units), used by the analysis layer.
+  /// Map from an averaged packet delay to the reported cost (units).
   [[nodiscard]] double cost_for_delay(util::SimTime delay) const;
 
  private:

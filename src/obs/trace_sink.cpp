@@ -1,9 +1,5 @@
 #include "src/obs/trace_sink.h"
 
-#include <cstdio>
-#include <ostream>
-#include <stdexcept>
-
 namespace arpanet::obs {
 
 void RecordingTraceSink::on_cost_reported(net::LinkId link, util::SimTime at,
@@ -21,59 +17,6 @@ std::size_t RecordingTraceSink::total_samples() const {
   for (const auto& s : costs_) total += s.size();
   for (const auto& s : utilizations_) total += s.size();
   return total;
-}
-
-StreamingTraceSink::StreamingTraceSink(std::ostream& os, Format format)
-    : os_{&os}, format_{format} {
-  buffer_.reserve(kFlushBytes + 128);
-  if (format_ == Format::kCsv) buffer_ += "series,link,t_us,value\n";
-}
-
-StreamingTraceSink::StreamingTraceSink(const std::string& path, Format format)
-    : owned_{std::make_unique<std::ofstream>(path, std::ios::trunc)},
-      os_{owned_.get()},
-      format_{format} {
-  if (!*owned_) throw std::runtime_error("cannot open trace file " + path);
-  buffer_.reserve(kFlushBytes + 128);
-  if (format_ == Format::kCsv) buffer_ += "series,link,t_us,value\n";
-}
-
-StreamingTraceSink::~StreamingTraceSink() { flush(); }
-
-void StreamingTraceSink::on_cost_reported(net::LinkId link, util::SimTime at,
-                                          double cost) {
-  append("cost", link, at, cost);
-}
-
-void StreamingTraceSink::on_utilization(net::LinkId link, util::SimTime at,
-                                        double busy_fraction) {
-  append("utilization", link, at, busy_fraction);
-}
-
-void StreamingTraceSink::append(const char* series, net::LinkId link,
-                                util::SimTime at, double value) {
-  char record[160];
-  const char* pattern = format_ == Format::kJsonl
-                            ? "{\"series\":\"%s\",\"link\":%u,\"t_us\":%lld,"
-                              "\"value\":%.10g}\n"
-                            : "%s,%u,%lld,%.10g\n";
-  const int len =
-      std::snprintf(record, sizeof(record), pattern, series, link,
-                    static_cast<long long>(at.us()), value);
-  buffer_.append(record, static_cast<std::size_t>(len));
-  ++records_;
-  if (buffer_.size() >= kFlushBytes) {
-    os_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-}
-
-void StreamingTraceSink::flush() {
-  if (!buffer_.empty()) {
-    os_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-  os_->flush();
 }
 
 }  // namespace arpanet::obs

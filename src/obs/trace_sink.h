@@ -13,16 +13,11 @@
 // one branch per event (same contract as sim::PacketTracer).
 //
 // RecordingTraceSink is the standard in-memory implementation used by
-// tools/bench_report and the tests. StreamingTraceSink writes the same
-// samples to a stream as they happen (JSONL or CSV, buffered), for runs too
-// long to hold every sample in memory.
+// tools/bench_report and the tests.
 
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <memory>
-#include <string>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -72,55 +67,6 @@ class RecordingTraceSink final : public TraceSink {
  private:
   std::vector<std::vector<Sample>> costs_;
   std::vector<std::vector<Sample>> utilizations_;
-};
-
-/// Streams each sample to an output stream as one record, accumulating
-/// records in an internal buffer and writing it out in kFlushBytes chunks
-/// so a multi-hour run does not pay a stream write per sample.
-///
-/// Formats (one record per line, in arrival order):
-///   * kJsonl: {"series":"cost","link":3,"t_us":12500000,"value":42.5}
-///   * kCsv:   a `series,link,t_us,value` header, then cost,3,12500000,42.5
-///
-/// Timestamps are integer microseconds (exact); values use the repo-wide
-/// %.10g convention. The destructor flushes; flush() forces a mid-run write.
-class StreamingTraceSink final : public TraceSink {
- public:
-  enum class Format : std::uint8_t { kJsonl, kCsv };
-
-  /// Streams to `os`, which must outlive the sink.
-  StreamingTraceSink(std::ostream& os, Format format);
-  /// Streams to a file at `path` (truncates; throws std::runtime_error if
-  /// the file cannot be opened).
-  StreamingTraceSink(const std::string& path, Format format);
-
-  ~StreamingTraceSink() override;
-
-  StreamingTraceSink(const StreamingTraceSink&) = delete;
-  StreamingTraceSink& operator=(const StreamingTraceSink&) = delete;
-
-  void on_cost_reported(net::LinkId link, util::SimTime at,
-                        double cost) override;
-  void on_utilization(net::LinkId link, util::SimTime at,
-                      double busy_fraction) override;
-
-  /// Writes any buffered records to the stream and flushes it.
-  void flush();
-
-  [[nodiscard]] std::size_t records_written() const { return records_; }
-
-  /// Buffered bytes before the sink writes to the underlying stream.
-  static constexpr std::size_t kFlushBytes = 64 * 1024;
-
- private:
-  void append(const char* series, net::LinkId link, util::SimTime at,
-              double value);
-
-  std::unique_ptr<std::ofstream> owned_;  ///< set by the path constructor
-  std::ostream* os_;
-  Format format_;
-  std::string buffer_;
-  std::size_t records_ = 0;
 };
 
 }  // namespace arpanet::obs

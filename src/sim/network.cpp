@@ -9,11 +9,22 @@
 #include <utility>
 
 #include "src/analysis/invariants.h"
-#include "src/metrics/make_metric.h"
 #include "src/net/line_type.h"
 #include "src/util/check.h"
 
 namespace arpanet::sim {
+
+namespace {
+
+/// `link`'s record after an upgrade to line type `type`: the type and its
+/// rate change, the propagation delay (trunk mileage) does not.
+net::Link upgraded(net::Link link, net::LineType type) {
+  link.type = type;
+  link.rate = net::info(type).rate;
+  return link;
+}
+
+}  // namespace
 
 Network::Network(const net::Topology& topo, NetworkConfig cfg)
     : topo_{&topo},
@@ -46,6 +57,14 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
         " us exceeds the bound of " +
         std::to_string(kMaxMeasurementPeriod.us()) + " us");
   }
+  if (!std::isfinite(cfg.significance_threshold_override)) {
+    // NaN would silently mean "use the metric's threshold", and +inf would
+    // switch off on_cost_reported's report-to-report movement check.
+    throw std::invalid_argument(
+        "significance_threshold_override " +
+        std::to_string(cfg.significance_threshold_override) +
+        " must be finite");
+  }
   if (cfg.multipath &&
       cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
     throw std::invalid_argument(
@@ -65,11 +84,9 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
                     (static_cast<std::size_t>(cfg.queue_capacity) + 2) +
                 topo.node_count() * 8);
   last_reported_cost_.reserve(topo.link_count());
-  link_bounds_.reserve(topo.link_count());
   for (const net::Link& l : topo.links()) {
     last_reported_cost_.push_back(
-        metrics::initial_cost(cfg.metric, l, cfg.line_params));
-    link_bounds_.push_back(metrics::cost_bounds(cfg.metric, l, cfg.line_params));
+        metrics::LinkMetric{cfg.metric, l, cfg.line_params}.initial_cost());
   }
   // Every PSN starts from the same link state: one sequence-0 update per
   // origin, each link at its metric's initial cost, held by every PSN, so
@@ -225,19 +242,17 @@ void Network::on_transmission(net::LinkId link, util::SimTime busy) {
 
 void Network::on_cost_reported(net::LinkId link, double cost) {
   if (cost != Psn::kDownLinkCost) {
+    const metrics::LinkMetric& metric = link_metric(link);
+    const metrics::CostBounds bounds = metric.bounds();
     analysis::check_cost_in_bounds(analysis::Cost{cost},
-                                   analysis::Cost{link_bounds_[link].min_cost},
-                                   analysis::Cost{link_bounds_[link].max_cost});
+                                   analysis::Cost{bounds.min_cost},
+                                   analysis::Cost{bounds.max_cost});
     const double previous = last_reported_cost_[link];
     if (hnspf_semantics() && previous != Psn::kDownLinkCost) {
-      const core::LineTypeParams& params =
-          cfg_.line_params.for_type(effective_links_[link].type);
-      const double threshold = cfg_.significance_threshold_override >= 0.0
-                                   ? cfg_.significance_threshold_override
-                                   : params.change_threshold();
-      analysis::check_movement_limited(analysis::Cost{previous},
-                                       analysis::Cost{cost}, params,
-                                       threshold);
+      analysis::check_movement_limited(
+          analysis::Cost{previous}, analysis::Cost{cost},
+          cfg_.line_params.for_type(effective_links_[link].type),
+          metric.significance(cfg_.significance_threshold_override).threshold);
     }
   }
   last_reported_cost_[link] = cost;
@@ -315,20 +330,15 @@ void Network::install_faults(const FaultPlan& plan, util::SimTime horizon) {
   ARPA_CHECK(fault_actions_.empty())
       << "install_faults may be called at most once per network";
   fault_actions_ = plan.compile(*topo_, horizon);
-  prepared_upgrades_.resize(fault_actions_.size());
   for (std::uint32_t i = 0; i < fault_actions_.size(); ++i) {
     const FaultAction& a = fault_actions_[i];
     if (a.op == FaultAction::Op::kUpgrade) {
-      const net::LinkId halves[] = {a.link, effective_links_[a.link].reverse};
-      for (std::size_t h = 0; h < 2; ++h) {
-        PreparedUpgrade::Half& half = prepared_upgrades_[i].halves[h];
-        half.link = effective_links_[halves[h]];
-        half.link.type = a.new_type;
-        half.link.rate = net::info(a.new_type).rate;
-        half.metric =
-            metrics::make_metric(cfg_.metric, half.link, cfg_.line_params);
-        half.bounds =
-            metrics::cost_bounds(cfg_.metric, half.link, cfg_.line_params);
+      // Builds and discards the upgraded line's metric, so parameters the
+      // new type cannot run with are rejected now rather than mid-run.
+      for (const net::LinkId l : {a.link, effective_links_[a.link].reverse}) {
+        (void)metrics::LinkMetric{cfg_.metric,
+                                  upgraded(effective_links_[l], a.new_type),
+                                  cfg_.line_params};
       }
     }
     sim_.schedule_at(a.at, SimEvent::fault_action(*this, i));
@@ -347,15 +357,13 @@ void Network::apply_fault(std::uint32_t action_index) {
       set_node_up(a.node, a.op == FaultAction::Op::kNodeUp);
       break;
     case FaultAction::Op::kUpgrade:
-      for (PreparedUpgrade::Half& half :
-           prepared_upgrades_[action_index].halves) {
-        const net::Link& rec = half.link;
-        effective_links_[rec.id] = rec;
-        link_bounds_[rec.id] = half.bounds;
+      for (const net::LinkId l : {a.link, effective_links_[a.link].reverse}) {
+        net::Link& rec = effective_links_[l];
+        rec = upgraded(rec, a.new_type);
         // The new line eases in from its own maximum: a restart, not a
         // movement, so the report-to-report check starts afresh.
-        last_reported_cost_[rec.id] = Psn::kDownLinkCost;
-        psns_[rec.from]->upgrade_local_link(rec.id, std::move(half.metric));
+        last_reported_cost_[l] = Psn::kDownLinkCost;
+        psns_[rec.from]->upgrade_local_link(l);
       }
       break;
   }

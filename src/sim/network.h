@@ -23,7 +23,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,7 +32,6 @@
 #include "src/analysis/invariants.h"
 #include "src/core/line_params.h"
 #include "src/metrics/link_metric.h"
-#include "src/metrics/make_metric.h"
 #include "src/net/topology.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace_sink.h"
@@ -61,7 +59,8 @@ struct NetworkConfig {
   /// Route computation generation; kSpf is the 1979+ scheme the paper
   /// modifies, kDistanceVector the 1969 original kept as a baseline.
   routing::RoutingAlgorithm algorithm = routing::RoutingAlgorithm::kSpf;
-  /// The link metric every link runs (metrics::make_metric builds it).
+  /// The link metric every link runs (each PSN builds one
+  /// metrics::LinkMetric per outgoing link).
   metrics::MetricKind metric = metrics::MetricKind::kHnSpf;
   core::LineParamsTable line_params = core::LineParamsTable::arpanet_defaults();
   /// The ARPANET's ten-second measurement interval (> 0, at most
@@ -82,7 +81,8 @@ struct NetworkConfig {
   /// Ablation hook: overrides the metric's update-generation threshold
   /// (routing units) when >= 0. The shipped behaviour (-1) uses the
   /// metric's own value — "a little less than a half-hop" for HN-SPF, the
-  /// decaying 64-unit scheme for D-SPF.
+  /// decaying 64-unit scheme for D-SPF. Must be finite: the network rejects
+  /// NaN and infinities.
   double significance_threshold_override = -1.0;
 };
 
@@ -163,10 +163,14 @@ class Network : public EventSink {
   [[nodiscard]] bool hnspf_semantics() const {
     return cfg_.metric == metrics::MetricKind::kHnSpf;
   }
-  /// The cost range `link`'s metric promises (metrics::cost_bounds for the
-  /// link record in effect, so a line-type upgrade brings its own).
-  [[nodiscard]] const metrics::CostBounds& link_bounds(net::LinkId link) const {
-    return link_bounds_[link];
+  /// The metric running on `link` (its PSN's, built for the link record in
+  /// effect, so a line-type upgrade brings its own).
+  [[nodiscard]] const metrics::LinkMetric& link_metric(net::LinkId link) const {
+    return psns_[topo_->link(link).from]->metric(link);
+  }
+  /// The cost range `link`'s metric promises.
+  [[nodiscard]] metrics::CostBounds link_bounds(net::LinkId link) const {
+    return link_metric(link).bounds();
   }
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] util::SimTime now() const { return sim_.now(); }
@@ -200,9 +204,9 @@ class Network : public EventSink {
   /// Compiles `plan` against the topology and schedules every resulting
   /// fault action as one kFaultAction event. `horizon` is the scenario end
   /// (warmup + window); the plan must not reach past it. Call once, before
-  /// running: all scheduling (and all allocation — line-upgrade metrics are
-  /// pre-built here) happens up front, so fault dispatch inside the
-  /// measurement window stays on the warm slab.
+  /// running: all scheduling happens up front, and an upgrade's line
+  /// parameters are checked here, so fault dispatch inside the measurement
+  /// window neither allocates nor throws.
   void install_faults(const FaultPlan& plan, util::SimTime horizon);
 
   /// Administrative state of one simplex link (its trunk's state: both
@@ -328,19 +332,6 @@ class Network : public EventSink {
     util::Rng rng;                    ///< destination and size draws
     traffic::AliasTable::Range destinations;  ///< into destinations_
   };
-  /// Resources a line-type upgrade needs, built at install_faults time so
-  /// applying the upgrade mid-window performs no allocation: per simplex
-  /// half, the new link record, the freshly-constructed metric (moved into
-  /// the PSN on apply) and the new cost bounds.
-  struct PreparedUpgrade {
-    struct Half {
-      net::Link link;
-      std::unique_ptr<metrics::LinkMetric> metric;
-      metrics::CostBounds bounds;
-    };
-    std::array<Half, 2> halves;  ///< forward, then reverse
-  };
-
   void schedule_arrival(std::size_t source_index);
   void apply_fault(std::uint32_t action_index);
 
@@ -371,8 +362,6 @@ class Network : public EventSink {
   std::function<void(const Packet&)> delivery_hook_;
   PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;
-  /// Per-link cost bounds, indexed by LinkId.
-  std::vector<metrics::CostBounds> link_bounds_;
   bool traffic_enabled_ = true;
   util::SimTime window_start_ = util::SimTime::zero();
   std::vector<stats::TimeSeries> link_busy_;
@@ -382,8 +371,6 @@ class Network : public EventSink {
   std::vector<net::Link> effective_links_;
   /// Compiled fault schedule (empty unless install_faults was called).
   std::vector<FaultAction> fault_actions_;
-  /// Indexed like fault_actions_; only upgrade actions' entries are filled.
-  std::vector<PreparedUpgrade> prepared_upgrades_;
 };
 
 }  // namespace arpanet::sim

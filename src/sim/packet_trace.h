@@ -46,7 +46,6 @@ class PacketTracer {
   /// Restrict recording to one packet id (common when re-running a seed to
   /// chase a specific packet).
   void filter_packet(std::uint64_t id) { filter_ = id; }
-  void clear_filter() { filter_.reset(); }
 
   void record(util::SimTime at, TraceEventKind kind, std::uint64_t packet_id,
               net::NodeId node, net::LinkId link = net::kInvalidLink);

@@ -5,27 +5,10 @@
 #include <utility>
 
 #include "src/analysis/invariants.h"
-#include "src/metrics/make_metric.h"
 #include "src/sim/network.h"
 #include "src/util/check.h"
 
 namespace arpanet::sim {
-
-namespace {
-
-routing::SignificanceFilter make_filter(const metrics::LinkMetric& metric,
-                                        double threshold_override) {
-  if (threshold_override >= 0.0) {
-    return routing::SignificanceFilter{
-        routing::SignificanceFilter::fixed_config(threshold_override)};
-  }
-  return routing::SignificanceFilter{
-      metric.threshold_decays()
-          ? routing::SignificanceFilter::dspf_config()
-          : routing::SignificanceFilter::fixed_config(metric.change_threshold())};
-}
-
-}  // namespace
 
 Psn::Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
          std::span<const double* const> seed_rows)
@@ -35,18 +18,20 @@ Psn::Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
       spf_{net.topology(), id, seed_rows, net.spf_scratch()} {
   for (const UpdateHandle h : held_) net.update_pool().hold(h);
   const net::Topology& topo = net.topology();
+  const NetworkConfig& cfg = net.config();
   out_.reserve(topo.out_links(id).size());
+  metrics_.reserve(topo.out_links(id).size());
   for (const net::LinkId lid : topo.out_links(id)) {
     const net::Link& link = topo.link(lid);
-    auto metric = metrics::make_metric(net.config().metric, link,
-                                       net.config().line_params);
-    auto filter =
-        make_filter(*metric, net.config().significance_threshold_override);
-    const double initial = metric->initial_cost();
+    const metrics::LinkMetric& metric =
+        metrics_.emplace_back(cfg.metric, link, cfg.line_params);
+    metrics::SignificanceFilter filter{
+        metric.significance(cfg.significance_threshold_override)};
+    const double initial = metric.initial_cost();
     filter.force_report(initial);
     out_.emplace_back(lid,
                       metrics::DelayMeasurement{link.rate, link.prop_delay},
-                      std::move(metric), std::move(filter), initial);
+                      filter, initial);
   }
   // Sized up front so the first fault-driven origination (which can precede
   // the first measurement period) already finds warm storage.
@@ -77,30 +62,22 @@ void Psn::start() {
                                SimEvent::measurement_period(net_, id_));
 }
 
-Psn::OutLink& Psn::out_for(net::LinkId link) {
+std::size_t Psn::out_index(net::LinkId link) const {
   // out_ was filled in out_links(id_) order, so the CSR slot of the link
   // within its from-node's span is also its index here.
   const net::Topology& topo = net_.topology();
   if (link >= topo.link_count() || topo.link(link).from != id_) {
     throw std::out_of_range("link is not an out-link of this PSN");
   }
-  return out_[topo.out_pos(link)];
+  return topo.out_pos(link);
 }
 
 double Psn::reported_cost(net::LinkId out_link) const {
-  const net::Topology& topo = net_.topology();
-  if (out_link >= topo.link_count() || topo.link(out_link).from != id_) {
-    throw std::out_of_range("link is not an out-link of this PSN");
-  }
-  return out_[topo.out_pos(out_link)].reported;
+  return out_[out_index(out_link)].reported;
 }
 
 bool Psn::link_up(net::LinkId out_link) const {
-  const net::Topology& topo = net_.topology();
-  if (out_link >= topo.link_count() || topo.link(out_link).from != id_) {
-    throw std::out_of_range("link is not an out-link of this PSN");
-  }
-  return out_[topo.out_pos(out_link)].up;
+  return out_[out_index(out_link)].up;
 }
 
 void Psn::originate_data(net::NodeId dst, double bits) {
@@ -190,7 +167,7 @@ void Psn::forward(PacketHandle h) {
     net_.packet_pool().release(h);
     return;
   }
-  enqueue(out_for(next), h, /*priority=*/false);
+  enqueue(out_[out_index(next)], h, /*priority=*/false);
 }
 
 void Psn::enqueue(OutLink& out, PacketHandle h, bool priority) {
@@ -270,7 +247,7 @@ void Psn::maybe_start_tx(OutLink& out) {
 void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
                                util::SimTime tx_time, bool is_update,
                                PacketHandle pkt) {
-  OutLink& o = out_for(link);
+  OutLink& o = out_[out_index(link)];
   if (!o.up) {
     // The line died while the packet was serializing onto it: the packet is
     // lost, and the queues were already drained by set_local_link_up.
@@ -347,7 +324,7 @@ void Psn::measurement_period() {
     OutLink& o = out_[i];
     const metrics::PeriodMeasurement m =
         o.meas.end_period(net_.config().measurement_period);
-    candidates[i] = o.up ? o.metric->on_period(m) : kDownLinkCost;
+    candidates[i] = o.up ? metrics_[i].on_period(m) : kDownLinkCost;
     net_.on_period_measured(o.id, analysis::Cost{o.last_candidate},
                             analysis::Cost{candidates[i]},
                             analysis::Utilization{m.busy_fraction});
@@ -512,7 +489,9 @@ void Psn::handle_distance_vector(PacketHandle h, net::LinkId via_link) {
 // window (flap storms run at 1 Hz); admin-state changes must stay on the
 // warm slab like every other in-window path.
 void Psn::set_local_link_up(net::LinkId out_link, bool up) {
-  OutLink& o = out_for(out_link);
+  const std::size_t idx = out_index(out_link);
+  OutLink& o = out_[idx];
+  metrics::LinkMetric& metric = metrics_[idx];
   if (o.up == up) return;
   o.up = up;
   if (!up) drop_queued(o);
@@ -520,7 +499,7 @@ void Psn::set_local_link_up(net::LinkId out_link, bool up) {
     // No flooded updates in 1969 mode: the change shows up as an
     // unreachable metric in the next table exchanges.
     if (up) {
-      o.metric->on_link_up();
+      metric.on_link_up();
       maybe_start_tx(o);
     }
     dv_recompute();
@@ -533,14 +512,13 @@ void Psn::set_local_link_up(net::LinkId out_link, bool up) {
   for (std::size_t i = 0; i < out_.size(); ++i) {
     candidate_scratch_[i] = out_[i].reported;
   }
-  const auto idx = static_cast<std::size_t>(&o - out_.data());
   if (up) {
-    o.metric->on_link_up();
+    metric.on_link_up();
     // "When a link comes up it starts with its highest cost" (section 5.4).
-    candidate_scratch_[idx] = o.metric->initial_cost();
+    candidate_scratch_[idx] = metric.initial_cost();
     // The next period's movement is limited against the restart cost, not
     // whatever the link reported before it went down.
-    o.last_candidate = o.metric->initial_cost();
+    o.last_candidate = metric.initial_cost();
     maybe_start_tx(o);
   } else {
     candidate_scratch_[idx] = kDownLinkCost;
@@ -549,15 +527,19 @@ void Psn::set_local_link_up(net::LinkId out_link, bool up) {
   originate_update(candidate_scratch_);
 }
 
-void Psn::upgrade_local_link(net::LinkId out_link,
-                             std::unique_ptr<metrics::LinkMetric> metric) {
-  OutLink& o = out_for(out_link);
-  // Network::apply_upgrade already swapped the effective link record, so
-  // the new rate and propagation delay are what the measurement sees.
+void Psn::upgrade_local_link(net::LinkId out_link) {
+  const std::size_t idx = out_index(out_link);
+  OutLink& o = out_[idx];
+  // Network::apply_fault already swapped the effective link record, so
+  // the new type, rate and propagation delay are what the metric and the
+  // measurement see.
   const net::Link& link = net_.effective_link(out_link);
-  o.metric = std::move(metric);
+  const NetworkConfig& cfg = net_.config();
+  const metrics::LinkMetric& metric = metrics_[idx] =
+      metrics::LinkMetric{cfg.metric, link, cfg.line_params};
   o.meas = metrics::DelayMeasurement{link.rate, link.prop_delay};
-  o.filter = make_filter(*o.metric, net_.config().significance_threshold_override);
+  o.filter = metrics::SignificanceFilter{
+      metric.significance(cfg.significance_threshold_override)};
   if (!o.up) {
     // Upgraded while down: keep advertising kDownLinkCost; the new line
     // eases in when the trunk heals (set_local_link_up's restart path).
@@ -566,14 +548,14 @@ void Psn::upgrade_local_link(net::LinkId out_link,
   }
   // A line-type change restarts the link's cost history: advertise the new
   // type's highest cost and decay in, exactly like a restarted link.
-  const double initial = o.metric->initial_cost();
+  const double initial = metric.initial_cost();
   o.last_candidate = initial;
   // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
   candidate_scratch_.assign(out_.size(), 0.0);
   for (std::size_t i = 0; i < out_.size(); ++i) {
     candidate_scratch_[i] = out_[i].reported;
   }
-  candidate_scratch_[static_cast<std::size_t>(&o - out_.data())] = initial;
+  candidate_scratch_[idx] = initial;
   originate_update(candidate_scratch_);
 }
 // ARPALINT-HOTPATH-END

@@ -18,16 +18,15 @@
 
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/metrics/delay_measurement.h"
 #include "src/metrics/link_metric.h"
+#include "src/metrics/significance.h"
 #include "src/net/topology.h"
 #include "src/routing/algorithm.h"
 #include "src/routing/multipath.h"
-#include "src/routing/significance.h"
 #include "src/routing/spf.h"
 #include "src/sim/event.h"
 #include "src/sim/packet.h"
@@ -84,6 +83,11 @@ class Psn {
   /// outgoing links.
   [[nodiscard]] double reported_cost(net::LinkId out_link) const;
 
+  /// The metric running on one of this node's outgoing links.
+  [[nodiscard]] const metrics::LinkMetric& metric(net::LinkId out_link) const {
+    return metrics_[out_index(out_link)];
+  }
+
   /// Distance-vector mode accessors (RoutingAlgorithm::kDistanceVector).
   [[nodiscard]] double dv_distance(net::NodeId dst) const { return dv_dist_.at(dst); }
   [[nodiscard]] net::LinkId dv_next_hop(net::NodeId dst) const {
@@ -97,14 +101,12 @@ class Psn {
   /// Administrative state of one local outgoing link.
   [[nodiscard]] bool link_up(net::LinkId out_link) const;
 
-  /// Replaces one local out-link's metric, measurement and filter state
-  /// after a mid-run line-type upgrade (Network::apply_upgrade). The new
-  /// metric is pre-built by the caller so this allocates nothing inside the
-  /// measurement window; if the link is up, the upgraded type's highest
-  /// cost is flooded immediately (the section 5.4 restart rule — a changed
-  /// line eases in exactly like a restarted one).
-  void upgrade_local_link(net::LinkId out_link,
-                          std::unique_ptr<metrics::LinkMetric> metric);
+  /// Rebuilds one local out-link's metric, measurement and filter state
+  /// from its effective link record after a mid-run line-type upgrade
+  /// (Network::apply_fault); none of it allocates. If the link is up, the
+  /// upgraded type's highest cost is flooded immediately (the section 5.4
+  /// restart rule — a changed line eases in exactly like a restarted one).
+  void upgrade_local_link(net::LinkId out_link);
 
   /// Cost advertised for an unusable link: finite (so SPF stays total) but
   /// large enough that no path uses it unless the network is partitioned.
@@ -140,19 +142,21 @@ class Psn {
     bool busy = false;
     bool up = true;
     metrics::DelayMeasurement meas;
-    std::unique_ptr<metrics::LinkMetric> metric;
-    routing::SignificanceFilter filter;
+    metrics::SignificanceFilter filter;
     double reported = 0.0;
     /// Previous measurement period's candidate cost (reported or not) —
     /// the baseline the per-period movement invariant is checked against.
     double last_candidate = 0.0;
 
     OutLink(net::LinkId lid, metrics::DelayMeasurement m,
-            std::unique_ptr<metrics::LinkMetric> met,
-            routing::SignificanceFilter f, double initial)
-        : id{lid}, meas{std::move(m)}, metric{std::move(met)},
-          filter{std::move(f)}, reported{initial}, last_candidate{initial} {}
+            metrics::SignificanceFilter f, double initial)
+        : id{lid}, meas{m}, filter{f}, reported{initial},
+          last_candidate{initial} {}
   };
+
+  /// Index of `link` in out_ and metrics_; throws std::out_of_range unless
+  /// it is one of this node's outgoing links.
+  [[nodiscard]] std::size_t out_index(net::LinkId link) const;
 
   void forward(PacketHandle pkt);
   void enqueue(OutLink& out, PacketHandle pkt, bool priority);
@@ -162,7 +166,6 @@ class Psn {
   void originate_update(std::span<const double> candidates);
   void adopt(UpdateHandle update);
   void flood_copies(UpdateHandle update, net::LinkId arrived_on);
-  OutLink& out_for(net::LinkId link);
 
   // --- the 1969 distance-vector mode ---
   void dv_recompute();
@@ -177,6 +180,9 @@ class Psn {
   std::vector<UpdateHandle> held_;
   routing::IncrementalSpf spf_;
   std::vector<OutLink> out_;
+  /// metrics_[i]: the metric of out_[i]'s link, read once per measurement
+  /// period, so kept apart from the queue state the packet path reads.
+  std::vector<metrics::LinkMetric> metrics_;
   long updates_originated_ = 0;
   /// Scratch for measurement_period's per-link candidate costs; persistent
   /// so closing a period allocates nothing at steady state.

@@ -20,7 +20,6 @@ void Histogram::add(double x) {
 }
 
 double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
 
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;

@@ -19,7 +19,6 @@ class Histogram {
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] std::span<const std::int64_t> bins() const { return bins_; }
   [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
 
   /// q in [0, 1]; returns the midpoint of the bin containing that quantile
   /// (0 if empty).

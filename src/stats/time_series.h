@@ -24,7 +24,6 @@ class TimeSeries {
   /// measurement window run under an allocation guard (util/alloc_guard.h).
   void reserve_until(util::SimTime when);
 
-  [[nodiscard]] util::SimTime bucket_width() const { return width_; }
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] double bucket(std::size_t i) const {
     return i < buckets_.size() ? buckets_[i] : 0.0;

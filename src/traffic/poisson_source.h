@@ -31,7 +31,6 @@ class PoissonProcess {
   /// Throws std::invalid_argument unless rate_per_sec >= kMinRatePerSec.
   PoissonProcess(double rate_per_sec, util::Rng rng);
 
-  [[nodiscard]] double rate_per_sec() const { return rate_; }
   /// Next exponential interarrival gap.
   [[nodiscard]] util::SimTime next_gap();
 
@@ -48,7 +47,6 @@ class PacketSizer {
   explicit PacketSizer(double mean_bits, double floor_bits = 32.0);
 
   [[nodiscard]] double sample(util::Rng& rng) const;
-  [[nodiscard]] double mean_bits() const { return mean_; }
 
  private:
   double mean_;

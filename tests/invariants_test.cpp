@@ -11,7 +11,7 @@
 #include "src/analysis/invariants.h"
 #include "src/core/hn_metric.h"
 #include "src/core/line_params.h"
-#include "src/metrics/make_metric.h"
+#include "src/metrics/link_metric.h"
 #include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
 #include "src/sim/network.h"
@@ -219,7 +219,7 @@ TEST(ReportMovementHookTest, DeathOnInBoundsJumpFromMaxToMin) {
   cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
   arpanet::sim::Network net{topo, cfg};
   ASSERT_TRUE(net.hnspf_semantics());
-  const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
+  const arpanet::metrics::CostBounds bounds = net.link_bounds(0);
   const double initial = net.last_reported_cost(0);
   EXPECT_DOUBLE_EQ(initial, bounds.max_cost);
   const LineTypeParams& params =
@@ -241,15 +241,15 @@ TEST(ReportMovementHookTest, DownSentinelReportsAreExempt) {
   arpanet::sim::NetworkConfig cfg;
   cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
   arpanet::sim::Network net{topo, cfg};
-  const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
+  const arpanet::metrics::CostBounds bounds = net.link_bounds(0);
   net.on_cost_reported(0, arpanet::sim::Psn::kDownLinkCost);
   net.on_cost_reported(0, bounds.min_cost);
   EXPECT_DOUBLE_EQ(net.last_reported_cost(0), bounds.min_cost);
 }
 
 TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
-  // Every report is checked against metrics::cost_bounds for its link as it
-  // is made. Right after a down report no movement limit applies, so only
+  // Every report is checked against its link's metric bounds as it is
+  // made. Right after a down report no movement limit applies, so only
   // the bounds check can catch a cost outside the range.
   const arpanet::net::Topology topo = build_topology("ring:nodes=4");
   for (const auto kind : {arpanet::metrics::MetricKind::kDspf,
@@ -258,7 +258,7 @@ TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
     arpanet::sim::NetworkConfig cfg;
     cfg.metric = kind;
     arpanet::sim::Network net{topo, cfg};
-    const arpanet::metrics::CostBounds& bounds = net.link_bounds(0);
+    const arpanet::metrics::CostBounds bounds = net.link_bounds(0);
     const double down = arpanet::sim::Psn::kDownLinkCost;
     ASSERT_LT(bounds.min_cost, bounds.max_cost);
     ASSERT_GT(down, bounds.max_cost + 1.0);
@@ -276,9 +276,9 @@ TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
 }
 
 TEST(MetricFactoryBoundsTest, AuditValidatesCustomFactoryAgainstItsBounds) {
-  // The bounds the audit judges live costs against are the ones
-  // metrics::cost_bounds declares for each link's metric kind, and the
-  // audit bounds-checks every link's cost against them.
+  // The bounds the audit judges live costs against are the ones a metric
+  // of the link's kind built for the link declares, and the audit
+  // bounds-checks every link's cost against them.
   const arpanet::net::Topology topo = build_topology("ring:nodes=4");
   for (const auto kind : {arpanet::metrics::MetricKind::kMinHop,
                           arpanet::metrics::MetricKind::kDspf,
@@ -289,9 +289,10 @@ TEST(MetricFactoryBoundsTest, AuditValidatesCustomFactoryAgainstItsBounds) {
     arpanet::sim::Network net{topo, cfg};
     for (const arpanet::net::Link& link : topo.links()) {
       const arpanet::metrics::CostBounds declared =
-          arpanet::metrics::cost_bounds(kind, net.effective_link(link.id),
-                                        cfg.line_params);
-      const arpanet::metrics::CostBounds& held = net.link_bounds(link.id);
+          arpanet::metrics::LinkMetric{kind, net.effective_link(link.id),
+                                       cfg.line_params}
+              .bounds();
+      const arpanet::metrics::CostBounds held = net.link_bounds(link.id);
       EXPECT_DOUBLE_EQ(held.min_cost, declared.min_cost);
       EXPECT_DOUBLE_EQ(held.max_cost, declared.max_cost);
     }

@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
+#include "src/core/line_params.h"
 #include "src/core/mm1.h"
 #include "src/metrics/delay_measurement.h"
 #include "src/metrics/dspf_metric.h"
-#include "src/metrics/hnspf_metric.h"
-#include "src/metrics/make_metric.h"
-#include "src/metrics/minhop_metric.h"
+#include "src/metrics/link_metric.h"
+#include "src/net/line_type.h"
 
 namespace arpanet::metrics {
 namespace {
@@ -16,168 +15,177 @@ namespace {
 using util::DataRate;
 using util::SimTime;
 
+const core::LineParamsTable kParams = core::LineParamsTable::arpanet_defaults();
+constexpr MetricKind kKinds[] = {MetricKind::kMinHop, MetricKind::kDspf,
+                                 MetricKind::kHnSpf};
+
+/// A simplex line of `type` at its tabled rate.
+net::Link line(net::LineType type, SimTime prop_delay = SimTime::zero()) {
+  net::Link link;
+  link.type = type;
+  link.rate = net::info(type).rate;
+  link.prop_delay = prop_delay;
+  return link;
+}
+
+LinkMetric metric(MetricKind kind, net::LineType type) {
+  return LinkMetric{kind, line(type), kParams};
+}
+
+PeriodMeasurement delay_of(SimTime delay) {
+  PeriodMeasurement m;
+  m.avg_delay = delay;
+  return m;
+}
+
 // ---- D-SPF ----
 
 TEST(DspfMetricTest, BiasMatchesPaperValues) {
   // (10.7 + 2) / 6.4 -> 2 units for 56 kb/s; (62.5 + 2) / 6.4 -> 10 for 9.6.
-  EXPECT_DOUBLE_EQ(DspfMetric(DataRate::kbps(56), SimTime::zero()).bias(), 2.0);
-  EXPECT_DOUBLE_EQ(DspfMetric(DataRate::kbps(9.6), SimTime::zero()).bias(), 10.0);
+  EXPECT_DOUBLE_EQ(DspfMetric{DataRate::kbps(56)}.bias(), 2.0);
+  EXPECT_DOUBLE_EQ(DspfMetric{DataRate::kbps(9.6)}.bias(), 10.0);
 }
 
 TEST(DspfMetricTest, IdleLineReportsBias) {
-  DspfMetric m{DataRate::kbps(56), SimTime::zero()};
-  PeriodMeasurement idle;
-  idle.avg_delay = SimTime::from_ms(5);  // below the bias floor
-  EXPECT_DOUBLE_EQ(m.on_period(idle), m.bias());
+  LinkMetric m = metric(MetricKind::kDspf, net::LineType::kTerrestrial56);
+  // 5 ms is below the bias floor.
+  EXPECT_DOUBLE_EQ(m.on_period(delay_of(SimTime::from_ms(5))), 2.0);
+  EXPECT_DOUBLE_EQ(m.initial_cost(), 2.0);
 }
 
 TEST(DspfMetricTest, CostIsQuantizedDelay) {
-  DspfMetric m{DataRate::kbps(56), SimTime::zero()};
-  PeriodMeasurement meas;
-  meas.avg_delay = SimTime::from_ms(64);  // 10 units
-  EXPECT_DOUBLE_EQ(m.on_period(meas), 10.0);
+  LinkMetric m = metric(MetricKind::kDspf, net::LineType::kTerrestrial56);
+  EXPECT_DOUBLE_EQ(m.on_period(delay_of(SimTime::from_ms(64))), 10.0);
 }
 
 TEST(DspfMetricTest, ClipsAt254) {
-  DspfMetric m{DataRate::kbps(9.6), SimTime::zero()};
-  PeriodMeasurement meas;
-  meas.avg_delay = SimTime::from_sec(60);
-  EXPECT_DOUBLE_EQ(m.on_period(meas), 254.0);
+  LinkMetric m = metric(MetricKind::kDspf, net::LineType::kTerrestrial9_6);
+  EXPECT_DOUBLE_EQ(m.on_period(delay_of(SimTime::from_sec(60))), 254.0);
 }
 
 /// The paper's section 3.2 range complaint: a loaded 9.6 line can look 127x
 /// worse than an idle 56 line.
 TEST(DspfMetricTest, RangeRatioIs127) {
-  DspfMetric slow{DataRate::kbps(9.6), SimTime::zero()};
-  DspfMetric fast{DataRate::kbps(56), SimTime::zero()};
-  PeriodMeasurement loaded;
-  loaded.avg_delay = SimTime::from_sec(10);
-  EXPECT_DOUBLE_EQ(slow.on_period(loaded) / fast.bias(), 127.0);
+  LinkMetric slow = metric(MetricKind::kDspf, net::LineType::kTerrestrial9_6);
+  const LinkMetric fast =
+      metric(MetricKind::kDspf, net::LineType::kTerrestrial56);
+  EXPECT_DOUBLE_EQ(
+      slow.on_period(delay_of(SimTime::from_sec(10))) / fast.initial_cost(),
+      127.0);
 }
 
 TEST(DspfMetricTest, ThresholdDecays) {
-  const DspfMetric m{DataRate::kbps(56), SimTime::zero()};
-  EXPECT_TRUE(m.threshold_decays());
-  EXPECT_GT(m.change_threshold(), 0.0);
+  const SignificanceFilter::Config cfg =
+      metric(MetricKind::kDspf, net::LineType::kTerrestrial56)
+          .significance(-1.0);
+  EXPECT_GT(cfg.threshold, 0.0);
+  EXPECT_GT(cfg.decay_per_period, 0.0);
 }
 
 // ---- min-hop ----
 
 TEST(MinHopMetricTest, ConstantCost) {
-  MinHopMetric m;
-  PeriodMeasurement loaded;
-  loaded.avg_delay = SimTime::from_sec(10);
-  EXPECT_DOUBLE_EQ(m.on_period(loaded), 1.0);
+  LinkMetric m = metric(MetricKind::kMinHop, net::LineType::kTerrestrial9_6);
+  EXPECT_DOUBLE_EQ(m.on_period(delay_of(SimTime::from_sec(10))), 1.0);
   EXPECT_DOUBLE_EQ(m.initial_cost(), 1.0);
-  EXPECT_FALSE(m.threshold_decays());
+  EXPECT_DOUBLE_EQ(m.equilibrium_cost(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(m.significance(-1.0).decay_per_period, 0.0);
 }
 
-// ---- HN-SPF adapter ----
+// ---- HN-SPF ----
 
 TEST(HnSpfMetricTest, InitialCostIsMax) {
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  HnSpfMetric m{params.for_type(net::LineType::kTerrestrial56),
-                DataRate::kbps(56), SimTime::zero()};
-  EXPECT_DOUBLE_EQ(m.initial_cost(), 90.0);
+  EXPECT_DOUBLE_EQ(
+      metric(MetricKind::kHnSpf, net::LineType::kTerrestrial56).initial_cost(),
+      90.0);
 }
 
 TEST(HnSpfMetricTest, PeriodUpdateUsesMeasuredDelay) {
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  HnSpfMetric m{params.for_type(net::LineType::kTerrestrial56),
-                DataRate::kbps(56), SimTime::zero()};
-  PeriodMeasurement meas;
-  meas.avg_delay = core::delay_from_utilization(0.9, DataRate::kbps(56),
-                                                SimTime::zero());
+  LinkMetric m = metric(MetricKind::kHnSpf, net::LineType::kTerrestrial56);
+  const PeriodMeasurement meas = delay_of(core::delay_from_utilization(
+      0.9, DataRate::kbps(56), SimTime::zero()));
   double cost = 0;
   for (int i = 0; i < 50; ++i) cost = m.on_period(meas);
-  EXPECT_NEAR(cost, m.hnm().equilibrium_cost(0.9), 1e-9);
+  EXPECT_NEAR(cost, m.equilibrium_cost(0.9), 1e-9);
 }
 
 TEST(HnSpfMetricTest, ChangeThresholdIsLittleLessThanHalfHop) {
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  HnSpfMetric m{params.for_type(net::LineType::kTerrestrial56),
-                DataRate::kbps(56), SimTime::zero()};
-  EXPECT_DOUBLE_EQ(m.change_threshold(), 14.0);
-  EXPECT_FALSE(m.threshold_decays());
+  const SignificanceFilter::Config cfg =
+      metric(MetricKind::kHnSpf, net::LineType::kTerrestrial56)
+          .significance(-1.0);
+  EXPECT_DOUBLE_EQ(cfg.threshold, 14.0);
+  EXPECT_DOUBLE_EQ(cfg.decay_per_period, 0.0);
 }
 
-// ---- construction and cost bounds ----
+// ---- the value type ----
 
-TEST(MakeMetricTest, BuildsEachKind) {
-  net::Topology t;
-  const auto a = t.add_node("a");
-  const auto b = t.add_node("b");
-  const auto l = t.add_duplex(a, b, net::LineType::kSatellite56);
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  const auto& link = t.link(l);
-
-  const auto minhop = make_metric(MetricKind::kMinHop, link, params);
-  EXPECT_DOUBLE_EQ(minhop->initial_cost(), 1.0);
-
-  const auto dspf = make_metric(MetricKind::kDspf, link, params);
-  EXPECT_TRUE(dspf->threshold_decays());
-
-  const auto hn = make_metric(MetricKind::kHnSpf, link, params);
-  EXPECT_DOUBLE_EQ(hn->initial_cost(), 90.0);
+TEST(LinkMetricTest, BuildsEachKind) {
+  const net::Link link = line(net::LineType::kSatellite56);
+  for (const MetricKind kind : kKinds) {
+    EXPECT_EQ(LinkMetric(kind, link, kParams).kind(), kind) << to_string(kind);
+  }
+  EXPECT_DOUBLE_EQ(
+      LinkMetric(MetricKind::kMinHop, link, kParams).initial_cost(), 1.0);
+  EXPECT_DOUBLE_EQ(
+      LinkMetric(MetricKind::kHnSpf, link, kParams).initial_cost(), 90.0);
 }
 
-TEST(InitialCostTest, EqualsABuiltMetricsInitialCost) {
-  // The Network seeds every PSN's map from initial_cost without building a
-  // metric per link; it must agree with the metric the PSN then runs, for
-  // every kind and every line type in the default table, satellite lines
-  // (whose propagation delay the D-SPF bias includes) among them.
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  net::Topology t;
-  std::vector<net::LinkId> links;
-  for (int i = 0; i < net::kLineTypeCount; ++i) {
-    const net::LineTypeInfo& type = net::all_line_types()[i];
-    const auto a = t.add_node(std::string{type.name} + "-a");
-    const auto b = t.add_node(std::string{type.name} + "-b");
-    links.push_back(t.add_duplex(a, b, type.type));
+TEST(LinkMetricTest, CopiesEvolveIndependently) {
+  LinkMetric a = metric(MetricKind::kHnSpf, net::LineType::kTerrestrial56);
+  LinkMetric copy = a;
+  const PeriodMeasurement idle = delay_of(SimTime::zero());
+  const double first = a.on_period(idle);
+  EXPECT_LT(first, a.initial_cost());  // eased in by the down limit
+  // The copy still holds the state `a` had when it was copied.
+  EXPECT_DOUBLE_EQ(copy.on_period(idle), first);
+  EXPECT_LT(a.on_period(idle), first);
+}
+
+TEST(LinkMetricTest, ThresholdOverrideFixesEveryKindsThreshold) {
+  for (const MetricKind kind : kKinds) {
+    const SignificanceFilter::Config cfg =
+        metric(kind, net::LineType::kTerrestrial56).significance(7.0);
+    EXPECT_DOUBLE_EQ(cfg.threshold, 7.0) << to_string(kind);
+    EXPECT_DOUBLE_EQ(cfg.decay_per_period, 0.0) << to_string(kind);
   }
-  int satellites = 0;
-  for (const net::LinkId l : links) {
-    const net::Link& link = t.link(l);
-    satellites += net::info(link.type).satellite ? 1 : 0;
-    for (const MetricKind kind :
-         {MetricKind::kMinHop, MetricKind::kDspf, MetricKind::kHnSpf}) {
-      EXPECT_EQ(initial_cost(kind, link, params),
-                make_metric(kind, link, params)->initial_cost())
-          << to_string(kind) << " on " << net::to_string(link.type);
-    }
-  }
-  EXPECT_EQ(satellites, 2);
 }
 
 TEST(CostBoundsTest, MatchTheBuiltInMetricRanges) {
-  net::Topology t;
-  const auto a = t.add_node("a");
-  const auto b = t.add_node("b");
-  const auto l = t.add_duplex(a, b, net::LineType::kTerrestrial56);
-  const auto params = core::LineParamsTable::arpanet_defaults();
-  const auto& link = t.link(l);
+  const net::Link link = line(net::LineType::kTerrestrial56);
+  const CostBounds minhop =
+      LinkMetric{MetricKind::kMinHop, link, kParams}.bounds();
+  EXPECT_DOUBLE_EQ(minhop.min_cost, LinkMetric::kHopCost);
+  EXPECT_DOUBLE_EQ(minhop.max_cost, LinkMetric::kHopCost);
 
-  const CostBounds minhop = cost_bounds(MetricKind::kMinHop, link, params);
-  EXPECT_DOUBLE_EQ(minhop.min_cost, MinHopMetric{}.initial_cost());
-  EXPECT_DOUBLE_EQ(minhop.max_cost, MinHopMetric{}.initial_cost());
-
-  const CostBounds dspf = cost_bounds(MetricKind::kDspf, link, params);
-  EXPECT_DOUBLE_EQ(dspf.min_cost,
-                   (DspfMetric{link.rate, link.prop_delay}.bias()));
+  const CostBounds dspf = LinkMetric{MetricKind::kDspf, link, kParams}.bounds();
+  EXPECT_DOUBLE_EQ(dspf.min_cost, DspfMetric{link.rate}.bias());
   EXPECT_DOUBLE_EQ(dspf.max_cost, DspfMetric::kMaxUnits);
 
-  const CostBounds hnspf = cost_bounds(MetricKind::kHnSpf, link, params);
-  const core::LineTypeParams& p = params.for_type(link.type);
+  const CostBounds hnspf =
+      LinkMetric{MetricKind::kHnSpf, link, kParams}.bounds();
+  const core::LineTypeParams& p = kParams.for_type(link.type);
   EXPECT_DOUBLE_EQ(hnspf.min_cost, p.min_cost(link.prop_delay));
   EXPECT_DOUBLE_EQ(hnspf.max_cost, p.max_cost);
-  // Each kind's initial cost lies inside its own range.
-  for (const MetricKind kind :
-       {MetricKind::kMinHop, MetricKind::kDspf, MetricKind::kHnSpf}) {
-    const CostBounds bounds = cost_bounds(kind, link, params);
-    const double initial = make_metric(kind, link, params)->initial_cost();
-    EXPECT_GE(initial, bounds.min_cost) << to_string(kind);
-    EXPECT_LE(initial, bounds.max_cost) << to_string(kind);
+
+  // On every line type in the default table, satellite lines (whose
+  // propagation delay raises HN-SPF's minimum) among them, each kind
+  // starts at an end of its own range: D-SPF at its bias, HN-SPF (which
+  // eases new lines in) and min-hop at the top.
+  int satellites = 0;
+  for (int i = 0; i < net::kLineTypeCount; ++i) {
+    const net::LineTypeInfo& type = net::all_line_types()[i];
+    satellites += type.satellite ? 1 : 0;
+    const net::Link l = line(type.type, type.default_prop_delay);
+    for (const MetricKind kind : kKinds) {
+      const LinkMetric m{kind, l, kParams};
+      const CostBounds bounds = m.bounds();
+      EXPECT_DOUBLE_EQ(m.initial_cost(), kind == MetricKind::kDspf
+                                             ? bounds.min_cost
+                                             : bounds.max_cost)
+          << to_string(kind) << " on " << type.name;
+    }
   }
+  EXPECT_EQ(satellites, 2);
 }
 
 // ---- delay measurement ----

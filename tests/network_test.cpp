@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "src/net/builders/registry.h"
@@ -99,6 +100,38 @@ TEST(NetworkTest, RejectsAMeasurementPeriodBeyondTheBound) {
     cfg.measurement_period = SimTime::from_us(us);
     EXPECT_THROW(Network(topo, cfg), std::invalid_argument) << us;
   }
+}
+
+TEST(NetworkTest, RejectsANonFiniteSignificanceThresholdOverride) {
+  const net::Topology topo = two_nodes();
+  NetworkConfig cfg;
+  for (const double threshold : {-1.0, 0.0, 14.0}) {
+    cfg.significance_threshold_override = threshold;
+    EXPECT_NO_THROW(Network(topo, cfg)) << threshold;
+  }
+  // NaN would silently fall back to the metric's threshold; +inf would
+  // widen the report-to-report movement check until it never trips.
+  for (const double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+    cfg.significance_threshold_override = threshold;
+    EXPECT_THROW(Network(topo, cfg), std::invalid_argument) << threshold;
+  }
+}
+
+TEST(NetworkTest, InstallFaultsRejectsAnUpgradeItsLineParametersCannotRun) {
+  // The upgraded line's HN-SPF metric is built when the plan is installed,
+  // so line parameters the new type cannot run with fail before the run,
+  // not inside it.
+  const net::Topology topo = net::build_topology("ring:nodes=4");
+  NetworkConfig cfg;
+  cfg.line_params.set(LineType::kMultiTrunk112,
+                      core::LineTypeParams{30.0, 20.0, 0.5});  // max < min
+  Network net{topo, cfg};
+  EXPECT_THROW(net.install_faults(FaultPlan::parse("upgrade:link=0,at_s=5,"
+                                                   "type=112kb-multitrunk"),
+                                  SimTime::from_sec(10)),
+               std::invalid_argument);
 }
 
 TEST(NetworkTest, RejectsMultipathUnderDistanceVector) {

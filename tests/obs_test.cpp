@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -219,125 +217,6 @@ TEST_F(NetworkObservabilityTest, TraceSinkReceivesBothSeries) {
     if (sink.costs(l).empty()) continue;
     EXPECT_DOUBLE_EQ(sink.costs(l).back().second, net.last_reported_cost(l));
   }
-}
-
-namespace {
-
-/// Formats one sample exactly as StreamingTraceSink's CSV writer does, so
-/// the comparison below is representation-exact.
-std::string csv_line(const char* series, net::LinkId link, SimTime at,
-                     double value) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s,%u,%lld,%.10g", series, link,
-                static_cast<long long>(at.us()), value);
-  return buf;
-}
-
-}  // namespace
-
-TEST_F(NetworkObservabilityTest, StreamingSinkMatchesRecordingSink) {
-  const net::Topology topo = net::build_topology("ring:nodes=6");
-
-  RecordingTraceSink recording{topo.link_count()};
-  {
-    sim::Network net{topo, sim::NetworkConfig{}};
-    run(net, &recording);
-  }
-
-  std::ostringstream os;
-  {
-    StreamingTraceSink streaming{os, StreamingTraceSink::Format::kCsv};
-    sim::Network net{topo, sim::NetworkConfig{}};
-    run(net, &streaming);
-    EXPECT_EQ(streaming.records_written(), recording.total_samples());
-  }  // destructor flushes
-
-  // Same seed, same config: the streamed lines must be exactly the
-  // recording sink's samples. Split the CSV back into per-link series and
-  // compare representations.
-  std::vector<std::vector<std::string>> cost_lines(topo.link_count());
-  std::vector<std::vector<std::string>> util_lines(topo.link_count());
-  std::istringstream in{os.str()};
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "series,link,t_us,value");
-  while (std::getline(in, line)) {
-    const auto c1 = line.find(',');
-    const auto c2 = line.find(',', c1 + 1);
-    const auto link = static_cast<net::LinkId>(
-        std::stoul(line.substr(c1 + 1, c2 - c1 - 1)));
-    ASSERT_LT(link, topo.link_count());
-    (line.compare(0, 4, "cost") == 0 ? cost_lines : util_lines)[link]
-        .push_back(line);
-  }
-
-  for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-    ASSERT_EQ(cost_lines[l].size(), recording.costs(l).size()) << "link " << l;
-    for (std::size_t i = 0; i < cost_lines[l].size(); ++i) {
-      const auto& [at, cost] = recording.costs(l)[i];
-      EXPECT_EQ(cost_lines[l][i], csv_line("cost", l, at, cost));
-    }
-    ASSERT_EQ(util_lines[l].size(), recording.utilizations(l).size());
-    for (std::size_t i = 0; i < util_lines[l].size(); ++i) {
-      const auto& [at, busy] = recording.utilizations(l)[i];
-      EXPECT_EQ(util_lines[l][i], csv_line("utilization", l, at, busy));
-    }
-  }
-}
-
-TEST(StreamingTraceSinkTest, JsonlRecordsAreWellFormedAndBuffered) {
-  std::ostringstream os;
-  StreamingTraceSink sink{os, StreamingTraceSink::Format::kJsonl};
-  sink.on_cost_reported(3, SimTime::from_ms(12.5), 42.5);
-  sink.on_utilization(0, SimTime::from_sec(10), 0.75);
-  EXPECT_EQ(sink.records_written(), 2u);
-  // Small writes stay in the buffer until flush (or destruction).
-  EXPECT_TRUE(os.str().empty());
-  sink.flush();
-  EXPECT_EQ(os.str(),
-            "{\"series\":\"cost\",\"link\":3,\"t_us\":12500,\"value\":42.5}\n"
-            "{\"series\":\"utilization\",\"link\":0,\"t_us\":10000000,"
-            "\"value\":0.75}\n");
-}
-
-TEST(StreamingTraceSinkTest, LargeRunsFlushInChunks) {
-  std::ostringstream os;
-  StreamingTraceSink sink{os, StreamingTraceSink::Format::kCsv};
-  // Push well past kFlushBytes; the stream must have received data before
-  // any explicit flush.
-  for (int i = 0; i < 5000; ++i) {
-    sink.on_cost_reported(1, SimTime::from_us(i), 10.0 + i);
-  }
-  EXPECT_GT(os.str().size(), 0u);
-  sink.flush();
-  // Header plus every record, no truncation.
-  std::istringstream in{os.str()};
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 5001u);
-}
-
-TEST(StreamingTraceSinkTest, FileConstructorWritesAndThrowsOnBadPath) {
-  const std::string path =
-      ::testing::TempDir() + "/streaming_trace_sink_test.csv";
-  {
-    StreamingTraceSink sink{path, StreamingTraceSink::Format::kCsv};
-    sink.on_cost_reported(2, SimTime::from_ms(1), 5.0);
-  }
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::string record;
-  EXPECT_TRUE(std::getline(in, header));
-  EXPECT_EQ(header, "series,link,t_us,value");
-  EXPECT_TRUE(std::getline(in, record));
-  EXPECT_EQ(record, "cost,2,1000,5");
-
-  EXPECT_THROW(
-      (StreamingTraceSink{"/nonexistent-dir/trace.csv",
-                          StreamingTraceSink::Format::kCsv}),
-      std::runtime_error);
 }
 
 TEST_F(NetworkObservabilityTest, ScenarioResultCarriesCounters) {

@@ -1,8 +1,8 @@
-#include "src/routing/significance.h"
+#include "src/metrics/significance.h"
 
 #include <gtest/gtest.h>
 
-namespace arpanet::routing {
+namespace arpanet::metrics {
 namespace {
 
 TEST(SignificanceTest, FirstCallAlwaysReports) {
@@ -76,7 +76,7 @@ TEST(SignificanceTest, RejectsBadConfig) {
 }
 
 }  // namespace
-}  // namespace arpanet::routing
+}  // namespace arpanet::metrics
 
 // Simulator-level: the ablation hook must actually replace the threshold.
 #include "src/net/builders/registry.h"

@@ -217,6 +217,37 @@ TEST(StressTest, DistanceVectorWindowIsAllocationFree) {
   EXPECT_GT(r.stats.packets_delivered, 10'000);
 }
 
+TEST(StressTest, LineUpgradeWindowIsAllocationFree) {
+  // Two line-type upgrades fire inside the arpanet87 measurement window.
+  // Applying one rebuilds both halves' link record, metric, measurement and
+  // significance filter in place and floods the new maximum cost; none of
+  // that may allocate.
+  const net::Topology net87 = net::build_topology("arpanet87");
+  for (const metrics::MetricKind kind :
+       {metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf}) {
+    SCOPED_TRACE(metrics::to_string(kind));
+    auto cfg = ScenarioConfig{}
+                   .with_metric(kind)
+                   .with_load_bps(600e3)
+                   .with_warmup(SimTime::from_sec(60))
+                   .with_window(SimTime::from_sec(120))
+                   .with_faults(
+                       "upgrade:link=10,at_s=90,type=112kb-multitrunk;"
+                       "upgrade:link=20,at_s=120,type=56kb-satellite");
+    const ScenarioResult r = run_scenario(net87, cfg, "upgrade-alloc-guard");
+
+    EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
+#if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
+    EXPECT_EQ(r.counters.alloc_guard_bytes_peak, 0u)
+        << "a line upgrade allocated inside the measurement window";
+#else
+    SUCCEED() << "bytes_peak=" << r.counters.alloc_guard_bytes_peak;
+#endif
+    EXPECT_EQ(r.stability.faults_applied, 2);
+    EXPECT_GT(r.stats.packets_delivered, 10'000);
+  }
+}
+
 /// Every faulted cell of both bench batteries, run exactly as bench_report
 /// runs it (same scenario, metric axis and derived seeds).
 class FaultedBatteryCell : public ::testing::TestWithParam<std::string> {};
