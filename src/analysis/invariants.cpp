@@ -87,7 +87,7 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
   ARPA_CHECK(tree.root < n) << "SPF tree root " << tree.root
                             << " out of range for " << n << " nodes";
   ARPA_CHECK(tree.dist.size() == n && tree.parent_link.size() == n &&
-             tree.first_hop.size() == n && tree.hops.size() == n)
+             tree.first_hop.size() == n)
       << "SPF tree arrays not sized to the node count " << n;
   ARPA_CHECK(costs.size() == topo.link_count())
       << "cost vector size " << costs.size() << " != link count "
@@ -96,9 +96,8 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
   ARPA_CHECK(tree.dist[tree.root] == 0.0)
       << "root distance is " << tree.dist[tree.root];
   ARPA_CHECK(tree.parent_link[tree.root] == net::kInvalidLink &&
-             tree.first_hop[tree.root] == net::kInvalidLink &&
-             tree.hops[tree.root] == 0)
-      << "root has a parent, first hop, or nonzero hop count";
+             tree.first_hop[tree.root] == net::kInvalidLink)
+      << "root has a parent or first hop";
 
   for (net::NodeId v = 0; v < n; ++v) {
     if (v == tree.root) continue;
@@ -106,7 +105,7 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
       ARPA_CHECK(!topo.is_connected())
           << "node " << v << " unreachable in a connected topology";
       ARPA_CHECK(tree.parent_link[v] == net::kInvalidLink &&
-                 tree.first_hop[v] == net::kInvalidLink && tree.hops[v] == -1)
+                 tree.first_hop[v] == net::kInvalidLink)
           << "unreachable node " << v << " has tree structure";
       continue;
     }
@@ -124,9 +123,6 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
     ARPA_CHECK(tree.dist[v] > tree.dist[link.from])
         << "node " << v << ": distance did not increase along tree edge "
         << pl << " (positive costs require it)";
-    ARPA_CHECK(tree.hops[v] == tree.hops[link.from] + 1)
-        << "node " << v << ": hop count " << tree.hops[v]
-        << " != parent's " << tree.hops[link.from] << " + 1";
     const net::LinkId expected_first =
         link.from == tree.root ? pl : tree.first_hop[link.from];
     ARPA_CHECK(tree.first_hop[v] == expected_first)
@@ -134,18 +130,12 @@ void check_spf_tree(const net::Topology& topo, const routing::SpfTree& tree,
         << " disagrees with its parent chain (" << expected_first << ")";
   }
 
-  // Acyclicity: every parent chain must reach the root within n steps.
-  // (Strictly increasing distance along edges already forbids cycles; this
-  // catches a corrupted parent array whose distances lie.)
+  // Acyclicity: every parent chain must reach the root within n steps,
+  // which hop_count checks as it walks. (Strictly increasing distance along
+  // edges already forbids cycles; this catches a corrupted parent array
+  // whose distances lie.)
   for (net::NodeId v = 0; v < n; ++v) {
-    if (tree.dist[v] == kInf) continue;
-    net::NodeId at = v;
-    std::size_t steps = 0;
-    while (at != tree.root) {
-      ARPA_CHECK(++steps <= n)
-          << "parent chain from node " << v << " does not reach the root";
-      at = topo.link(tree.parent_link[at]).from;
-    }
+    if (tree.dist[v] != kInf) (void)routing::hop_count(topo, tree, v);
   }
 }
 

@@ -50,7 +50,7 @@ ShedCostResult shed_cost_study(const net::Topology& topo,
       for (net::NodeId dst = 0; dst < topo.node_count(); ++dst) {
         if (dst == src || matrix.at(src, dst) <= 0.0) continue;
         if (route_uses_link(topo, tree, dst, link.id)) {
-          pending.push_back({src, dst, tree.hops[dst]});
+          pending.push_back({src, dst, routing::hop_count(topo, tree, dst)});
         }
       }
     }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <string>
 #include <stdexcept>
 
 #include "src/util/check.h"
@@ -88,7 +88,7 @@ net::LinkId canonical_parent(const net::Topology& topo, const Costs& cost,
 }
 // ARPALINT-HOTPATH-END
 
-/// Derives parent links, first hops and hop counts from final distances.
+/// Derives parent links and first hops from final distances.
 /// `order` lists every node with parents before children: positive costs
 /// mean dist strictly increases along tree edges, so any nondecreasing-
 /// distance order qualifies (equal-dist nodes are never parent/child).
@@ -98,8 +98,6 @@ void derive_structure(const net::Topology& topo, const Costs& cost,
   const std::size_t n = topo.node_count();
   tree.parent_link.assign(n, net::kInvalidLink);
   tree.first_hop.assign(n, net::kInvalidLink);
-  tree.hops.assign(n, -1);
-  tree.hops[tree.root] = 0;
   for (const net::NodeId v : order) {
     if (v == tree.root) continue;
     const net::LinkId pl = canonical_parent(topo, cost, tree.dist, v);
@@ -107,20 +105,23 @@ void derive_structure(const net::Topology& topo, const Costs& cost,
     tree.parent_link[v] = pl;
     const net::NodeId u = topo.link(pl).from;
     // Parents come before children in `order`, so the parent's structure
-    // must already exist — a -1 here means the distance array is
-    // inconsistent with the parent derivation.
-    ARPA_DCHECK(u == tree.root || tree.hops[u] >= 0)
+    // must already exist — a missing first hop here means the distance
+    // array is inconsistent with the parent derivation.
+    ARPA_DCHECK(u == tree.root || tree.first_hop[u] != net::kInvalidLink)
         << "node " << v << " derived a parent (" << u
         << ") with no structure yet";
-    tree.hops[v] = tree.hops[u] + 1;
     tree.first_hop[v] = (u == tree.root) ? pl : tree.first_hop[u];
   }
 }
 
-/// One-shot Dijkstra over positive costs in either layout.
+/// One-shot Dijkstra over positive costs in either layout. It works in
+/// the given heap, settle-order list and per-node marks (all zero), and
+/// leaves the marks clear: a PSN's shared SpfScratch can lend all three.
 template <class Costs>
 SpfTree compute_tree(const net::Topology& topo, net::NodeId root,
-                     const Costs& cost) {
+                     const Costs& cost, HeapVec& heap,
+                     std::vector<net::NodeId>& order,
+                     std::vector<std::uint8_t>& settled) {
   if (root >= topo.node_count()) throw std::out_of_range("SPF root out of range");
 
   SpfTree tree;
@@ -130,15 +131,14 @@ SpfTree compute_tree(const net::Topology& topo, net::NodeId root,
 
   // Settle order is nondecreasing in distance, so it doubles as the
   // parents-before-children order derive_structure needs.
-  std::vector<net::NodeId> order;
+  order.clear();
   order.reserve(topo.node_count());
-  HeapVec heap;
+  heap.clear();
   heap_push(heap, 0.0, root);
-  std::vector<bool> settled(topo.node_count(), false);
   while (!heap.empty()) {
     const auto [d, u] = heap_pop(heap);
     if (settled[u]) continue;
-    settled[u] = true;
+    settled[u] = 1;
     order.push_back(u);
     // Parallel CSR slices: the relaxation touches only the link id (cost
     // index) and the target node, never the 48-byte Link record.
@@ -154,6 +154,7 @@ SpfTree compute_tree(const net::Topology& topo, net::NodeId root,
   }
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
     if (!settled[v]) order.push_back(v);
+    settled[v] = 0;
   }
 
   derive_structure(topo, cost, tree, order);
@@ -165,7 +166,22 @@ SpfTree compute_tree(const net::Topology& topo, net::NodeId root,
 SpfTree Spf::compute(const net::Topology& topo, net::NodeId root,
                      std::span<const double> link_costs) {
   check_costs(topo, link_costs);
-  return compute_tree(topo, root, IdCosts{link_costs});
+  HeapVec heap;
+  std::vector<net::NodeId> order;
+  std::vector<std::uint8_t> settled(topo.node_count(), 0);
+  return compute_tree(topo, root, IdCosts{link_costs}, heap, order, settled);
+}
+
+int hop_count(const net::Topology& topo, const SpfTree& tree, net::NodeId v) {
+  if (v != tree.root && tree.parent_link[v] == net::kInvalidLink) return -1;
+  int hops = 0;
+  for (net::NodeId at = v; at != tree.root; ++hops) {
+    ARPA_CHECK(tree.parent_link[at] != net::kInvalidLink &&
+               static_cast<std::size_t>(hops) < topo.node_count())
+        << "parent chain from node " << v << " does not reach the root";
+    at = topo.link(tree.parent_link[at]).from;
+  }
+  return hops;
 }
 
 SpfScratch::SpfScratch(const net::Topology& topo) {
@@ -206,9 +222,7 @@ IncrementalSpf::IncrementalSpf(const net::Topology& topo, net::NodeId root,
 }
 
 void IncrementalSpf::own_rows(const LinkCosts& costs) {
-  if (costs.size() != topo_->link_count()) {
-    throw std::invalid_argument("link cost vector size != link count");
-  }
+  check_costs(*topo_, costs);
   const std::size_t n = topo_->node_count();
   rows_.resize(n);
   owned_rows_.reserve(topo_->link_count());
@@ -234,9 +248,9 @@ void IncrementalSpf::init(net::NodeId root) {
       }
     }
   }
-  tree_ = compute_tree(*topo_, root, RowCosts{rows_.data()});
+  tree_ = compute_tree(*topo_, root, RowCosts{rows_.data()}, scratch_->heap,
+                       scratch_->nodes, scratch_->in_nodes);
   ++full_;
-  build_children();
 }
 
 LinkCosts IncrementalSpf::costs() const {
@@ -246,20 +260,6 @@ LinkCosts IncrementalSpf::costs() const {
     for (std::size_t i = 0; i < lids.size(); ++i) costs[lids[i]] = rows_[u][i];
   }
   return costs;
-}
-
-void IncrementalSpf::build_children() {
-  const std::size_t n = topo_->node_count();
-  first_child_.assign(n, net::kInvalidNode);
-  next_sibling_.assign(n, net::kInvalidNode);
-  prev_sibling_.assign(n, net::kInvalidNode);
-  // Hang every node from an empty forest: clear its parent, then reparent()
-  // it under the parent the full computation derived.
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::LinkId pl = tree_.parent_link[v];
-    tree_.parent_link[v] = net::kInvalidLink;
-    reparent(v, pl);
-  }
 }
 
 // ARPALINT-HOTPATH-BEGIN
@@ -348,8 +348,9 @@ void IncrementalSpf::decrease_pass(net::LinkId link, double new_cost) {
 
 void IncrementalSpf::increase_pass(net::LinkId link) {
   // Affected region: the subtree hanging below the head of the increased
-  // link, walked breadth-first over the child lists with `nodes` as the
-  // queue. Everything else keeps its distance.
+  // link, walked breadth-first with `nodes` as the queue. The children of
+  // x are the heads of x's out-links that are their parent links.
+  // Everything else keeps its distance.
   auto& nodes = scratch_->nodes;
   auto& in_nodes = scratch_->in_nodes;
   const net::NodeId head = topo_->link(link).to;
@@ -358,11 +359,13 @@ void IncrementalSpf::increase_pass(net::LinkId link) {
   nodes.push_back(head);
   in_nodes[head] = 1;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (net::NodeId c = first_child_[nodes[i]]; c != net::kInvalidNode;
-         c = next_sibling_[c]) {
-      in_nodes[c] = 1;
+    const std::span<const net::LinkId> lids = topo_->out_links(nodes[i]);
+    const std::span<const net::NodeId> tos = topo_->out_targets(nodes[i]);
+    for (std::size_t k = 0; k < lids.size(); ++k) {
+      if (tree_.parent_link[tos[k]] != lids[k]) continue;
+      in_nodes[tos[k]] = 1;
       // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
-      nodes.push_back(c);
+      nodes.push_back(tos[k]);
     }
   }
   for (const net::NodeId v : nodes) tree_.dist[v] = kInf;
@@ -433,7 +436,7 @@ void IncrementalSpf::repair_structure(net::NodeId head, bool decrease) {
             dx + row[k] != tree_.dist[w]) {
           continue;
         }
-        reparent(w, lids[k]);
+        tree_.parent_link[w] = lids[k];
         if (in_nodes[w] == 0) {
           in_nodes[w] = 2;
           // ARPALINT-ALLOW(hot-path-alloc): reserved to node_count in the ctor
@@ -453,83 +456,65 @@ void IncrementalSpf::repair_structure(net::NodeId head, bool decrease) {
       const net::LinkId pl =
           canonical_parent(*topo_, RowCosts{rows_.data()}, tree_.dist, v);
       if (pl == tree_.parent_link[v]) continue;
-      reparent(v, pl);
+      tree_.parent_link[v] = pl;
     }
     heap_push(heap, tree_.dist[v], v);
   }
 
-  // Push hop counts and first hops down from the re-parented nodes. Popping
-  // in distance order settles every parent before its children, so each
-  // node is recomputed from final parent values; the push stops wherever a
-  // node's values come out unchanged. A node can be queued twice (as
-  // re-parented and as a child); the second pop finds nothing to change.
+  // Push first hops down from the re-parented nodes. Popping in distance
+  // order settles every parent before its children. A child's first hop is
+  // its parent's (below the root, its parent link), so the push stops at
+  // any node whose first hop comes out unchanged. A node can be queued
+  // twice (as re-parented and as a child); the second pop changes nothing.
   while (!heap.empty()) {
     const net::NodeId v = heap_pop(heap).second;
     const net::LinkId pl = tree_.parent_link[v];
-    int hops = -1;
     net::LinkId first_hop = net::kInvalidLink;
     if (pl != net::kInvalidLink) {
       const net::NodeId u = topo_->link(pl).from;
-      ARPA_DCHECK(u == tree_.root || tree_.hops[u] >= 0)
+      ARPA_DCHECK(u == tree_.root || tree_.first_hop[u] != net::kInvalidLink)
           << "node " << v << " re-parented under " << u << " with no structure";
-      hops = tree_.hops[u] + 1;
       first_hop = (u == tree_.root) ? pl : tree_.first_hop[u];
     }
-    if (hops == tree_.hops[v] && first_hop == tree_.first_hop[v]) continue;
-    if (first_hop != tree_.first_hop[v]) ++first_hop_changes_;
-    tree_.hops[v] = hops;
+    if (first_hop == tree_.first_hop[v]) continue;
+    ++first_hop_changes_;
     tree_.first_hop[v] = first_hop;
-    for (net::NodeId c = first_child_[v]; c != net::kInvalidNode;
-         c = next_sibling_[c]) {
-      heap_push(heap, tree_.dist[c], c);
+    const std::span<const net::LinkId> lids = topo_->out_links(v);
+    const std::span<const net::NodeId> tos = topo_->out_targets(v);
+    for (std::size_t k = 0; k < lids.size(); ++k) {
+      if (tree_.parent_link[tos[k]] == lids[k]) {
+        heap_push(heap, tree_.dist[tos[k]], tos[k]);
+      }
     }
   }
 }
 
-void IncrementalSpf::reparent(net::NodeId v, net::LinkId new_parent) {
-  const net::LinkId old_parent = tree_.parent_link[v];
-  if (old_parent != net::kInvalidLink) {
-    const net::NodeId prev = prev_sibling_[v];
-    const net::NodeId next = next_sibling_[v];
-    if (prev != net::kInvalidNode) {
-      next_sibling_[prev] = next;
-    } else {
-      first_child_[topo_->link(old_parent).from] = next;
-    }
-    if (next != net::kInvalidNode) prev_sibling_[next] = prev;
-  }
-  tree_.parent_link[v] = new_parent;
-  if (new_parent != net::kInvalidLink) {
-    const net::NodeId u = topo_->link(new_parent).from;
-    const net::NodeId first = first_child_[u];
-    prev_sibling_[v] = net::kInvalidNode;
-    next_sibling_[v] = first;
-    if (first != net::kInvalidNode) prev_sibling_[first] = v;
-    first_child_[u] = v;
-  }
-}
 // ARPALINT-HOTPATH-END
 
-std::vector<std::vector<int>> min_hop_lengths(const net::Topology& topo) {
+MinHopTable min_hop_lengths(const net::Topology& topo) {
   const std::size_t n = topo.node_count();
-  std::vector<std::vector<int>> result(n, std::vector<int>(n, -1));
+  if (n > MinHopTable::kUnreachable) {
+    throw std::invalid_argument("min-hop table: " + std::to_string(n) +
+                                " nodes, paths may not fit 16 bits");
+  }
+  MinHopTable table{n, std::vector(n * n, MinHopTable::kUnreachable)};
+  std::vector<net::NodeId> queue;
+  queue.reserve(n);
   for (net::NodeId src = 0; src < n; ++src) {
-    auto& row = result[src];
+    std::uint16_t* row = table.hops.data() + src * n;
     row[src] = 0;
-    std::queue<net::NodeId> q;
-    q.push(src);
-    while (!q.empty()) {
-      const net::NodeId u = q.front();
-      q.pop();
+    queue.assign(1, src);
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      const net::NodeId u = queue[i];
       for (const net::NodeId v : topo.out_targets(u)) {
-        if (row[v] == -1) {
-          row[v] = row[u] + 1;
-          q.push(v);
+        if (row[v] == MinHopTable::kUnreachable) {
+          row[v] = static_cast<std::uint16_t>(row[u] + 1);
+          queue.push_back(v);
         }
       }
     }
   }
-  return result;
+  return table;
 }
 
 }  // namespace arpanet::routing

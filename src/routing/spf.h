@@ -47,15 +47,18 @@ struct SpfTree {
   /// The root's outgoing link used to reach each node — the forwarding
   /// decision (kInvalidLink for the root and unreachable nodes).
   std::vector<net::LinkId> first_hop;
-  /// Path length in hops from the root, per node (-1 if unreachable; 0 for
-  /// the root).
-  std::vector<int> hops;
 
   /// True iff `link` is a tree edge (the parent link of its head node).
   [[nodiscard]] bool uses_link(const net::Topology& topo, net::LinkId link) const {
     return parent_link[topo.link(link).to] == link;
   }
 };
+
+/// Path length in hops from the tree's root to `v`, walked over parent
+/// links: 0 for the root, -1 if `v` is unreachable. O(path length); fails
+/// an ARPA_CHECK if the chain breaks or cycles before reaching the root.
+[[nodiscard]] int hop_count(const net::Topology& topo, const SpfTree& tree,
+                            net::NodeId v);
 
 /// One-shot SPF.
 class Spf {
@@ -97,11 +100,15 @@ struct SpfScratch {
 /// Maintains the tree across a stream of single-link cost changes. Distances
 /// are updated with localized Dijkstra passes touching only affected nodes.
 /// Parents are then re-derived canonically, but only for the nodes whose
-/// parent can have changed, and hop counts and first hops are pushed down
-/// the subtrees of re-parented nodes, so every pass costs O(region x
-/// degree) rather than O(nodes + links). The result is always bit-identical
-/// to a full Spf::compute with the same costs (verified by property
-/// tests). Counters expose how much work each class of update required.
+/// parent can have changed, and first hops are pushed down the subtrees of
+/// re-parented nodes, so every pass costs O(region x degree) rather than
+/// O(nodes + links). The result is always bit-identical to a full
+/// Spf::compute with the same costs (verified by property tests). Counters
+/// expose how much work each class of update required.
+///
+/// Per destination it keeps the tree's three arrays (16 B) and a row
+/// pointer (8 B). The children of u are the heads of the out_links(u)
+/// entries l with parent_link[head(l)] == l, found at O(degree).
 ///
 /// Costs are read per origin: row(u)[i] is the cost of out_links(u)[i], the
 /// layout of a routing update, which reports every out-link of its origin
@@ -129,7 +136,6 @@ class IncrementalSpf {
   [[nodiscard]] const SpfTree& tree() const { return tree_; }
   /// A copy of the cost map, indexed by LinkId.
   [[nodiscard]] LinkCosts costs() const;
-  [[nodiscard]] net::NodeId root() const { return tree_.root; }
 
   /// Applies one link-cost change and updates the tree (standalone
   /// instances only).
@@ -162,8 +168,6 @@ class IncrementalSpf {
   void decrease_pass(net::LinkId link, double new_cost);
   void increase_pass(net::LinkId link);
   void repair_structure(net::NodeId head, bool decrease);
-  void build_children();
-  void reparent(net::NodeId v, net::LinkId new_parent);
 
   const net::Topology* topo_;
   /// rows_[u]: origin u's out-link costs, in out_links(u) order.
@@ -172,12 +176,6 @@ class IncrementalSpf {
   /// resident instance). A move keeps the buffer, so rows_ stays valid.
   std::vector<double> owned_rows_;
   SpfTree tree_;
-  /// Intrusive doubly linked child lists of tree_: the children of u are
-  /// first_child_[u], next_sibling_[first_child_[u]], ... (kInvalidNode
-  /// ends a list). A re-parented node moves between lists in O(1).
-  std::vector<net::NodeId> first_child_;
-  std::vector<net::NodeId> next_sibling_;
-  std::vector<net::NodeId> prev_sibling_;
   /// Set only for an instance built without a borrowed scratch; scratch_
   /// points here or at the borrowed one. Heap-held so a moved instance
   /// keeps a valid pointer.
@@ -190,8 +188,23 @@ class IncrementalSpf {
   long first_hop_changes_ = 0;
 };
 
-/// Hop counts of minimum-hop paths from every node (BFS). Used for the
-/// "Internode Minimum Path" row of Table 1.
-[[nodiscard]] std::vector<std::vector<int>> min_hop_lengths(const net::Topology& topo);
+/// Hop counts of minimum-hop paths between every pair of nodes, row-major
+/// in one allocation of 2 B per pair. Used for the "Internode Minimum
+/// Path" row of Table 1.
+struct MinHopTable {
+  /// The entry of a pair with no path between them.
+  static constexpr std::uint16_t kUnreachable = 0xFFFF;
+  std::size_t nodes = 0;
+  std::vector<std::uint16_t> hops;
+
+  [[nodiscard]] std::uint16_t at(net::NodeId src, net::NodeId dst) const {
+    return hops[src * nodes + dst];
+  }
+};
+
+/// The min-hop table of `topo` (one BFS per source). Throws
+/// std::invalid_argument for a topology of more than kUnreachable nodes,
+/// whose longest path (nodes - 1 hops) could reach the sentinel.
+[[nodiscard]] MinHopTable min_hop_lengths(const net::Topology& topo);
 
 }  // namespace arpanet::routing

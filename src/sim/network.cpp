@@ -212,7 +212,7 @@ void Network::on_delivered(const Packet& pkt) {
   stats_.one_way_delay_ms.add((now() - pkt.created).ms());
   stats_.delay_histogram_ms.add((now() - pkt.created).ms());
   stats_.path_hops.add(pkt.hops);
-  stats_.min_hops.add(min_hop_table_[pkt.src][pkt.dst]);
+  stats_.min_hops.add(min_hop_table_.at(pkt.src, pkt.dst));
   if (delivery_hook_) delivery_hook_(pkt);
 }
 

@@ -358,7 +358,7 @@ class Network : public EventSink {
   std::vector<Source> sources_;
   /// Every source's destination table, in one flat column array.
   traffic::AliasTable destinations_;
-  std::vector<std::vector<int>> min_hop_table_;
+  routing::MinHopTable min_hop_table_;
   std::function<void(const Packet&)> delivery_hook_;
   PacketTracer* tracer_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;

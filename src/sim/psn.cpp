@@ -540,6 +540,8 @@ void Psn::upgrade_local_link(net::LinkId out_link) {
   o.meas = metrics::DelayMeasurement{link.rate, link.prop_delay};
   o.filter = metrics::SignificanceFilter{
       metric.significance(cfg.significance_threshold_override)};
+  // No flooded updates in 1969 mode (as in set_local_link_up).
+  if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) return;
   if (!o.up) {
     // Upgraded while down: keep advertising kDownLinkCost; the new line
     // eases in when the trunk heals (set_local_link_up's restart path).

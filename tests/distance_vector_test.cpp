@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "src/net/builders/registry.h"
 #include "src/routing/spf.h"
@@ -80,7 +81,7 @@ TEST(BellmanFordTest, AgreesWithSpfOnStaticCosts) {
     for (net::NodeId d = 0; d < topo.node_count(); ++d) {
       EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), tree.dist[d])
           << s << " -> " << d;
-      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops[s][d] * Psn::kDvBias)
+      EXPECT_DOUBLE_EQ(net.psn(s).dv_distance(d), hops.at(s, d) * Psn::kDvBias)
           << s << " -> " << d;
     }
   }
@@ -99,7 +100,7 @@ TEST(BellmanFordTest, NoLoopsAfterConvergence) {
       const routing::PathTrace route = net.current_route(s, d);
       EXPECT_TRUE(route.reached) << s << " -> " << d;
       EXPECT_FALSE(route.looped) << s << " -> " << d;
-      EXPECT_EQ(route.hops(), hops[s][d]) << s << " -> " << d;
+      EXPECT_EQ(route.hops(), hops.at(s, d)) << s << " -> " << d;
     }
   }
 }
@@ -276,6 +277,38 @@ TEST(DistanceVectorTest, NodeCrashHandledWithoutSpfUpdates) {
   net.set_trunk_up(link_a, true);
   net.run_for(SimTime::from_sec(30));
   EXPECT_GT(net.stats().packets_delivered, 1000);
+}
+
+TEST(DistanceVectorTest, LineUpgradeFloodsNoLinkStateUpdate) {
+  // A mid-run line upgrade rebuilds the link's metric, but in 1969 mode it
+  // floods nothing: the tables pick the change up in their next exchanges.
+  // Every origination under DV is then a periodic table exchange, so the
+  // run with the upgrade originates exactly as many as the run without it,
+  // and every PSN still holds each origin's sequence-0 link-state seed.
+  const net::Topology topo = net::build_topology("ring:nodes=6");
+  const auto run = [&](bool upgrade) {
+    auto net = std::make_unique<Network>(topo, dv_config());
+    if (upgrade) {
+      net->install_faults(
+          FaultPlan::parse("upgrade:link=0,at_s=30,type=112kb-multitrunk"),
+          SimTime::from_sec(60));
+    }
+    net->run_for(SimTime::from_sec(60));
+    return net;
+  };
+  const auto upgraded = run(true);
+  const auto plain = run(false);
+  EXPECT_EQ(upgraded->stability().faults_applied, 1);
+  EXPECT_GT(plain->stats().updates_originated, 0);
+  EXPECT_EQ(upgraded->stats().updates_originated,
+            plain->stats().updates_originated);
+  for (net::NodeId at = 0; at < topo.node_count(); ++at) {
+    for (net::NodeId origin = 0; origin < topo.node_count(); ++origin) {
+      const UpdateHandle h = upgraded->psn(at).held_update(origin);
+      EXPECT_EQ(upgraded->update_pool().at(h).seq, 0u)
+          << "PSN " << at << " holds a flooded update from " << origin;
+    }
+  }
 }
 
 TEST(DistanceVectorTest, DeterministicForSeed) {

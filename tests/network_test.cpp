@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/net/builders/registry.h"
 #include "src/obs/trace_sink.h"
@@ -171,6 +172,37 @@ TEST(NetworkTest, ConstructionKeepsNoPerPsnCostMap) {
   const util::AllocGuard guard;
   const Network net{topo, cfg};
   EXPECT_LT(guard.bytes(), 8'000'000u);
+}
+
+/// Bytes requested while building a default (HN-SPF) Network over `spec`.
+std::size_t construction_bytes(const std::string& spec) {
+  const net::Topology topo = net::build_topology(spec);
+  topo.finalize();
+  const util::AllocGuard guard;
+  const Network net{topo, NetworkConfig{}};
+  return guard.bytes();
+}
+
+TEST(NetworkTest, ResidentSpfKeepsThreeArraysPerDestination) {
+  // The state that grows as N^2 is, per PSN per destination, the resident
+  // tree's dist (8 B), parent_link (4 B) and first_hop (4 B), the SPF's row
+  // pointer (8 B) and the held update handle (4 B), plus the network's
+  // 2-byte min-hop entry: 30 B. Child lists (12 B) and resident hop counts
+  // (4 B) would add 16 B, over 1 MiB at 256 nodes: with them the build
+  // requested 7,194,976 bytes.
+  constexpr std::size_t kQuadraticBytes = 8 + 4 + 4 + 8 + 4 + 2;
+  const std::size_t small = construction_bytes("leo-grid:nodes=256");
+  EXPECT_LT(small, 6'300'000u);
+
+  // Everything else grows with nodes and links, and a leo-grid has four
+  // times as many of both at 1,024 nodes: the larger build may request the
+  // quadratic part plus four times the smaller one's remainder, with 5%
+  // slack on that remainder.
+  const std::size_t small_quadratic = kQuadraticBytes * 256 * 256;
+  ASSERT_GT(small, small_quadratic);
+  const std::size_t bound = kQuadraticBytes * 1024 * 1024 +
+                            (small - small_quadratic) * 4 * 105 / 100;
+  EXPECT_LT(construction_bytes("leo-grid:nodes=1024"), bound);
 }
 
 TEST(NetworkTest, QuiescedNetworkHoldsOneVersionPerOrigin) {

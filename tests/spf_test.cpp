@@ -39,7 +39,7 @@ TEST(SpfTest, ShortestPathOnDiamond) {
   const SpfTree tree = Spf::compute(t, 0, costs);
   EXPECT_DOUBLE_EQ(tree.dist[3], 2.0);
   EXPECT_EQ(tree.first_hop[3], 2u);  // a->c
-  EXPECT_EQ(tree.hops[3], 2);
+  EXPECT_EQ(hop_count(t, tree, 3), 2);
 }
 
 TEST(SpfTest, RootFields) {
@@ -49,7 +49,7 @@ TEST(SpfTest, RootFields) {
   EXPECT_EQ(tree.root, 2u);
   EXPECT_DOUBLE_EQ(tree.dist[2], 0.0);
   EXPECT_EQ(tree.parent_link[2], net::kInvalidLink);
-  EXPECT_EQ(tree.hops[2], 0);
+  EXPECT_EQ(hop_count(t, tree, 2), 0);
 }
 
 TEST(SpfTest, TieBreaksByLowestLinkId) {
@@ -82,9 +82,9 @@ TEST(SpfTest, HopsCountTreeEdges) {
   const Topology t = net::build_topology("ring:nodes=6");
   const LinkCosts costs(t.link_count(), 1.0);
   const SpfTree tree = Spf::compute(t, 0, costs);
-  EXPECT_EQ(tree.hops[3], 3);  // opposite side of a 6-ring
-  EXPECT_EQ(tree.hops[1], 1);
-  EXPECT_EQ(tree.hops[5], 1);
+  EXPECT_EQ(hop_count(t, tree, 3), 3);  // opposite side of a 6-ring
+  EXPECT_EQ(hop_count(t, tree, 1), 1);
+  EXPECT_EQ(hop_count(t, tree, 5), 1);
 }
 
 TEST(SpfTest, UsesLink) {
@@ -140,7 +140,8 @@ TEST(IncrementalSpfTest, NoopOnEqualCost) {
 }
 
 /// Property: after any stream of random cost changes, the incremental tree
-/// is identical to a full recompute — distances, parents, first hops, hops.
+/// is identical to a full recompute — distances, parents, first hops and
+/// hop counts.
 TEST(IncrementalSpfTest, MatchesFullRecomputeOnRandomGraphs) {
   util::Rng rng{2024};
   for (int trial = 0; trial < 20; ++trial) {
@@ -162,7 +163,7 @@ TEST(IncrementalSpfTest, MatchesFullRecomputeOnRandomGraphs) {
             << "trial " << trial << " step " << step << " node " << v;
         ASSERT_EQ(inc.tree().parent_link[v], full.parent_link[v]);
         ASSERT_EQ(inc.tree().first_hop[v], full.first_hop[v]);
-        ASSERT_EQ(inc.tree().hops[v], full.hops[v]);
+        ASSERT_EQ(hop_count(t, inc.tree(), v), hop_count(t, full, v));
       }
     }
     EXPECT_GT(inc.skipped_updates() + inc.incremental_updates(), 0);
@@ -219,7 +220,8 @@ void check_against_full_recompute(const Topology& t, net::NodeId root,
       ASSERT_EQ(inc.tree().dist[v], full.dist[v]) << "node " << v;
       ASSERT_EQ(inc.tree().parent_link[v], full.parent_link[v]) << "node " << v;
       ASSERT_EQ(inc.tree().first_hop[v], full.first_hop[v]) << "node " << v;
-      ASSERT_EQ(inc.tree().hops[v], full.hops[v]) << "node " << v;
+      ASSERT_EQ(hop_count(t, inc.tree(), v), hop_count(t, full, v))
+          << "node " << v;
       if (full.first_hop[v] != prev.first_hop[v]) ++expected_changes;
       if (full.dist[v] < prev.dist[v]) ++lowered;
     }
@@ -317,7 +319,6 @@ void check_resident_matches_standalone(const Topology& t, net::NodeId root,
     ASSERT_EQ(resident.tree().dist, reference.tree().dist);
     ASSERT_EQ(resident.tree().parent_link, reference.tree().parent_link);
     ASSERT_EQ(resident.tree().first_hop, reference.tree().first_hop);
-    ASSERT_EQ(resident.tree().hops, reference.tree().hops);
     ASSERT_EQ(resident.full_recomputes(), reference.full_recomputes());
     ASSERT_EQ(resident.skipped_updates(), reference.skipped_updates());
     ASSERT_EQ(resident.incremental_updates(), reference.incremental_updates());
@@ -341,6 +342,52 @@ TEST(IncrementalSpfTest, ResidentRowsMatchStandaloneSetCost) {
   const Topology arpa = net::build_topology("arpanet87");
   for (const net::NodeId root : {0u, 17u, 46u}) {
     check_resident_matches_standalone(arpa, root, 300, 400 + root);
+  }
+}
+
+/// A resident instance's first_hop_changes() delta over each adopted row
+/// that moves one link's cost is exactly the number of destinations whose
+/// first hop differs between the trees before and after it: the push-down
+/// counts every changed destination once, and stops nowhere a change is
+/// still to come. (A row moving several links counts each link's change in
+/// turn, as that many set_cost calls would; ResidentRowsMatchStandaloneSetCost
+/// pins that.)
+TEST(IncrementalSpfTest, FirstHopChangesCountTheTreeDiff) {
+  const Topology leo = net::TopologyBuilder::registry().build(
+      net::GraphSpec::parse("leo-grid:nodes=64"));
+  const Topology arpa = net::build_topology("arpanet87");
+  util::Rng rng{3030};
+  for (const Topology* t : {&leo, &arpa}) {
+    for (const net::NodeId root : {0u, 17u, 46u}) {
+      std::vector<std::vector<double>> rows(t->node_count());
+      std::vector<const double*> row_ptrs(t->node_count());
+      for (net::NodeId u = 0; u < t->node_count(); ++u) {
+        rows[u].assign(t->out_links(u).size(), 1.0);
+        row_ptrs[u] = rows[u].data();
+      }
+      SpfScratch scratch{*t};
+      IncrementalSpf spf{*t, root, row_ptrs, scratch};
+      long changed_total = 0;
+      for (int step = 0; step < 400; ++step) {
+        const auto origin =
+            static_cast<net::NodeId>(rng.uniform_index(t->node_count()));
+        std::vector<double> next = rows[origin];
+        next[rng.uniform_index(next.size())] =
+            1.0 + static_cast<double>(rng.uniform_index(3));
+        const std::vector<net::LinkId> before = spf.tree().first_hop;
+        const long changes_before = spf.first_hop_changes();
+        spf.adopt_row(origin, next.data());
+        rows[origin] = std::move(next);
+        long changed = 0;
+        for (net::NodeId v = 0; v < t->node_count(); ++v) {
+          if (spf.tree().first_hop[v] != before[v]) ++changed;
+        }
+        ASSERT_EQ(spf.first_hop_changes() - changes_before, changed)
+            << "root " << root << " step " << step << " origin " << origin;
+        changed_total += changed;
+      }
+      EXPECT_GT(changed_total, 0) << "root " << root;
+    }
   }
 }
 
@@ -392,7 +439,6 @@ TEST(IncrementalSpfTest, SharedScratchMatchesFullRecompute) {
       ASSERT_EQ(spfs[k].tree().dist, full.dist);
       ASSERT_EQ(spfs[k].tree().parent_link, full.parent_link);
       ASSERT_EQ(spfs[k].tree().first_hop, full.first_hop);
-      ASSERT_EQ(spfs[k].tree().hops, full.hops);
     }
   }
   EXPECT_GT(increases, 150);
@@ -453,7 +499,7 @@ TEST(IncrementalSpfTest, IncreaseOnTiedTreeLinkMovesTheSubtree) {
   EXPECT_EQ(inc.tree().parent_link[e], 8u);
   EXPECT_EQ(inc.tree().first_hop[3], 2u);
   EXPECT_EQ(inc.tree().first_hop[e], 2u);
-  EXPECT_EQ(inc.tree().hops[e], 3);
+  EXPECT_EQ(hop_count(t, inc.tree(), e), 3);
   EXPECT_EQ(inc.first_hop_changes(), 2);
 }
 
@@ -499,7 +545,7 @@ TEST(IncrementalSpfTest, DecreaseTieWithLowerIdReparentsAnOutNeighbour) {
   EXPECT_DOUBLE_EQ(inc.tree().dist[3], 2.0);
   EXPECT_EQ(inc.tree().parent_link[3], x_w);
   EXPECT_EQ(inc.tree().first_hop[3], r_x);
-  EXPECT_EQ(inc.tree().hops[3], 2);
+  EXPECT_EQ(hop_count(t, inc.tree(), 3), 2);
   EXPECT_EQ(inc.first_hop_changes(), 1);
   const SpfTree full = Spf::compute(t, 0, inc.costs());
   EXPECT_EQ(inc.tree().parent_link, full.parent_link);
@@ -529,11 +575,31 @@ TEST(IncrementalSpfTest, DecreaseTieWithHigherIdLeavesAnOutNeighbour) {
 
 TEST(MinHopTest, RingDistances) {
   const Topology t = net::build_topology("ring:nodes=8");
-  const auto d = min_hop_lengths(t);
-  EXPECT_EQ(d[0][4], 4);
-  EXPECT_EQ(d[0][7], 1);
-  EXPECT_EQ(d[3][3], 0);
-  EXPECT_EQ(d[2][6], 4);
+  const MinHopTable d = min_hop_lengths(t);
+  EXPECT_EQ(d.at(0, 4), 4);
+  EXPECT_EQ(d.at(0, 7), 1);
+  EXPECT_EQ(d.at(3, 3), 0);
+  EXPECT_EQ(d.at(2, 6), 4);
+}
+
+TEST(MinHopTest, UnreachablePairsReadTheSentinel) {
+  Topology t = diamond();
+  t.add_node("x");
+  const MinHopTable d = min_hop_lengths(t);
+  EXPECT_EQ(d.at(0, 3), 2);
+  EXPECT_EQ(d.at(0, 4), MinHopTable::kUnreachable);
+  EXPECT_EQ(d.at(4, 0), MinHopTable::kUnreachable);
+  EXPECT_EQ(d.at(4, 4), 0);
+}
+
+TEST(MinHopTest, RejectsATopologyWhosePathsMayNotFit) {
+  // 65,536 nodes could form a 65,535-hop path, which would read as the
+  // sentinel: the table refuses before allocating its 8 GiB.
+  Topology t;
+  for (int i = 0; i <= MinHopTable::kUnreachable; ++i) {
+    t.add_node("n" + std::to_string(i));
+  }
+  EXPECT_THROW((void)min_hop_lengths(t), std::invalid_argument);
 }
 
 // ---- path trace ----
@@ -593,7 +659,7 @@ TEST(ForwardingTest, ConsistentTablesNeverLoop) {
       const PathTrace trace = trace_path(t, s, d, next_hop);
       EXPECT_TRUE(trace.reached);
       EXPECT_FALSE(trace.looped);
-      EXPECT_EQ(trace.hops(), trees[s].hops[d]);
+      EXPECT_EQ(trace.hops(), hop_count(t, trees[s], d));
     }
   }
 }

@@ -237,8 +237,8 @@ TEST(BuildersTest, Arpanet87PathLengthsResembleTable1) {
   for (NodeId s = 0; s < topo.node_count(); ++s) {
     for (NodeId t2 = 0; t2 < topo.node_count(); ++t2) {
       if (s == t2) continue;
-      sum += d[s][t2];
-      diameter = std::max(diameter, d[s][t2]);
+      sum += d.at(s, t2);
+      diameter = std::max<int>(diameter, d.at(s, t2));
       ++pairs;
     }
   }

@@ -25,6 +25,12 @@
 //   // ARPALINT-HOTPATH-BEGIN ... // ARPALINT-HOTPATH-END
 //   // ARPALINT-ALLOW(rule): reason      suppress `rule` on this line and
 //                                        the next one
+//   // ARPALINT-NOALLOC                  on a member function's declaration
+//                                        (its line or the line before):
+//                                        calls to that name in this file
+//                                        are not hot-path-alloc findings,
+//                                        so a member that cannot allocate
+//                                        may be called push, insert, ...
 //   // ARPALINT-LAYER(name): reason      this file belongs to layer `name`
 //                                        for the DAG check (both as an
 //                                        includer and as a target)
@@ -244,6 +250,8 @@ struct Directives {
   // allow[line] = rules suppressed on that line and the next one (0-based).
   std::map<std::size_t, std::set<std::string>> allow;
   std::vector<bool> hot;  // per line (0-based)
+  // Member functions declared ARPALINT-NOALLOC in this file.
+  std::set<std::string> noalloc;
   std::optional<std::string> layer_override;
   int layer_override_line = 0;  // 1-based, for reporting
 };
@@ -281,6 +289,17 @@ bool parse_arg_directive(std::string_view text, std::size_t pos,
     problem = "empty reason after directive";
   }
   return true;
+}
+
+/// The name a declaration line declares: the identifier just before its
+/// first '(' (empty if the line has none).
+std::string declared_name(const std::string& code) {
+  std::size_t end = code.find('(');
+  if (end == std::string::npos) return "";
+  while (end > 0 && code[end - 1] == ' ') --end;
+  std::size_t begin = end;
+  while (begin > 0 && ident_char(code[begin - 1])) --begin;
+  return code.substr(begin, end - begin);
 }
 
 Directives parse_directives(const ScrubbedFile& sf, const std::string& rel,
@@ -334,6 +353,20 @@ Directives parse_directives(const ScrubbedFile& sf, const std::string& rel,
                                   "'"});
         } else {
           d.allow[li].insert(rule);
+        }
+      } else if (rest.rfind("ARPALINT-NOALLOC", 0) == 0) {
+        // A marker on a line of its own leaves that line's code blank and
+        // marks the declaration on the next one.
+        std::string name = declared_name(sf.code[li]);
+        if (name.empty() && li + 1 < sf.code.size()) {
+          name = declared_name(sf.code[li + 1]);
+        }
+        if (name.empty()) {
+          findings.push_back({rel, line_no, "directive",
+                              "ARPALINT-NOALLOC marks no function "
+                              "declaration on this or the next line"});
+        } else {
+          d.noalloc.insert(name);
         }
       } else if (rest.rfind("ARPALINT-LAYER", 0) == 0) {
         std::string layer, reason, problem;
@@ -489,6 +522,7 @@ void check_hot_path_alloc(const FileInfo& f, std::vector<Finding>& out) {
       }
     }
     for (const std::string& m : kAllocMembers) {
+      if (f.dirs.noalloc.count(m) > 0) continue;
       std::size_t p = 0;
       while ((p = find_ident(code, m, p, true)) != std::string::npos) {
         if (preceded_by_member_access(code, p)) {

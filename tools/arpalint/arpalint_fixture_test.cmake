@@ -20,6 +20,16 @@ foreach(rule hot-path-alloc determinism layer-dag check-macros directive)
   endif()
 endforeach()
 
+# ARPALINT-NOALLOC exempts calls in its own file only, and must mark a
+# declaration (tree_ok/src/sim/intrusive_fifo.h is the exempt case).
+foreach(finding
+        "src/sim/fifo_user.h:11: \\[hot-path-alloc\\] \\.push\\(\\)"
+        "src/sim/fifo.h:18: \\[directive\\] ARPALINT-NOALLOC marks no")
+  if(NOT bad_out MATCHES "${finding}")
+    message(FATAL_ERROR "tree_bad: expected a finding matching ${finding}\n${bad_out}")
+  endif()
+endforeach()
+
 execute_process(COMMAND ${ARPALINT} --root=${FIXTURES}/tree_ok src
                 OUTPUT_VARIABLE ok_out ERROR_VARIABLE ok_err
                 RESULT_VARIABLE ok_rc)
