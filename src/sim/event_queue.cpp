@@ -77,6 +77,7 @@ void EventQueue::schedule(util::SimTime at, SimEvent ev) {
   if ((size_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) ||
       (overflow_.size() > kOverflowTrigger &&
        8 * overflow_.size() > size_)) {
+    // ARPALINT-ALLOW(hot-path-alloc): grows only past reserve()'s capacity
     resize(buckets_for(size_));
   }
 }
@@ -225,6 +226,7 @@ SimEvent EventQueue::pop(util::SimTime& at) {
       drain_active_ = false;
       check_days_ = check_events_ = check_scans_ = 0;
     } else {
+      // ARPALINT-ALLOW(hot-path-alloc): shrinks the day array in place
       resize(buckets_for(size_));
     }
   }

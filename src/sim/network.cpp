@@ -76,7 +76,11 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
     max_degree = std::max(max_degree, topo.out_links(v).size());
   }
-  updates_.set_report_capacity(max_degree);
+  // A 1969 advertisement rides a slot's row with one distance per node.
+  updates_.set_report_capacity(
+      cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector
+          ? std::max(max_degree, topo.node_count())
+          : max_degree);
   // Queue-bound packet working set: every output queue full (enqueue drops
   // beyond queue_capacity) plus a transmitting/propagating packet per link,
   // plus slack for flooded updates (not queue-capped, but short-lived).
@@ -105,9 +109,6 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
     seed_rows[n] = seed.costs.data();
     updates_.hold(seeds[n]);
     updates_.release(seeds[n]);
-  }
-  if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) {
-    updates_.set_dv_capacity(topo.node_count());
   }
   effective_links_.assign(topo.links().begin(), topo.links().end());
   psns_.reserve(topo.node_count());
@@ -306,12 +307,9 @@ void Network::set_trunk_up(net::LinkId link, bool up) {
 
 routing::PathTrace Network::current_route(net::NodeId src,
                                           net::NodeId dst) const {
-  const bool dv = cfg_.algorithm == routing::RoutingAlgorithm::kDistanceVector;
   return routing::trace_path(*topo_, src, dst,
                              [&](net::NodeId at, net::NodeId to) {
-                               const Psn& psn = *psns_[at];
-                               return dv ? psn.dv_next_hop(to)
-                                         : psn.tree().first_hop[to];
+                               return psns_[at]->next_hop(to);
                              });
 }
 

@@ -19,8 +19,11 @@ struct NetworkStats {
   stats::Histogram delay_histogram_ms{0.0, 5000.0, 2500};
   stats::Summary path_hops;
   stats::Summary min_hops;  ///< min-hop length of each delivered packet's pair
+  /// Link-state updates originated; a 1969 table exchange is not one.
   long updates_originated = 0;
-  long update_packets_sent = 0;  ///< flooded transmissions (overhead)
+  /// Routing-message transmissions (overhead): flooded update copies and
+  /// distance-vector advertisements alike.
+  long update_packets_sent = 0;
 };
 
 /// Routing-stability telemetry for the measurement window (reset with the

@@ -9,14 +9,13 @@
 // (sim/packet_pool.h) reserves one slot per queue place and touches one per
 // live packet, so every byte here is paid hundreds of times in resident
 // memory and tens of thousands of times in address space. Payloads live
-// elsewhere and ride as 4-byte handles: routing updates and distance
-// vectors in sim::UpdatePool, host-message framing in sim::HostFlowLayer.
+// elsewhere and ride as 4-byte handles: routing messages in sim::UpdatePool,
+// host-message framing in sim::HostFlowLayer.
 
 #pragma once
 
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
 #include "src/net/topology.h"
 #include "src/util/units.h"
@@ -31,21 +30,11 @@ using UpdateHandle = std::uint32_t;
 inline constexpr UpdateHandle kInvalidUpdateHandle =
     static_cast<UpdateHandle>(-1);
 
-/// A distance-vector advertisement, as exchanged by the original (1969)
-/// routing algorithm: the sender's current estimated distance to every node
-/// (paper section 2.1). Sent hop-by-hop to neighbors only — never flooded.
-struct DistanceVector {
-  net::NodeId origin = net::kInvalidNode;
-  std::vector<double> dist;  ///< indexed by destination node
-
-  /// Wire size: header plus one 16-bit distance per destination — the
-  /// full-table exchange that made the original scheme costly on slow lines.
-  [[nodiscard]] double wire_bits() const {
-    return 128.0 + 16.0 * static_cast<double>(dist.size());
-  }
-};
-
 struct Packet {
+  /// A routing message's kind says how to read its slot's row: a
+  /// link-state update's costs of its origin's out-links, or a 1969
+  /// distance-vector advertisement's distances, indexed by destination
+  /// (paper section 2.1; sent hop-by-hop to neighbors only, never flooded).
   enum class Kind : std::uint8_t { kData, kRoutingUpdate, kDistanceVector };
 
   /// Bits of `flags`.

@@ -44,13 +44,15 @@ void Psn::start() {
     dv_dist_.assign(n, kUnreachable);
     dv_dist_[id_] = 0.0;
     dv_next_.assign(n, net::kInvalidLink);
-    dv_neighbor_.assign(out_.size(), std::vector<double>(n, kUnreachable));
+    dv_neighbor_.assign(out_.size() * n, kUnreachable);
+    next_hops_ = dv_next_;
     const util::SimTime offset = util::SimTime::from_us(
         kDvExchangePeriod.us() * (static_cast<std::int64_t>(id_) % 16) / 16);
     net_.simulator().schedule_in(kDvExchangePeriod + offset,
                                  SimEvent::dv_tick(net_, id_));
     return;
   }
+  next_hops_ = spf_.tree().first_hop;
   // Measurement periods are staggered across nodes (the real PSNs' clocks
   // were unsynchronized); the *response* to an update is still
   // near-simultaneous network-wide because flooding is fast.
@@ -142,9 +144,7 @@ void Psn::receive(PacketHandle h, net::LinkId via_link) {
 void Psn::forward(PacketHandle h) {
   Packet& pkt = net_.packet_pool().at(h);
   net::LinkId next = net::kInvalidLink;
-  if (net_.config().algorithm == routing::RoutingAlgorithm::kDistanceVector) {
-    next = dv_next_[pkt.dst];
-  } else if (net_.config().multipath) {
+  if (net_.config().multipath) {
     if (mp_dirty_) {
       // ARPALINT-ALLOW(hot-path-alloc): the lazy multipath rebuild runs per
       // cost change, not per packet, and only when multipath is enabled.
@@ -159,7 +159,7 @@ void Psn::forward(PacketHandle h) {
       next = hops[mp_cursor_[pkt.dst]++ % hops.size()];
     }
   } else {
-    next = spf_.tree().first_hop[pkt.dst];
+    next = next_hops_[pkt.dst];
   }
   if (next == net::kInvalidLink) {
     net_.trace(TraceEventKind::kDroppedUnreachable, pkt, id_);
@@ -278,17 +278,37 @@ void Psn::on_transmit_complete(net::LinkId link, util::SimTime queue_delay,
 // ARPALINT-HOTPATH-END
 
 // ARPALINT-HOTPATH-BEGIN: update receipt + flooding, once per flooded copy.
-void Psn::handle_update(PacketHandle h, net::LinkId via_link) {
+UpdateHandle Psn::take_payload(PacketHandle h) {
   PacketPool& pool = net_.packet_pool();
-  UpdatePool& updates = net_.update_pool();
   // Take over the packet's reference before the slot is reset, keeping the
   // pooled payload alive past the release.
-  const UpdateHandle uh = pool.at(h).update;
-  pool.at(h).update = kInvalidUpdateHandle;
+  const UpdateHandle uh =
+      std::exchange(pool.at(h).update, kInvalidUpdateHandle);
   pool.release(h);
   if (uh == kInvalidUpdateHandle) {
-    throw std::logic_error("update packet without payload");
+    throw std::logic_error("routing packet without payload");
   }
+  return uh;
+}
+
+void Psn::send_copy(OutLink& out, UpdateHandle payload, Packet::Kind kind,
+                    net::NodeId src, double bits) {
+  PacketPool& pool = net_.packet_pool();
+  const PacketHandle h = pool.acquire();
+  Packet& pkt = pool.at(h);
+  pkt.id = net_.next_packet_id();
+  pkt.kind = kind;
+  pkt.src = src;
+  pkt.bits = bits;
+  pkt.created = net_.now();
+  pkt.update = payload;
+  net_.update_pool().add_ref(payload);
+  enqueue(out, h, /*priority=*/true);
+}
+
+void Psn::handle_update(PacketHandle h, net::LinkId via_link) {
+  UpdatePool& updates = net_.update_pool();
+  const UpdateHandle uh = take_payload(h);
   const routing::RoutingUpdate& update = updates.at(uh);
   // A higher sequence number always supersedes the held update; an equal
   // or lower one is a copy already seen (or older news).
@@ -369,7 +389,6 @@ void Psn::originate_update(std::span<const double> candidates) {
   // Adopt at once: the PSN's own map always reflects its own latest
   // reports, and holding the update rejects its flooded-back copies.
   adopt(uh);
-  ++updates_originated_;
   net_.on_update_originated();
   flood_copies(uh, net::kInvalidLink);
   updates.release(uh);
@@ -380,20 +399,10 @@ void Psn::flood_copies(UpdateHandle update, net::LinkId arrived_on) {
       arrived_on == net::kInvalidLink
           ? net::kInvalidLink
           : net_.topology().link(arrived_on).reverse;
-  UpdatePool& updates = net_.update_pool();
+  const routing::RoutingUpdate& u = net_.update_pool().at(update);
   for (OutLink& o : out_) {
     if (o.id == except) continue;
-    PacketPool& pool = net_.packet_pool();
-    const PacketHandle h = pool.acquire();
-    Packet& pkt = pool.at(h);
-    pkt.id = net_.next_packet_id();
-    pkt.kind = Packet::Kind::kRoutingUpdate;
-    pkt.src = updates.at(update).origin;
-    pkt.bits = updates.at(update).wire_bits();
-    pkt.created = net_.now();
-    pkt.update = update;
-    updates.add_ref(update);
-    enqueue(o, h, /*priority=*/true);
+    send_copy(o, update, Packet::Kind::kRoutingUpdate, u.origin, u.wire_bits());
   }
 }
 // ARPALINT-HOTPATH-END
@@ -422,7 +431,7 @@ void Psn::dv_recompute() {
     double best = kUnreachable;
     net::LinkId best_link = net::kInvalidLink;
     for (std::size_t i = 0; i < out_.size(); ++i) {
-      const double neighbor_dist = dv_neighbor_[i][dst];
+      const double neighbor_dist = dv_neighbor_[i * n + dst];
       if (neighbor_dist >= kUnreachable) continue;
       const double cand = dv_link_metric(out_[i]) + neighbor_dist;
       if (cand < best || (cand == best && out_[i].id < best_link)) {
@@ -437,48 +446,39 @@ void Psn::dv_recompute() {
 
 // ARPALINT-HOTPATH-BEGIN: the 1969 exchange runs every 2/3 s on every node
 // and its copies cross every link, inside the measurement window.
+// A table exchange is not a link-state origination: its copies count only
+// in update_packets_sent, when they finish transmitting.
 void Psn::dv_advertise() {
   UpdatePool& payloads = net_.update_pool();
   const UpdateHandle uh = payloads.acquire();
-  DistanceVector& advert = payloads.dv(uh);
+  routing::RoutingUpdate& advert = payloads.at(uh);
   advert.origin = id_;
-  // ARPALINT-ALLOW(hot-path-alloc): pooled slots are reserved to node count
-  advert.dist.assign(dv_dist_.begin(), dv_dist_.end());
-  ++updates_originated_;
-  net_.on_update_originated();
+  // ARPALINT-ALLOW(hot-path-alloc): pooled rows are reserved to node count
+  advert.costs.assign(dv_dist_.begin(), dv_dist_.end());
+  // Wire size: header plus one 16-bit distance per destination — the
+  // full-table exchange that made the original scheme costly on slow lines.
+  const double bits = 128.0 + 16.0 * static_cast<double>(dv_dist_.size());
   for (OutLink& o : out_) {
-    PacketPool& pool = net_.packet_pool();
-    const PacketHandle h = pool.acquire();
-    Packet& pkt = pool.at(h);
-    pkt.id = net_.next_packet_id();
-    pkt.kind = Packet::Kind::kDistanceVector;
-    pkt.src = id_;
-    pkt.bits = advert.wire_bits();
-    pkt.created = net_.now();
-    pkt.update = uh;
-    payloads.add_ref(uh);
-    enqueue(o, h, /*priority=*/true);
+    send_copy(o, uh, Packet::Kind::kDistanceVector, id_, bits);
   }
   payloads.release(uh);
 }
 
 void Psn::handle_distance_vector(PacketHandle h, net::LinkId via_link) {
-  PacketPool& pool = net_.packet_pool();
   UpdatePool& payloads = net_.update_pool();
-  // Take over the packet's reference before the slot is reset.
-  const UpdateHandle uh = pool.at(h).update;
-  pool.at(h).update = kInvalidUpdateHandle;
-  pool.release(h);
-  if (uh == kInvalidUpdateHandle) {
-    throw std::logic_error("distance-vector packet without payload");
-  }
+  const UpdateHandle uh = take_payload(h);
   const net::Topology& topo = net_.topology();
   const net::LinkId out_link = topo.link(via_link).reverse;
   if (topo.link(out_link).from != id_) {
     throw std::logic_error("distance vector arrived over unknown link");
   }
-  // Same length as the stored vector, so the copy reuses its storage.
-  dv_neighbor_[topo.out_pos(out_link)] = payloads.dv(uh).dist;
+  // The advertisement's row is one distance per node; it overwrites the
+  // neighbor's row of dv_neighbor_ in place.
+  const std::vector<double>& dist = payloads.at(uh).costs;
+  ARPA_CHECK(dist.size() == dv_dist_.size())
+      << "distance vector of " << dist.size() << " entries";
+  std::copy(dist.begin(), dist.end(),
+            dv_neighbor_.data() + topo.out_pos(out_link) * dist.size());
   payloads.release(uh);
   // The original algorithm re-minimized on new information.
   dv_recompute();
@@ -494,37 +494,21 @@ void Psn::set_local_link_up(net::LinkId out_link, bool up) {
   metrics::LinkMetric& metric = metrics_[idx];
   if (o.up == up) return;
   o.up = up;
-  if (!up) drop_queued(o);
+  // A dead line's queues are drained and stay empty (enqueue drops onto
+  // it), so one coming back up has nothing to start transmitting.
+  if (up) {
+    metric.on_link_up();
+  } else {
+    drop_queued(o);
+  }
   if (net_.config().algorithm == routing::RoutingAlgorithm::kDistanceVector) {
     // No flooded updates in 1969 mode: the change shows up as an
     // unreachable metric in the next table exchanges.
-    if (up) {
-      metric.on_link_up();
-      maybe_start_tx(o);
-    }
     dv_recompute();
     return;
   }
-  // Safe to share measurement_period's scratch: both run only as top-level
-  // event handlers and originate_update does not re-enter either.
-  // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  candidate_scratch_.assign(out_.size(), 0.0);
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    candidate_scratch_[i] = out_[i].reported;
-  }
-  if (up) {
-    metric.on_link_up();
-    // "When a link comes up it starts with its highest cost" (section 5.4).
-    candidate_scratch_[idx] = metric.initial_cost();
-    // The next period's movement is limited against the restart cost, not
-    // whatever the link reported before it went down.
-    o.last_candidate = metric.initial_cost();
-    maybe_start_tx(o);
-  } else {
-    candidate_scratch_[idx] = kDownLinkCost;
-    o.last_candidate = kDownLinkCost;
-  }
-  originate_update(candidate_scratch_);
+  // "When a link comes up it starts with its highest cost" (section 5.4).
+  originate_restart(idx, up ? metric.initial_cost() : kDownLinkCost);
 }
 
 void Psn::upgrade_local_link(net::LinkId out_link) {
@@ -550,14 +534,21 @@ void Psn::upgrade_local_link(net::LinkId out_link) {
   }
   // A line-type change restarts the link's cost history: advertise the new
   // type's highest cost and decay in, exactly like a restarted link.
-  const double initial = metric.initial_cost();
-  o.last_candidate = initial;
+  originate_restart(idx, metric.initial_cost());
+}
+
+void Psn::originate_restart(std::size_t idx, double cost) {
+  // The next period's movement is limited against the restart cost, not
+  // whatever the link reported before.
+  out_[idx].last_candidate = cost;
+  // Safe to share measurement_period's scratch: every caller runs only as
+  // a top-level event handler and originate_update re-enters none of them.
   // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
   candidate_scratch_.assign(out_.size(), 0.0);
   for (std::size_t i = 0; i < out_.size(); ++i) {
     candidate_scratch_[i] = out_[i].reported;
   }
-  candidate_scratch_[idx] = initial;
+  candidate_scratch_[idx] = cost;
   originate_update(candidate_scratch_);
 }
 // ARPALINT-HOTPATH-END

@@ -7,7 +7,9 @@
 //     duplicate-suppression state for flooding,
 //   * a resident incremental SPF reading its costs from those rows (its
 //     pass workspace is the Network's, shared by all PSNs),
-//   * destination-based single-path forwarding (first hop from its tree),
+//   * destination-based single-path forwarding: one next-hop table, bound
+//     at start() to its tree's first hops, or to the distance-vector next
+//     hops under the 1969 baseline,
 //   * per-outgoing-link output queues — routing updates at high priority,
 //     data FIFO behind them, finite data buffering with tail drop,
 //   * the 10-second delay measurement and the link metric (min-hop, D-SPF
@@ -44,8 +46,13 @@ class Psn {
   /// seed until a newer update from its origin replaces it.
   Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
       std::span<const double* const> seed_rows);
+  // next_hops_ views this PSN's own tables; a copy would view the original's.
+  Psn(const Psn&) = delete;
+  Psn& operator=(const Psn&) = delete;
 
-  /// Schedules the first measurement period (staggered per node).
+  /// Binds the next-hop table forwarding reads and schedules the first
+  /// measurement period, or the first 1969 table exchange (staggered per
+  /// node).
   void start();
 
   /// A locally attached host hands in a packet for `dst`.
@@ -77,7 +84,6 @@ class Psn {
   [[nodiscard]] UpdateHandle held_update(net::NodeId origin) const {
     return held_.at(origin);
   }
-  [[nodiscard]] long updates_originated() const { return updates_originated_; }
 
   /// Cost this node's metric most recently reported for one of its own
   /// outgoing links.
@@ -88,11 +94,15 @@ class Psn {
     return metrics_[out_index(out_link)];
   }
 
-  /// Distance-vector mode accessors (RoutingAlgorithm::kDistanceVector).
-  [[nodiscard]] double dv_distance(net::NodeId dst) const { return dv_dist_.at(dst); }
-  [[nodiscard]] net::LinkId dv_next_hop(net::NodeId dst) const {
-    return dv_next_.at(dst);
+  /// The out-link single-path forwarding takes toward `dst`
+  /// (net::kInvalidLink if none): the tree's first hop under SPF, the
+  /// table's next hop under the distance-vector algorithm.
+  [[nodiscard]] net::LinkId next_hop(net::NodeId dst) const {
+    return next_hops_[dst];
   }
+
+  /// Distance-vector mode: this node's estimated distance to `dst`.
+  [[nodiscard]] double dv_distance(net::NodeId dst) const { return dv_dist_.at(dst); }
 
   /// Marks a local outgoing link up/down. Down links advertise
   /// kDownLinkCost and stop transmitting; on up, the metric eases back in.
@@ -162,8 +172,17 @@ class Psn {
   void enqueue(OutLink& out, PacketHandle pkt, bool priority);
   void drop_queued(OutLink& out);
   void maybe_start_tx(OutLink& out);
+  /// Takes over a routing message's payload reference and releases the
+  /// packet; throws std::logic_error if it carries none.
+  [[nodiscard]] UpdateHandle take_payload(PacketHandle pkt);
+  /// Sends one copy of a routing message at high priority on `out`.
+  void send_copy(OutLink& out, UpdateHandle payload, Packet::Kind kind,
+                 net::NodeId src, double bits);
   void handle_update(PacketHandle pkt, net::LinkId via_link);
   void originate_update(std::span<const double> candidates);
+  /// Restarts out_[idx]'s cost history at `cost` and originates an update
+  /// advertising it beside the other links' last reports.
+  void originate_restart(std::size_t idx, double cost);
   void adopt(UpdateHandle update);
   void flood_copies(UpdateHandle update, net::LinkId arrived_on);
 
@@ -183,17 +202,20 @@ class Psn {
   /// metrics_[i]: the metric of out_[i]'s link, read once per measurement
   /// period, so kept apart from the queue state the packet path reads.
   std::vector<metrics::LinkMetric> metrics_;
-  long updates_originated_ = 0;
+  /// next_hops_[dst]: the out-link forwarding takes toward dst. Bound once
+  /// by start(): spf_'s first_hop is sized at construction and only
+  /// written in place, and dv_next_ is sized by start() itself.
+  std::span<const net::LinkId> next_hops_;
   /// Scratch for measurement_period's per-link candidate costs; persistent
   /// so closing a period allocates nothing at steady state.
   std::vector<double> candidate_scratch_;
 
   // Distance-vector state (used only under RoutingAlgorithm::kDistanceVector):
-  // own estimates, chosen next hops, and each neighbor's last advertisement
-  // (indexed like out_).
+  // own estimates, chosen next hops, and each neighbor's last advertisement,
+  // one row of node-count distances per out_ entry, row-major.
   std::vector<double> dv_dist_;
   std::vector<net::LinkId> dv_next_;
-  std::vector<std::vector<double>> dv_neighbor_;
+  std::vector<double> dv_neighbor_;
 
   // Multipath extension state: equal-cost next-hop sets, rebuilt lazily
   // after cost changes, plus a per-destination round-robin cursor.

@@ -7,11 +7,13 @@
 // calendar queue went allocation-free. The pool replaces the shared_ptr
 // with a slab of refcounted slots: flooded packet copies share one slot
 // through a 4-byte UpdateHandle, and when the last copy is consumed the
-// slot returns to a freelist with its vectors' capacity intact, so a
-// recycled origination writes into existing storage. A slot holds either
-// payload a routing packet carries: a RoutingUpdate (SPF modes) or the
-// 1969 baseline's DistanceVector, which one advertisement shares between
-// its per-neighbor copies.
+// slot returns to a freelist with its row's capacity intact, so a
+// recycled origination writes into existing storage. A slot holds one
+// payload, a RoutingUpdate: an origin and a row of doubles. A link-state
+// update's row is its origin's out-link costs; the 1969 baseline's
+// distance-vector advertisement, which one exchange shares between its
+// per-neighbor copies, is the sender's distance to every node in the same
+// row (Packet::Kind says which reading applies).
 //
 // A slot has two kinds of reference. Flight references belong to an
 // origination in progress and to the flooded packet copies; a slot with
@@ -24,9 +26,9 @@
 // packet or a PSN still references. Like sim::PacketPool the pool is owned
 // by one sim::Network and is strictly single-threaded (sweep parallelism is
 // across Networks, never within one), so the refcounts are plain integers.
-// Under AddressSanitizer a parked slot's cost row is poisoned, so reading a
-// version nobody holds any more fails loudly instead of reading a recycled
-// row.
+// Under AddressSanitizer a parked slot's row is poisoned, so reading a
+// version nobody holds any more, or an advertisement whose copies were all
+// consumed, fails loudly instead of reading a recycled row.
 
 #pragma once
 
@@ -57,8 +59,7 @@ class UpdatePool {
  public:
   // ARPALINT-HOTPATH-BEGIN
   /// Acquires a slot with one flight reference and no holds. The slot's
-  /// vectors are empty but keep whatever capacity their previous occupants
-  /// grew.
+  /// row is empty but keeps whatever capacity its previous occupants grew.
   [[nodiscard]] UpdateHandle acquire() {
     ++acquired_;
     if (!free_.empty()) {
@@ -78,7 +79,7 @@ class UpdatePool {
       // ARPALINT-ALLOW(hot-path-alloc): grows with the slab, never when parking
       free_.reserve(2 * slots_.size());
     }
-    reserve_payloads(slots_[h]);
+    reserve_row(slots_[h]);
     unpark(h);
     return h;
   }
@@ -89,7 +90,6 @@ class UpdatePool {
   [[nodiscard]] const routing::RoutingUpdate& at(UpdateHandle h) const {
     return slots_[h].update;
   }
-  [[nodiscard]] DistanceVector& dv(UpdateHandle h) { return slots_[h].dv; }
 
   /// Another flooded copy now shares the slot.
   void add_ref(UpdateHandle h) {
@@ -127,26 +127,15 @@ class UpdatePool {
   }
   // ARPALINT-HOTPATH-END
 
-  /// Sets the cost-row capacity every slot is created with. Without a floor
-  /// a slot first used by a low-degree origin and later recycled by a
+  /// Sets the row capacity every slot is created with. Without a floor a
+  /// slot first used by a low-degree origin and later recycled by a
   /// high-degree one regrows its row mid-measurement; sim::Network sets the
-  /// topology's maximum out-degree so a slot fits any origin from birth.
+  /// topology's maximum out-degree so a slot fits any origin from birth, or
+  /// at least the node count under the 1969 mode, whose advertisements
+  /// carry one distance per node.
   void set_report_capacity(std::size_t n) {
     report_capacity_ = n;
-    for (Slot& s : slots_) reserve_payloads(s);
-  }
-
-  /// Sets the distance-vector capacity every slot that can carry an
-  /// advertisement is created with; the 1969 mode sets the node count, so
-  /// an advertisement copies into existing storage even on a slot created
-  /// for the measurement window's headroom. Held slots are skipped: the
-  /// 1969 mode never replaces the versions its PSNs hold, so they never
-  /// carry an advertisement.
-  void set_dv_capacity(std::size_t n) {
-    dv_capacity_ = n;
-    for (Slot& s : slots_) {
-      if (s.holds == 0) reserve_payloads(s);
-    }
+    for (Slot& s : slots_) reserve_row(s);
   }
 
   /// Grows the slab to at least `n` slots, parking the new ones on the
@@ -156,7 +145,7 @@ class UpdatePool {
     while (slots_.size() < n) {
       free_.push_back(static_cast<UpdateHandle>(slots_.size()));
       slots_.emplace_back();
-      reserve_payloads(slots_.back());
+      reserve_row(slots_.back());
     }
   }
 
@@ -179,16 +168,14 @@ class UpdatePool {
  private:
   struct Slot {
     routing::RoutingUpdate update;
-    DistanceVector dv;
     std::uint32_t refs = 0;
     std::uint32_t holds = 0;
   };
 
-  /// Applies the capacity floors; acquire() and reserve() call it once per
+  /// Applies the capacity floor; acquire() and reserve() call it once per
   /// new slot.
-  void reserve_payloads(Slot& s) const {
+  void reserve_row(Slot& s) const {
     s.update.costs.reserve(report_capacity_);
-    s.dv.dist.reserve(dv_capacity_);
     if (s.refs == 0 && s.holds == 0) poison_row(s, true);
   }
 
@@ -202,15 +189,13 @@ class UpdatePool {
     peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   }
 
-  /// Parks a slot with no reference left, keeping its vectors' storage
+  /// Parks a slot with no reference left, keeping its row's storage
   /// (clear(), not shrink).
   void park(UpdateHandle h) {
     Slot& s = slots_[h];
     s.update.origin = net::kInvalidNode;
     s.update.seq = 0;
     s.update.costs.clear();
-    s.dv.origin = net::kInvalidNode;
-    s.dv.dist.clear();
     poison_row(s, true);
     // ARPALINT-ALLOW(hot-path-alloc): acquire() reserved a place per slot
     free_.push_back(h);
@@ -235,7 +220,6 @@ class UpdatePool {
   std::deque<Slot> slots_;
   std::vector<UpdateHandle> free_;
   std::size_t report_capacity_ = 0;
-  std::size_t dv_capacity_ = 0;
   std::size_t in_use_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t peak_in_flight_ = 0;

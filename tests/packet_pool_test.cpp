@@ -131,13 +131,13 @@ TEST(PacketPoolTest, ReleaseLeavesHostMessageTagsAlone) {
 TEST(PacketPoolTest, ReleaseDropsPooledDistanceVectorReferences) {
   PacketPool pool;
   UpdatePool updates;
-  updates.set_dv_capacity(16);
+  updates.set_report_capacity(16);
   pool.attach_update_pool(&updates);
 
-  // One advertisement shared by two per-neighbor copies.
+  // One advertisement, on the slot's row, shared by two per-neighbor copies.
   const UpdateHandle uh = updates.acquire();
-  updates.dv(uh).origin = 3;
-  updates.dv(uh).dist.assign(16, 1.0);
+  updates.at(uh).origin = 3;
+  updates.at(uh).costs.assign(16, 1.0);
   PacketHandle copies[2];
   for (PacketHandle& c : copies) {
     c = pool.acquire();
@@ -151,13 +151,13 @@ TEST(PacketPoolTest, ReleaseDropsPooledDistanceVectorReferences) {
   pool.release(copies[1]);
   EXPECT_EQ(updates.in_use(), 0u);
 
-  // Recycled with its distance storage kept and its identity reset.
+  // Recycled with its row storage kept and its identity reset.
   const util::AllocGuard guard;
   const UpdateHandle again = updates.acquire();
   EXPECT_EQ(again, uh);
-  EXPECT_EQ(updates.dv(again).origin, net::kInvalidNode);
-  EXPECT_TRUE(updates.dv(again).dist.empty());
-  updates.dv(again).dist.assign(16, 2.0);
+  EXPECT_EQ(updates.at(again).origin, net::kInvalidNode);
+  EXPECT_TRUE(updates.at(again).costs.empty());
+  updates.at(again).costs.assign(16, 2.0);
   EXPECT_EQ(guard.allocations(), 0u);
 }
 

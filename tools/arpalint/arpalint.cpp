@@ -453,6 +453,42 @@ bool preceded_by_member_access(const std::string& code, std::size_t pos) {
   return j >= 2 && code[j - 2] == '-' && code[j - 1] == '>';
 }
 
+/// How the name at `pos`, followed by '(', is reached.
+enum class CallForm {
+  kMember,       ///< `x.name(` or `p->name(`: a member of some object
+  kUnqualified,  ///< `name(`: a member of `this`, or a free function
+  kOther,        ///< `Scope::name(`, or the name a declaration declares
+};
+
+CallForm call_form(const std::string& code, std::size_t pos) {
+  if (preceded_by_member_access(code, pos)) return CallForm::kMember;
+  std::size_t j = pos;
+  while (j > 0 && code[j - 1] == ' ') --j;
+  if (j == 0) return CallForm::kUnqualified;  // a statement, or continuation
+  const char c = code[j - 1];
+  const char before = j >= 2 ? code[j - 2] : ' ';
+  if (c == ':' && before == ':') return CallForm::kOther;
+  if (ident_char(c)) {
+    // A word before the name is a declaration's return type
+    // (`void reserve(std::size_t n) {`) unless it is a keyword that
+    // precedes an expression.
+    std::size_t begin = j;
+    while (begin > 0 && ident_char(code[begin - 1])) --begin;
+    static const std::set<std::string> kExpressionKeywords{
+        "return", "co_return", "co_yield", "co_await", "throw", "else",
+        "case", "do"};
+    return kExpressionKeywords.count(code.substr(begin, j - begin)) > 0
+               ? CallForm::kUnqualified
+               : CallForm::kOther;
+  }
+  // A return type ending in a template argument list, a pointer or a
+  // reference (`T& emplace(`); `&&` is a logical and.
+  if (c == '>' || c == '*' || (c == '&' && before != '&')) {
+    return CallForm::kOther;
+  }
+  return CallForm::kUnqualified;
+}
+
 // ---------------------------------------------------------------------------
 // Per-file scanned representation
 
@@ -525,8 +561,13 @@ void check_hot_path_alloc(const FileInfo& f, std::vector<Finding>& out) {
       if (f.dirs.noalloc.count(m) > 0) continue;
       std::size_t p = 0;
       while ((p = find_ident(code, m, p, true)) != std::string::npos) {
-        if (preceded_by_member_access(code, p)) {
+        const CallForm form = call_form(code, p);
+        if (form == CallForm::kMember) {
           report("." + m + "() may allocate in a hot region");
+          break;
+        }
+        if (form == CallForm::kUnqualified) {
+          report("unqualified " + m + "() may allocate in a hot region");
           break;
         }
         p += m.size();
