@@ -61,6 +61,6 @@ int main() {
               " offered / RTT\n# explodes); the HN-SPF knee sits well to the"
               " right of D-SPF's — the paper's\n# 'effective capacity'"
               " improvement, measured end to end.\n\n");
-  result.write_summary(std::cout);
+  result.write_summary(std::cerr);
   return 0;
 }
