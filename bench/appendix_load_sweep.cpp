@@ -7,19 +7,21 @@
 // estimated 25%": the offered load at which delay explodes or deliveries
 // saturate moves right under HN-SPF.
 //
-// The 15 cells (3 metrics x 5 loads) run on a SweepRunner thread pool, one
-// per core; results are bit-identical at any thread count.
+// The 15 cells (3 metrics x 5 loads) run through exp::run_sweep, one worker
+// per core; results are bit-identical at any thread count. Progress and the
+// sweep's wall-time summary go to stderr, so stdout is deterministic.
 
 #include <cstdio>
 #include <iostream>
 
-#include "src/exp/experiment.h"
+#include "src/exp/sweep.h"
+#include "src/net/builders/registry.h"
 
 int main() {
   using namespace arpanet;
   using metrics::MetricKind;
 
-  const exp::Experiment e = exp::Experiment::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
 
   exp::SweepSpec spec;
   spec.base = sim::ScenarioConfig{}
@@ -35,7 +37,8 @@ int main() {
                  to_string(r.cell.metric), r.cell.offered_load_bps / 1e3,
                  r.result.wall_seconds, r.result.events_per_sec());
   };
-  const exp::SweepResult result = e.sweep(spec, opts);
+  const exp::SweepResult result =
+      exp::run_sweep(spec, net87, "arpanet87", opts);
 
   std::printf("# Offered-load sweep, ARPANET-like topology, peak-hour"
               " matrix\n\n");

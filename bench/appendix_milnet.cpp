@@ -10,14 +10,14 @@
 #include <cstdio>
 #include <iostream>
 
-#include "src/exp/experiment.h"
 #include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 int main() {
   using namespace arpanet;
-  const exp::Experiment e{net::build_topology("milnet"), "milnet"};
+  const net::Topology topo = net::build_topology("milnet");
   std::printf("# MILNET-like network: %zu nodes, %zu trunks\n",
-              e.topology().node_count(), e.topology().trunk_count());
+              topo.node_count(), topo.trunk_count());
 
   const sim::ScenarioConfig base = sim::ScenarioConfig{}
                                        .with_shape(sim::TrafficShape::kPeakHour)
@@ -25,11 +25,12 @@ int main() {
                                        .with_window(util::SimTime::from_sec(300))
                                        .with_seed(0x83);
 
-  const auto before = e.run(sim::ScenarioConfig{base}
-                                .with_metric(metrics::MetricKind::kDspf)
-                                .with_load_bps(700e3));
-  const auto after =
-      e.run(sim::ScenarioConfig{base}
+  const auto before = sim::run_scenario(
+      topo, sim::ScenarioConfig{base}
+                .with_metric(metrics::MetricKind::kDspf)
+                .with_load_bps(700e3));
+  const auto after = sim::run_scenario(
+      topo, sim::ScenarioConfig{base}
                 .with_metric(metrics::MetricKind::kHnSpf)
                 .with_load_bps(790e3));  // +13%, mirroring the ARPANET study
 

@@ -14,7 +14,8 @@
 
 #include <cstdio>
 
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 namespace {
 
@@ -26,18 +27,19 @@ struct Row {
   metrics::MetricKind metric;
 };
 
-void run(const Row& row, const exp::Experiment& e,
+void run(const Row& row, const net::Topology& topo,
          const traffic::TrafficMatrix& m) {
   sim::NetworkConfig ncfg;
   ncfg.algorithm = row.algo;
   ncfg.hop_limit = 64;
-  const auto r = e.run(sim::ScenarioConfig{}
-                           .with_metric(row.metric)
-                           .with_network(ncfg)
-                           .with_matrix(m)
-                           .with_warmup(util::SimTime::from_sec(150))
-                           .with_window(util::SimTime::from_sec(300))
-                           .with_label(row.label));
+  const auto r = sim::run_scenario(
+      topo, sim::ScenarioConfig{}
+                .with_metric(row.metric)
+                .with_network(ncfg)
+                .with_matrix(m)
+                .with_warmup(util::SimTime::from_sec(150))
+                .with_window(util::SimTime::from_sec(300))
+                .with_label(row.label));
   std::printf("%-22s %10.1f %10.1f %8.2f %8ld %8ld %12ld\n", row.label,
               r.indicators.internode_traffic_kbps,
               r.indicators.round_trip_delay_ms, r.indicators.actual_path_hops,
@@ -48,7 +50,7 @@ void run(const Row& row, const exp::Experiment& e,
 }  // namespace
 
 int main() {
-  const exp::Experiment e = exp::Experiment::two_region(6);
+  const net::Topology topo = net::build_topology("two-region:per_region=6");
 
   // All region1<->region2 pairs share 95 kb/s across the two 56 kb/s trunks.
   // Region 1 is A0..A5 (ids 0..5), region 2 is B0..B5 (ids 6..11).
@@ -72,7 +74,7 @@ int main() {
       {"1979 D-SPF", routing::RoutingAlgorithm::kSpf, metrics::MetricKind::kDspf},
       {"1987 HN-SPF", routing::RoutingAlgorithm::kSpf, metrics::MetricKind::kHnSpf},
   };
-  for (const Row& r : rows) run(r, e, m);
+  for (const Row& r : rows) run(r, topo, m);
   std::printf("\n# expected ordering: each generation delivers more at lower"
               " delay with less\n# control overhead pathology than the last.\n");
   return 0;

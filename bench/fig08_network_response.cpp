@@ -10,17 +10,19 @@
 #include <cstdio>
 
 #include "src/analysis/response_map.h"
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 int main() {
   using namespace arpanet;
-  const exp::Experiment e = exp::Experiment::arpanet87();
-  const auto matrix = e.matrix(sim::ScenarioConfig{}
-                                   .with_shape(sim::TrafficShape::kPeakHour)
-                                   .with_load_bps(400e3)
-                                   .with_seed(1987));
+  const net::Topology topo = net::build_topology("arpanet87");
+  const auto matrix =
+      sim::scenario_matrix(topo, sim::ScenarioConfig{}
+                                     .with_shape(sim::TrafficShape::kPeakHour)
+                                     .with_load_bps(400e3)
+                                     .with_seed(1987));
 
-  const auto map = analysis::NetworkResponseMap::build(e.topology(), matrix);
+  const auto map = analysis::NetworkResponseMap::build(topo, matrix);
 
   std::printf("# Figure 8: network response map (ARPANET-like topology, peak-hour matrix)\n");
   std::printf("# cost(hops)  traffic-fraction  across-link-stddev\n");

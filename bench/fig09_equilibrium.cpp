@@ -7,17 +7,19 @@
 #include <cstdio>
 
 #include "src/analysis/equilibrium.h"
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 int main() {
   using namespace arpanet;
   using metrics::MetricKind;
-  const exp::Experiment e = exp::Experiment::arpanet87();
-  const auto matrix = e.matrix(sim::ScenarioConfig{}
-                                   .with_shape(sim::TrafficShape::kPeakHour)
-                                   .with_load_bps(400e3)
-                                   .with_seed(1987));
-  const auto map = analysis::NetworkResponseMap::build(e.topology(), matrix);
+  const net::Topology topo = net::build_topology("arpanet87");
+  const auto matrix =
+      sim::scenario_matrix(topo, sim::ScenarioConfig{}
+                                     .with_shape(sim::TrafficShape::kPeakHour)
+                                     .with_load_bps(400e3)
+                                     .with_seed(1987));
+  const auto map = analysis::NetworkResponseMap::build(topo, matrix);
   const auto params = core::LineParamsTable::arpanet_defaults();
 
   const analysis::MetricMap hn{MetricKind::kHnSpf, net::LineType::kTerrestrial56,

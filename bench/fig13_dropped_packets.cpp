@@ -9,11 +9,12 @@
 
 #include <cstdio>
 
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 int main() {
   using namespace arpanet;
-  const exp::Experiment e = exp::Experiment::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
 
   const int days = 14;
   const int install_day = 8;  // HNM installed before this day
@@ -39,7 +40,7 @@ int main() {
             .with_network(ncfg)
             .with_label("day");
 
-    const auto r = e.run(cfg);
+    const auto r = sim::run_scenario(topo, cfg);
     const long dropped = r.stats.packets_dropped_queue;
     (day < install_day ? before_total : after_total) += dropped;
     const double rate =

@@ -11,11 +11,12 @@
 #include <cstdio>
 #include <iostream>
 
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 int main() {
   using namespace arpanet;
-  const exp::Experiment e = exp::Experiment::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
 
   const sim::ScenarioConfig base = sim::ScenarioConfig{}
                                        .with_shape(sim::TrafficShape::kPeakHour)
@@ -23,14 +24,16 @@ int main() {
                                        .with_window(util::SimTime::from_sec(450))
                                        .with_seed(0x1987);
 
-  const auto may = e.run(sim::ScenarioConfig{base}
-                             .with_metric(metrics::MetricKind::kDspf)
-                             .with_load_bps(366e3)  // May-87 internode traffic
-                             .with_label("D-SPF(May)"));
-  const auto aug = e.run(sim::ScenarioConfig{base}
-                             .with_metric(metrics::MetricKind::kHnSpf)
-                             .with_load_bps(414e3)  // +13%, the Aug-87 level
-                             .with_label("HN-SPF(Aug)"));
+  const auto may = sim::run_scenario(
+      topo, sim::ScenarioConfig{base}
+                .with_metric(metrics::MetricKind::kDspf)
+                .with_load_bps(366e3)  // May-87 internode traffic
+                .with_label("D-SPF(May)"));
+  const auto aug = sim::run_scenario(
+      topo, sim::ScenarioConfig{base}
+                .with_metric(metrics::MetricKind::kHnSpf)
+                .with_load_bps(414e3)  // +13%, the Aug-87 level
+                .with_label("HN-SPF(Aug)"));
 
   std::printf("# Table 1: network-wide performance indicators\n");
   stats::print_table1(std::cout, may.indicators, aug.indicators);

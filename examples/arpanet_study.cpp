@@ -11,7 +11,7 @@
 #include <iostream>
 #include <vector>
 
-#include "src/exp/experiment.h"
+#include "src/exp/sweep.h"
 #include "src/net/builders/registry.h"
 #include "src/sim/network.h"
 #include "src/stats/histogram.h"
@@ -48,13 +48,13 @@ void utilization_histogram(metrics::MetricKind kind, double offered) {
 }  // namespace
 
 int main() {
-  const exp::Experiment e = exp::Experiment::arpanet87();
+  const net::Topology net87 = net::build_topology("arpanet87");
   const double offered = 400e3;
 
   std::printf("ARPANET-like network, %d PSNs / %d trunks, %.0f kb/s peak-hour"
               " offered load\n\n",
-              static_cast<int>(e.topology().node_count()),
-              static_cast<int>(e.topology().trunk_count()), offered / 1e3);
+              static_cast<int>(net87.node_count()),
+              static_cast<int>(net87.trunk_count()), offered / 1e3);
 
   // The three metrics are independent cells: sweep them in parallel.
   exp::SweepSpec spec;
@@ -64,7 +64,7 @@ int main() {
                   .with_window(util::SimTime::from_sec(300));
   spec.over_metrics({metrics::MetricKind::kMinHop, metrics::MetricKind::kDspf,
                      metrics::MetricKind::kHnSpf});
-  const exp::SweepResult sweep = e.sweep(spec);
+  const exp::SweepResult sweep = exp::run_sweep(spec, net87, "arpanet87");
 
   std::vector<stats::NetworkIndicators> results;
   for (const exp::SweepRun& run : sweep.runs) {

@@ -13,7 +13,8 @@
 
 #include <cstdio>
 
-#include "src/exp/experiment.h"
+#include "src/net/builders/registry.h"
+#include "src/sim/scenario.h"
 
 namespace {
 
@@ -37,26 +38,27 @@ void print_row(const sim::ScenarioResult& r) {
               ind.path_ratio());
 }
 
-void run_tuning(const exp::Experiment& e, const char* label,
+void run_tuning(const net::Topology& topo, const char* label,
                 const core::LineTypeParams& t56) {
   sim::NetworkConfig ncfg;
   ncfg.line_params.set(net::LineType::kTerrestrial56, t56);
-  print_row(e.run(base_config().with_network(ncfg).with_label(label)));
+  print_row(sim::run_scenario(
+      topo, base_config().with_network(ncfg).with_label(label)));
 }
 
 }  // namespace
 
 int main() {
-  const exp::Experiment e = exp::Experiment::arpanet87();
+  const net::Topology topo = net::build_topology("arpanet87");
   std::printf("HNM parameter tailoring on an overloaded (430 kb/s) network\n\n");
   std::printf("  %-16s %10s %10s %9s %8s %9s\n", "tuning", "del(kbps)",
               "RTT(ms)", "drops/s", "hops", "ratio");
 
-  run_tuning(e, "paper-default",
+  run_tuning(topo, "paper-default",
              {.base_min = 30.0, .max_cost = 90.0, .flat_threshold = 0.50});
-  run_tuning(e, "early-shedding",
+  run_tuning(topo, "early-shedding",
              {.base_min = 30.0, .max_cost = 90.0, .flat_threshold = 0.25});
-  run_tuning(e, "near-static",
+  run_tuning(topo, "near-static",
              {.base_min = 30.0, .max_cost = 45.0, .flat_threshold = 0.90});
 
   std::printf("\nThe default is a compromise: early shedding lengthens paths"

@@ -8,9 +8,10 @@
 //   4. run, and read the Table-1-style indicators.
 //
 // This walks the low-level layers on purpose. For whole experiments —
-// validated configs, parallel parameter sweeps, CSV/JSON output — start
-// from exp::Experiment instead (see examples/arpanet_study.cpp and
-// docs/experiments.md).
+// validated configs, warm-up and window, parallel parameter sweeps, CSV
+// output — start from sim::run_scenario (src/sim/scenario.h) and
+// exp::run_sweep (src/exp/sweep.h) instead (see examples/arpanet_study.cpp
+// and docs/experiments.md).
 
 #include <cstdio>
 

@@ -1,12 +1,18 @@
 #include "src/exp/sweep.h"
 
+#include <atomic>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+
+#include "src/obs/stopwatch.h"
 
 namespace arpanet::exp {
 
@@ -81,32 +87,9 @@ SweepSpec& SweepSpec::over_replicas(int n) {
   return *this;
 }
 
-SweepSpec& SweepSpec::over_topologies(std::vector<NamedTopology> topos) {
-  topologies = std::move(topos);
-  return *this;
-}
-
-SweepSpec& SweepSpec::over_topology_specs(std::vector<net::GraphSpec> specs) {
-  const net::TopologyBuilder& reg = net::TopologyBuilder::registry();
-  for (const net::GraphSpec& s : specs) reg.validate(s);
-  topology_specs = std::move(specs);
-  return *this;
-}
-
-std::vector<NamedTopology> SweepSpec::materialize_topologies() const {
-  const net::TopologyBuilder& reg = net::TopologyBuilder::registry();
-  std::vector<NamedTopology> out;
-  out.reserve(topology_specs.size());
-  for (const net::GraphSpec& s : topology_specs) {
-    out.push_back(NamedTopology{s.label(), reg.build(s)});
-  }
-  return out;
-}
-
 std::size_t SweepSpec::cell_count() const {
   const auto dim = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
-  return dim(topologies.size() + topology_specs.size()) * dim(metrics.size()) *
-         dim(loads_bps.size()) * dim(seeds.size());
+  return dim(metrics.size()) * dim(loads_bps.size()) * dim(seeds.size());
 }
 
 std::uint64_t derive_cell_seed(const std::string& topology,
@@ -131,13 +114,7 @@ sim::ScenarioConfig SweepCell::to_config(const sim::ScenarioConfig& base) const 
 }
 
 std::vector<SweepCell> expand_cells(const SweepSpec& spec,
-                                    const NamedTopology& default_topo) {
-  std::vector<const NamedTopology*> topo_axis;
-  if (spec.topologies.empty()) {
-    topo_axis.push_back(&default_topo);
-  } else {
-    for (const NamedTopology& t : spec.topologies) topo_axis.push_back(&t);
-  }
+                                    const std::string& topology) {
   const std::vector<metrics::MetricKind> metric_axis =
       spec.metrics.empty() ? std::vector{spec.base.metric} : spec.metrics;
   const std::vector<double> load_axis =
@@ -149,27 +126,86 @@ std::vector<SweepCell> expand_cells(const SweepSpec& spec,
   const sim::TrafficShape shape = spec.base.shape;
 
   std::vector<SweepCell> cells;
-  cells.reserve(topo_axis.size() * metric_axis.size() * load_axis.size() *
-                seed_axis.size());
-  for (const NamedTopology* t : topo_axis) {
-    for (const metrics::MetricKind m : metric_axis) {
-      for (const double load : load_axis) {
-        for (const std::uint64_t seed : seed_axis) {
-          SweepCell cell;
-          cell.index = cells.size();
-          cell.topology = t->name;
-          cell.topo = &t->topo;
-          cell.metric = m;
-          cell.offered_load_bps = load;
-          cell.shape = shape;
-          cell.seed = seed;
-          cell.derived_seed = derive_cell_seed(t->name, m, load, shape, seed);
-          cells.push_back(std::move(cell));
-        }
+  cells.reserve(spec.cell_count());
+  for (const metrics::MetricKind m : metric_axis) {
+    for (const double load : load_axis) {
+      for (const std::uint64_t seed : seed_axis) {
+        SweepCell cell;
+        cell.index = cells.size();
+        cell.topology = topology;
+        cell.metric = m;
+        cell.offered_load_bps = load;
+        cell.shape = shape;
+        cell.seed = seed;
+        cell.derived_seed = derive_cell_seed(topology, m, load, shape, seed);
+        cells.push_back(std::move(cell));
       }
     }
   }
   return cells;
+}
+
+SweepResult run_sweep(const SweepSpec& spec, const net::Topology& topo,
+                      const std::string& topology, const SweepOptions& opts) {
+  obs::Stopwatch stopwatch;
+  const std::vector<SweepCell> cells = expand_cells(spec, topology);
+
+  SweepResult result;
+  result.runs.resize(cells.size());
+
+  int threads = opts.threads > 0
+                    ? opts.threads
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  if (threads < 1) threads = 1;
+  if (static_cast<std::size_t>(threads) > cells.size() && !cells.empty()) {
+    threads = static_cast<int>(cells.size());
+  }
+  result.threads_used = threads;
+
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;  // guards first_error and the progress callback
+  std::exception_ptr first_error;
+
+  const auto worker_loop = [&](int worker) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= cells.size()) return;
+      try {
+        SweepRun run;
+        run.cell = cells[i];
+        run.worker = worker;
+        // run_scenario stamps wall_seconds / events_processed itself.
+        run.result = sim::run_scenario(topo, cells[i].to_config(spec.base));
+        if (opts.on_run_done) {
+          const std::lock_guard<std::mutex> lock{mu};
+          result.runs[i] = std::move(run);
+          opts.on_run_done(result.runs[i]);
+        } else {
+          result.runs[i] = std::move(run);  // slot i is this worker's alone
+        }
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock{mu};
+        if (!first_error) first_error = std::current_exception();
+        return;  // stop this worker; others drain their current cells
+      }
+    }
+  };
+
+  if (threads == 1) {
+    worker_loop(0);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
+      pool.emplace_back(worker_loop, w);
+    }
+    for (std::thread& t : pool) t.join();
+  }
+
+  if (first_error) std::rethrow_exception(first_error);
+
+  result.elapsed_seconds = stopwatch.seconds();
+  return result;
 }
 
 double SweepResult::total_run_seconds() const {

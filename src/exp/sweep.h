@@ -1,31 +1,34 @@
 // Scenario sweeps: the experiment shape behind every figure and table in
-// the paper — the same scenario re-run across offered loads, metric kinds,
-// seeds, and topologies.
+// the paper — the same scenario re-run across metric kinds, offered loads
+// and seeds on one topology.
 //
 // SweepSpec declares the axes; the cross product is expanded into an
-// ordered list of SweepCells; SweepRunner (sweep_runner.h) executes the
-// cells on a thread pool. Results are bit-identical at any thread count:
-// each cell derives its own RNG stream from `seed ^ hash(axes)`, runs an
-// isolated sim::Network, and lands in its fixed slot of the SweepResult.
+// ordered list of SweepCells, and run_sweep executes them on a thread pool.
+// Results are bit-identical at any thread count: each cell derives its own
+// RNG stream from `seed ^ hash(axes)`, runs an isolated sim::Network, and
+// lands in its fixed slot of the SweepResult.
+//
+//   const net::Topology topo = net::build_topology("arpanet87");
+//   exp::SweepSpec spec;
+//   spec.over_metrics({MetricKind::kDspf, MetricKind::kHnSpf})
+//       .over_load_range_bps(250e3, 550e3, 75e3);
+//   exp::run_sweep(spec, topo, "arpanet87").write_csv(std::cout);
+//
+// A single run is sim::run_scenario (src/sim/scenario.h); a cell's
+// to_config run through it gives the cell's result exactly.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "src/net/builders/registry.h"
 #include "src/net/topology.h"
 #include "src/sim/scenario.h"
 
 namespace arpanet::exp {
-
-/// A topology axis value: the graph plus the name it reports under.
-struct NamedTopology {
-  std::string name;
-  net::Topology topo;
-};
 
 /// The declarative description of a sweep: a base ScenarioConfig (warm-up,
 /// window, network tuning, traffic shape) plus one value list per axis.
@@ -36,15 +39,6 @@ struct SweepSpec {
   std::vector<metrics::MetricKind> metrics;
   std::vector<double> loads_bps;
   std::vector<std::uint64_t> seeds;
-  /// Topology axis. Usually empty: the Experiment's own topology is the
-  /// single value. Non-empty lists run every cell on every named topology.
-  std::vector<NamedTopology> topologies;
-  /// Declarative topology axis: GraphSpecs built through the TopologyBuilder
-  /// registry. The runner materializes these (single-threaded, in list
-  /// order) and appends them after `topologies`, so a sweep can range over
-  /// family x size without pre-building graphs. Each spec reports under its
-  /// label().
-  std::vector<net::GraphSpec> topology_specs;
 
   // ---- fluent construction ----
   SweepSpec& over_metrics(std::vector<metrics::MetricKind> kinds);
@@ -54,26 +48,16 @@ struct SweepSpec {
   SweepSpec& over_seeds(std::vector<std::uint64_t> s);
   /// n replica seeds base.seed, base.seed+1, ... (throws on n <= 0).
   SweepSpec& over_replicas(int n);
-  SweepSpec& over_topologies(std::vector<NamedTopology> topos);
-  /// Validates every spec against the registry now (bad family/params throw
-  /// std::invalid_argument at spec time, not mid-sweep).
-  SweepSpec& over_topology_specs(std::vector<net::GraphSpec> specs);
 
-  /// Builds topology_specs through the registry, in list order, each named
-  /// by its label(). Deterministic regardless of runner thread count.
-  [[nodiscard]] std::vector<NamedTopology> materialize_topologies() const;
-
-  /// Cells this spec expands to, given a default topology for the empty
-  /// topology axis.
+  /// Cells this spec expands to.
   [[nodiscard]] std::size_t cell_count() const;
 };
 
 /// One point of the cross product, in deterministic enumeration order
-/// (topology-major, then metric, load, seed).
+/// (metric-major, then load, seed).
 struct SweepCell {
   std::size_t index = 0;
-  std::string topology;
-  const net::Topology* topo = nullptr;  ///< borrowed from spec / experiment
+  std::string topology;  ///< the sweep's topology name (CSV and seed hash)
   metrics::MetricKind metric = metrics::MetricKind::kHnSpf;
   double offered_load_bps = 0.0;
   sim::TrafficShape shape = sim::TrafficShape::kPeakHour;  ///< base.shape
@@ -85,11 +69,9 @@ struct SweepCell {
       const sim::ScenarioConfig& base) const;
 };
 
-/// Expands the cross product against `default_topo` (used when
-/// spec.topologies is empty). Pointers into `spec` and `default_topo` are
-/// borrowed: both must outlive the returned cells.
-[[nodiscard]] std::vector<SweepCell> expand_cells(
-    const SweepSpec& spec, const NamedTopology& default_topo);
+/// Expands the cross product; every cell reports under `topology`.
+[[nodiscard]] std::vector<SweepCell> expand_cells(const SweepSpec& spec,
+                                                  const std::string& topology);
 
 /// The deterministic per-cell stream id: axis seed XOR a stable 64-bit hash
 /// of the remaining axes (FNV-1a based, identical across platforms and
@@ -132,5 +114,26 @@ class SweepResult {
   /// achieved speedup).
   void write_summary(std::ostream& os) const;
 };
+
+struct SweepOptions {
+  /// Worker threads; 0 means std::thread::hardware_concurrency() (capped at
+  /// the cell count — threads beyond that would sit idle).
+  int threads = 0;
+  /// Optional progress callback, invoked after each cell completes, from
+  /// the worker that ran it (serialized internally — the callback itself
+  /// need not lock).
+  std::function<void(const SweepRun&)> on_run_done;
+};
+
+/// Expands `spec` and runs every cell on `topo`, reporting under the name
+/// `topology`. Workers pull the next unclaimed cell and write its run into
+/// the cell's fixed slot, so only telemetry (wall times, worker ids)
+/// depends on the thread count. An exception thrown by a cell (e.g. an
+/// invalid config) is rethrown on the calling thread after all workers
+/// drain.
+[[nodiscard]] SweepResult run_sweep(const SweepSpec& spec,
+                                    const net::Topology& topo,
+                                    const std::string& topology,
+                                    const SweepOptions& opts = {});
 
 }  // namespace arpanet::exp

@@ -7,6 +7,10 @@
 // with a fixed threshold of a little less than half a hop (paper section
 // 4.3, "Minimum Change") while keeping the 50-second reliability cap.
 // Both behaviours are expressed by one filter with different configs.
+//
+// The filter keeps only its working threshold and quiet-period count. The
+// link's last reported cost is the caller's to pass in: a PSN keeps it once,
+// in its own latest routing update.
 
 #pragma once
 
@@ -44,19 +48,16 @@ class SignificanceFilter {
     }
   }
 
-  /// Called once per measurement period with the metric's candidate cost.
-  /// Returns true if an update should be generated (and records the value
-  /// as reported).
-  bool should_report(double candidate) {
-    if (!ever_reported_) {
-      note_reported(candidate);
-      return true;
-    }
-    const double change =
-        candidate >= last_reported_ ? candidate - last_reported_ : last_reported_ - candidate;
+  /// Called once per measurement period with the cost the link last
+  /// reported and the metric's candidate cost. Returns true if an update
+  /// should be generated (and restarts the quiet count and threshold).
+  bool should_report(double last_reported, double candidate) {
+    const double change = candidate >= last_reported
+                              ? candidate - last_reported
+                              : last_reported - candidate;
     ++quiet_periods_;
     if (change >= working_threshold_ || quiet_periods_ >= cfg_.max_quiet_periods) {
-      note_reported(candidate);
+      reported();
       return true;
     }
     working_threshold_ -= cfg_.decay_per_period;
@@ -64,26 +65,20 @@ class SignificanceFilter {
     return false;
   }
 
-  /// Records `value` as reported without testing it. Used when a node
-  /// bundles all its links into one update because some *other* link's
-  /// change was significant — every included value becomes the new baseline.
-  void force_report(double value) { note_reported(value); }
-
-  [[nodiscard]] double last_reported() const { return last_reported_; }
-  [[nodiscard]] double working_threshold() const { return working_threshold_; }
-
- private:
-  void note_reported(double value) {
-    last_reported_ = value;
-    ever_reported_ = true;
+  /// Notes that the link's cost went out in an update without being tested
+  /// here: a node bundles all its links into one update when some *other*
+  /// link's change was significant, and every included value becomes the
+  /// new baseline.
+  void reported() {
     quiet_periods_ = 0;
     working_threshold_ = cfg_.threshold;
   }
 
+  [[nodiscard]] double working_threshold() const { return working_threshold_; }
+
+ private:
   Config cfg_;
   double working_threshold_;
-  double last_reported_ = 0.0;
-  bool ever_reported_ = false;
   int quiet_periods_ = 0;
 };
 

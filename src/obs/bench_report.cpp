@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "src/exp/sweep.h"
-#include "src/exp/sweep_runner.h"
 #include "src/net/builders/registry.h"
 #include "src/obs/json_export.h"
 #include "src/obs/stopwatch.h"
@@ -318,11 +317,10 @@ std::vector<BenchCell> run_bench_scenario(const BenchScenario& scenario,
   exp::SweepSpec spec;
   spec.base = base;
   spec.metrics = {metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf};
-  const exp::NamedTopology named{scenario.name, scenario.topo};
   exp::SweepOptions opts;
   opts.threads = threads;
-  const exp::SweepRunner runner{std::move(opts)};
-  const exp::SweepResult sweep = runner.run(spec, named);
+  const exp::SweepResult sweep =
+      exp::run_sweep(spec, scenario.topo, scenario.name, opts);
   std::vector<BenchCell> cells;
   cells.reserve(sweep.runs.size());
   for (const exp::SweepRun& run : sweep.runs) {

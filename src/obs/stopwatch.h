@@ -5,7 +5,7 @@
 // Stopwatch is a thin steady_clock wrapper; ScopedTimer adds its scope's
 // elapsed wall time into a caller-owned double on destruction, so timing a
 // block is one declaration instead of the start/duration_cast boilerplate
-// previously repeated in sim::run_scenario and exp::SweepRunner.
+// previously repeated in sim::run_scenario and exp::run_sweep.
 
 #pragma once
 

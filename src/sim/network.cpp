@@ -37,6 +37,12 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   if (!topo.is_connected()) {
     throw std::invalid_argument("topology must be connected");
   }
+  if (cfg.hop_limit < 1) {
+    // A packet counts one hop at its first arrival, so a limit below 1
+    // drops every packet not delivered there, exactly as a limit of 1 does.
+    throw std::invalid_argument("hop_limit " + std::to_string(cfg.hop_limit) +
+                                " must be >= 1");
+  }
   if (cfg.hop_limit > std::numeric_limits<decltype(Packet::hops)>::max()) {
     throw std::invalid_argument("hop_limit " + std::to_string(cfg.hop_limit) +
                                 " exceeds the packet's 16-bit hop count");
@@ -87,11 +93,6 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
   pool_.reserve(topo.link_count() *
                     (static_cast<std::size_t>(cfg.queue_capacity) + 2) +
                 topo.node_count() * 8);
-  last_reported_cost_.reserve(topo.link_count());
-  for (const net::Link& l : topo.links()) {
-    last_reported_cost_.push_back(
-        metrics::LinkMetric{cfg.metric, l, cfg.line_params}.initial_cost());
-  }
   // Every PSN starts from the same link state: one sequence-0 update per
   // origin, each link at its metric's initial cost, held by every PSN, so
   // the initial trees are consistent network-wide. The constructor holds
@@ -104,7 +105,9 @@ Network::Network(const net::Topology& topo, NetworkConfig cfg)
     routing::RoutingUpdate& seed = updates_.at(seeds[n]);
     seed.origin = n;
     for (const net::LinkId l : topo.out_links(n)) {
-      seed.costs.push_back(last_reported_cost_[l]);
+      seed.costs.push_back(
+          metrics::LinkMetric{cfg.metric, topo.link(l), cfg.line_params}
+              .initial_cost());
     }
     seed_rows[n] = seed.costs.data();
     updates_.hold(seeds[n]);
@@ -241,23 +244,21 @@ void Network::on_transmission(net::LinkId link, util::SimTime busy) {
   link_busy_[link].add(now(), static_cast<double>(busy.us()));
 }
 
-void Network::on_cost_reported(net::LinkId link, double cost) {
-  if (cost != Psn::kDownLinkCost) {
+void Network::on_cost_reported(net::LinkId link, analysis::Cost previous,
+                               analysis::Cost cost) {
+  if (cost.value() != Psn::kDownLinkCost) {
     const metrics::LinkMetric& metric = link_metric(link);
     const metrics::CostBounds bounds = metric.bounds();
-    analysis::check_cost_in_bounds(analysis::Cost{cost},
-                                   analysis::Cost{bounds.min_cost},
+    analysis::check_cost_in_bounds(cost, analysis::Cost{bounds.min_cost},
                                    analysis::Cost{bounds.max_cost});
-    const double previous = last_reported_cost_[link];
-    if (hnspf_semantics() && previous != Psn::kDownLinkCost) {
+    if (hnspf_semantics() && previous.value() != Psn::kDownLinkCost) {
       analysis::check_movement_limited(
-          analysis::Cost{previous}, analysis::Cost{cost},
+          previous, cost,
           cfg_.line_params.for_type(effective_links_[link].type),
           metric.significance(cfg_.significance_threshold_override).threshold);
     }
   }
-  last_reported_cost_[link] = cost;
-  if (trace_sink_) trace_sink_->on_cost_reported(link, now(), cost);
+  if (trace_sink_) trace_sink_->on_cost_reported(link, now(), cost.value());
 }
 
 void Network::on_period_measured(net::LinkId link, analysis::Cost previous,
@@ -358,9 +359,6 @@ void Network::apply_fault(std::uint32_t action_index) {
       for (const net::LinkId l : {a.link, effective_links_[a.link].reverse}) {
         net::Link& rec = effective_links_[l];
         rec = upgraded(rec, a.new_type);
-        // The new line eases in from its own maximum: a restart, not a
-        // movement, so the report-to-report check starts afresh.
-        last_reported_cost_[l] = Psn::kDownLinkCost;
         psns_[rec.from]->upgrade_local_link(l);
       }
       break;

@@ -18,7 +18,7 @@
 // packet and routing-update slabs, the one SPF workspace its PSNs share,
 // and every statistic the PSNs report into; run_until drives that queue on
 // the caller's thread. Parallelism lives one
-// level up, in the sweep runner (src/exp/sweep_runner.h), which executes
+// level up, in exp::run_sweep (src/exp/sweep.h), which executes
 // independent Networks on a thread pool.
 
 #pragma once
@@ -70,8 +70,8 @@ struct NetworkConfig {
   int queue_capacity = 40;
   std::uint64_t seed = 0x19870726ULL;
   /// Data packets exceeding this many hops are counted as loop drops
-  /// (only the 1969 algorithm ever reaches it). At most 65535, the range of
-  /// Packet::hops.
+  /// (only the 1969 algorithm ever reaches it). From 1 to 65535, the range
+  /// of Packet::hops.
   int hop_limit = 128;
   /// Extension (paper section 4.5): spread each destination's packets
   /// round-robin over all equal-cost shortest-path next hops instead of the
@@ -248,14 +248,6 @@ class Network : public EventSink {
   [[nodiscard]] routing::PathTrace current_route(net::NodeId src,
                                                  net::NodeId dst) const;
 
-  /// Cost most recently passed to on_cost_reported for each link (the
-  /// link's metric initial cost before any report; kDownLinkCost right
-  /// after a line-type upgrade, whose restart is not a movement).
-  /// on_cost_reported checks each new report's movement against it.
-  [[nodiscard]] double last_reported_cost(net::LinkId link) const {
-    return last_reported_cost_.at(link);
-  }
-
   // ---- callbacks from Psn (not for external use) ----
   void on_generated() { ++stats_.packets_generated; }
   void on_delivered(const Packet& pkt);
@@ -272,12 +264,15 @@ class Network : public EventSink {
   }
   void on_data_packet_sent() { ++counters_.packets_forwarded; }
   void on_transmission(net::LinkId link, util::SimTime busy);
-  /// A PSN advertised `cost` for its link `link`. Checks the cost against
-  /// the link's bounds and, under HN-SPF, the move from the link's previous
-  /// report (section 4.3's limit widened by the significance threshold, as
-  /// a cost may drift sub-threshold for several periods before an update
-  /// carries it); then feeds the trace sink.
-  void on_cost_reported(net::LinkId link, double cost);
+  /// A PSN advertised `cost` for its link `link`, whose last report was
+  /// `previous`. Checks the cost against the link's bounds and, under
+  /// HN-SPF, the move from `previous` (section 4.3's limit widened by the
+  /// significance threshold, as a cost may drift sub-threshold for several
+  /// periods before an update carries it); then feeds the trace sink. A
+  /// restart (a link coming up or changing line type) passes kDownLinkCost
+  /// as `previous`, which exempts it from the movement limit.
+  void on_cost_reported(net::LinkId link, analysis::Cost previous,
+                        analysis::Cost cost);
   /// Typed-event dispatch (sim/event.h): source ticks, propagation
   /// arrivals, transmit completions and the per-node timers all route
   /// through here — one switch, no per-event allocation.
@@ -365,7 +360,6 @@ class Network : public EventSink {
   bool traffic_enabled_ = true;
   util::SimTime window_start_ = util::SimTime::zero();
   std::vector<stats::TimeSeries> link_busy_;
-  std::vector<double> last_reported_cost_;
   /// Mutable view of the topology's link records (line-type upgrades swap
   /// type and rate in place); indexed by LinkId like the topology's own.
   std::vector<net::Link> effective_links_;

@@ -25,13 +25,13 @@ Psn::Psn(Network& net, net::NodeId id, std::span<const UpdateHandle> seeds,
     const net::Link& link = topo.link(lid);
     const metrics::LinkMetric& metric =
         metrics_.emplace_back(cfg.metric, link, cfg.line_params);
-    metrics::SignificanceFilter filter{
-        metric.significance(cfg.significance_threshold_override)};
-    const double initial = metric.initial_cost();
-    filter.force_report(initial);
+    // The link's first report is its initial cost, in the Network's seed
+    // row; it is also the first period's movement baseline.
     out_.emplace_back(lid,
                       metrics::DelayMeasurement{link.rate, link.prop_delay},
-                      filter, initial);
+                      metrics::SignificanceFilter{metric.significance(
+                          cfg.significance_threshold_override)},
+                      metric.initial_cost());
   }
   // Sized up front so the first fault-driven origination (which can precede
   // the first measurement period) already finds warm storage.
@@ -75,7 +75,11 @@ std::size_t Psn::out_index(net::LinkId link) const {
 }
 
 double Psn::reported_cost(net::LinkId out_link) const {
-  return out_[out_index(out_link)].reported;
+  return own_reports()[out_index(out_link)];
+}
+
+const std::vector<double>& Psn::own_reports() const {
+  return net_.update_pool().at(held_[id_]).costs;
 }
 
 bool Psn::link_up(net::LinkId out_link) const {
@@ -339,6 +343,7 @@ void Psn::measurement_period() {
   // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
   candidate_scratch_.assign(out_.size(), 0.0);
   std::span<double> candidates{candidate_scratch_};
+  const std::vector<double>& reported = own_reports();
   bool significant = false;
   for (std::size_t i = 0; i < out_.size(); ++i) {
     OutLink& o = out_[i];
@@ -349,9 +354,9 @@ void Psn::measurement_period() {
                             analysis::Cost{candidates[i]},
                             analysis::Utilization{m.busy_fraction});
     o.last_candidate = candidates[i];
-    if (o.filter.should_report(candidates[i])) significant = true;
+    if (o.filter.should_report(reported[i], candidates[i])) significant = true;
   }
-  if (significant) originate_update(candidates);
+  if (significant) originate_update(candidates, kNoRestart);
 
   net_.simulator().schedule_in(net_.config().measurement_period,
                                SimEvent::measurement_period(net_, id_));
@@ -360,11 +365,14 @@ void Psn::measurement_period() {
 
 // ARPALINT-HOTPATH-BEGIN: update origination runs inside the measurement
 // window whenever a period's cost change is significant.
-void Psn::originate_update(std::span<const double> candidates) {
+void Psn::originate_update(std::span<const double> candidates,
+                           std::size_t restarted) {
   UpdatePool& updates = net_.update_pool();
   const std::uint64_t seq = updates.at(held_[id_]).seq + 1;
   const UpdateHandle uh = updates.acquire();
+  // Both references are taken after acquire(), which may grow the slab.
   routing::RoutingUpdate& update = updates.at(uh);
+  const std::vector<double>& previous = own_reports();
   update.origin = id_;
   update.seq = seq;
   for (std::size_t i = 0; i < out_.size(); ++i) {
@@ -375,11 +383,14 @@ void Psn::originate_update(std::span<const double> candidates) {
         << "link " << o.id << " produced unusable cost " << candidates[i];
     // The node reports all its links in one update; values that didn't
     // trip the filter themselves become the new baseline anyway.
-    o.filter.force_report(candidates[i]);
-    o.reported = candidates[i];
+    o.filter.reported();
     // ARPALINT-ALLOW(hot-path-alloc): recycled slots keep their row capacity
     update.costs.push_back(candidates[i]);
-    net_.on_cost_reported(o.id, candidates[i]);
+    // A restart is checked as if from a down link: no movement limit.
+    net_.on_cost_reported(
+        o.id,
+        analysis::Cost{i == restarted ? kDownLinkCost : previous[i]},
+        analysis::Cost{candidates[i]});
   }
   // The row is every PSN's view of this node's links: it must cover them
   // all, in out_links order (out_ was built in that order).
@@ -526,12 +537,9 @@ void Psn::upgrade_local_link(net::LinkId out_link) {
       metric.significance(cfg.significance_threshold_override)};
   // No flooded updates in 1969 mode (as in set_local_link_up).
   if (cfg.algorithm == routing::RoutingAlgorithm::kDistanceVector) return;
-  if (!o.up) {
-    // Upgraded while down: keep advertising kDownLinkCost; the new line
-    // eases in when the trunk heals (set_local_link_up's restart path).
-    o.filter.force_report(kDownLinkCost);
-    return;
-  }
+  // Upgraded while down: keep advertising kDownLinkCost; the new line
+  // eases in when the trunk heals (set_local_link_up's restart path).
+  if (!o.up) return;
   // A line-type change restarts the link's cost history: advertise the new
   // type's highest cost and decay in, exactly like a restarted link.
   originate_restart(idx, metric.initial_cost());
@@ -543,13 +551,12 @@ void Psn::originate_restart(std::size_t idx, double cost) {
   out_[idx].last_candidate = cost;
   // Safe to share measurement_period's scratch: every caller runs only as
   // a top-level event handler and originate_update re-enters none of them.
+  const std::vector<double>& reported = own_reports();
   // ARPALINT-ALLOW(hot-path-alloc): persistent scratch retains capacity
-  candidate_scratch_.assign(out_.size(), 0.0);
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    candidate_scratch_[i] = out_[i].reported;
-  }
+  candidate_scratch_.assign(reported.begin(), reported.end());
   candidate_scratch_[idx] = cost;
-  originate_update(candidate_scratch_);
+  // The restarted link's new cost is not a movement from its last report.
+  originate_update(candidate_scratch_, idx);
 }
 // ARPALINT-HOTPATH-END
 

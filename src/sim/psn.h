@@ -86,7 +86,7 @@ class Psn {
   }
 
   /// Cost this node's metric most recently reported for one of its own
-  /// outgoing links.
+  /// outgoing links: its entry in the node's own held update.
   [[nodiscard]] double reported_cost(net::LinkId out_link) const;
 
   /// The metric running on one of this node's outgoing links.
@@ -153,15 +153,13 @@ class Psn {
     bool up = true;
     metrics::DelayMeasurement meas;
     metrics::SignificanceFilter filter;
-    double reported = 0.0;
     /// Previous measurement period's candidate cost (reported or not) —
     /// the baseline the per-period movement invariant is checked against.
     double last_candidate = 0.0;
 
     OutLink(net::LinkId lid, metrics::DelayMeasurement m,
             metrics::SignificanceFilter f, double initial)
-        : id{lid}, meas{m}, filter{f}, reported{initial},
-          last_candidate{initial} {}
+        : id{lid}, meas{m}, filter{f}, last_candidate{initial} {}
   };
 
   /// Index of `link` in out_ and metrics_; throws std::out_of_range unless
@@ -179,10 +177,17 @@ class Psn {
   void send_copy(OutLink& out, UpdateHandle payload, Packet::Kind kind,
                  net::NodeId src, double bits);
   void handle_update(PacketHandle pkt, net::LinkId via_link);
-  void originate_update(std::span<const double> candidates);
+  /// Originates an update advertising `candidates`, one per out-link.
+  /// out_[restarted]'s cost is a restart, not a movement from its last
+  /// report (kNoRestart: every cost is a movement).
+  void originate_update(std::span<const double> candidates,
+                        std::size_t restarted);
+  static constexpr std::size_t kNoRestart = static_cast<std::size_t>(-1);
   /// Restarts out_[idx]'s cost history at `cost` and originates an update
   /// advertising it beside the other links' last reports.
   void originate_restart(std::size_t idx, double cost);
+  /// This node's latest update: its links' last reports, in out_ order.
+  [[nodiscard]] const std::vector<double>& own_reports() const;
   void adopt(UpdateHandle update);
   void flood_copies(UpdateHandle update, net::LinkId arrived_on);
 

@@ -115,8 +115,8 @@ traffic::TrafficMatrix scenario_matrix(const net::Topology& topo,
   throw std::invalid_argument("unknown TrafficShape");
 }
 
-ScenarioResult run_scenario(const net::Topology& topo, const ScenarioConfig& cfg,
-                            const std::string& label) {
+ScenarioResult run_scenario(const net::Topology& topo,
+                            const ScenarioConfig& cfg) {
   cfg.validate();
   ScenarioResult result;
   {
@@ -149,8 +149,7 @@ ScenarioResult run_scenario(const net::Topology& topo, const ScenarioConfig& cfg
       network.run_for(cfg.window);
       window_alloc_bytes = guard.bytes();
     }
-    result.indicators =
-        network.indicators(label.empty() ? cfg.effective_label() : label);
+    result.indicators = network.indicators(cfg.effective_label());
     result.stats = network.stats();
     result.audit = analysis::audit_network(network);
     result.stability = network.stability();

@@ -12,8 +12,8 @@
 //                  .with_load_bps(414e3)
 //                  .with_seed(0x1987);
 //
-// New code should go through exp::Experiment (src/exp/experiment.h), which
-// runs single scenarios and parallel sweeps through this config type.
+// run_scenario runs one config; exp::run_sweep (src/exp/sweep.h) runs the
+// same config across metric, load and seed axes on a thread pool.
 
 #pragma once
 
@@ -108,17 +108,14 @@ struct ScenarioResult {
 };
 
 /// Runs one scenario to completion and returns the measurement-window
-/// results. `label` names the indicator column (e.g. "D-SPF"); when empty
-/// the config's effective label is used. Prefer exp::Experiment for new
-/// code; this remains the single-run primitive underneath it.
+/// results, whose indicator column is named by cfg.effective_label().
 ///
 /// When the window ends, analysis::audit_network checks every live reported
 /// cost, equilibrium map and SPF tree against the paper's invariants, and
 /// any violation aborts. Movement limits are checked as the run goes
 /// (Network::on_cost_reported).
 [[nodiscard]] ScenarioResult run_scenario(const net::Topology& topo,
-                                          const ScenarioConfig& cfg,
-                                          const std::string& label);
+                                          const ScenarioConfig& cfg);
 
 /// Builds the scenario's traffic matrix without running (for reuse).
 [[nodiscard]] traffic::TrafficMatrix scenario_matrix(const net::Topology& topo,

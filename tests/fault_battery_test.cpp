@@ -26,7 +26,6 @@
 
 #include "src/analysis/invariants.h"
 #include "src/exp/sweep.h"
-#include "src/exp/sweep_runner.h"
 #include "src/net/line_type.h"
 #include "src/net/builders/registry.h"
 #include "src/sim/fault_plan.h"
@@ -131,14 +130,14 @@ TEST(FaultDeterminismTest, SweepWithFaultsIsThreadCountInvariant) {
                   .with_faults("flap:link=2,at_s=20,dwell_s=6");
   spec.over_metrics({metrics::MetricKind::kHnSpf, metrics::MetricKind::kDspf})
       .over_seeds({1, 2, 3});
-  const exp::NamedTopology topo{"ring6", net::build_topology("ring:nodes=6")};
+  const net::Topology topo = net::build_topology("ring:nodes=6");
 
   exp::SweepOptions serial;
   serial.threads = 1;
   exp::SweepOptions parallel;
   parallel.threads = 4;
-  const exp::SweepResult r1 = exp::SweepRunner{serial}.run(spec, topo);
-  const exp::SweepResult r4 = exp::SweepRunner{parallel}.run(spec, topo);
+  const exp::SweepResult r1 = exp::run_sweep(spec, topo, "ring6", serial);
+  const exp::SweepResult r4 = exp::run_sweep(spec, topo, "ring6", parallel);
 
   EXPECT_EQ(r1.csv(), r4.csv());
   ASSERT_EQ(r1.size(), r4.size());
@@ -267,6 +266,96 @@ TEST(FaultDispatchTest, FlapCrashAndUpgradeApplyOncePerCompiledAction) {
 }
 
 // ---------------------------------------------------------------------------
+// A line upgrade that lands while its trunk is down: the link keeps
+// advertising kDownLinkCost and floods nothing until the trunk heals, then
+// restarts at the new type's initial cost and eases in under the movement
+// checks, for both SPF metrics.
+
+void check_upgrade_while_down(metrics::MetricKind kind) {
+  // Two PSNs joined by two parallel trunks, so flapping one keeps the
+  // network connected.
+  net::Topology topo;
+  const net::NodeId a = topo.add_node("a");
+  const net::NodeId b = topo.add_node("b");
+  topo.add_duplex(a, b, net::LineType::kTerrestrial56);
+  const net::LinkId spare =
+      topo.add_duplex(a, b, net::LineType::kTerrestrial56);
+  const net::LinkId halves[] = {spare, topo.link(spare).reverse};
+  const net::LineType new_type = net::LineType::kMultiTrunk112;
+
+  // Measurement periods close at multiples of 5 s on this network, so
+  // the upgrade (62.5 s) and the heal (70.5 s) fall between them.
+  const SimTime down_at = sec(55.5);
+  const SimTime upgrade_at = sec(62.5);
+  const SimTime heal_at = sec(70.5);
+  const SimTime horizon = heal_at + sec(100);
+  FaultPlan plan;
+  plan.flap_link(spare, down_at, heal_at - down_at);
+  plan.upgrade_line(spare, upgrade_at, new_type);
+
+  NetworkConfig cfg;
+  cfg.metric = kind;
+  Network net{topo, cfg};
+  net.install_faults(plan, horizon);
+  net.add_traffic(traffic::TrafficMatrix::uniform(2, 20e3));
+
+  net.run_until(upgrade_at - sec(0.001));
+  ASSERT_FALSE(net.link_admin_up(spare));
+  const long updates_before = net.stats().updates_originated;
+  net.run_until(upgrade_at);
+  ASSERT_EQ(net.effective_link(spare).type, new_type);
+  EXPECT_EQ(net.stats().updates_originated, updates_before)
+      << "an upgrade on a down trunk must flood nothing";
+  for (const net::LinkId half : halves) {
+    const Psn& psn = net.psn(topo.link(half).from);
+    EXPECT_DOUBLE_EQ(psn.reported_cost(half), Psn::kDownLinkCost);
+  }
+  net.run_until(heal_at - sec(0.001));
+  for (const net::LinkId half : halves) {
+    const Psn& psn = net.psn(topo.link(half).from);
+    EXPECT_DOUBLE_EQ(psn.reported_cost(half), Psn::kDownLinkCost);
+  }
+
+  net.run_until(heal_at);
+  ASSERT_TRUE(net.link_admin_up(spare));
+  for (const net::LinkId half : halves) {
+    const Psn& psn = net.psn(topo.link(half).from);
+    const double old_initial =
+        metrics::LinkMetric{kind, topo.link(half), cfg.line_params}
+            .initial_cost();
+    const double new_initial = metrics::LinkMetric{
+        kind, net.effective_link(half), cfg.line_params}
+                                   .initial_cost();
+    ASSERT_NE(new_initial, old_initial);
+    EXPECT_DOUBLE_EQ(psn.reported_cost(half), new_initial);
+  }
+
+  // Every report and period of the next 100 s passes the network's
+  // bounds and movement checks (a violation aborts), and the end state
+  // passes the self-audit.
+  const std::uint64_t period_checks = net.counters().invariant_period_checks;
+  net.run_until(horizon);
+  if (kind == metrics::MetricKind::kHnSpf) {
+    EXPECT_GT(net.counters().invariant_period_checks, period_checks);
+    // The lightly loaded new line eases in from its maximum.
+    const metrics::LinkMetric upgraded{kind, net.effective_link(spare),
+                                       cfg.line_params};
+    EXPECT_LT(net.psn(a).reported_cost(spare), upgraded.initial_cost());
+  }
+  EXPECT_GT(net.stats().updates_originated, updates_before);
+  EXPECT_EQ(analysis::audit_network(net).costs_checked,
+            static_cast<long>(topo.link_count()));
+}
+
+TEST(FaultDispatchTest, HnSpfUpgradeWhileDownWaitsForTheHeal) {
+  check_upgrade_while_down(metrics::MetricKind::kHnSpf);
+}
+
+TEST(FaultDispatchTest, DspfUpgradeWhileDownWaitsForTheHeal) {
+  check_upgrade_while_down(metrics::MetricKind::kDspf);
+}
+
+// ---------------------------------------------------------------------------
 // Property sweep: randomized fault plans x seeds, every paper invariant
 // enforced through every transition (the PSN's in-run ARPA_CHECK layer and
 // the end-of-run partition-aware self-audit both stay armed).
@@ -325,7 +414,7 @@ void run_property_sweep(const net::Topology& topo, const std::string& name,
     // The network checks every report and period, and run_scenario audits
     // the end state: any violated bound, period or report-to-report
     // movement limit, flat region or tree inconsistency aborts the run.
-    const ScenarioResult result = run_scenario(topo, cfg, name);
+    const ScenarioResult result = run_scenario(topo, cfg);
     EXPECT_GT(result.stats.packets_delivered, 0)
         << name << " seed " << i << ": nothing delivered";
     EXPECT_GT(result.stability.faults_applied, 0)

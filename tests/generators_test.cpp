@@ -17,7 +17,6 @@
 #include "src/net/dot_export.h"
 #include "src/net/graph_spec.h"
 #include "src/net/topology_io.h"
-#include "src/exp/sweep.h"
 #include "src/routing/flooding.h"
 #include "src/routing/spf.h"
 
@@ -28,7 +27,7 @@ Topology build(const GraphSpec& spec) {
   return TopologyBuilder::registry().build(spec);
 }
 
-// ---- determinism: the contract that makes a GraphSpec a sweep axis ----
+// ---- determinism: same GraphSpec + seed, same graph ----
 
 TEST(GeneratorsTest, EveryFamilyIsByteDeterministic) {
   for (const TopologyBuilder::FamilyInfo& family :
@@ -332,28 +331,6 @@ TEST(GeneratorsTest, LegacyFamiliesAreReachableThroughTheRegistry) {
                       .with_param("height", 3))
                 .node_count(),
             12u);
-}
-
-// ---- sweep integration ----
-
-TEST(GeneratorsTest, SweepMaterializesTopologySpecsUnderTheirLabels) {
-  exp::SweepSpec spec;
-  spec.over_topology_specs({
-      GraphSpec{"ring"}.with_nodes(6),
-      GraphSpec{"ba"}.with_nodes(50).with_seed(2).with_param("m", 1),
-  });
-  const std::vector<exp::NamedTopology> topos = spec.materialize_topologies();
-  ASSERT_EQ(topos.size(), 2u);
-  EXPECT_EQ(topos[0].name, "ring-n6-s428279590");
-  EXPECT_EQ(topos[0].topo.node_count(), 6u);
-  EXPECT_EQ(topos[1].name, "ba-n50-s2-m1");
-  EXPECT_EQ(topos[1].topo.node_count(), 50u);
-}
-
-TEST(GeneratorsTest, SweepRejectsBadTopologySpecsAtSpecTime) {
-  exp::SweepSpec spec;
-  EXPECT_THROW(spec.over_topology_specs({GraphSpec{"nope"}.with_nodes(5)}),
-               std::invalid_argument);
 }
 
 // ---- IO at generated-family scale ----

@@ -220,17 +220,19 @@ TEST(ReportMovementHookTest, DeathOnInBoundsJumpFromMaxToMin) {
   arpanet::sim::Network net{topo, cfg};
   ASSERT_TRUE(net.hnspf_semantics());
   const arpanet::metrics::CostBounds bounds = net.link_bounds(0);
-  const double initial = net.last_reported_cost(0);
+  const double initial = net.psn(topo.link(0).from).reported_cost(0);
   EXPECT_DOUBLE_EQ(initial, bounds.max_cost);
   const LineTypeParams& params =
       cfg.line_params.for_type(net.effective_link(0).type);
   ASSERT_GT(initial - bounds.min_cost,
             params.down_limit() + params.change_threshold());
   // The widest legal fall passes; the jump to the minimum does not.
-  net.on_cost_reported(0, initial - params.down_limit() -
-                              params.change_threshold());
-  net.on_cost_reported(0, initial);
-  EXPECT_DEATH(net.on_cost_reported(0, bounds.min_cost),
+  using analysis::Cost;
+  const double widest_fall =
+      initial - params.down_limit() - params.change_threshold();
+  net.on_cost_reported(0, Cost{initial}, Cost{widest_fall});
+  net.on_cost_reported(0, Cost{widest_fall}, Cost{initial});
+  EXPECT_DEATH(net.on_cost_reported(0, Cost{initial}, Cost{bounds.min_cost}),
                "below the per-update down limit");
 }
 
@@ -242,9 +244,11 @@ TEST(ReportMovementHookTest, DownSentinelReportsAreExempt) {
   cfg.metric = arpanet::metrics::MetricKind::kHnSpf;
   arpanet::sim::Network net{topo, cfg};
   const arpanet::metrics::CostBounds bounds = net.link_bounds(0);
-  net.on_cost_reported(0, arpanet::sim::Psn::kDownLinkCost);
-  net.on_cost_reported(0, bounds.min_cost);
-  EXPECT_DOUBLE_EQ(net.last_reported_cost(0), bounds.min_cost);
+  using analysis::Cost;
+  const Cost down{arpanet::sim::Psn::kDownLinkCost};
+  net.on_cost_reported(0, Cost{bounds.max_cost}, down);
+  net.on_cost_reported(0, down, Cost{bounds.min_cost});
+  SUCCEED();
 }
 
 TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
@@ -263,15 +267,15 @@ TEST(ReportBoundsHookTest, DeathWhenAReportLeavesTheLinkBounds) {
     ASSERT_LT(bounds.min_cost, bounds.max_cost);
     ASSERT_GT(down, bounds.max_cost + 1.0);
     // Both ends of the range are legal reports.
-    net.on_cost_reported(0, down);
-    net.on_cost_reported(0, bounds.min_cost);
-    net.on_cost_reported(0, down);
-    net.on_cost_reported(0, bounds.max_cost);
-    net.on_cost_reported(0, down);
-    EXPECT_DEATH(net.on_cost_reported(0, bounds.min_cost - 0.5),
-                 "below line-type minimum");
-    EXPECT_DEATH(net.on_cost_reported(0, bounds.max_cost + 0.5),
-                 "above line-type maximum");
+    using analysis::Cost;
+    net.on_cost_reported(0, Cost{down}, Cost{bounds.min_cost});
+    net.on_cost_reported(0, Cost{down}, Cost{bounds.max_cost});
+    EXPECT_DEATH(
+        net.on_cost_reported(0, Cost{down}, Cost{bounds.min_cost - 0.5}),
+        "below line-type minimum");
+    EXPECT_DEATH(
+        net.on_cost_reported(0, Cost{down}, Cost{bounds.max_cost + 0.5}),
+        "above line-type maximum");
   }
 }
 
@@ -314,7 +318,7 @@ TEST(ScenarioAuditTest, EveryScenarioRunSelfAudits) {
                          .with_load_bps(50e3)
                          .with_warmup(SimTime::from_sec(30))
                          .with_window(SimTime::from_sec(60));
-    const auto result = arpanet::sim::run_scenario(topo, cfg, "audit");
+    const auto result = arpanet::sim::run_scenario(topo, cfg);
     const auto links = static_cast<long>(topo.link_count());
     EXPECT_EQ(result.audit.costs_checked, links);
     EXPECT_EQ(result.audit.maps_checked,

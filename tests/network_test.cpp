@@ -59,10 +59,16 @@ TEST(NetworkTest, DeliversPacketsOnPointToPoint) {
 TEST(NetworkTest, RejectsAHopLimitBeyondThePacketsHopCounter) {
   const net::Topology topo = two_nodes();
   NetworkConfig cfg;
-  cfg.hop_limit = 65535;
-  EXPECT_NO_THROW(Network(topo, cfg));
-  cfg.hop_limit = 65536;  // Packet::hops is 16-bit: the limit could never trip
-  EXPECT_THROW(Network(topo, cfg), std::invalid_argument);
+  for (const int accepted : {1, 65535}) {
+    cfg.hop_limit = accepted;
+    EXPECT_NO_THROW(Network(topo, cfg)) << accepted;
+  }
+  // Packet::hops is 16-bit, so 65536 could never trip; a limit below 1
+  // would silently behave as 1.
+  for (const int rejected : {65536, 0, -1}) {
+    cfg.hop_limit = rejected;
+    EXPECT_THROW(Network(topo, cfg), std::invalid_argument) << rejected;
+  }
 }
 
 TEST(NetworkTest, RejectsANonPositiveQueueCapacity) {
@@ -453,7 +459,8 @@ TEST(ScenarioTest, RunScenarioProducesIndicators) {
   cfg.warmup = SimTime::from_sec(30);
   cfg.window = SimTime::from_sec(60);
   cfg.shape = TrafficShape::kUniform;
-  const ScenarioResult r = run_scenario(topo, cfg, "x");
+  cfg.label = "x";
+  const ScenarioResult r = run_scenario(topo, cfg);
   EXPECT_EQ(r.indicators.label, "x");
   EXPECT_GT(r.stats.packets_delivered, 100);
 }

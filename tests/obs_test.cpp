@@ -212,10 +212,12 @@ TEST_F(NetworkObservabilityTest, TraceSinkReceivesBothSeries) {
     }
   }
 
-  // The cost series must mirror what the network recorded as last reported.
+  // The cost series must end at each link's last report, which its PSN
+  // keeps in its own held update.
   for (net::LinkId l = 0; l < topo.link_count(); ++l) {
     if (sink.costs(l).empty()) continue;
-    EXPECT_DOUBLE_EQ(sink.costs(l).back().second, net.last_reported_cost(l));
+    EXPECT_DOUBLE_EQ(sink.costs(l).back().second,
+                     net.psn(topo.link(l).from).reported_cost(l));
   }
 }
 
@@ -225,7 +227,7 @@ TEST_F(NetworkObservabilityTest, ScenarioResultCarriesCounters) {
                        .with_load_bps(150e3)
                        .with_warmup(SimTime::from_sec(20))
                        .with_window(SimTime::from_sec(40));
-  const sim::ScenarioResult result = sim::run_scenario(topo, cfg, "obs");
+  const sim::ScenarioResult result = sim::run_scenario(topo, cfg);
   EXPECT_EQ(result.counters.spf_full, topo.node_count());
   EXPECT_EQ(result.counters.events_processed, result.events_processed);
   EXPECT_GT(result.counters.packets_forwarded, 0u);

@@ -124,7 +124,7 @@ TEST(ScenarioBuilderTest, RunScenarioValidatesBeforeRunning) {
   const net::Topology topo = net::build_topology("ring:nodes=4");
   ScenarioConfig cfg;
   cfg.window = SimTime::zero();
-  EXPECT_THROW((void)run_scenario(topo, cfg, "x"), std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(topo, cfg), std::invalid_argument);
 }
 
 TEST(ScenarioBuilderTest, RunScenarioReportsTelemetryAndDefaultLabel) {
@@ -134,7 +134,7 @@ TEST(ScenarioBuilderTest, RunScenarioReportsTelemetryAndDefaultLabel) {
                                  .with_load_bps(40e3)
                                  .with_warmup(SimTime::from_sec(10))
                                  .with_window(SimTime::from_sec(30));
-  const ScenarioResult r = run_scenario(topo, cfg, /*label=*/"");
+  const ScenarioResult r = run_scenario(topo, cfg);
   EXPECT_EQ(r.indicators.label, "HN-SPF");  // derived from the default metric
   EXPECT_GT(r.events_processed, 0u);
   EXPECT_GT(r.wall_seconds, 0.0);

@@ -5,65 +5,70 @@
 namespace arpanet::metrics {
 namespace {
 
-TEST(SignificanceTest, FirstCallAlwaysReports) {
-  SignificanceFilter f{SignificanceFilter::fixed_config(14.0)};
-  EXPECT_TRUE(f.should_report(30.0));
-  EXPECT_DOUBLE_EQ(f.last_reported(), 30.0);
-}
+// The filter tests each candidate against the link's last reported cost,
+// which the caller keeps (a PSN reads it from its own latest update); the
+// tests below carry it in `last` and move it when a report goes out.
 
 TEST(SignificanceTest, SmallChangesSuppressed) {
   SignificanceFilter f{SignificanceFilter::fixed_config(14.0)};
-  (void)f.should_report(30.0);
-  EXPECT_FALSE(f.should_report(35.0));
-  EXPECT_FALSE(f.should_report(40.0));  // vs last *reported* (30), still < 14
-  EXPECT_TRUE(f.should_report(44.0));   // 14 above 30
-  EXPECT_DOUBLE_EQ(f.last_reported(), 44.0);
+  const double last = 30.0;
+  EXPECT_FALSE(f.should_report(last, 35.0));
+  EXPECT_FALSE(f.should_report(last, 40.0));  // vs last *reported* (30): < 14
+  EXPECT_TRUE(f.should_report(last, 44.0));   // 14 above 30
 }
 
 TEST(SignificanceTest, DownwardChangesAlsoCount) {
   SignificanceFilter f{SignificanceFilter::fixed_config(14.0)};
-  (void)f.should_report(60.0);
-  EXPECT_FALSE(f.should_report(50.0));
-  EXPECT_TRUE(f.should_report(46.0));
+  const double last = 60.0;
+  EXPECT_FALSE(f.should_report(last, 50.0));
+  EXPECT_TRUE(f.should_report(last, 46.0));
 }
 
 /// "The maximum time between routing updates for each PSN is 50 seconds":
 /// with 10 s periods, at most 5 quiet periods pass before a forced report.
 TEST(SignificanceTest, ForcedReportAfterMaxQuietPeriods) {
   SignificanceFilter f{SignificanceFilter::fixed_config(1e30)};  // min-hop style
-  (void)f.should_report(1.0);
   int quiet = 0;
-  while (!f.should_report(1.0)) ++quiet;
+  while (!f.should_report(1.0, 1.0)) ++quiet;
   EXPECT_EQ(quiet, 4);  // reported on the 5th period
+  quiet = 0;
+  while (!f.should_report(1.0, 1.0)) ++quiet;
+  EXPECT_EQ(quiet, 4);  // and again 5 periods after that report
 }
 
 TEST(SignificanceTest, DspfThresholdDecaysUntilSatisfied) {
   SignificanceFilter f{SignificanceFilter::dspf_config()};  // 64, -12.8/period
-  (void)f.should_report(10.0);
+  const double last = 10.0;
   // A persistent +20 change is below 64 but crosses the decaying threshold
   // (64 -> 51.2 -> 38.4 -> 25.6 -> 12.8) on the 4th quiet period's check.
-  EXPECT_FALSE(f.should_report(30.0));  // threshold 64
-  EXPECT_FALSE(f.should_report(30.0));  // 51.2
-  EXPECT_FALSE(f.should_report(30.0));  // 38.4
-  EXPECT_FALSE(f.should_report(30.0));  // 25.6
-  EXPECT_TRUE(f.should_report(30.0));   // 12.8 <= 20
+  EXPECT_FALSE(f.should_report(last, 30.0));  // threshold 64
+  EXPECT_FALSE(f.should_report(last, 30.0));  // 51.2
+  EXPECT_FALSE(f.should_report(last, 30.0));  // 38.4
+  EXPECT_FALSE(f.should_report(last, 30.0));  // 25.6
+  EXPECT_TRUE(f.should_report(last, 30.0));   // 12.8 <= 20
 }
 
 TEST(SignificanceTest, ThresholdResetsAfterReport) {
   SignificanceFilter f{SignificanceFilter::dspf_config()};
-  (void)f.should_report(10.0);
-  (void)f.should_report(30.0);  // decay once
+  (void)f.should_report(10.0, 30.0);  // decay once
   EXPECT_LT(f.working_threshold(), 64.0);
-  (void)f.should_report(200.0);  // big change -> report, reset
+  (void)f.should_report(10.0, 200.0);  // big change -> report, reset
   EXPECT_DOUBLE_EQ(f.working_threshold(), 64.0);
 }
 
 TEST(SignificanceTest, ForceReportSetsBaseline) {
-  SignificanceFilter f{SignificanceFilter::fixed_config(14.0)};
-  (void)f.should_report(30.0);
-  f.force_report(44.0);
-  EXPECT_DOUBLE_EQ(f.last_reported(), 44.0);
-  EXPECT_FALSE(f.should_report(50.0));  // only 6 above the forced baseline
+  // A cost bundled into an update some other link triggered becomes the
+  // link's last report; reported() restarts the quiet count and threshold.
+  SignificanceFilter f{SignificanceFilter::dspf_config()};
+  EXPECT_FALSE(f.should_report(30.0, 40.0));
+  EXPECT_FALSE(f.should_report(30.0, 44.0));
+  EXPECT_LT(f.working_threshold(), 64.0);
+  f.reported();  // 44 went out in a bundled update
+  EXPECT_DOUBLE_EQ(f.working_threshold(), 64.0);
+  EXPECT_FALSE(f.should_report(44.0, 50.0));  // only 6 above the new baseline
+  int quiet = 1;
+  while (!f.should_report(44.0, 44.0)) ++quiet;
+  EXPECT_EQ(quiet, 4);  // the quiet count restarted at the bundled report
 }
 
 TEST(SignificanceTest, RejectsBadConfig) {

@@ -115,7 +115,7 @@ TEST(StressTest, Arpanet87BatteryWindowIsAllocationFree) {
                  .with_load_bps(600e3)
                  .with_warmup(SimTime::from_sec(60))
                  .with_window(SimTime::from_sec(120));
-  const ScenarioResult r = run_scenario(net87, cfg, "alloc-guard");
+  const ScenarioResult r = run_scenario(net87, cfg);
 
   // run_scenario wraps exactly the measurement window in an AllocGuard and
   // reports through the counters catalog.
@@ -148,7 +148,7 @@ TEST(StressTest, LeoGrid256HnSpfWindowIsAllocationFree) {
                  .with_seed(7)
                  .with_warmup(SimTime::from_sec(20))
                  .with_window(SimTime::from_sec(40));
-  const ScenarioResult r = run_scenario(topo, cfg, "leo256-alloc-guard");
+  const ScenarioResult r = run_scenario(topo, cfg);
 
   EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
 #if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
@@ -174,7 +174,7 @@ TEST(StressTest, FlapStormWindowIsAllocationFree) {
                  .with_warmup(SimTime::from_sec(60))
                  .with_window(SimTime::from_sec(120))
                  .with_faults("flap:link=0,period_s=1,dwell_s=0.4");
-  const ScenarioResult r = run_scenario(net87, cfg, "flap-storm");
+  const ScenarioResult r = run_scenario(net87, cfg);
 
   EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
 #if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
@@ -202,7 +202,7 @@ TEST(StressTest, DistanceVectorWindowIsAllocationFree) {
                  .with_load_bps(300e3)
                  .with_warmup(SimTime::from_sec(60))
                  .with_window(SimTime::from_sec(120));
-  const ScenarioResult r = run_scenario(net87, cfg, "dv-alloc-guard");
+  const ScenarioResult r = run_scenario(net87, cfg);
 
   EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
 #if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)
@@ -240,7 +240,7 @@ TEST(StressTest, LineUpgradeWindowIsAllocationFree) {
                    .with_faults(
                        "upgrade:link=10,at_s=90,type=112kb-multitrunk;"
                        "upgrade:link=20,at_s=120,type=56kb-satellite");
-    const ScenarioResult r = run_scenario(net87, cfg, "upgrade-alloc-guard");
+    const ScenarioResult r = run_scenario(net87, cfg);
 
     EXPECT_EQ(r.counters.alloc_guard_scopes, 1u);
 #if defined(NDEBUG) && !defined(ARPANET_TEST_SANITIZED)

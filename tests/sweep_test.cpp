@@ -1,12 +1,12 @@
 // The sweep engine: axis expansion, deterministic per-cell seeding, and the
-// acceptance property — a SweepRunner on N worker threads produces
+// acceptance property — run_sweep on N worker threads produces
 // byte-identical CSV output to a single-threaded run of the same spec.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "src/exp/experiment.h"
+#include "src/exp/sweep.h"
 #include "src/net/builders/registry.h"
 
 namespace arpanet::exp {
@@ -23,6 +23,11 @@ SweepOptions threads(int n) {
   return opts;
 }
 
+/// The two-region network every run below shares.
+net::Topology two_region() {
+  return net::build_topology("two-region:per_region=4");
+}
+
 /// A small, fast base scenario on the two-region network.
 ScenarioConfig fast_base() {
   return ScenarioConfig{}
@@ -37,13 +42,11 @@ TEST(SweepSpecTest, EmptyAxesFallBackToBase) {
   spec.base = fast_base().with_metric(MetricKind::kDspf).with_seed(7);
   EXPECT_EQ(spec.cell_count(), 1u);
 
-  const NamedTopology topo{"t", net::build_topology("ring:nodes=4")};
-  const auto cells = expand_cells(spec, topo);
+  const auto cells = expand_cells(spec, "t");
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].metric, MetricKind::kDspf);
   EXPECT_EQ(cells[0].seed, 7u);
   EXPECT_EQ(cells[0].topology, "t");
-  EXPECT_EQ(cells[0].topo, &topo.topo);
 }
 
 TEST(SweepSpecTest, ExpandsCrossProductInDeterministicOrder) {
@@ -54,8 +57,7 @@ TEST(SweepSpecTest, ExpandsCrossProductInDeterministicOrder) {
       .over_seeds({1, 2, 3});
   EXPECT_EQ(spec.cell_count(), 12u);
 
-  const NamedTopology topo{"t", net::build_topology("ring:nodes=4")};
-  const auto cells = expand_cells(spec, topo);
+  const auto cells = expand_cells(spec, "t");
   ASSERT_EQ(cells.size(), 12u);
   // Ordering: metric-major, then load, then seed; indexes are dense.
   EXPECT_EQ(cells[0].metric, MetricKind::kDspf);
@@ -111,15 +113,15 @@ TEST(SweepSeedTest, DerivedSeedsDifferAcrossEveryAxis) {
 }
 
 TEST(SweepRunnerTest, ParallelCsvIsByteIdenticalToSerial) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   spec.over_metrics({MetricKind::kDspf, MetricKind::kHnSpf})
       .over_loads_bps({40e3, 70e3})
       .over_seeds({11, 22});
 
-  const SweepResult serial = e.sweep(spec, threads(1));
-  const SweepResult parallel = e.sweep(spec, threads(4));
+  const SweepResult serial = run_sweep(spec, topo, "two-region", threads(1));
+  const SweepResult parallel = run_sweep(spec, topo, "two-region", threads(4));
 
   ASSERT_EQ(serial.size(), 8u);
   ASSERT_EQ(parallel.size(), 8u);
@@ -140,14 +142,15 @@ TEST(SweepRunnerTest, ParallelCsvIsByteIdenticalToSerial) {
 }
 
 TEST(SweepRunnerTest, SweepCellMatchesEquivalentSingleRun) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   spec.over_metrics({MetricKind::kHnSpf}).over_loads_bps({60e3});
 
-  const SweepResult sweep = e.sweep(spec, threads(2));
+  const SweepResult sweep = run_sweep(spec, topo, "two-region", threads(2));
   ASSERT_EQ(sweep.size(), 1u);
-  const auto single = e.run(sweep.at(0).cell.to_config(spec.base));
+  const auto single =
+      sim::run_scenario(topo, sweep.at(0).cell.to_config(spec.base));
 
   // Same derived config => bit-identical simulation outcome.
   EXPECT_EQ(single.stats.packets_generated,
@@ -160,13 +163,13 @@ TEST(SweepRunnerTest, SweepCellMatchesEquivalentSingleRun) {
 }
 
 TEST(SweepRunnerTest, ResultsLandInCellOrderNotCompletionOrder) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   // Mixed window lengths: later cells finish before earlier ones.
   spec.over_loads_bps({90e3, 30e3, 60e3, 45e3});
 
-  const SweepResult r = e.sweep(spec, threads(4));
+  const SweepResult r = run_sweep(spec, topo, "two-region", threads(4));
   ASSERT_EQ(r.size(), 4u);
   EXPECT_DOUBLE_EQ(r.at(0).cell.offered_load_bps, 90e3);
   EXPECT_DOUBLE_EQ(r.at(1).cell.offered_load_bps, 30e3);
@@ -176,17 +179,17 @@ TEST(SweepRunnerTest, ResultsLandInCellOrderNotCompletionOrder) {
 }
 
 TEST(SweepRunnerTest, InvalidBaseConfigRethrowsOnCallingThread) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   spec.base.window = SimTime::zero();  // direct write: caught at run time
   spec.over_loads_bps({40e3, 50e3});
-  EXPECT_THROW((void)e.sweep(spec, threads(2)),
+  EXPECT_THROW((void)run_sweep(spec, topo, "two-region", threads(2)),
                std::invalid_argument);
 }
 
 TEST(SweepRunnerTest, ProgressCallbackSeesEveryCellExactlyOnce) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   spec.over_seeds({1, 2, 3, 4, 5});
@@ -195,18 +198,18 @@ TEST(SweepRunnerTest, ProgressCallbackSeesEveryCellExactlyOnce) {
   SweepOptions opts;
   opts.threads = 3;
   opts.on_run_done = [&](const SweepRun& r) { seen.insert(r.cell.index); };
-  const SweepResult result = e.sweep(spec, opts);
+  const SweepResult result = run_sweep(spec, topo, "two-region", opts);
   EXPECT_EQ(result.size(), 5u);
   EXPECT_EQ(seen, (std::set<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SweepResultTest, CsvCarriesAxesAndSummaryCarriesTelemetry) {
-  const Experiment e = Experiment::two_region(4);
+  const net::Topology topo = two_region();
   SweepSpec spec;
   spec.base = fast_base();
   spec.over_metrics({MetricKind::kMinHop});
 
-  const SweepResult r = e.sweep(spec, threads(1));
+  const SweepResult r = run_sweep(spec, topo, "two-region", threads(1));
   const std::string csv = r.csv();
   EXPECT_NE(csv.find("index,topology,metric"), std::string::npos);
   EXPECT_NE(csv.find("two-region,min-hop,uniform"), std::string::npos);
@@ -216,23 +219,6 @@ TEST(SweepResultTest, CsvCarriesAxesAndSummaryCarriesTelemetry) {
   std::ostringstream summary;
   r.write_summary(summary);
   EXPECT_NE(summary.str().find("events/sec"), std::string::npos);
-}
-
-TEST(SweepTopologyAxisTest, SweepsAcrossNamedTopologies) {
-  const Experiment e = Experiment::two_region(4);
-  SweepSpec spec;
-  spec.base = fast_base();
-  std::vector<NamedTopology> topos;
-  topos.push_back({"ring4", net::build_topology("ring:nodes=4")});
-  topos.push_back({"grid2x3", net::build_topology("grid:width=2,height=3")});
-  spec.over_topologies(std::move(topos));
-
-  const SweepResult r = e.sweep(spec, threads(2));
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_EQ(r.at(0).cell.topology, "ring4");
-  EXPECT_EQ(r.at(1).cell.topology, "grid2x3");
-  // Different topologies, different streams and different outcomes.
-  EXPECT_NE(r.at(0).cell.derived_seed, r.at(1).cell.derived_seed);
 }
 
 }  // namespace
